@@ -229,7 +229,7 @@ def cmd_funcalc(args):
         "matrix": matrix_to_json(out),
         "spectrum_map": [
             [float(label), complex(f(float(label), args.t))]
-            for label, _ in pvm.atoms
+            for label in pvm.labels
         ],
         "tolerance_used": args.tol,
     }

@@ -10,17 +10,18 @@ from collections import namedtuple
 import numpy as np
 
 from .linalg import (
-    DEFAULT_TOL,
     DimensionMismatch,
     HermitianOperator,
     UnitaryOperator,
+    _fro_batch,
     as_matrix,
     frobenius,
     operator_norm,
     require_square,
     require_same_dim,
+    require_unitary,
 )
-from .spectral import func_calculus, spectral_decompose
+from .spectral import _on_factor, spectral_decompose
 from .states import DensityState
 
 MAX_DYSON_ORDER = 12
@@ -91,12 +92,28 @@ def _herm(A):
     return A if isinstance(A, HermitianOperator) else HermitianOperator(A)
 
 
+def _evolve(pvm, t, hbar):
+    """exp(-i t H / hbar) for each time in the array t, on the spectral
+    measure of H: one n x n product V exp(-i t Lambda / hbar) V^* per time."""
+    phase = np.multiply.outer(-1j * np.asarray(t, dtype=float), pvm.labels)
+    return _on_factor(pvm, np.exp(phase / hbar))
+
+
 def evolve_unitary(H, t, hbar=1.0) -> UnitaryOperator:
-    """exp(-i t H / hbar), assembled through the spectral measure so the
-    result is unitary to machine precision."""
-    pvm = spectral_decompose(_herm(H))
-    U = func_calculus(pvm, lambda lam: np.exp(-1j * float(t) * lam / hbar))
-    return UnitaryOperator(U)
+    """exp(-i t H / hbar), unitary to machine precision: one eigendecomposition
+    of H and one n x n product on its eigenvector factor."""
+    return UnitaryOperator(_evolve(spectral_decompose(_herm(H)), t, hbar))
+
+
+def _evolve_grid(pvm, times, hbar):
+    """_evolve held to the unitarity gate of UnitaryOperator."""
+    return require_unitary(_evolve(pvm, times, hbar))
+
+
+def _commutator_defect(Us, Vs):
+    """Largest ||VU - UV||_F over every pair from two stacks."""
+    U, V = Us[:, None], Vs[None, :]
+    return float(_fro_batch(V @ U - U @ V).max(initial=0.0))
 
 
 def _unitary_matrix(U):
@@ -153,9 +170,8 @@ def generator_from_group(samples, group_tol=1e-8, recon_tol=1e-6,
         raise NotHermitianResult(herm_defect)
     H = HermitianOperator(D, tol=np.inf)
 
-    worst = 0.0
-    for t, U in table.items():
-        worst = max(worst, frobenius(evolve_unitary(H, t, hbar).matrix - U))
+    recon = _evolve_grid(spectral_decompose(H), list(table), hbar)
+    worst = float(_fro_batch(recon - np.stack(list(table.values()))).max())
     if worst > recon_tol:
         raise InconsistentGroup(worst)
     return H
@@ -193,18 +209,13 @@ def noether_check(A, H, t_grid=None, s_grid=None, tol=1e-9,
     if not t_grid or not s_grid:
         raise ValueError("grids must be nonempty")
 
-    Us = {t: evolve_unitary(H, t, hbar).matrix for t in t_grid}
-    Vs = {s: evolve_unitary(A, s, hbar).matrix for s in s_grid}
+    Us = _evolve_grid(spectral_decompose(H), t_grid, hbar)
+    Vs = _evolve_grid(spectral_decompose(A), s_grid, hbar)
+    Uh, Vh = Us.conj().transpose(0, 2, 1), Vs.conj().transpose(0, 2, 1)
 
-    d_const = max(
-        frobenius(U.conj().T @ A.matrix @ U - A.matrix) for U in Us.values()
-    )
-    d_comm = max(
-        frobenius(V @ U - U @ V) for U in Us.values() for V in Vs.values()
-    )
-    d_inv = max(
-        frobenius(V @ H.matrix @ V.conj().T - H.matrix) for V in Vs.values()
-    )
+    d_const = float(_fro_batch(Uh @ A.matrix @ Us - A.matrix).max())
+    d_comm = _commutator_defect(Us, Vs)
+    d_inv = float(_fro_batch(Vs @ H.matrix @ Vh - H.matrix).max())
 
     flags = (d_const <= tol, d_comm <= tol, d_inv <= tol)
     defects = {
@@ -226,12 +237,8 @@ def commuting_via_groups(A, B, grid=None, tol=1e-9, hbar=1.0) -> bool:
     if A.dim != B.dim:
         raise DimensionMismatch(f"dims differ: {A.dim} vs {B.dim}")
     grid = DEFAULT_NOETHER_GRID if grid is None else tuple(grid)
-    worst = 0.0
-    for t in grid:
-        U = evolve_unitary(A, t, hbar).matrix
-        for s in grid:
-            V = evolve_unitary(B, s, hbar).matrix
-            worst = max(worst, frobenius(U @ V - V @ U))
+    worst = _commutator_defect(_evolve_grid(spectral_decompose(A), grid, hbar),
+                               _evolve_grid(spectral_decompose(B), grid, hbar))
     return worst <= tol
 
 
@@ -506,14 +513,13 @@ def su2_fixture(hbar=1.0):
     spectra = [sorted(np.linalg.eigvalsh(Sk.matrix).tolist()) for Sk in S]
 
     group_defect = 0.0
-    thetas = (0.3, 0.7, 1.1)
+    thetas = np.array([0.3, 0.7, 1.1])
     for Sk in S:
-        for u in thetas:
-            for v in thetas:
-                Uu = evolve_unitary(Sk, u, hbar).matrix
-                Uv = evolve_unitary(Sk, v, hbar).matrix
-                Uw = evolve_unitary(Sk, u + v, hbar).matrix
-                group_defect = max(group_defect, frobenius(Uu @ Uv - Uw))
+        pvm = spectral_decompose(Sk)
+        U = _evolve_grid(pvm, thetas, hbar)
+        W = _evolve_grid(pvm, np.add.outer(thetas, thetas), hbar)
+        defect = _fro_batch(U[:, None] @ U[None, :] - W).max()
+        group_defect = max(group_defect, float(defect))
 
     quad = sum(Sk.matrix @ Sk.matrix for Sk in S)
     w, V = np.linalg.eigh(quad)

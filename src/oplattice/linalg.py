@@ -55,6 +55,11 @@ def frobenius(M) -> float:
     return float(np.linalg.norm(M, "fro"))
 
 
+def _fro_batch(stack):
+    """Frobenius norm of every matrix in a (..., n, n) stack."""
+    return np.sqrt((np.abs(stack) ** 2).sum(axis=(-2, -1)))
+
+
 def require_square(M: np.ndarray) -> np.ndarray:
     if M.shape[0] != M.shape[1]:
         raise NotSquare(f"matrix is {M.shape[0]}x{M.shape[1]}")
@@ -101,24 +106,27 @@ class HermitianOperator:
         return f"HermitianOperator(dim={self.dim})"
 
 
-def validate_hermitian(M, tol: float | None = None) -> HermitianOperator:
-    return HermitianOperator(M, tol=tol)
+def require_unitary(M: np.ndarray, tol: float | None = None) -> np.ndarray:
+    """Return M, a matrix or a (..., n, n) stack, once every matrix in it has
+    max(||M^*M - I||_F, ||MM^* - I||_F) <= tol * max(1, sqrt(n))."""
+    tol = DEFAULT_TOL if tol is None else float(tol)
+    n = M.shape[-1]
+    eye = np.eye(n)
+    Mh = np.swapaxes(M, -1, -2).conj()
+    defect = np.maximum(_fro_batch(Mh @ M - eye), _fro_batch(M @ Mh - eye))
+    worst = float(defect.max(initial=0.0))
+    if not worst <= tol * max(1.0, float(np.sqrt(n))):  # NaN fails too
+        raise NotUnitary(worst)
+    return M
 
 
 class UnitaryOperator:
     __slots__ = ("matrix", "dim")
 
     def __init__(self, matrix, tol: float | None = None):
-        tol = DEFAULT_TOL if tol is None else float(tol)
-        M = require_square(as_matrix(matrix))
-        n = M.shape[0]
-        eye = np.eye(n)
-        defect = max(frobenius(M.conj().T @ M - eye), frobenius(M @ M.conj().T - eye))
-        if defect > tol * max(1.0, float(np.sqrt(n))):
-            raise NotUnitary(defect)
-        self.matrix = M
+        self.matrix = require_unitary(require_square(as_matrix(matrix)), tol)
         self.matrix.setflags(write=False)
-        self.dim = n
+        self.dim = self.matrix.shape[0]
 
     def __repr__(self):
         return f"UnitaryOperator(dim={self.dim})"

@@ -16,6 +16,7 @@ from .linalg import (
     DEFAULT_TOL,
     DimensionMismatch,
     HermitianOperator,
+    _fro_batch,
     as_matrix,
     eig_hermitian,
     frobenius,
@@ -52,11 +53,6 @@ def _as_tuple(label):
     if isinstance(label, tuple):
         return tuple(float(x) for x in label)
     return (float(label),)
-
-
-def _fro_batch(stack):
-    """Frobenius norm of every matrix in a (k, n, n) stack."""
-    return np.sqrt((np.abs(stack) ** 2).sum(axis=(1, 2)))
 
 
 def _atom_residuals(dim, atoms):
@@ -224,22 +220,32 @@ def _lookup_sample(mapping, label):
     raise MissingSample(label)
 
 
+def _on_factor(pvm, values):
+    """V diag(values) V^* for a measure made by spectral_decompose, each atom's
+    value repeated over its block; leading axes of values give a stack."""
+    V, _, ranks = pvm._factor
+    return (V * np.repeat(values, ranks, axis=-1)[..., None, :]) @ V.conj().T
+
+
 def func_calculus(pvm, f) -> np.ndarray:
     """Evaluate f on the spectrum: sum_a f(a) P_a.
 
     f may be a mapping from labels to values (the discrete sampled form) or
     a callable evaluated at each label. A Hermitian operator is accepted in
     place of a PVM and decomposed with the default clustering.
+
+    On a measure made by spectral_decompose the cost is one n x n product,
+    V f(Lambda) V^*, and `atoms` is not built.
     """
     if isinstance(pvm, HermitianOperator) or isinstance(pvm, np.ndarray):
         pvm = spectral_decompose(pvm)
+    sample = (lambda lab: _lookup_sample(f, lab)) if isinstance(f, Mapping) else f
+    values = np.array([complex(sample(lab)) for lab in pvm._labels])
+    if pvm._factor is not None:
+        return _on_factor(pvm, values)
     out = np.zeros((pvm.dim, pvm.dim), dtype=complex)
-    for label, P in pvm.atoms:
-        if isinstance(f, Mapping):
-            value = _lookup_sample(f, label)
-        else:
-            value = f(label)
-        out += complex(value) * P
+    for value, (_, P) in zip(values, pvm.atoms):
+        out += value * P
     return out
 
 

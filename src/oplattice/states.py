@@ -10,6 +10,7 @@ import numpy as np
 
 from .lattice import Projector
 from .linalg import (
+    _PHASE_FLOOR,
     DEFAULT_TOL,
     DimensionMismatch,
     HermitianOperator,
@@ -20,8 +21,6 @@ from .linalg import (
 )
 
 PROB_FLOOR = 1e-12
-
-_PHASE_FLOOR = 1e-12
 
 
 class ZeroProbability(ValueError):

@@ -4,6 +4,7 @@ symmetry operators, and multiplier bookkeeping."""
 import numpy as np
 import pytest
 
+import oplattice.spectral
 from oplattice import (
     DensityState,
     EquivalenceViolation,
@@ -11,6 +12,7 @@ from oplattice import (
     InconsistentGroup,
     MultiplierTable,
     NotACocycle,
+    NotUnitary,
     OrderTooLarge,
     PureStateVector,
     QuadratureTooCoarse,
@@ -144,6 +146,47 @@ def test_group_commutation_matches_spectral_test():
     assert commuting_via_groups(A, B)
     assert pvm_commute(spectral_decompose(A), spectral_decompose(B))
     assert not commuting_via_groups(SX, SZ)
+
+
+def _count_decompositions(monkeypatch):
+    calls = []
+    solve = oplattice.spectral.eig_hermitian
+
+    def counted(A):
+        calls.append(A)
+        return solve(A)
+
+    monkeypatch.setattr(oplattice.spectral, "eig_hermitian", counted)
+    return calls
+
+
+def test_group_checks_decompose_each_operator_once(monkeypatch):
+    rng = np.random.default_rng(71)
+    H = random_hermitian(rng, 5)
+    A = H @ H
+    samples = [(t, evolve_unitary(H, t).matrix)
+               for t in (1e-3, 5e-4, -5e-4, -1e-3)]
+    calls = _count_decompositions(monkeypatch)
+    for run, distinct in ((lambda: noether_check(A, H), 2),
+                          (lambda: noether_check(SX, SZ), 2),
+                          (lambda: commuting_via_groups(A, H), 2),
+                          (lambda: commuting_via_groups(SX, SZ), 2),
+                          (lambda: generator_from_group(samples), 1),
+                          (lambda: su2_fixture(), 3)):
+        calls.clear()
+        run()
+        assert len(calls) == distinct
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_group_grids_keep_the_unitarity_gate():
+    # exp(-i t H) overflows to NaN at t = 1e308; the gate refuses it
+    H = 2.0 * SZ
+    with pytest.raises(NotUnitary):
+        noether_check(SX, H, t_grid=(0.1, 1e308))
+    with pytest.raises(NotUnitary):
+        commuting_via_groups(SX, H, grid=(1e308,))
 
 
 def test_time_ordered_commuting_family_closed_form():

@@ -14,6 +14,7 @@ from oplattice.linalg import (
     matrix_from_json,
     matrix_to_json,
     operator_norm,
+    require_unitary,
 )
 
 import oracles
@@ -71,6 +72,28 @@ def test_unitary_validation():
     UnitaryOperator(U)
     with pytest.raises(NotUnitary):
         UnitaryOperator(1.01 * U)
+
+
+def test_unitarity_gate_on_stacks_matches_single_matrix_gate():
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal((2, 3, 4, 4)) + 1j * rng.standard_normal((2, 3, 4, 4))
+    stack = np.linalg.qr(z)[0]
+    assert require_unitary(stack) is stack
+    # scaling by 1 + eps gives defect 4 eps + O(eps^2) at n = 4, against the
+    # threshold 1e-10 * sqrt(4)
+    for eps, passes in ((4e-11, True), (6e-11, False)):
+        bad = stack.copy()
+        bad[1, 2] *= 1.0 + eps
+        for gate in (lambda: require_unitary(bad),
+                     lambda: UnitaryOperator(bad[1, 2])):
+            if passes:
+                gate()
+            else:
+                with pytest.raises(NotUnitary):
+                    gate()
+    bad[0, 0, 1, 1] = np.nan
+    with pytest.raises(NotUnitary):
+        require_unitary(bad)
 
 
 def test_eigh_pauli_z():

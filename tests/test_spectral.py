@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oplattice.spectral
 from oplattice import (
@@ -14,6 +16,7 @@ from oplattice import (
     func_calculus,
     joint_pvm,
     marginal_pvm,
+    evolve_unitary,
     operator_norm,
     pvm_commute,
     pvm_from_json,
@@ -185,3 +188,96 @@ def test_json_roundtrip_preserves_atoms_exactly():
     assert back.labels == pvm.labels
     for (_, P), (_, Q) in zip(back.atoms, pvm.atoms):
         assert np.array_equal(P, Q)
+
+
+# --- the factored route against the dense one --------------------------------
+
+def _spectrum(kind, n, rng):
+    if kind == "ill_scaled":
+        return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8, 8, n)
+    w = rng.standard_normal(n)
+    if kind == "rank3_cluster":
+        w[:3] = w[0]
+    elif kind.startswith("gap_"):
+        # clusters of equally spaced eigenvalues, gap apart: below the
+        # default cluster threshold they merge, above it they stay split
+        m = max(1, n // 3)
+        idx = np.arange(n)
+        w = w[idx % m] + float(kind[4:]) * (idx // m)
+    return w
+
+
+def _hermitian_with_spectrum(w, rng):
+    n = len(w)
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, _ = np.linalg.qr(z)
+    H = (q * w) @ q.conj().T
+    return (H + H.conj().T) / 2
+
+
+_KINDS = ("generic", "ill_scaled", "rank3_cluster",
+          "gap_1e-13", "gap_1e-10", "gap_1e-8", "gap_1e-6")
+
+_FUNCS = {
+    "identity": lambda lam: lam,
+    "square": lambda lam: lam * lam,
+    "phase": lambda lam: np.exp(-0.7j * lam),
+    "sign": lambda lam: 1.0 if lam >= 0 else -1.0j,
+}
+
+_spectral_cases = given(
+    kind=st.sampled_from(_KINDS),
+    n=st.integers(1, 64),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def _relative_gap(got, want):
+    return frobenius(got - want) / max(1.0, frobenius(want))
+
+
+@settings(max_examples=40, deadline=None)
+@_spectral_cases
+def test_factored_func_calculus_matches_dense_route(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    n = max(n, 3) if kind == "rank3_cluster" else n
+    pvm = spectral_decompose(_hermitian_with_spectrum(_spectrum(kind, n, rng), rng))
+    labels = pvm.labels
+    dense = ProjectorValuedMeasure(pvm.dim, pvm.atoms)
+    for f in _FUNCS.values():
+        want = func_calculus(dense, f)
+        assert _relative_gap(func_calculus(pvm, f), want) <= 1e-10
+        # sampled form, every key a near miss of its label
+        jitter = 1e-11 * rng.uniform(-1, 1, len(labels))
+        table = {lab + d * max(1.0, abs(lab)): f(lab)
+                 for lab, d in zip(labels, jitter)}
+        assert _relative_gap(func_calculus(pvm, table), want) <= 1e-10
+    del table[next(iter(table))]
+    for measure in (pvm, dense):
+        with pytest.raises(MissingSample):
+            func_calculus(measure, table)
+
+
+@settings(max_examples=40, deadline=None)
+@_spectral_cases
+def test_evolution_on_factor_matches_expm(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    n = max(n, 3) if kind == "rank3_cluster" else n
+    w = np.sort(_spectrum(kind, n, rng))
+    H = _hermitian_with_spectrum(w, rng)
+    t = rng.uniform(-3, 3) / max(1.0, np.abs(w).max())
+    pvm = spectral_decompose(H)
+    # a merged cluster is evaluated at its mean label
+    ranks = [int(round(np.trace(P).real)) for _, P in pvm.atoms]
+    shift = np.abs(np.repeat(pvm.labels, ranks) - w).max()
+    got = evolve_unitary(H, t).matrix
+    bound = 1e-10 + abs(t) * shift * np.sqrt(n)
+    assert frobenius(got - expm_oracle(-1j * t * H)) <= bound
+
+
+def test_func_calculus_leaves_atoms_unbuilt():
+    rng = np.random.default_rng(43)
+    pvm = spectral_decompose(random_hermitian(rng, 8))
+    func_calculus(pvm, np.exp)
+    func_calculus(pvm, {lab: 1.0 for lab in pvm.labels})
+    assert pvm._atoms is None
