@@ -1,13 +1,17 @@
 """Batch front end.
 
-Every subcommand reads JSON, emits exactly one JSON report (sorted keys,
-stable layout, so identical inputs give identical bytes), and exits by a
+Every subcommand reads JSON, emits exactly one JSON report and exits by a
 fixed taxonomy: 0 success, 2 validation error, 3 numerical-tolerance
-failure, 64 unknown subcommand, 65 malformed input.
+failure, 64 unknown subcommand, 65 malformed input. The report layout is a
+fixed contract, so identical inputs give identical bytes: 2-space indent,
+sorted keys, ASCII only, NaN/Infinity for non-finite scalars, a complex
+scalar as [re, im], and every matrix as
+{"cols": n, "data": [[re, im], ...], "rows": m} in row-major order.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -28,9 +32,9 @@ from .dynamics import (
     InconsistentGroup,
     NotACocycle,
     NotHermitianResult,
+    _evolve_grid,
     dyson_evolve,
     dyson_series,
-    evolve_unitary,
     noether_check,
     su2_fixture,
 )
@@ -52,9 +56,9 @@ from .lattice import (
 from .linalg import (
     ConvergenceFailure,
     HermitianOperator,
+    as_matrix,
     frobenius,
     matrix_from_json,
-    matrix_to_json,
 )
 from .oscillator import (
     TailTooLarge,
@@ -105,27 +109,41 @@ class MalformedInput(ValueError):
     pass
 
 
-def _plain(obj):
-    """Recursively coerce a report into JSON-serializable plain data.
-    Matrices become the shared matrix JSON form, complex scalars [re, im]."""
+# --- report writer ----------------------------------------------------------
+# json.dumps(..., indent=2) would run json's pure-Python encoder over every
+# [re, im] pair. Matrices stay arrays until here instead, and each data block
+# is one %-format over the matrix's float64 view.
+
+def _block(brackets, body, pad):
+    """The JSON texts in body as an indented array or object at pad."""
+    if not body:
+        return brackets
+    inner = pad + "  "
+    return (f"{brackets[0]}\n{inner}" + f",\n{inner}".join(body)
+            + f"\n{pad}{brackets[1]}")
+
+
+def _json(obj, pad=""):
+    """obj as JSON text in the report layout, on a line indented by pad.
+    Keys become str; a 2-d array is a matrix, any other array a list."""
+    if isinstance(obj, np.ndarray) and obj.ndim == 2:
+        M, inner = as_matrix(obj), pad + "  "
+        pair = _block("[]", ["%r", "%r"], inner + "  ")
+        data = _block("[]", [pair] * M.size, inner) % tuple(
+            M.ravel().view(np.float64).tolist())
+        return _block("{}", [f'"cols": {M.shape[1]}', f'"data": {data}',
+                             f'"rows": {M.shape[0]}'], pad)
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
+    if isinstance(obj, complex):
+        obj = [obj.real, obj.imag]
     if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
+        keyed = sorted({str(k): v for k, v in obj.items()}.items())
+        return _block("{}", [f"{json.dumps(k)}: {_json(v, pad + '  ')}"
+                             for k, v in keyed], pad)
     if isinstance(obj, (list, tuple)):
-        return [_plain(x) for x in obj]
-    if isinstance(obj, np.ndarray):
-        if obj.ndim == 2:
-            return matrix_to_json(obj)
-        return [_plain(x) for x in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
-        z = complex(obj)
-        return [z.real, z.imag]
-    return obj
+        return _block("[]", [_json(v, pad + "  ") for v in obj], pad)
+    return json.dumps(obj)
 
 
 def _load_json(path):
@@ -181,23 +199,6 @@ def _algebra_from_json(obj):
     return AbstractStarAlgebra(c, s, u)
 
 
-def _pvm_report(pvm, tol):
-    atoms = []
-    for label, P in pvm.atoms:
-        lab = list(label) if isinstance(label, tuple) else [label]
-        atoms.append({
-            "label": lab,
-            "rank": int(round(float(P.trace().real))),
-            "projector": matrix_to_json(P),
-        })
-    return {
-        "dim": pvm.dim,
-        "atoms": atoms,
-        "residuals": pvm_residuals(pvm),
-        "tolerance_used": tol,
-    }
-
-
 # --- handlers ---------------------------------------------------------------
 
 def cmd_spectral(args):
@@ -205,9 +206,15 @@ def cmd_spectral(args):
     A = HermitianOperator(M, tol=args.tol)
     pvm = spectral_decompose(A)
     rebuilt = func_calculus(pvm, lambda x: x)
-    report = _pvm_report(pvm, args.tol)
-    report["reconstruction_residual"] = frobenius(rebuilt - A.matrix)
-    return report
+    return {
+        "dim": pvm.dim,
+        "atoms": [{"label": [label], "projector": P,
+                   "rank": int(round(float(P.trace().real)))}
+                  for label, P in pvm.atoms],
+        "residuals": pvm_residuals(pvm),
+        "reconstruction_residual": frobenius(rebuilt - A.matrix),
+        "tolerance_used": args.tol,
+    }
 
 
 _FUNCTIONS = {
@@ -226,7 +233,7 @@ def cmd_funcalc(args):
     return {
         "function": args.f,
         "t": args.t,
-        "matrix": matrix_to_json(out),
+        "matrix": out,
         "spectrum_map": [
             [float(label), complex(f(float(label), args.t))]
             for label in pvm.labels
@@ -243,10 +250,10 @@ def cmd_lattice(args):
     log = []
     iterated = jauch_meet(P, Q, tol=args.tol, norm_log=log)
     return {
-        "meet": matrix_to_json(both.matrix),
-        "join": matrix_to_json(join(P, Q).matrix),
-        "neg_p": matrix_to_json(neg(P).matrix),
-        "neg_q": matrix_to_json(neg(Q).matrix),
+        "meet": both.matrix,
+        "join": join(P, Q).matrix,
+        "neg_p": neg(P).matrix,
+        "neg_q": neg(Q).matrix,
         "commutes": commutes(P, Q, tol=args.tol),
         "jauch_gap": frobenius(iterated.matrix - both.matrix),
         "jauch_multiplications": len(log),
@@ -284,7 +291,7 @@ def cmd_collapse(args):
     post = luders_collapse(rho, P)
     return {
         "probability": p,
-        "post_state": matrix_to_json(post.matrix),
+        "post_state": post.matrix,
         "post_purity": purity(post),
         "tolerance_used": args.tol,
     }
@@ -300,7 +307,7 @@ def cmd_gleason_fit(args):
         pairs.append((P, float(_field(row, "probability"))))
     fit = gleason_fit(pairs)
     return {
-        "state": matrix_to_json(fit.state.matrix),
+        "state": fit.state.matrix,
         "residual": fit.residual,
         "frame_rank": fit.frame_rank,
         "dim_two_warning": fit.dim_two_warning,
@@ -325,7 +332,10 @@ def cmd_commutant(args):
     }
 
 
-def _sectors_report(charges, observables, tol):
+def _sectors_report(obj, tol):
+    charges = [_matrix_of(m, "charges") for m in _field(obj, "charges")]
+    observables = [_matrix_of(m, "observables")
+                   for m in _field(obj, "observables")]
     rep = superselection_sectors(charges, observables, tol=tol)
     return {
         "sectors": [
@@ -344,11 +354,7 @@ def _sectors_report(charges, observables, tol):
 
 
 def cmd_sectors(args):
-    obj = _load_json(args.infile)
-    charges = [_matrix_of(m, "charges") for m in _field(obj, "charges")]
-    observables = [_matrix_of(m, "observables")
-                   for m in _field(obj, "observables")]
-    return _sectors_report(charges, observables, args.tol)
+    return _sectors_report(_load_json(args.infile), args.tol)
 
 
 def cmd_evolve(args):
@@ -356,14 +362,12 @@ def cmd_evolve(args):
         _matrix_of(_load_json(args.hamiltonian), args.hamiltonian),
         tol=args.tol,
     )
-    U = evolve_unitary(H, args.t, args.hbar)
-    half = evolve_unitary(H, args.t / 2.0, args.hbar).matrix
+    U, half = _evolve_grid(spectral_decompose(H), [args.t, args.t / 2.0],
+                           args.hbar)
     return {
-        "unitary": matrix_to_json(U.matrix),
-        "unitarity_defect": frobenius(
-            U.matrix.conj().T @ U.matrix - np.eye(U.dim)
-        ),
-        "group_law_defect": frobenius(half @ half - U.matrix),
+        "unitary": U,
+        "unitarity_defect": frobenius(U.conj().T @ U - np.eye(len(U))),
+        "group_law_defect": frobenius(half @ half - U),
         "t": args.t,
         "hbar": args.hbar,
         "tolerance_used": args.tol,
@@ -400,7 +404,7 @@ def cmd_dyson(args):
     U = dyson_evolve(samples, args.t1, args.t2, args.order, args.hbar)
     series = dyson_series(samples, args.t1, args.t2, args.order, args.hbar)
     return {
-        "unitary": matrix_to_json(U.matrix),
+        "unitary": U.matrix,
         "unitarity_defect": frobenius(
             U.matrix.conj().T @ U.matrix - np.eye(U.dim)
         ),
@@ -473,11 +477,11 @@ def _demo_c2_distributivity(data, args):
     left = meet(P1, join(P2, P3))
     right = join(meet(P1, P2), meet(P1, P3))
     return {
-        "p1": matrix_to_json(P1.matrix),
-        "p2": matrix_to_json(P2.matrix),
-        "p3": matrix_to_json(P3.matrix),
-        "lhs": matrix_to_json(left.matrix),
-        "rhs": matrix_to_json(right.matrix),
+        "p1": P1.matrix,
+        "p2": P2.matrix,
+        "p3": P3.matrix,
+        "lhs": left.matrix,
+        "rhs": right.matrix,
         "lhs_equals_p1_defect": frobenius(left.matrix - P1.matrix),
         "rhs_equals_zero_defect": frobenius(right.matrix),
         "distributive": False,
@@ -495,17 +499,14 @@ def _demo_spin_ccr(data, args):
         "commutator_residuals": rep["commutator_residuals"],
         "spectra": rep["spectra"],
         "group_law_defect": rep["group_law_defect"],
-        "quadratic_invariant": matrix_to_json(quad),
+        "quadratic_invariant": quad,
         "invariant_gap": frobenius(quad - expected * np.eye(2)),
         "tolerance_used": args.tol,
     }
 
 
 def _demo_sectors(data, args):
-    charges = [_matrix_of(m, "charges") for m in _field(data, "charges")]
-    observables = [_matrix_of(m, "observables")
-                   for m in _field(data, "observables")]
-    return _sectors_report(charges, observables, args.tol)
+    return _sectors_report(data, args.tol)
 
 
 def _demo_gns(data, args):
@@ -559,6 +560,7 @@ HANDLERS = {
 }
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="oplattice",
@@ -664,7 +666,7 @@ def run(argv) -> int:
             raise ValueError(f"tol must be positive, got {args.tol}")
         if args.hbar <= 0:
             raise ValueError(f"hbar must be positive, got {args.hbar}")
-        report = HANDLERS[args.command](args)
+        payload = _json(HANDLERS[args.command](args)) + "\n"
     except MalformedInput as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
@@ -675,7 +677,6 @@ def run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    payload = json.dumps(_plain(report), indent=2, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(payload)

@@ -189,11 +189,6 @@ def matrix_from_json(obj) -> np.ndarray:
     return as_matrix(flat.reshape(rows, cols))
 
 
-def dump_matrix(M, path):
-    with open(path, "w") as fh:
-        json.dump(matrix_to_json(M), fh)
-
-
 def load_matrix(path) -> np.ndarray:
     with open(path) as fh:
         return matrix_from_json(json.load(fh))

@@ -4,6 +4,8 @@ Everything here deliberately avoids the library's own code paths: different
 algorithms, different LAPACK drivers, closed forms where they exist. Tests
 compare library output against these, never the other way around.
 """
+import json
+
 import numpy as np
 import scipy.linalg
 
@@ -160,3 +162,36 @@ def phase_fix_columns_loop(V, floor=1e-12):
         a = col[idx[0]]
         V[:, k] = col * (a.conj() / abs(a))
     return V
+
+
+def plain_report(obj):
+    """A CLI report coerced to plain JSON data, element by element: a 2-d
+    array becomes {"rows", "cols", "data": [[re, im], ...]}, any other array
+    a list, a complex scalar [re, im], a numpy scalar a Python one, and
+    every key a str."""
+    if isinstance(obj, dict):
+        return {str(k): plain_report(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [plain_report(x) for x in obj]
+    if isinstance(obj, np.ndarray):
+        if obj.ndim == 2:
+            M = np.asarray(obj, dtype=complex)
+            return {"rows": M.shape[0], "cols": M.shape[1],
+                    "data": [[float(z.real), float(z.imag)]
+                             for z in M.reshape(-1)]}
+        return [plain_report(x) for x in obj.tolist()]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj)
+    if isinstance(obj, (complex, np.complexfloating)):
+        z = complex(obj)
+        return [z.real, z.imag]
+    return obj
+
+
+def report_json_reference(report):
+    """The CLI report text through json's indented encoder."""
+    return json.dumps(plain_report(report), indent=2, sort_keys=True) + "\n"

@@ -4,11 +4,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from oplattice import matrix_to_json
+import oplattice.spectral
+from oplattice import cli, matrix_to_json
 from oplattice.cli import run
 
-from oracles import expm_oracle
+from oracles import expm_oracle, report_json_reference
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -283,3 +287,132 @@ def test_stdout_when_no_out_path(tmp_path, capsys):
     captured = capsys.readouterr()
     rep = json.loads(captured.out)
     assert rep["dim"] == 2
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, monkeypatch,
+                                                 capsys):
+    monkeypatch.delenv("OPLATTICE_TOL", raising=False)
+    assert cli._build_parser() is cli._build_parser()
+    sz = write_json(tmp_path / "sz.json", matrix_to_json(SZ))
+    first = tmp_path / "first.json"
+    assert run(["spectral", "--in", sz, "--tol", "1e-8",
+                "--out", str(first)]) == 0
+    assert json.loads(first.read_text())["tolerance_used"] == 1e-8
+    first.unlink()
+    rep = run_json(tmp_path, ["funcalc", "--in", sz, "--f", "square"])
+    assert rep["tolerance_used"] == 1e-10 and rep["t"] == 1.0
+    assert run(["spectral", "--in", sz]) == 0
+    assert json.loads(capsys.readouterr().out)["tolerance_used"] == 1e-10
+    assert not first.exists()
+    rep = run_json(tmp_path, ["evolve", "--hamiltonian", sz, "--t", "0.5",
+                              "--hbar", "2.0", "--tol", "1e-9"])
+    assert (rep["hbar"], rep["tolerance_used"]) == (2.0, 1e-9)
+    rep = run_json(tmp_path, ["evolve", "--hamiltonian", sz, "--t", "0.5"])
+    assert (rep["hbar"], rep["tolerance_used"]) == (1.0, 1e-10)
+
+
+def test_evolve_decomposes_the_hamiltonian_once(tmp_path, monkeypatch):
+    calls = []
+    solve = oplattice.spectral.eig_hermitian
+
+    def counted(A):
+        calls.append(A)
+        return solve(A)
+
+    monkeypatch.setattr(oplattice.spectral, "eig_hermitian", counted)
+    h = write_json(tmp_path / "h.json", matrix_to_json(SX + 0.5 * SZ))
+    rep = run_json(tmp_path, ["evolve", "--hamiltonian", h, "--t", "0.7"])
+    assert len(calls) == 1
+    assert rep["group_law_defect"] <= 1e-12
+
+
+# --- report text: the writer against json's indented encoder ---------------
+
+_FLOATS = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.2e-308, 1e308, -1.7976931348623157e308,
+     float("nan"), float("inf"), float("-inf")])
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 1e308, -1e-310])
+
+
+@st.composite
+def _matrices(draw):
+    shape = draw(st.tuples(st.integers(1, 4), st.integers(1, 4)))
+    parts = [draw(hnp.arrays(np.float64, shape, elements=_FINITE))
+             for _ in range(2)]
+    if draw(st.booleans()):
+        return parts[0]
+    M = np.empty(shape, dtype=complex)
+    M.real, M.imag = parts
+    return M
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70), _FLOATS,
+    st.text(max_size=6), st.complex_numbers(),
+    _FLOATS.map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.integers(-128, 127).map(np.int8), st.booleans().map(np.bool_),
+    st.complex_numbers().map(np.complex128),
+    hnp.arrays(np.float64, st.integers(0, 4), elements=_FLOATS),
+    hnp.arrays(np.complex128, st.integers(0, 3)),
+    _matrices(),
+)
+_KEYS = st.one_of(st.text(max_size=6), st.integers(), _FLOATS, st.booleans(),
+                  st.none(), st.tuples(st.integers(0, 3)))
+_TREES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.tuples(inner, inner),
+                            st.dictionaries(_KEYS, inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES)
+def test_report_writer_matches_indented_json_encoder(tree):
+    assert cli._json(tree) + "\n" == report_json_reference(tree)
+
+
+def _report_through_both_routes(tmp_path, argv):
+    out = tmp_path / "report.json"
+    assert run(argv + ["--out", str(out)]) == 0, argv
+    args = cli._build_parser().parse_args(argv)
+    args.tol = cli._resolve_tol(args)
+    reference = report_json_reference(cli.HANDLERS[args.command](args))
+    return out.read_bytes(), reference.encode()
+
+
+@pytest.mark.parametrize("name", [
+    "c2-distributivity", "spin-ccr", "electric-charge-sectors",
+    "gns-m2-pure", "gns-m2-trace", "truncated-oscillator"])
+def test_demo_reports_match_indented_json_encoder(tmp_path, monkeypatch,
+                                                  name):
+    monkeypatch.delenv("OPLATTICE_TOL", raising=False)
+    got, want = _report_through_both_routes(tmp_path,
+                                            ["demo", "--name", name])
+    assert got == want
+
+
+def test_matrix_reports_match_indented_json_encoder(tmp_path, monkeypatch):
+    from oplattice import DensityState, born_probability, tomography_frame
+    monkeypatch.delenv("OPLATTICE_TOL", raising=False)
+    rng = np.random.default_rng(20)
+    X = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    Q, _ = np.linalg.qr(X)
+    degenerate = Q @ np.diag([-1.0, 2.0, 2.0, 0.5, 2.0]) @ Q.conj().T
+    H = write_json(tmp_path / "h.json", matrix_to_json((X + X.conj().T) / 2))
+    D = write_json(tmp_path / "d.json", matrix_to_json(degenerate))
+    rho = DensityState(np.diag([0.5, 0.3, 0.2]))
+    rows = [{"projector": matrix_to_json(P.matrix),
+             "probability": born_probability(rho, P)}
+            for P in tomography_frame(3)]
+    fit = write_json(tmp_path / "fit.json", {"assignments": rows})
+    for argv in (["spectral", "--in", H], ["spectral", "--in", D],
+                 ["funcalc", "--in", H, "--f", "exp-it", "--t", "0.3"],
+                 ["evolve", "--hamiltonian", D, "--t", "-1.5",
+                  "--hbar", "0.5"],
+                 ["gleason-fit", "--in", fit]):
+        got, want = _report_through_both_routes(tmp_path, argv)
+        assert got == want, argv
