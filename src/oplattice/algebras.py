@@ -60,22 +60,30 @@ def _as_generator_list(generators, dim=None):
 
 
 def _matrix_units(n):
-    out = []
-    for j in range(n):
-        for k in range(n):
-            E = np.zeros((n, n), dtype=complex)
-            E[j, k] = 1.0
-            out.append(E)
-    return out
+    return list(np.eye(n * n, dtype=complex).reshape(n * n, n, n))
+
+
+def _kernel(L):
+    """Orthonormal rows x with L @ x = 0, for L with at least as many rows as
+    columns: a tall L is first reduced to its QR factor R, then the rows of
+    vh past the numerical rank are read off one SVD. Those rows span the
+    null space of conj(L), so they come back conjugated."""
+    if L.shape[0] > 2 * L.shape[1]:
+        L = np.linalg.qr(L, mode="r")
+    _, s, vh = np.linalg.svd(L, full_matrices=False)
+    # callers scale L's columns to O(1), so genuine constraints sit well
+    # above the eps-level noise of a numerically commuting pair
+    cutoff = _NULLSPACE_RTOL * max(1.0, *s[:1])
+    return vh[np.sum(s > cutoff):].conj()
 
 
 def commutant(generators, dim=None) -> list:
     """Orthonormal basis (Frobenius inner product) of everything commuting
     with the generators and their adjoints.
 
-    Stacks the Sylvester maps X -> GX - XG as Kronecker blocks and reads the
-    common nullspace off one SVD. With no generators the commutant is all of
-    M_n, returned as the matrix-unit basis.
+    Stacks the Sylvester maps X -> GX - XG as Kronecker blocks and takes
+    their common kernel. With no generators the commutant is all of M_n,
+    returned as the matrix-unit basis.
     """
     mats = _as_generator_list(generators, dim)
     if not mats:
@@ -94,15 +102,7 @@ def commutant(generators, dim=None) -> list:
             blocks.append(np.kron(H, eye) - np.kron(eye, H.T))
     if not blocks:
         return _matrix_units(n)
-    L = np.vstack(blocks)
-    if L.shape[0] > 2 * L.shape[1]:
-        L = np.linalg.qr(L, mode="r")
-    _, s, vh = np.linalg.svd(L, full_matrices=False)
-    # generators are unit size here, so genuine constraints sit O(1) above
-    # the eps-level noise of a numerically commuting pair
-    cutoff = _NULLSPACE_RTOL * max(1.0, s[0] if s.size else 1.0)
-    null_rows = vh[np.sum(s > cutoff):]
-    return [row.reshape(n, n) for row in null_rows]
+    return [x.reshape(n, n) for x in _kernel(np.vstack(blocks))]
 
 
 def double_commutant(generators, dim=None) -> list:
@@ -114,9 +114,17 @@ def double_commutant(generators, dim=None) -> list:
     return commutant(commutant(mats, n), n)
 
 
+def _span_residual(span, X):
+    """Frobenius distance of each matrix in X, one or a (k, n, n) stack, from
+    the span of the orthonormal rows of span (flattened matrices)."""
+    v = X.reshape(-1, span.shape[1])
+    return np.linalg.norm(v - (v @ span.conj().T) @ span, axis=1)
+
+
 class MatrixStarAlgebra:
     """A concrete *-algebra: the span of a basis that is verified to be
-    closed under adjoints and products and to contain the identity."""
+    closed under adjoints and products and to contain the identity. _span
+    holds an orthonormal basis of that span, one flattened matrix per row."""
 
     __slots__ = ("dim", "basis", "_span")
 
@@ -128,28 +136,21 @@ class MatrixStarAlgebra:
         require_same_dim(*(M.shape[0] for M in mats))
         n = mats[0].shape[0]
         k = len(mats)
+        stack = np.array(mats)
 
-        rows = np.array([M.reshape(-1) for M in mats])
-        _, s, vh = np.linalg.svd(rows, full_matrices=False)
+        _, s, span = np.linalg.svd(stack.reshape(k, -1), full_matrices=False)
         if np.sum(s > _NULLSPACE_RTOL * s[0]) < k:
             raise ValueError("basis matrices are linearly dependent")
-        span = vh  # orthonormal rows spanning the same space
-
-        def gap(X):
-            v = X.reshape(-1)
-            return float(np.linalg.norm(v - span.conj().T @ (span @ v)))
 
         scale = max(1.0, max(frobenius(M) for M in mats))
-        if gap(np.eye(n)) > tol * np.sqrt(n):
+        if _span_residual(span, np.eye(n))[0] > tol * np.sqrt(n):
             raise ValueError("algebra does not contain the identity")
-        worst = max(gap(M.conj().T) for M in mats)
+        worst = _span_residual(span, stack.conj().transpose(0, 2, 1)).max()
         if worst > tol * scale:
             raise NotClosedUnderProducts(worst)
         if k < n * n:
             # k = n^2 means the span is everything, products included.
-            worst = max(
-                gap(A @ B) for A in mats for B in mats
-            )
+            worst = max(_span_residual(span, A @ stack).max() for A in stack)
             if worst > tol * scale * scale:
                 raise NotClosedUnderProducts(worst)
 
@@ -167,8 +168,7 @@ class MatrixStarAlgebra:
             raise DimensionMismatch(
                 f"element dim {X.shape[0]} vs algebra dim {self.dim}"
             )
-        v = X.reshape(-1)
-        resid = np.linalg.norm(v - self._span.conj().T @ (self._span @ v))
+        resid = _span_residual(self._span, X)[0]
         return float(resid) <= tol * max(1.0, frobenius(X))
 
     def linear_dimension(self) -> int:
@@ -182,23 +182,19 @@ class MatrixStarAlgebra:
 
 
 def center(algebra: MatrixStarAlgebra) -> list:
-    """Basis of the elements commuting with the whole algebra: the
-    intersection of the algebra's span with its commutant, computed as the
-    common nullspace of the two complement projectors."""
-    prime = commutant(algebra.basis, algebra.dim)
+    """Frobenius-orthonormal basis of the elements commuting with the whole
+    algebra, the intersection of A with its commutant, computed inside A:
+    over the orthonormal basis E of A, X = sum_i c_i E_i is central exactly
+    when c lies in the kernel of c -> ([X, E_j])_j."""
     n = algebra.dim
-    span_a = algebra._span
-    rows = np.array([M.reshape(-1) for M in prime])
-    _, _, span_p = np.linalg.svd(rows, full_matrices=False)
-    eye = np.eye(n * n)
-    stacked = np.vstack([
-        eye - span_a.conj().T @ span_a,
-        eye - span_p.conj().T @ span_p,
-    ])
-    _, s, vh = np.linalg.svd(stacked)
-    cutoff = _NULLSPACE_RTOL * max(1.0, s[0] if s.size else 1.0)
-    null_rows = vh[np.sum(s > cutoff):]
-    return [row.reshape(n, n) for row in null_rows]
+    E = algebra._span.reshape(-1, n, n)
+    k = len(E)
+    # every product in one GEMM: P[i, a, j, b] = (E_i E_j)[a, b]
+    P = E.reshape(k * n, n) @ E.transpose(1, 0, 2).reshape(n, k * n)
+    P = P.reshape(k, n, k, n)
+    # row (j, a, b) of L, column i: [E_i, E_j][a, b]
+    L = (P.transpose(2, 1, 3, 0) - P.transpose(0, 1, 3, 2)).reshape(-1, k)
+    return list(np.tensordot(_kernel(L), E, axes=1))
 
 
 def is_factor(algebra: MatrixStarAlgebra) -> bool:
@@ -255,7 +251,6 @@ def superselection_sectors(charges, observables, tol=None) -> SuperselectionRepo
         compressed = [B.conj().T @ G @ B for G in obs_mats]
         for G in obs_mats:
             offdiag = max(offdiag, frobenius(P @ G @ (np.eye(P.shape[0]) - P)))
-        restricted = double_commutant(compressed, rank)
         prime = commutant(compressed, rank)
         values = []
         for Q in charge_mats:
@@ -267,7 +262,7 @@ def superselection_sectors(charges, observables, tol=None) -> SuperselectionRepo
             label=key,
             projector=P,
             rank=rank,
-            restricted_basis=restricted,
+            restricted_basis=commutant(prime, rank),
             irreducible=(len(prime) == 1),
             charge_values=tuple(values),
         ))

@@ -568,12 +568,10 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True):
+    def common(p):
         p.add_argument("--tol", type=float, default=None,
                        help="tolerance (default: OPLATTICE_TOL or 1e-10)")
         p.add_argument("--hbar", type=float, default=1.0)
-        if seed:
-            p.add_argument("--seed", type=int, default=42)
         p.add_argument("--out", default=None,
                        help="report path (default: stdout)")
 
@@ -615,8 +613,6 @@ def _build_parser():
     p.add_argument("--n", type=int, default=16)
     p.add_argument("--m", type=float, default=1.0)
     p.add_argument("--omega", type=float, default=1.0)
-    p.add_argument("--report", dest="out",
-                   help="alias for --out")
 
     p = sub.add_parser("gns")
     common(p)

@@ -85,7 +85,8 @@ def operator_norm(M) -> float:
 class HermitianOperator:
     """A square matrix accepted as self-adjoint.
 
-    The stored form is the symmetrization (A + A*)/2; inputs whose defect
+    The stored form is the symmetrization A/2 + A*/2, halved before the sum
+    so that finite input near overflow stays finite; inputs whose defect
     ||A - A*||_F exceeds tol * max(1, ||A||_F) are rejected instead of being
     silently repaired.
     """
@@ -98,7 +99,7 @@ class HermitianOperator:
         defect = frobenius(M - M.conj().T)
         if defect > tol * max(1.0, frobenius(M)):
             raise NotHermitian(defect)
-        self.matrix = (M + M.conj().T) / 2.0
+        self.matrix = M / 2.0 + M.conj().T / 2.0
         self.matrix.setflags(write=False)
         self.dim = M.shape[0]
 

@@ -106,7 +106,7 @@ class DensityState:
         herm = frobenius(M - M.conj().T)
         if herm > tol * max(1.0, frobenius(M)):
             raise ValueError(f"density matrix not Hermitian (defect {herm:.3e})")
-        M = (M + M.conj().T) / 2.0
+        M = M / 2.0 + M.conj().T / 2.0
         eigmin = float(np.linalg.eigvalsh(M)[0])
         if eigmin < -tol:
             raise ValueError(f"density matrix has eigenvalue {eigmin:.3e} < 0")

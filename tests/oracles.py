@@ -195,3 +195,21 @@ def plain_report(obj):
 def report_json_reference(report):
     """The CLI report text through json's indented encoder."""
     return json.dumps(plain_report(report), indent=2, sort_keys=True) + "\n"
+
+
+def center_oracle(basis, n, rcond=1e-10):
+    """Basis of the center of the *-algebra spanned by basis: the span
+    intersected with its commutant. The span comes from scipy.linalg.orth,
+    the commutant from scipy.linalg.null_space of the stacked Kronecker
+    commutator maps (row-major vec, reduced by scipy.linalg.qr), and the intersection from the null
+    space of [A, -C]; no library code. rcond is relative to the largest
+    singular value (scipy's default, about eps * size, would count the
+    eps-level residuals of a numerical basis as constraints)."""
+    rows = [np.asarray(b, dtype=complex) for b in basis]
+    A = scipy.linalg.orth(np.array([b.reshape(-1) for b in rows]).T, rcond)
+    eye = np.eye(n)
+    K = np.vstack([np.kron(b, eye) - np.kron(eye, b.T) for b in rows])
+    # K is tall; its R factor has the same null space and a small full SVD
+    C = scipy.linalg.null_space(scipy.linalg.qr(K, mode="r")[0][:n * n], rcond)
+    Z = scipy.linalg.null_space(np.hstack([A, -C]), rcond)
+    return [(A @ z[:A.shape[1]]).reshape(n, n) for z in Z.T]

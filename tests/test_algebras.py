@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oplattice import (
     DensityState,
@@ -15,10 +17,11 @@ from oplattice import (
     double_commutant,
     frobenius,
     is_factor,
+    spectral_decompose,
     superselection_sectors,
 )
 
-from oracles import span_gap, word_closure_basis
+from oracles import center_oracle, span_gap, word_closure_basis
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -29,6 +32,81 @@ I2 = np.eye(2, dtype=complex)
 def random_mats(rng, n, k):
     return [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             for _ in range(k)]
+
+
+def pauli_and_hermitian_blocks():
+    """Generators of M_2 + M_3 on C^5, the Paulis on the top block and two
+    random Hermitians on the bottom one: the block fixture of
+    test_center_separates_factor_from_block_sum."""
+    blocks = []
+    for M in (SX, SZ):
+        top = np.zeros((5, 5), dtype=complex)
+        top[:2, :2] = M
+        blocks.append(top)
+    for M in random_mats(np.random.default_rng(5), 3, 2):
+        bot = np.zeros((5, 5), dtype=complex)
+        bot[2:, 2:] = M + M.conj().T
+        blocks.append(bot)
+    return blocks
+
+
+def haar_unitary(rng, n, real=False):
+    z = rng.standard_normal((n, n))
+    if not real:
+        z = z + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
+def spectrum_with_repeats(rng, n):
+    """n eigenvalues in [-1, 1] taking d distinct levels, 2 <= d <= n <= 8,
+    at least 0.1 apart; returns (eigenvalues, d). Spectra that reach |4|
+    at n = 8 put word_closure_basis, which spans unnormalized words,
+    about 1e-6 off the true span, so the oracle comparisons keep to
+    [-1, 1]; the test of one Hermitian, which has the exact answer,
+    rescales them."""
+    d = int(rng.integers(2, n + 1))
+    levels = np.cumsum(rng.uniform(0.1, 0.25, d)) - 1.0
+    return levels[np.concatenate([np.arange(d), rng.integers(0, d, n - d)])], d
+
+
+def two_block_pair(rng, n, k, real=False, hermitian=True):
+    """Two generators, each block diagonal with blocks of sizes k and n - k,
+    in a Haar-random basis."""
+    U = haar_unitary(rng, n, real)
+    gens = []
+    for _ in range(2):
+        G = np.zeros((n, n), dtype=complex)
+        for lo, hi in ((0, k), (k, n)):
+            B = random_mats(rng, hi - lo, 1)[0]
+            if real:
+                B = B.real
+            G[lo:hi, lo:hi] = B + B.conj().T if hermitian else B
+        gens.append(U @ G @ U.conj().T)
+    return gens
+
+
+def complex_family(name, rng, n):
+    """Complex generators whose span is not closed under conjugation."""
+    U = haar_unitary(rng, n)
+    if name == "hermitian":
+        return [(U * spectrum_with_repeats(rng, n)[0]) @ U.conj().T]
+    if name == "commuting_pair":
+        return [(U * spectrum_with_repeats(rng, n)[0]) @ U.conj().T
+                for _ in range(2)]
+    if name == "two_blocks":
+        return two_block_pair(rng, n, int(rng.integers(1, n)),
+                              hermitian=False)
+    return random_mats(rng, n, 2)  # a non-normal pair
+
+
+_complex_cases = given(
+    name=st.sampled_from(
+        ["hermitian", "commuting_pair", "two_blocks", "nonnormal_pair"]),
+    n=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
 
 
 def test_commutant_of_irreducible_generators_is_scalars():
@@ -145,3 +223,75 @@ def test_decoherence_kills_cross_sector_terms():
         off -= P @ sigma @ P
     assert frobenius(off) <= 1e-12
     DensityState(sigma)  # still a valid state
+
+
+@settings(max_examples=40, deadline=None)
+@_complex_cases
+def test_commutant_and_closure_of_complex_generators(name, n, seed):
+    gens = complex_family(name, np.random.default_rng(seed), n)
+    for X in commutant(gens):
+        for G in gens:
+            for g in (G, G.conj().T):
+                bound = 1e-10 * frobenius(G) * frobenius(X)
+                assert frobenius(g @ X - X @ g) <= bound
+    dc = double_commutant(gens)
+    words = word_closure_basis(gens, n)
+    assert len(dc) == len(words)
+    assert span_gap(dc, words) <= 1e-8
+    alg = MatrixStarAlgebra(dc)
+    centre = center(alg)
+    want = center_oracle(words, n)
+    assert len(centre) == len(want)
+    assert span_gap(centre, want) <= 1e-8
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+def test_algebra_of_one_complex_hermitian_is_abelian(n, seed):
+    rng = np.random.default_rng(seed)
+    w, distinct = spectrum_with_repeats(rng, n)
+    w = w * 10.0 ** rng.uniform(-3.0, 3.0)
+    U = haar_unitary(rng, n)
+    H = (U * w) @ U.conj().T
+    alg = MatrixStarAlgebra.generated_by([H])
+    assert alg.linear_dimension() == distinct
+    eigenprojectors = [U[:, w == x] @ U[:, w == x].conj().T
+                       for x in np.unique(w)]
+    assert span_gap(alg.basis, eigenprojectors) <= 1e-8
+    assert len(center(alg)) == distinct
+    assert not is_factor(alg)
+    assert alg.contains(H)
+    assert not alg.contains(H.conj())
+    atoms = spectral_decompose(H).atoms
+    assert len(atoms) == distinct
+    assert len(center(MatrixStarAlgebra([P for _, P in atoms]))) == distinct
+
+
+def _benchmark_shapes():
+    """The generated-algebra families of perfbench/workloads.py, each with
+    its center dimension, the Pauli pair and the block fixture of
+    test_center_separates_factor_from_block_sum."""
+    rng = np.random.default_rng(29)
+    cases = [(random_mats(rng, n, 2), 1) for n in (3, 6)]
+    for real in (True, False):
+        for n in (4, 8):
+            U = haar_unitary(rng, n, real)
+            w = np.sort(rng.uniform(-1.0, 1.0, n)) + 1e-6 * np.arange(n)
+            cases.append(([(U * w) @ U.conj().T], n))
+        for n in (6, 9):
+            cases.append((two_block_pair(rng, n, n // 3, real), 2))
+    cases += [([SX, SZ], 1), (pauli_and_hermitian_blocks(), 2)]
+    return cases
+
+
+def test_center_matches_oracle_and_is_orthonormal():
+    for gens, dim_z in _benchmark_shapes():
+        alg = MatrixStarAlgebra.generated_by(gens)
+        n = alg.dim
+        centre = center(alg)
+        want = center_oracle(alg.basis, n)
+        assert len(centre) == len(want) == dim_z
+        assert span_gap(centre, want) <= 1e-8
+        flat = np.array([Z.reshape(-1) for Z in centre])
+        gram = flat.conj() @ flat.T
+        assert frobenius(gram - np.eye(len(centre))) <= 1e-10

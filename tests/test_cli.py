@@ -63,6 +63,22 @@ def test_validation_failures_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_removed_seed_and_report_flags_are_refused(tmp_path, capsys):
+    infile = write_json(tmp_path / "sz.json", matrix_to_json(SZ))
+    assert run(["spectral", "--in", infile, "--seed", "1"]) == 2
+    assert run(["ccr", "--n", "4", "--report",
+                str(tmp_path / "r.json")]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # ||A||_F
+def test_spectral_on_finite_input_near_overflow(tmp_path):
+    big = np.array([[-0.0, 1e-300], [1e-300, 1e308]])
+    infile = write_json(tmp_path / "big.json", matrix_to_json(big))
+    rep = run_json(tmp_path, ["spectral", "--in", infile])
+    assert [a["label"] for a in rep["atoms"]] == [[0.0], [1e308]]
+
+
 def test_tolerance_failures_exit_3(tmp_path, capsys):
     fixture = write_json(tmp_path / "c.json", {
         "state": matrix_to_json(np.diag([1.0, 0.0]).astype(complex)),

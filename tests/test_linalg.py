@@ -63,6 +63,15 @@ def test_symmetrization_below_tol():
     assert np.allclose(H.matrix, H.matrix.conj().T)
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # ||A||_F
+def test_symmetrization_of_finite_input_near_overflow_stays_finite():
+    # exactly Hermitian, but A + A* overflows on the diagonal
+    A = np.array([[-0.0, 1e-300], [1e-300, 1e308]])
+    H = HermitianOperator(A)
+    assert np.all(np.isfinite(H.matrix))
+    assert np.array_equal(H.matrix, A)
+
+
 def test_unitary_validation():
     theta = 0.37
     U = np.array(
