@@ -11,12 +11,18 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     DimensionMismatch,
+    _fro_batch,
     as_matrix,
     frobenius,
     require_square,
     require_same_dim,
 )
-from .spectral import JOINT_COMMUTE_TOL, joint_pvm, pvm_commute, spectral_decompose
+from .spectral import (
+    ALGEBRA_MEMBER_TOL,
+    CENTRAL_CHARGE_TOL,
+    NonCommuting,
+    joint_pvm,
+)
 
 _NULLSPACE_RTOL = 1e-9
 
@@ -162,7 +168,7 @@ class MatrixStarAlgebra:
     def generated_by(cls, generators, dim=None):
         return cls(double_commutant(generators, dim))
 
-    def contains(self, X, tol=1e-8) -> bool:
+    def contains(self, X, tol=ALGEBRA_MEMBER_TOL) -> bool:
         X = require_square(as_matrix(X))
         if X.shape[0] != self.dim:
             raise DimensionMismatch(
@@ -226,46 +232,32 @@ def superselection_sectors(charges, observables, tol=None) -> SuperselectionRepo
     obs_mats = [require_square(as_matrix(G)) for G in observables]
     if not charge_mats:
         raise ValueError("no charges given")
-    require_same_dim(*(M.shape[0] for M in charge_mats + obs_mats))
+    n = require_same_dim(*(M.shape[0] for M in charge_mats + obs_mats))
+    obs = np.array(obs_mats).reshape(-1, n, n)
 
-    pvms = [spectral_decompose(Q) for Q in charge_mats]
-    for i in range(len(pvms)):
-        for j in range(i + 1, len(pvms)):
-            if not pvm_commute(pvms[i], pvms[j], tol=JOINT_COMMUTE_TOL):
-                raise NonCommutingCharges(i, j)
+    try:
+        joint = joint_pvm(charge_mats)
+    except NonCommuting as exc:
+        raise NonCommutingCharges(*exc.pair) from exc
     for idx, Q in enumerate(charge_mats):
-        defect = max(
-            (frobenius(Q @ G - G @ Q) for G in obs_mats), default=0.0
-        )
-        if defect > max(tol, 1e-8) * max(1.0, frobenius(Q)):
+        defect = float(_fro_batch(Q @ obs - obs @ Q).max(initial=0.0))
+        if defect > max(tol, CENTRAL_CHARGE_TOL) * max(1.0, frobenius(Q)):
             raise NonCentralCharge(idx, defect)
 
-    joint = joint_pvm(charge_mats)
-
-    offdiag = 0.0
-    sectors = []
-    for label, P in joint.atoms:
-        w, v = np.linalg.eigh(P)
-        B = v[:, w > 0.5]  # isometry onto the sector
-        rank = B.shape[1]
-        compressed = [B.conj().T @ G @ B for G in obs_mats]
-        for G in obs_mats:
-            offdiag = max(offdiag, frobenius(P @ G @ (np.eye(P.shape[0]) - P)))
+    V, starts, ranks = joint._factor
+    offdiag, sectors = 0.0, []
+    for (label, P), a, rank in zip(joint.atoms, starts, ranks.tolist()):
+        B = V[:, a:a + rank]  # isometry onto the sector
+        BG = B.conj().T @ obs
+        compressed = BG @ B
+        # ||P G (I - P)||_F for P = B B^*
+        leak = _fro_batch(BG - compressed @ B.conj().T).max(initial=0.0)
+        offdiag = max(offdiag, float(leak))
         prime = commutant(compressed, rank)
-        values = []
-        for Q in charge_mats:
-            QB = B.conj().T @ Q @ B
-            q = float(QB.trace().real) / rank
-            values.append(q)
-        key = label if isinstance(label, tuple) else (label,)
-        sectors.append(Sector(
-            label=key,
-            projector=P,
-            rank=rank,
-            restricted_basis=commutant(prime, rank),
-            irreducible=(len(prime) == 1),
-            charge_values=tuple(values),
-        ))
+        values = tuple(float((B.conj().T @ Q @ B).trace().real) / rank
+                       for Q in charge_mats)
+        sectors.append(Sector(label, P, rank, commutant(prime, rank),
+                              len(prime) == 1, values))
     return SuperselectionReport(sectors, joint, float(offdiag))
 
 

@@ -208,9 +208,8 @@ def cmd_spectral(args):
     rebuilt = func_calculus(pvm, lambda x: x)
     return {
         "dim": pvm.dim,
-        "atoms": [{"label": [label], "projector": P,
-                   "rank": int(round(float(P.trace().real)))}
-                  for label, P in pvm.atoms],
+        "atoms": [{"label": [label], "projector": P, "rank": int(r)}
+                  for (label, P), r in zip(pvm.atoms, pvm._factor[2])],
         "residuals": pvm_residuals(pvm),
         "reconstruction_residual": frobenius(rebuilt - A.matrix),
         "tolerance_used": args.tol,

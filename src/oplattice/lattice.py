@@ -17,6 +17,7 @@ from .linalg import (
     matrix_from_json,
     matrix_to_json,
     operator_norm,
+    range_basis,
     require_square,
 )
 
@@ -85,12 +86,6 @@ def identity_projector(dim) -> Projector:
     return Projector(np.eye(dim))
 
 
-def range_basis(P: Projector) -> np.ndarray:
-    """Orthonormal columns spanning range(P), from the 0/1 eigensplit."""
-    w, v = np.linalg.eigh(P.matrix)
-    return v[:, w > 0.5]
-
-
 def _same_dim(P, Q):
     if P.dim != Q.dim:
         raise DimensionMismatch(f"projector dims differ: {P.dim} vs {Q.dim}")
@@ -103,9 +98,7 @@ def neg(P: Projector) -> Projector:
 
 
 def _union_span_projector(bases, dim):
-    cols = np.hstack([b for b in bases if b.size]) if any(
-        b.size for b in bases
-    ) else np.zeros((dim, 0))
+    cols = np.hstack(bases)
     if cols.shape[1] == 0:
         return np.zeros((dim, dim), dtype=complex)
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
@@ -122,7 +115,7 @@ def meet(P: Projector, Q: Projector, tol=None) -> Projector:
     """
     dim = _same_dim(P, Q)
     union = _union_span_projector(
-        [range_basis(neg(P)), range_basis(neg(Q))], dim
+        [range_basis(neg(P).matrix), range_basis(neg(Q).matrix)], dim
     )
     return Projector(np.eye(dim) - union, tol=tol)
 
@@ -131,7 +124,8 @@ def join(P: Projector, Q: Projector, tol=None) -> Projector:
     """Projector onto range(P) + range(Q)."""
     dim = _same_dim(P, Q)
     return Projector(
-        _union_span_projector([range_basis(P), range_basis(Q)], dim), tol=tol
+        _union_span_projector([range_basis(P.matrix), range_basis(Q.matrix)],
+                              dim), tol=tol
     )
 
 

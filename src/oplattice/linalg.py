@@ -8,6 +8,7 @@ Conventions used across the package:
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -82,26 +83,33 @@ def operator_norm(M) -> float:
     return float(np.linalg.svd(M, compute_uv=False)[0])
 
 
-class HermitianOperator:
-    """A square matrix accepted as self-adjoint.
+def hermitian_part(matrix, tol: float | None = None) -> np.ndarray:
+    """A/2 + A*/2 of a square A with ||A - A*||_F <= tol * max(1, ||A||_F),
+    else NotHermitian. The norms are taken on A over the power of two at its
+    largest real or imaginary part (at least 2^-1022): exactly, and clear of
+    the overflow that would make both sides inf. A is halved before the sum
+    so that near-overflow input stays finite."""
+    tol = DEFAULT_TOL if tol is None else float(tol)
+    M = require_square(as_matrix(matrix))
+    top = float(np.abs(np.stack([M.real, M.imag])).max(initial=0.0))
+    scale = math.ldexp(1.0, max(math.frexp(top)[1] - 1, -1022))
+    S = M * (1.0 / scale)
+    defect = frobenius(S - S.conj().T)
+    if not (defect <= tol * frobenius(S) or defect * scale <= tol):
+        raise NotHermitian(defect * scale)
+    return M / 2.0 + M.conj().T / 2.0
 
-    The stored form is the symmetrization A/2 + A*/2, halved before the sum
-    so that finite input near overflow stays finite; inputs whose defect
-    ||A - A*||_F exceeds tol * max(1, ||A||_F) are rejected instead of being
-    silently repaired.
-    """
+
+class HermitianOperator:
+    """A square matrix accepted as self-adjoint and stored as its
+    hermitian_part; input beyond tol is rejected, not silently repaired."""
 
     __slots__ = ("matrix", "dim")
 
     def __init__(self, matrix, tol: float | None = None):
-        tol = DEFAULT_TOL if tol is None else float(tol)
-        M = require_square(as_matrix(matrix))
-        defect = frobenius(M - M.conj().T)
-        if defect > tol * max(1.0, frobenius(M)):
-            raise NotHermitian(defect)
-        self.matrix = M / 2.0 + M.conj().T / 2.0
+        self.matrix = hermitian_part(matrix, tol)
         self.matrix.setflags(write=False)
-        self.dim = M.shape[0]
+        self.dim = self.matrix.shape[0]
 
     def __repr__(self):
         return f"HermitianOperator(dim={self.dim})"
@@ -131,6 +139,12 @@ class UnitaryOperator:
 
     def __repr__(self):
         return f"UnitaryOperator(dim={self.dim})"
+
+
+def range_basis(P: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning range(P), from the 0/1 eigensplit."""
+    w, v = np.linalg.eigh(P)
+    return v[:, w > 0.5]
 
 
 class EigenSystem:

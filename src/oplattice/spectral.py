@@ -1,10 +1,10 @@
 """Projector-valued measures and the discrete functional calculus.
 
-A Hermitian operator is carried to its PVM: a finite list of
-(eigenvalue label, orthogonal projector) atoms, pairwise orthogonal and
-summing to the identity. Functions of the operator are then weighted sums
-f(A) = sum_a f(a) P_a, and a commuting family gets a joint PVM whose atoms
-are products of the individual spectral projectors, labeled by tuples.
+A Hermitian operator is carried to its PVM: (eigenvalue label, orthogonal
+projector) atoms, pairwise orthogonal and summing to the identity, held as
+one matrix V whose column blocks V_a span the atoms, P_a = V_a V_a^*. Then
+f(A) = V f(Lambda) V^*, and a commuting family gets a joint PVM, labeled by
+tuples, whose blocks split the first operator's along the others'.
 """
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
-    DimensionMismatch,
     HermitianOperator,
     _fro_batch,
     as_matrix,
@@ -22,15 +21,21 @@ from .linalg import (
     frobenius,
     matrix_from_json,
     matrix_to_json,
+    range_basis,
+    require_same_dim,
     require_square,
 )
 
 DEFAULT_CLUSTER_TOL = 1e-8
 
-# Eigenprojectors of independently diagonalized commuting operators carry
-# solver noise well above the base tolerance, so joint constructions get
-# their own default.
+# independently diagonalized commuting operators carry solver noise in [P, Q]
 JOINT_COMMUTE_TOL = 1e-8
+# cluster labels are means: a sampled key this close (relative) still matches
+SAMPLE_KEY_RTOL = 1e-9
+# centrality floor: [Q, G] of commuting matrices keeps two products' rounding
+CENTRAL_CHARGE_TOL = 1e-8
+# algebra membership: relative span distance above null-space basis noise
+ALGEBRA_MEMBER_TOL = 1e-8
 
 
 class NonCommuting(ValueError):
@@ -50,9 +55,7 @@ class MissingSample(KeyError):
 
 
 def _as_tuple(label):
-    if isinstance(label, tuple):
-        return tuple(float(x) for x in label)
-    return (float(label),)
+    return tuple(map(float, label)) if isinstance(label, tuple) else (float(label),)
 
 
 def _atom_residuals(dim, atoms):
@@ -65,73 +68,68 @@ def _atom_residuals(dim, atoms):
     for a in range(len(atoms) - 1):
         prods = stack[a][None, :, :] @ stack[a + 1:]
         ortho = max(ortho, float(_fro_batch(prods).max()))
-    return {
-        "hermiticity": herm,
-        "idempotency": idem,
-        "completeness": complete,
-        "orthogonality": float(ortho),
-    }
+    return dict(hermiticity=herm, idempotency=idem, completeness=complete,
+                orthogonality=ortho)
 
 
-def _factor_residuals(V, starts, ranks):
+def _stack(blocks):
+    """The factor (V, starts, ranks) of a list of column blocks."""
+    ranks = np.array([B.shape[1] for B in blocks])
+    return np.hstack(blocks), np.cumsum(ranks) - ranks, ranks
+
+
+def _factor_residuals(V, starts):
     """Bounds for the atoms P_a = V_a V_a^* of the column blocks V_a of V:
     with fd the largest ||V_a^* V_a - I||_F and off the mass of V^*V - I
     outside the diagonal blocks, ||P_a P_b||_F <= off + 2 fd for every pair
-    and ||P_a^2 - P_a||_F <= (1 + fd) fd for every atom."""
-    eye = np.eye(V.shape[0])
-    gram = np.abs(V.conj().T @ V - eye) ** 2
+    and ||P_a^2 - P_a||_F <= (1 + fd) fd for every atom. Atoms are built
+    Hermitian to the last bit (see ProjectorValuedMeasure)."""
+    gram = np.abs(V.conj().T @ V - np.eye(V.shape[1])) ** 2
     tiles = np.add.reduceat(np.add.reduceat(gram, starts, axis=0), starts, axis=1)
     fd = float(np.sqrt(np.diagonal(tiles).max()))
     np.fill_diagonal(tiles, 0.0)
-    herm = 0.0
-    for a, r in zip(starts[ranks > 1], ranks[ranks > 1]):
-        P = V[:, a:a + r] @ V[:, a:a + r].conj().T
-        herm = max(herm, frobenius(P - P.conj().T))
-    return {
-        "hermiticity": herm,
-        "idempotency": (1.0 + fd) * fd,
-        "completeness": frobenius(V @ V.conj().T - eye),
-        "orthogonality": float(np.sqrt(tiles.sum())) + 2.0 * fd,
-    }
+    return dict(hermiticity=0.0, idempotency=(1.0 + fd) * fd,
+                completeness=frobenius(V @ V.conj().T - np.eye(V.shape[0])),
+                orthogonality=float(np.sqrt(tiles.sum())) + 2.0 * fd)
 
 
 class ProjectorValuedMeasure:
-    """Finite PVM: atoms (label, projector).
+    """Finite PVM: atoms (label, projector), held as the factor
+    (V, starts, ranks), P_a = V_a V_a^* for the column block V_a of V.
 
     Labels are floats for a single operator and tuples of floats for joint
     measures. Construction verifies every invariant: each atom Hermitian
     and idempotent, atoms pairwise orthogonal, the sum equal to the
     identity, labels pairwise distinct.
 
-    spectral_decompose makes a factored measure of eigenvector blocks V_a,
-    with P_a = V_a V_a^* built on first use of `atoms`, and checks it on V:
-    the Gram defect V^*V - I bounds idempotency and orthogonality, and
-    VV^* - I is the completeness defect. A rank-1 atom u u^* is Hermitian by
-    construction, its (i, j) and (j, i) entries being conjugates made from
-    the same two real products; Hermiticity of higher-rank atoms is measured.
+    Atoms given as matrices are checked densely and kept as `atoms`; V_a is
+    read off each one's 0/1 eigensplit. A measure the library builds is
+    checked on V, with P_a built on first use of `atoms`: the Gram defect
+    V^*V - I bounds idempotency and orthogonality, and VV^* - I is the
+    completeness defect. Both kinds of atom are Hermitian by construction:
+    in u u^* the (i, j) and (j, i) entries are conjugates made from the same
+    two real products, and a higher-rank atom is (BB^* + (BB^*)^*)/2, whose
+    mirrored entries add the same two numbers.
     """
 
-    __slots__ = ("dim", "_labels", "_atoms", "_factor")
+    __slots__ = ("dim", "_labels", "_atoms", "_factor", "_residuals")
 
     def __init__(self, dim, atoms, tol=None):
         dim = int(dim)
-        clean = []
-        for label, P in atoms:
-            P = require_square(as_matrix(P))
-            if P.shape[0] != dim:
-                raise DimensionMismatch(
-                    f"atom is {P.shape[0]}x{P.shape[0]}, PVM dim is {dim}"
-                )
-            clean.append((label, P))
+        clean = [(label, require_square(as_matrix(P))) for label, P in atoms]
+        require_same_dim(dim, *(P.shape[0] for _, P in clean))
         if not clean:
             raise ValueError("a PVM needs at least one atom")
         self._admit(dim, [lab for lab, _ in clean], _atom_residuals(dim, clean), tol)
-        self._atoms, self._factor = clean, None
+        self._atoms, self._factor = clean, _stack([range_basis(P) for _, P in clean])
+        ranks = self._factor[2]
+        if not ranks.all() or ranks.sum() != dim:
+            raise ValueError(f"atom ranks {ranks.tolist()} do not partition {dim}")
 
     @classmethod
-    def _from_factor(cls, labels, V, starts, ranks):
+    def _from_factor(cls, labels, V, starts, ranks, tol=None):
         pvm = cls.__new__(cls)
-        pvm._admit(V.shape[0], labels, _factor_residuals(V, starts, ranks), None)
+        pvm._admit(V.shape[0], labels, _factor_residuals(V, starts), tol)
         pvm._atoms, pvm._factor = None, (V, starts, ranks)
         return pvm
 
@@ -141,7 +139,7 @@ class ProjectorValuedMeasure:
             raise ValueError(f"PVM invariants violated ({report})")
         if len(set(map(_as_tuple, labels))) != len(labels):
             raise ValueError("PVM labels are not pairwise distinct")
-        self.dim, self._labels = dim, labels
+        self.dim, self._labels, self._residuals = dim, labels, report
 
     @property
     def atoms(self):
@@ -149,11 +147,11 @@ class ProjectorValuedMeasure:
             V, starts, ranks = self._factor
             cols = V[:, starts[ranks == 1]]
             outers = iter(np.einsum("ia,ja->aij", cols, cols.conj()))
-            blocks = (V[:, a:a + r] for a, r in zip(starts, ranks))
-            self._atoms = [
-                (label, next(outers) if B.shape[1] == 1 else B @ B.conj().T)
-                for label, B in zip(self._labels, blocks)
-            ]
+            self._atoms = []
+            for label, a, r in zip(self._labels, starts, ranks):
+                B = V[:, a:a + r]
+                P = next(outers) if r == 1 else B @ B.conj().T
+                self._atoms.append((label, P if r == 1 else (P + P.conj().T) / 2))
         return self._atoms
 
     @property
@@ -175,10 +173,9 @@ class ProjectorValuedMeasure:
 
 
 def pvm_residuals(pvm) -> dict:
-    """Measured invariant defects: Hermiticity, idempotency, completeness,
-    pairwise orthogonality. Useful for reports; construction already
-    enforced them."""
-    return _atom_residuals(pvm.dim, pvm.atoms)
+    """The invariant defects construction admitted: measured on atoms given
+    as matrices, bounds read off V on a measure the library built."""
+    return dict(pvm._residuals)
 
 
 def spectral_decompose(A, cluster_tol=None) -> ProjectorValuedMeasure:
@@ -204,128 +201,133 @@ def spectral_decompose(A, cluster_tol=None) -> ProjectorValuedMeasure:
 def _lookup_sample(mapping, label):
     if label in mapping:
         return mapping[label]
-    # cluster labels are means, so give exact-key misses a little slack
     want = np.array(_as_tuple(label))
+    gaps = {key: float(np.abs(np.array(_as_tuple(key)) - want).max())
+            for key in mapping if len(_as_tuple(key)) == len(want)}
+    best = min(gaps, key=gaps.get, default=None)
     scale = max(1.0, float(np.abs(want).max()))
-    best_key, best_gap = None, None
-    for key in mapping:
-        have = np.array(_as_tuple(key))
-        if have.shape != want.shape:
-            continue
-        gap = float(np.abs(have - want).max())
-        if best_gap is None or gap < best_gap:
-            best_key, best_gap = key, gap
-    if best_gap is not None and best_gap <= 1e-9 * scale:
-        return mapping[best_key]
+    if best is not None and gaps[best] <= SAMPLE_KEY_RTOL * scale:
+        return mapping[best]
     raise MissingSample(label)
 
 
 def _on_factor(pvm, values):
-    """V diag(values) V^* for a measure made by spectral_decompose, each atom's
-    value repeated over its block; leading axes of values give a stack."""
+    """V diag(values) V^*, each atom's value repeated over its block; leading
+    axes of values give a stack."""
     V, _, ranks = pvm._factor
     return (V * np.repeat(values, ranks, axis=-1)[..., None, :]) @ V.conj().T
 
 
 def func_calculus(pvm, f) -> np.ndarray:
-    """Evaluate f on the spectrum: sum_a f(a) P_a.
+    """Evaluate f on the spectrum: sum_a f(a) P_a = V f(Lambda) V^*, one
+    n x n product; `atoms` is not built.
 
     f may be a mapping from labels to values (the discrete sampled form) or
     a callable evaluated at each label. A Hermitian operator is accepted in
     place of a PVM and decomposed with the default clustering.
-
-    On a measure made by spectral_decompose the cost is one n x n product,
-    V f(Lambda) V^*, and `atoms` is not built.
     """
     if isinstance(pvm, HermitianOperator) or isinstance(pvm, np.ndarray):
         pvm = spectral_decompose(pvm)
     sample = (lambda lab: _lookup_sample(f, lab)) if isinstance(f, Mapping) else f
-    values = np.array([complex(sample(lab)) for lab in pvm._labels])
-    if pvm._factor is not None:
-        return _on_factor(pvm, values)
-    out = np.zeros((pvm.dim, pvm.dim), dtype=complex)
-    for value, (_, P) in zip(values, pvm.atoms):
-        out += value * P
-    return out
+    return _on_factor(pvm, np.array([complex(sample(lab)) for lab in pvm._labels]))
 
 
-def _pvm_commute_defect(p, q):
+def _commute_defect(p, q):
+    """(d, M): d the largest ||[P_a, Q_b]||_F over the atoms of p and q, read
+    off their Gram matrix M = V_p^* V_q. [P_a, Q_b] is the sum over c != a of
+    the orthogonal tiles P_a Q_b P_c and -P_c Q_b P_a, each of norm
+    ||M_ab M_cb^*||_F; a sum, not a difference of O(1) norms, resolves 1e-8."""
+    M = G = p._factor[0].conj().T @ q._factor[0]
+    (_, ps, _), (_, qs, qr) = p._factor, q._factor
+    if len(qs) > len(ps):  # the defect is symmetric; loop over fewer blocks
+        G, (_, ps, _), (_, qs, qr) = M.conj().T, q._factor, p._factor
     worst = 0.0
-    for _, P in p.atoms:
-        for _, Q in q.atoms:
-            worst = max(worst, frobenius(P @ Q - Q @ P))
-    return worst
+    for b, r in zip(qs, qr):
+        tiles = np.abs(G[:, b:b + r] @ G[:, b:b + r].conj().T) ** 2
+        tiles = np.add.reduceat(np.add.reduceat(tiles, ps, axis=0), ps, axis=1)
+        np.fill_diagonal(tiles, 0.0)
+        worst = max(worst, float(tiles.sum(axis=1).max()))
+    return float(np.sqrt(2.0 * worst)), M
 
 
 def pvm_commute(p, q, tol=None) -> bool:
     """True when every atom of p commutes with every atom of q within tol."""
     tol = DEFAULT_TOL if tol is None else float(tol)
-    if p.dim != q.dim:
-        raise DimensionMismatch(f"PVM dims differ: {p.dim} vs {q.dim}")
-    return _pvm_commute_defect(p, q) <= tol
+    require_same_dim(p.dim, q.dim)
+    return _commute_defect(p, q)[0] <= tol
 
 
 def joint_pvm(ops, cluster_tol=None, tol=None) -> ProjectorValuedMeasure:
-    """Joint PVM of a commuting family, atoms labeled by eigenvalue tuples.
+    """Joint PVM of a commuting family, atoms labeled by eigenvalue tuples
+    in lexicographic order.
 
-    Each joint projector is the product of one spectral projector per
-    operator; products of rank 0 (trace below 0.5) are dropped. Pairwise
-    commutation of the individual spectral measures is checked first.
+    The spectral measures are checked to commute pair by pair, each on its
+    Gram matrix M. Then each later operator j splits every block, held as
+    coefficients C in a block V_a of the first operator: the left singular
+    vectors of C^* M_ab (M = V_1^* V_j) with singular values above 1/2 span
+    its part inside eigenspace b of operator j.
     """
     ops = list(ops)
     if not ops:
         raise ValueError("joint_pvm needs at least one operator")
     tol = JOINT_COMMUTE_TOL if tol is None else float(tol)
     pvms = [spectral_decompose(op, cluster_tol) for op in ops]
-    dim = pvms[0].dim
-    for p in pvms[1:]:
-        if p.dim != dim:
-            raise DimensionMismatch("operators act on different spaces")
+    require_same_dim(*(p.dim for p in pvms))
+    grams = []
     for i in range(len(pvms)):
         for j in range(i + 1, len(pvms)):
-            defect = _pvm_commute_defect(pvms[i], pvms[j])
+            defect, M = _commute_defect(pvms[i], pvms[j])
             if defect > tol:
                 raise NonCommuting(i, j, defect)
+            if i == 0:
+                grams.append(M)
 
-    atoms = [((), np.eye(dim, dtype=complex))]
-    for p in pvms:
+    V, starts, ranks = pvms[0]._factor
+    blocks = [((lab,), a, np.eye(r))
+              for lab, a, r in zip(pvms[0]._labels, starts, ranks)]
+    for q, M in zip(pvms[1:], grams):
+        _, qs, qr = q._factor
         grown = []
-        for label, M in atoms:
-            for lab, P in p.atoms:
-                prod = M @ P
-                if prod.trace().real >= 0.5:
-                    grown.append((label + (float(lab),), prod))
-        atoms = grown
-    atoms.sort(key=lambda atom: atom[0])
-    return ProjectorValuedMeasure(dim, atoms, tol=max(tol, DEFAULT_TOL))
+        for label, a, C in blocks:
+            T = C.conj().T @ M[a:a + len(C)]
+            # a singular value above 1/2 needs tile mass above 1/4
+            mass = np.add.reduceat((np.abs(T) ** 2).sum(axis=0), qs)
+            for b in np.flatnonzero(mass > 0.25):
+                u, s, _ = np.linalg.svd(T[:, qs[b]:qs[b] + qr[b]],
+                                        full_matrices=False)
+                if s[0] > 0.5:
+                    grown.append((label + (q._labels[b],), a, C @ u[:, s > 0.5]))
+        blocks = grown
+    return ProjectorValuedMeasure._from_factor(
+        [label for label, _, _ in blocks],
+        *_stack([V[:, a:a + len(C)] @ C for _, a, C in blocks]),
+        tol=max(tol, DEFAULT_TOL))
 
 
 def marginal_pvm(joint, coordinate, tol=None) -> ProjectorValuedMeasure:
-    """Collapse a joint PVM onto one label coordinate by summing atoms."""
-    groups: dict[float, np.ndarray] = {}
-    for label, P in joint.atoms:
-        key = float(label[coordinate])
-        groups[key] = groups.get(key, 0) + P
-    atoms = sorted(groups.items())
-    return ProjectorValuedMeasure(joint.dim, atoms, tol=tol)
+    """Collapse a joint PVM onto one label coordinate by merging the column
+    blocks of the atoms that share it."""
+    V, starts, ranks = joint._factor
+    groups: dict[float, list] = {}
+    for label, a, r in zip(joint._labels, starts, ranks):
+        groups.setdefault(float(label[coordinate]), []).append(V[:, a:a + r])
+    keys = sorted(groups)
+    return ProjectorValuedMeasure._from_factor(
+        keys, *_stack([np.hstack(groups[key]) for key in keys]), tol)
 
 
 # --- JSON form: {"dim": n, "atoms": [{"label": [..], "projector": ..}]} ---
 
 def pvm_to_json(pvm) -> dict:
-    out = []
-    for label, P in pvm.atoms:
-        out.append({
-            "label": [float(x) for x in _as_tuple(label)],
-            "projector": matrix_to_json(P),
-        })
-    return {"dim": pvm.dim, "atoms": out}
+    return {"dim": pvm.dim, "atoms": [
+        {"label": list(_as_tuple(label)), "projector": matrix_to_json(P)}
+        for label, P in pvm.atoms]}
 
 
 def pvm_from_json(obj, tol=None) -> ProjectorValuedMeasure:
     atoms = []
     for atom in obj["atoms"]:
-        lab = [float(x) for x in atom["label"]]
-        label = lab[0] if len(lab) == 1 else tuple(lab)
-        atoms.append((label, matrix_from_json(atom["projector"])))
+        lab = tuple(float(x) for x in atom["label"])
+        atoms.append((lab[0] if len(lab) == 1 else lab,
+                      matrix_from_json(atom["projector"])))
     return ProjectorValuedMeasure(int(obj["dim"]), atoms, tol=tol)

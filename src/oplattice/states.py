@@ -17,7 +17,7 @@ from .linalg import (
     as_matrix,
     eig_hermitian,
     frobenius,
-    require_square,
+    hermitian_part,
 )
 
 PROB_FLOOR = 1e-12
@@ -102,11 +102,7 @@ class DensityState:
 
     def __init__(self, matrix, tol=None):
         tol = DEFAULT_TOL if tol is None else float(tol)
-        M = require_square(as_matrix(matrix))
-        herm = frobenius(M - M.conj().T)
-        if herm > tol * max(1.0, frobenius(M)):
-            raise ValueError(f"density matrix not Hermitian (defect {herm:.3e})")
-        M = M / 2.0 + M.conj().T / 2.0
+        M = hermitian_part(matrix, tol)
         eigmin = float(np.linalg.eigvalsh(M)[0])
         if eigmin < -tol:
             raise ValueError(f"density matrix has eigenvalue {eigmin:.3e} < 0")

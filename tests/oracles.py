@@ -105,31 +105,40 @@ def gram_rank_bruteforce(basis_mats, rho):
 
 
 def word_closure_basis(generators, dim, rank_tol=1e-10):
-    """Linearly independent spanning set of the unital *-algebra generated by
-    the given matrices: grow the span with all products word by word until the
-    rank stops increasing. Burnside caps the useful word length at dim**2."""
+    """Orthonormal basis (flattened, Frobenius inner product) of the unital
+    *-algebra generated by the given matrices: grow the span with all
+    products word by word until no word adds a direction. Burnside caps the
+    useful word length at dim**2.
+
+    Each word is normalized and orthogonalized against the span so far
+    (Gram-Schmidt, applied twice) before the rank test, and it adds a
+    direction when what is left exceeds rank_tol. Raw words grow like the
+    spectral radius to the word length, and raw powers of a matrix are as
+    ill-conditioned as a Vandermonde matrix, so a relative cutoff on them
+    loses short words."""
     gens = [np.asarray(g, dtype=complex) for g in generators]
     gens = gens + [g.conj().T for g in gens]
-    basis = [np.eye(dim, dtype=complex)]
-    frontier = [np.eye(dim, dtype=complex)]
-
-    def rank_of(mats):
-        rows = np.array([m.reshape(-1) for m in mats])
-        return np.linalg.matrix_rank(rows, tol=rank_tol)
-
+    basis = np.eye(dim, dtype=complex).reshape(1, -1) / np.sqrt(dim)
+    frontier = list(basis)
     for _ in range(dim * dim):
-        new_words = [w @ g for w in frontier for g in gens]
-        before = rank_of(basis)
-        candidate = basis + new_words
-        after = rank_of(candidate)
-        if after == before:
+        fresh = []
+        for w in frontier:
+            for g in gens:
+                x = (w.reshape(dim, dim) @ g).reshape(-1)
+                norm = np.linalg.norm(x)
+                if norm == 0.0:
+                    continue
+                x = x / norm
+                for _ in range(2):
+                    x = x - basis.T @ (basis.conj() @ x)
+                left = np.linalg.norm(x)
+                if left > rank_tol:
+                    basis = np.vstack([basis, x / left])
+                    fresh.append(basis[-1])
+        if not fresh:
             break
-        basis = candidate
-        frontier = new_words
-    rows = np.array([m.reshape(-1) for m in basis])
-    u, s, vh = np.linalg.svd(rows, full_matrices=False)
-    keep = s > rank_tol * max(1.0, s[0])
-    return [row.reshape(dim, dim) for row in vh[keep]]
+        frontier = fresh
+    return [row.reshape(dim, dim) for row in basis]
 
 
 def span_gap(mats_a, mats_b):
@@ -213,3 +222,32 @@ def center_oracle(basis, n, rcond=1e-10):
     C = scipy.linalg.null_space(scipy.linalg.qr(K, mode="r")[0][:n * n], rcond)
     Z = scipy.linalg.null_space(np.hstack([A, -C]), rcond)
     return [(A @ z[:A.shape[1]]).reshape(n, n) for z in Z.T]
+
+
+# --- dense spectral-measure routes: atoms as lists of (label, n x n matrix) ---
+
+def func_calculus_dense(atoms, f):
+    """sum_a f(a) P_a, one dense projector at a time."""
+    out = np.zeros_like(np.asarray(atoms[0][1], dtype=complex))
+    for label, P in atoms:
+        out += complex(f(label)) * P
+    return out
+
+
+def commute_defect_dense(atoms_p, atoms_q):
+    """Largest ||PQ - QP||_F over every pair of dense atoms."""
+    return max(float(np.linalg.norm(P @ Q - Q @ P))
+               for _, P in atoms_p for _, Q in atoms_q)
+
+
+def joint_atoms_dense(families):
+    """Joint measure of commuting dense atom lists: every product of one
+    projector per family, labeled by the tuple of their labels; products of
+    trace below 1/2 are dropped and the rest sorted by label."""
+    dim = len(families[0][0][1])
+    atoms = [((), np.eye(dim, dtype=complex))]
+    for family in families:
+        atoms = [(label + (float(lab),), M @ P)
+                 for label, M in atoms for lab, P in family
+                 if np.trace(M @ P).real >= 0.5]
+    return sorted(atoms, key=lambda atom: atom[0])

@@ -21,7 +21,12 @@ from oplattice import (
     superselection_sectors,
 )
 
-from oracles import center_oracle, span_gap, word_closure_basis
+from oracles import (
+    center_oracle,
+    joint_atoms_dense,
+    span_gap,
+    word_closure_basis,
+)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -60,14 +65,12 @@ def haar_unitary(rng, n, real=False):
 
 
 def spectrum_with_repeats(rng, n):
-    """n eigenvalues in [-1, 1] taking d distinct levels, 2 <= d <= n <= 8,
-    at least 0.1 apart; returns (eigenvalues, d). Spectra that reach |4|
-    at n = 8 put word_closure_basis, which spans unnormalized words,
-    about 1e-6 off the true span, so the oracle comparisons keep to
-    [-1, 1]; the test of one Hermitian, which has the exact answer,
-    rescales them."""
+    """n eigenvalues taking d distinct levels, 2 <= d <= n <= 8, at least
+    0.1 apart in [-1, 1] and then rescaled by 10^+-3; returns
+    (eigenvalues, d)."""
     d = int(rng.integers(2, n + 1))
     levels = np.cumsum(rng.uniform(0.1, 0.25, d)) - 1.0
+    levels = levels * 10.0 ** rng.uniform(-3.0, 3.0)
     return levels[np.concatenate([np.arange(d), rng.integers(0, d, n - d)])], d
 
 
@@ -250,7 +253,6 @@ def test_commutant_and_closure_of_complex_generators(name, n, seed):
 def test_algebra_of_one_complex_hermitian_is_abelian(n, seed):
     rng = np.random.default_rng(seed)
     w, distinct = spectrum_with_repeats(rng, n)
-    w = w * 10.0 ** rng.uniform(-3.0, 3.0)
     U = haar_unitary(rng, n)
     H = (U * w) @ U.conj().T
     alg = MatrixStarAlgebra.generated_by([H])
@@ -295,3 +297,77 @@ def test_center_matches_oracle_and_is_orthonormal():
         flat = np.array([Z.reshape(-1) for Z in centre])
         gram = flat.conj() @ flat.T
         assert frobenius(gram - np.eye(len(centre))) <= 1e-10
+
+
+def test_word_closure_spans_eigenprojectors_of_spread_spectrum():
+    # levels 0.5 .. 4.5: raw powers up to H^7 span 1e-6 off the true span
+    w = np.linspace(0.5, 4.5, 8)
+    for seed in range(3):
+        U = haar_unitary(np.random.default_rng(seed), 8)
+        eigenprojectors = [np.outer(u, u.conj()) for u in U.T]
+        words = word_closure_basis([(U * w) @ U.conj().T], 8)
+        assert len(words) == 8
+        assert span_gap(words, eigenprojectors) <= 1e-10
+
+
+def charge_family(rng, n):
+    """Two commuting charges and two observables in a Haar basis. The basis
+    splits into sectors of rank at most 4, each with its own pair of charge
+    values (either charge alone repeats across sectors). On a sector the two
+    observables are random complex blocks, which generate all of M_r, or
+    multiples of the identity; the first also leaks 1e-11 across sectors,
+    below the centrality gate. Returns the charges, the observables, the
+    exact atoms (value, projector) of each charge and, per sector in label
+    order, the dimension of its compressed algebra."""
+    U = haar_unitary(rng, n)
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(min(int(rng.integers(1, 5)), n - sum(sizes)))
+    side = int(np.ceil(np.sqrt(len(sizes))))
+    pairs = [divmod(int(c), side) for c in rng.permutation(side * side)]
+    values = np.repeat(np.array(pairs[:len(sizes)], dtype=float), sizes, axis=0)
+    obs = [np.zeros((n, n), dtype=complex) for _ in range(2)]
+    algebra_dims = {}
+    lo = 0
+    for pair, r in zip(pairs, sizes):
+        full = rng.random() < 0.5
+        for G in obs:
+            G[lo:lo + r, lo:lo + r] = (random_mats(rng, r, 1)[0] if full
+                                       else rng.standard_normal() * np.eye(r))
+        algebra_dims[tuple(map(float, pair))] = r * r if full else 1
+        lo += r
+    sector = np.repeat(np.arange(len(sizes)), sizes)
+    obs[0] += 1e-11 * random_mats(rng, n, 1)[0] * (sector[:, None] != sector)
+    charges, families = [], []
+    for k in range(2):
+        charges.append((U * values[:, k]) @ U.conj().T)
+        families.append([(v, U[:, values[:, k] == v]
+                          @ U[:, values[:, k] == v].conj().T)
+                         for v in np.unique(values[:, k])])
+    obs = [U @ G @ U.conj().T for G in obs]
+    return charges, obs, families, [algebra_dims[k] for k in sorted(algebra_dims)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 32), seed=st.integers(0, 2**32 - 1))
+def test_superselection_matches_product_oracle(n, seed):
+    charges, obs, families, algebra_dims = charge_family(
+        np.random.default_rng(seed), n)
+    report = superselection_sectors(charges, obs)
+    want = joint_atoms_dense(families)
+    assert len(report.sectors) == len(want) == len(algebra_dims)
+    offdiag = 0.0
+    for sec, (label, P), dim_a in zip(report.sectors, want, algebra_dims):
+        rank = round(np.trace(P).real)
+        assert sec.rank == rank
+        for got, value in ((sec.label, label), (sec.charge_values, label)):
+            assert np.abs(np.subtract(got, value)).max() <= 1e-10 * max(
+                1.0, np.abs(value).max())
+        assert frobenius(sec.projector - P) <= 1e-10 * max(1.0, frobenius(P))
+        assert len(sec.restricted_basis) == dim_a
+        assert sec.irreducible == (dim_a == rank * rank)
+        for G in obs:
+            offdiag = max(offdiag, frobenius(P @ G @ (np.eye(n) - P)))
+    # the leak is about 1e-11 * n; rounding stays near 1e-16 * ||G||
+    scale = max(1.0, *(frobenius(G) for G in obs))
+    assert abs(report.offdiag_defect - offdiag) <= 1e-13 * scale

@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oplattice.spectral
-from oplattice import cli, matrix_to_json
+from oplattice import (
+    DensityState,
+    HermitianOperator,
+    NotHermitian,
+    cli,
+    matrix_to_json,
+)
 from oplattice.cli import run
 
 from oracles import expm_oracle, report_json_reference
@@ -60,6 +66,19 @@ def test_validation_failures_exit_2(tmp_path, capsys):
     assert run(["evolve", "--hamiltonian", good, "--t", "1.0",
                 "--hbar", "-1.0"]) == 2
     assert run(["demo", "--name", "no-such-demo"]) == 2
+    capsys.readouterr()
+
+
+def test_hermiticity_gate_sees_past_norm_overflow(tmp_path, capsys):
+    # ||M - M*||_F and tol * ||M||_F both overflow to inf on these; the
+    # second is the maximally mixed state plus a huge anti-Hermitian part
+    for M in ([[1e308, 1e308], [0.0, 1e308]], [[0.5, 1e308], [-1e308, 0.5]]):
+        for cls in (HermitianOperator, DensityState):
+            with pytest.raises(NotHermitian):
+                cls(np.array(M))
+    infile = write_json(tmp_path / "h.json", matrix_to_json(
+        np.array([[1e308, 1e308], [0.0, 1e308]])))
+    assert run(["spectral", "--in", infile]) == 2
     capsys.readouterr()
 
 

@@ -25,7 +25,14 @@ from oplattice import (
     spectral_decompose,
 )
 
-from oracles import char_poly_roots, diag_joint_atoms, expm_oracle
+from oracles import (
+    char_poly_roots,
+    commute_defect_dense,
+    diag_joint_atoms,
+    expm_oracle,
+    func_calculus_dense,
+    joint_atoms_dense,
+)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -243,17 +250,19 @@ def test_factored_func_calculus_matches_dense_route(kind, n, seed):
     n = max(n, 3) if kind == "rank3_cluster" else n
     pvm = spectral_decompose(_hermitian_with_spectrum(_spectrum(kind, n, rng), rng))
     labels = pvm.labels
-    dense = ProjectorValuedMeasure(pvm.dim, pvm.atoms)
+    # the same atoms supplied as matrices, factored by their eigensplit
+    given = ProjectorValuedMeasure(pvm.dim, pvm.atoms)
     for f in _FUNCS.values():
-        want = func_calculus(dense, f)
-        assert _relative_gap(func_calculus(pvm, f), want) <= 1e-10
+        want = func_calculus_dense(pvm.atoms, f)
+        for measure in (pvm, given):
+            assert _relative_gap(func_calculus(measure, f), want) <= 1e-10
         # sampled form, every key a near miss of its label
         jitter = 1e-11 * rng.uniform(-1, 1, len(labels))
         table = {lab + d * max(1.0, abs(lab)): f(lab)
                  for lab, d in zip(labels, jitter)}
         assert _relative_gap(func_calculus(pvm, table), want) <= 1e-10
     del table[next(iter(table))]
-    for measure in (pvm, dense):
+    for measure in (pvm, given):
         with pytest.raises(MissingSample):
             func_calculus(measure, table)
 
@@ -281,3 +290,73 @@ def test_func_calculus_leaves_atoms_unbuilt():
     func_calculus(pvm, np.exp)
     func_calculus(pvm, {lab: 1.0 for lab in pvm.labels})
     assert pvm._atoms is None
+
+
+# --- combining measures on their factors against the dense atom routes -------
+
+def _commuting_family(rng, n, m):
+    """m commuting complex Hermitians in one Haar basis, with the exact
+    atoms (label, projector) of each. The basis vectors fall into up to six
+    cells, shared degenerate blocks that every operator maps to one of its
+    own up to six levels, spaced 0.1 to 1 apart and rescaled by 10^+-3. An
+    operator may also spread each level into a cluster 1e-12 of its spread
+    wide, which spectral_decompose merges; the label is the cluster mean."""
+    U = np.linalg.qr(rng.standard_normal((n, n))
+                     + 1j * rng.standard_normal((n, n)))[0]
+    cells = rng.integers(0, rng.integers(1, 7), n)
+    ops, families = [], []
+    for _ in range(m):
+        levels = np.cumsum(rng.uniform(0.1, 1.0, 6)) * 10.0 ** rng.uniform(-3, 3)
+        which = rng.integers(0, 6, 6)[cells]
+        w = levels[which]
+        if rng.random() < 0.5:
+            w = w + 1e-12 * (levels[-1] - levels[0]) * rng.uniform(-1, 1, n)
+        H = (U * w) @ U.conj().T
+        ops.append((H + H.conj().T) / 2)
+        families.append([(float(np.mean(w[which == j])),
+                          U[:, which == j] @ U[:, which == j].conj().T)
+                         for j in np.unique(which)])
+    return ops, families
+
+
+def _close(got, want):
+    return abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 64), commuting=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_commute_defect_matches_dense_oracle(n, commuting, seed):
+    rng = np.random.default_rng(seed)
+    ops, families = _commuting_family(rng, n, 2)
+    if not commuting:  # the second operator in its own Haar basis
+        (ops[1],), (families[1],) = _commuting_family(rng, n, 1)
+    p, q = (spectral_decompose(A) for A in ops)
+    want = commute_defect_dense(*families)
+    assert _close(oplattice.spectral._commute_defect(p, q)[0], want)
+    assert pvm_commute(p, q, tol=1e-8) == (want <= 1e-8)
+    if want > 1e-8:
+        with pytest.raises(NonCommuting) as exc:
+            joint_pvm(ops)
+        assert _close(exc.value.defect, want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 64), m=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_joint_and_marginals_match_product_oracle(n, m, seed):
+    ops, families = _commuting_family(np.random.default_rng(seed), n, m)
+    joint = joint_pvm(ops)
+    want = joint_atoms_dense(families)
+    assert len(joint) == len(want)
+    for (label, P), (lab, Q) in zip(joint.atoms, want):
+        assert all(_close(x, y) for x, y in zip(label, lab))
+        assert _relative_gap(P, Q) <= 1e-10
+        assert np.array_equal(P, P.conj().T)
+    assert joint.labels == sorted(joint.labels)
+    for k, family in enumerate(families):
+        marginal = marginal_pvm(joint, k)
+        assert len(marginal) == len(family)
+        for (label, P), (lab, Q) in zip(marginal.atoms, family):
+            assert _close(label, lab)
+            assert _relative_gap(P, Q) <= 1e-10
