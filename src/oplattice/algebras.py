@@ -244,20 +244,29 @@ def superselection_sectors(charges, observables, tol=None) -> SuperselectionRepo
         if defect > max(tol, CENTRAL_CHARGE_TOL) * max(1.0, frobenius(Q)):
             raise NonCentralCharge(idx, defect)
 
-    V, starts, ranks = joint._factor
-    offdiag, sectors = 0.0, []
-    for (label, P), a, rank in zip(joint.atoms, starts, ranks.tolist()):
-        B = V[:, a:a + rank]  # isometry onto the sector
+    offdiag = 0.0
+    sectors = []
+    for (label, P), (_, B) in zip(joint.atoms, joint.blocks):
+        rank = B.shape[1]  # B: isometry onto the sector
         BG = B.conj().T @ obs
         compressed = BG @ B
         # ||P G (I - P)||_F for P = B B^*
         leak = _fro_batch(BG - compressed @ B.conj().T).max(initial=0.0)
         offdiag = max(offdiag, float(leak))
         prime = commutant(compressed, rank)
-        values = tuple(float((B.conj().T @ Q @ B).trace().real) / rank
-                       for Q in charge_mats)
-        sectors.append(Sector(label, P, rank, commutant(prime, rank),
-                              len(prime) == 1, values))
+        values = []
+        for Q in charge_mats:
+            QB = B.conj().T @ Q @ B
+            q = float(QB.trace().real) / rank
+            values.append(q)
+        sectors.append(Sector(
+            label=label,
+            projector=P,
+            rank=rank,
+            restricted_basis=commutant(prime, rank),
+            irreducible=(len(prime) == 1),
+            charge_values=tuple(values),
+        ))
     return SuperselectionReport(sectors, joint, float(offdiag))
 
 

@@ -208,8 +208,8 @@ def cmd_spectral(args):
     rebuilt = func_calculus(pvm, lambda x: x)
     return {
         "dim": pvm.dim,
-        "atoms": [{"label": [label], "projector": P, "rank": int(r)}
-                  for (label, P), r in zip(pvm.atoms, pvm._factor[2])],
+        "atoms": [{"label": [label], "projector": P, "rank": r}
+                  for (label, P), r in zip(pvm.atoms, pvm.ranks)],
         "residuals": pvm_residuals(pvm),
         "reconstruction_residual": frobenius(rebuilt - A.matrix),
         "tolerance_used": args.tol,

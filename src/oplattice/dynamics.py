@@ -21,7 +21,7 @@ from .linalg import (
     require_same_dim,
     require_unitary,
 )
-from .spectral import _on_factor, spectral_decompose
+from .spectral import atom_sum, spectral_decompose
 from .states import DensityState
 
 MAX_DYSON_ORDER = 12
@@ -96,7 +96,7 @@ def _evolve(pvm, t, hbar):
     """exp(-i t H / hbar) for each time in the array t, on the spectral
     measure of H: one n x n product V exp(-i t Lambda / hbar) V^* per time."""
     phase = np.multiply.outer(-1j * np.asarray(t, dtype=float), pvm.labels)
-    return _on_factor(pvm, np.exp(phase / hbar))
+    return atom_sum(pvm, np.exp(phase / hbar))
 
 
 def evolve_unitary(H, t, hbar=1.0) -> UnitaryOperator:

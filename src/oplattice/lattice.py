@@ -98,7 +98,9 @@ def neg(P: Projector) -> Projector:
 
 
 def _union_span_projector(bases, dim):
-    cols = np.hstack(bases)
+    cols = np.hstack([b for b in bases if b.size]) if any(
+        b.size for b in bases
+    ) else np.zeros((dim, 0))
     if cols.shape[1] == 0:
         return np.zeros((dim, dim), dtype=complex)
     u, s, _ = np.linalg.svd(cols, full_matrices=False)

@@ -101,8 +101,13 @@ def hermitian_part(matrix, tol: float | None = None) -> np.ndarray:
 
 
 class HermitianOperator:
-    """A square matrix accepted as self-adjoint and stored as its
-    hermitian_part; input beyond tol is rejected, not silently repaired."""
+    """A square matrix accepted as self-adjoint.
+
+    The stored form is hermitian_part(A), the symmetrization A/2 + A*/2,
+    halved before the sum so that finite input near overflow stays finite;
+    inputs whose defect ||A - A*||_F exceeds tol * max(1, ||A||_F) are
+    rejected instead of being silently repaired.
+    """
 
     __slots__ = ("matrix", "dim")
 

@@ -28,7 +28,9 @@ from .linalg import (
 
 DEFAULT_CLUSTER_TOL = 1e-8
 
-# independently diagonalized commuting operators carry solver noise in [P, Q]
+# Eigenprojectors of independently diagonalized commuting operators carry
+# solver noise well above the base tolerance, so joint constructions get
+# their own default.
 JOINT_COMMUTE_TOL = 1e-8
 # cluster labels are means: a sampled key this close (relative) still matches
 SAMPLE_KEY_RTOL = 1e-9
@@ -55,7 +57,9 @@ class MissingSample(KeyError):
 
 
 def _as_tuple(label):
-    return tuple(map(float, label)) if isinstance(label, tuple) else (float(label),)
+    if isinstance(label, tuple):
+        return tuple(float(x) for x in label)
+    return (float(label),)
 
 
 def _atom_residuals(dim, atoms):
@@ -68,8 +72,12 @@ def _atom_residuals(dim, atoms):
     for a in range(len(atoms) - 1):
         prods = stack[a][None, :, :] @ stack[a + 1:]
         ortho = max(ortho, float(_fro_batch(prods).max()))
-    return dict(hermiticity=herm, idempotency=idem, completeness=complete,
-                orthogonality=ortho)
+    return {
+        "hermiticity": herm,
+        "idempotency": idem,
+        "completeness": complete,
+        "orthogonality": float(ortho),
+    }
 
 
 def _stack(blocks):
@@ -84,13 +92,17 @@ def _factor_residuals(V, starts):
     outside the diagonal blocks, ||P_a P_b||_F <= off + 2 fd for every pair
     and ||P_a^2 - P_a||_F <= (1 + fd) fd for every atom. Atoms are built
     Hermitian to the last bit (see ProjectorValuedMeasure)."""
-    gram = np.abs(V.conj().T @ V - np.eye(V.shape[1])) ** 2
+    eye = np.eye(V.shape[0])
+    gram = np.abs(V.conj().T @ V - eye) ** 2
     tiles = np.add.reduceat(np.add.reduceat(gram, starts, axis=0), starts, axis=1)
     fd = float(np.sqrt(np.diagonal(tiles).max()))
     np.fill_diagonal(tiles, 0.0)
-    return dict(hermiticity=0.0, idempotency=(1.0 + fd) * fd,
-                completeness=frobenius(V @ V.conj().T - np.eye(V.shape[0])),
-                orthogonality=float(np.sqrt(tiles.sum())) + 2.0 * fd)
+    return {
+        "hermiticity": 0.0,
+        "idempotency": (1.0 + fd) * fd,
+        "completeness": frobenius(V @ V.conj().T - eye),
+        "orthogonality": float(np.sqrt(tiles.sum())) + 2.0 * fd,
+    }
 
 
 class ProjectorValuedMeasure:
@@ -148,11 +160,26 @@ class ProjectorValuedMeasure:
             cols = V[:, starts[ranks == 1]]
             outers = iter(np.einsum("ia,ja->aij", cols, cols.conj()))
             self._atoms = []
-            for label, a, r in zip(self._labels, starts, ranks):
-                B = V[:, a:a + r]
-                P = next(outers) if r == 1 else B @ B.conj().T
-                self._atoms.append((label, P if r == 1 else (P + P.conj().T) / 2))
+            for label, B in self.blocks:
+                if B.shape[1] == 1:
+                    P = next(outers)
+                else:
+                    P = B @ B.conj().T
+                    P = (P + P.conj().T) / 2
+                self._atoms.append((label, P))
         return self._atoms
+
+    @property
+    def blocks(self):
+        """(label, V_a) per atom: orthonormal columns with P_a = V_a V_a^*."""
+        V, starts, ranks = self._factor
+        return [(label, V[:, a:a + r])
+                for label, a, r in zip(self._labels, starts, ranks)]
+
+    @property
+    def ranks(self):
+        """The rank of each atom, in label order."""
+        return self._factor[2].tolist()
 
     @property
     def labels(self):
@@ -201,19 +228,25 @@ def spectral_decompose(A, cluster_tol=None) -> ProjectorValuedMeasure:
 def _lookup_sample(mapping, label):
     if label in mapping:
         return mapping[label]
+    # cluster labels are means, so give exact-key misses a little slack
     want = np.array(_as_tuple(label))
-    gaps = {key: float(np.abs(np.array(_as_tuple(key)) - want).max())
-            for key in mapping if len(_as_tuple(key)) == len(want)}
-    best = min(gaps, key=gaps.get, default=None)
     scale = max(1.0, float(np.abs(want).max()))
-    if best is not None and gaps[best] <= SAMPLE_KEY_RTOL * scale:
-        return mapping[best]
+    best_key, best_gap = None, None
+    for key in mapping:
+        have = np.array(_as_tuple(key))
+        if have.shape != want.shape:
+            continue
+        gap = float(np.abs(have - want).max())
+        if best_gap is None or gap < best_gap:
+            best_key, best_gap = key, gap
+    if best_gap is not None and best_gap <= SAMPLE_KEY_RTOL * scale:
+        return mapping[best_key]
     raise MissingSample(label)
 
 
-def _on_factor(pvm, values):
-    """V diag(values) V^*, each atom's value repeated over its block; leading
-    axes of values give a stack."""
+def atom_sum(pvm, values):
+    """sum_a values[a] P_a = V diag(values) V^*, each atom's value repeated
+    over its block; leading axes of values give a stack."""
     V, _, ranks = pvm._factor
     return (V * np.repeat(values, ranks, axis=-1)[..., None, :]) @ V.conj().T
 
@@ -229,7 +262,7 @@ def func_calculus(pvm, f) -> np.ndarray:
     if isinstance(pvm, HermitianOperator) or isinstance(pvm, np.ndarray):
         pvm = spectral_decompose(pvm)
     sample = (lambda lab: _lookup_sample(f, lab)) if isinstance(f, Mapping) else f
-    return _on_factor(pvm, np.array([complex(sample(lab)) for lab in pvm._labels]))
+    return atom_sum(pvm, np.array([complex(sample(lab)) for lab in pvm._labels]))
 
 
 def _commute_defect(p, q):
@@ -237,13 +270,11 @@ def _commute_defect(p, q):
     off their Gram matrix M = V_p^* V_q. [P_a, Q_b] is the sum over c != a of
     the orthogonal tiles P_a Q_b P_c and -P_c Q_b P_a, each of norm
     ||M_ab M_cb^*||_F; a sum, not a difference of O(1) norms, resolves 1e-8."""
-    M = G = p._factor[0].conj().T @ q._factor[0]
+    M = p._factor[0].conj().T @ q._factor[0]
     (_, ps, _), (_, qs, qr) = p._factor, q._factor
-    if len(qs) > len(ps):  # the defect is symmetric; loop over fewer blocks
-        G, (_, ps, _), (_, qs, qr) = M.conj().T, q._factor, p._factor
     worst = 0.0
     for b, r in zip(qs, qr):
-        tiles = np.abs(G[:, b:b + r] @ G[:, b:b + r].conj().T) ** 2
+        tiles = np.abs(M[:, b:b + r] @ M[:, b:b + r].conj().T) ** 2
         tiles = np.add.reduceat(np.add.reduceat(tiles, ps, axis=0), ps, axis=1)
         np.fill_diagonal(tiles, 0.0)
         worst = max(worst, float(tiles.sum(axis=1).max()))
@@ -307,10 +338,9 @@ def joint_pvm(ops, cluster_tol=None, tol=None) -> ProjectorValuedMeasure:
 def marginal_pvm(joint, coordinate, tol=None) -> ProjectorValuedMeasure:
     """Collapse a joint PVM onto one label coordinate by merging the column
     blocks of the atoms that share it."""
-    V, starts, ranks = joint._factor
     groups: dict[float, list] = {}
-    for label, a, r in zip(joint._labels, starts, ranks):
-        groups.setdefault(float(label[coordinate]), []).append(V[:, a:a + r])
+    for label, B in joint.blocks:
+        groups.setdefault(float(label[coordinate]), []).append(B)
     keys = sorted(groups)
     return ProjectorValuedMeasure._from_factor(
         keys, *_stack([np.hstack(groups[key]) for key in keys]), tol)
@@ -319,15 +349,19 @@ def marginal_pvm(joint, coordinate, tol=None) -> ProjectorValuedMeasure:
 # --- JSON form: {"dim": n, "atoms": [{"label": [..], "projector": ..}]} ---
 
 def pvm_to_json(pvm) -> dict:
-    return {"dim": pvm.dim, "atoms": [
-        {"label": list(_as_tuple(label)), "projector": matrix_to_json(P)}
-        for label, P in pvm.atoms]}
+    out = []
+    for label, P in pvm.atoms:
+        out.append({
+            "label": [float(x) for x in _as_tuple(label)],
+            "projector": matrix_to_json(P),
+        })
+    return {"dim": pvm.dim, "atoms": out}
 
 
 def pvm_from_json(obj, tol=None) -> ProjectorValuedMeasure:
     atoms = []
     for atom in obj["atoms"]:
-        lab = tuple(float(x) for x in atom["label"])
-        atoms.append((lab[0] if len(lab) == 1 else lab,
-                      matrix_from_json(atom["projector"])))
+        lab = [float(x) for x in atom["label"]]
+        label = lab[0] if len(lab) == 1 else tuple(lab)
+        atoms.append((label, matrix_from_json(atom["projector"])))
     return ProjectorValuedMeasure(int(obj["dim"]), atoms, tol=tol)
