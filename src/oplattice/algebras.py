@@ -1,6 +1,6 @@
-"""Finite-dimensional *-algebras of matrices: commutants, double commutants,
-centers, and the splitting of a system into superselection sectors ruled by
-a family of commuting central charges.
+"""Finite-dimensional *-algebras of matrices: commutants read in the
+eigenblocks of one generic element, double commutants, centers A ∩ A', and
+superselection sectors ruled by a family of commuting central charges.
 """
 from __future__ import annotations
 
@@ -22,9 +22,11 @@ from .spectral import (
     CENTRAL_CHARGE_TOL,
     NonCommuting,
     joint_pvm,
+    spectral_decompose,
 )
 
 _NULLSPACE_RTOL = 1e-9
+_WEIGHT_SEED = 1729  # commutant's generic element, fixed: bit-stable results
 
 
 class NotClosedUnderProducts(ValueError):
@@ -70,45 +72,49 @@ def _matrix_units(n):
 
 
 def _kernel(L):
-    """Orthonormal rows x with L @ x = 0, for L with at least as many rows as
-    columns: a tall L is first reduced to its QR factor R, then the rows of
-    vh past the numerical rank are read off one SVD. Those rows span the
-    null space of conj(L), so they come back conjugated."""
+    """Orthonormal rows x with L @ x = 0 (L at least as tall as wide): the
+    conjugated rows of vh past the numerical rank of one SVD, taken of L's
+    QR factor R when L is tall. Callers scale L's columns to O(1), so genuine
+    constraints sit well above the eps-level noise of a commuting pair."""
     if L.shape[0] > 2 * L.shape[1]:
         L = np.linalg.qr(L, mode="r")
     _, s, vh = np.linalg.svd(L, full_matrices=False)
-    # callers scale L's columns to O(1), so genuine constraints sit well
-    # above the eps-level noise of a numerically commuting pair
-    cutoff = _NULLSPACE_RTOL * max(1.0, *s[:1])
-    return vh[np.sum(s > cutoff):].conj()
+    return vh[np.sum(s > _NULLSPACE_RTOL * max(1.0, *s[:1])):].conj()
 
 
 def commutant(generators, dim=None) -> list:
     """Orthonormal basis (Frobenius inner product) of everything commuting
     with the generators and their adjoints.
 
-    Stacks the Sylvester maps X -> GX - XG as Kronecker blocks and takes
-    their common kernel. With no generators the commutant is all of M_n,
-    returned as the matrix-unit basis.
-    """
+    h = W + W^* for W = sum_i c_i G_i, fixed pseudo-random c_i, is in the
+    generated *-algebra, so every X commuting with it is V (+)_a X_a V^* for
+    h's eigenblocks V_a (merged eigenvalues only enlarge a block). _kernel
+    solves [G~, X~] = 0, G~ = V^* G V and its adjoint, for the block entries.
+    Generators within _NULLSPACE_RTOL of a multiple of I constrain nothing;
+    with none left the commutant is M_n, as the matrix-unit basis."""
     mats = _as_generator_list(generators, dim)
-    if not mats:
-        return _matrix_units(dim)
-    n = mats[0].shape[0]
-    eye = np.eye(n)
-    blocks = []
-    for G in mats:
-        scale = frobenius(G)
-        if scale == 0.0:
-            continue  # the zero matrix constrains nothing
-        G = G / scale
-        blocks.append(np.kron(G, eye) - np.kron(eye, G.T))
-        H = G.conj().T
-        if frobenius(H - G) > 0.0:
-            blocks.append(np.kron(H, eye) - np.kron(eye, H.T))
-    if not blocks:
+    n = mats[0].shape[0] if mats else dim
+    G = np.array([M / frobenius(M) for M in mats if frobenius(
+        M - np.trace(M) / n * np.eye(n)) > _NULLSPACE_RTOL * frobenius(M)])
+    if not len(G):
         return _matrix_units(n)
-    return [x.reshape(n, n) for x in _kernel(np.vstack(blocks))]
+    c = np.random.default_rng(_WEIGHT_SEED).uniform(0.5, 1.0, (len(G), 2))
+    W = np.tensordot(c @ [1.0, 1.0j], G, axes=1)
+    pvm = spectral_decompose(W + W.conj().T)
+    V = np.hstack([B for _, B in pvm.blocks])
+    owner = np.repeat(np.arange(len(pvm)), pvm.ranks)
+    H = G.conj().transpose(0, 2, 1)  # adjoints, where they add constraints
+    Gt = V.conj().T @ np.concatenate([G, H[(H != G).any(axis=(1, 2))]]) @ V
+    # unknown u is X~[cs_u, ds_u]; column u of L holds [G~, E_u]
+    cs, ds = np.nonzero(owner[:, None] == owner)
+    u = np.arange(len(cs))
+    L = np.zeros((len(Gt), n, n, len(u)), dtype=complex)
+    L[:, :, ds, u] = Gt[:, :, cs]
+    L[:, cs, :, u] -= Gt[:, ds, :].transpose(1, 0, 2)
+    x = _kernel(L.reshape(-1, len(u)))
+    Xt = np.zeros((len(x), n, n), dtype=complex)
+    Xt[:, cs, ds] = x
+    return list(V @ Xt @ V.conj().T)
 
 
 def double_commutant(generators, dim=None) -> list:
@@ -188,19 +194,13 @@ class MatrixStarAlgebra:
 
 
 def center(algebra: MatrixStarAlgebra) -> list:
-    """Frobenius-orthonormal basis of the elements commuting with the whole
-    algebra, the intersection of A with its commutant, computed inside A:
-    over the orthonormal basis E of A, X = sum_i c_i E_i is central exactly
-    when c lies in the kernel of c -> ([X, E_j])_j."""
-    n = algebra.dim
-    E = algebra._span.reshape(-1, n, n)
-    k = len(E)
-    # every product in one GEMM: P[i, a, j, b] = (E_i E_j)[a, b]
-    P = E.reshape(k * n, n) @ E.transpose(1, 0, 2).reshape(n, k * n)
-    P = P.reshape(k, n, k, n)
-    # row (j, a, b) of L, column i: [E_i, E_j][a, b]
-    L = (P.transpose(2, 1, 3, 0) - P.transpose(0, 1, 3, 2)).reshape(-1, k)
-    return list(np.tensordot(_kernel(L), E, axes=1))
+    """Frobenius-orthonormal basis of the center A ∩ A': X = sum_j c_j C_j
+    over the orthonormal basis C_j of A' (the commutant of A's basis) is
+    central exactly when c is in the kernel of c -> (X off A's span)."""
+    n, span = algebra.dim, algebra._span
+    prime = np.array(commutant(span.reshape(-1, n, n))).reshape(-1, n * n)
+    x = _kernel((prime - (prime @ span.conj().T) @ span).T)
+    return list((x @ prime).reshape(-1, n, n))
 
 
 def is_factor(algebra: MatrixStarAlgebra) -> bool:

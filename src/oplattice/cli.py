@@ -23,8 +23,6 @@ from .algebras import (
     MatrixStarAlgebra,
     center,
     commutant,
-    double_commutant,
-    is_factor,
     superselection_sectors,
 )
 from .dynamics import (
@@ -320,13 +318,13 @@ def cmd_commutant(args):
     gens = [_matrix_of(m, "generators") for m in _field(obj, "generators")]
     dim = obj.get("dim")
     prime = commutant(gens, dim)
-    bicom = double_commutant(gens, dim)
-    alg = MatrixStarAlgebra(bicom)
+    bicom = commutant(prime, dim)
+    centre = center(MatrixStarAlgebra(bicom))
     return {
         "commutant_dimension": len(prime),
         "double_commutant_dimension": len(bicom),
-        "center_dimension": len(center(alg)),
-        "is_factor": is_factor(alg),
+        "center_dimension": len(centre),
+        "is_factor": len(centre) == 1,
         "tolerance_used": args.tol,
     }
 

@@ -206,6 +206,28 @@ def report_json_reference(report):
     return json.dumps(plain_report(report), indent=2, sort_keys=True) + "\n"
 
 
+def commutant_oracle(generators, n, rtol=1e-9):
+    """Basis of the commutant of the generators and their adjoints: the null
+    space (scipy.linalg.null_space) of the stacked Kronecker commutator maps
+    X -> GX - XG (row-major vec), one per generator and adjoint, each
+    generator scaled to unit Frobenius norm and the stack reduced by
+    scipy.linalg.qr; no library code. A singular value counts as zero at or
+    below rtol * max(1, largest), so a numerically scalar generator
+    constrains nothing."""
+    eye = np.eye(n)
+    rows = [np.zeros((1, n * n))]
+    for G in generators:
+        G = np.asarray(G, dtype=complex)
+        if np.linalg.norm(G) > 0.0:
+            for g in (G, G.conj().T):
+                g = g / np.linalg.norm(g)
+                rows.append(np.kron(g, eye) - np.kron(eye, g.T))
+    R = scipy.linalg.qr(np.vstack(rows), mode="r")[0][:n * n]
+    top = scipy.linalg.svdvals(R)[0]
+    rcond = rtol * max(1.0, top) / top if top > 0.0 else 0.0
+    return [z.reshape(n, n) for z in scipy.linalg.null_space(R, rcond).T]
+
+
 def center_oracle(basis, n, rcond=1e-10):
     """Basis of the center of the *-algebra spanned by basis: the span
     intersected with its commutant. The span comes from scipy.linalg.orth,

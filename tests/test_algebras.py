@@ -1,5 +1,7 @@
 """Commutants, generated *-algebras, centers, and superselection splitting."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from oplattice import (
 
 from oracles import (
     center_oracle,
+    commutant_oracle,
     joint_atoms_dense,
     span_gap,
     word_closure_basis,
@@ -64,12 +67,18 @@ def haar_unitary(rng, n, real=False):
     return q * (d / np.abs(d))
 
 
-def spectrum_with_repeats(rng, n):
+def spectrum_with_repeats(rng, n, clustered=False):
     """n eigenvalues taking d distinct levels, 2 <= d <= n <= 8, at least
     0.1 apart in [-1, 1] and then rescaled by 10^+-3; returns
-    (eigenvalues, d)."""
-    d = int(rng.integers(2, n + 1))
-    levels = np.cumsum(rng.uniform(0.1, 0.25, d)) - 1.0
+    (eigenvalues, d). With clustered, d >= 3 levels have one gap of 1e-3 of
+    the spread."""
+    d = int(rng.integers(min(3, n) if clustered else 2, n + 1))
+    gaps = rng.uniform(0.1, 0.25, d)
+    if clustered and d > 2:
+        j = int(rng.integers(1, d))
+        gaps[j] = 0.0
+        gaps[j] = 1e-3 * gaps[1:].sum() / (1.0 - 1e-3)
+    levels = np.cumsum(gaps) - 1.0
     levels = levels * 10.0 ** rng.uniform(-3.0, 3.0)
     return levels[np.concatenate([np.arange(d), rng.integers(0, d, n - d)])], d
 
@@ -249,10 +258,13 @@ def test_commutant_and_closure_of_complex_generators(name, n, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
-def test_algebra_of_one_complex_hermitian_is_abelian(n, seed):
+@given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+       clustered=st.booleans())
+def test_algebra_of_one_complex_hermitian_is_abelian(n, seed, clustered):
+    # clustered levels are where word_closure_basis loses a direction, so
+    # the check is against the constructed eigenprojectors
     rng = np.random.default_rng(seed)
-    w, distinct = spectrum_with_repeats(rng, n)
+    w, distinct = spectrum_with_repeats(rng, n, clustered)
     U = haar_unitary(rng, n)
     H = (U * w) @ U.conj().T
     alg = MatrixStarAlgebra.generated_by([H])
@@ -267,6 +279,74 @@ def test_algebra_of_one_complex_hermitian_is_abelian(n, seed):
     atoms = spectral_decompose(H).atoms
     assert len(atoms) == distinct
     assert len(center(MatrixStarAlgebra([P for _, P in atoms]))) == distinct
+
+
+def commutant_case(name, rng, n):
+    """(generators, commutant dimension) of one named family at dimension
+    about n, in a Haar-random basis where one is used."""
+    if name == "multiplicity":
+        n = 2 * (n // 2)
+    elif name == "gaps":
+        n = max(n, 4)
+    U = haar_unitary(rng, n)
+    if name == "pair":
+        return random_mats(rng, n, 2), 1
+    if name == "hermitian":
+        w, _ = spectrum_with_repeats(rng, n)
+        return [(U * w) @ U.conj().T], sum(np.sum(w == x) ** 2 for x in set(w))
+    if name == "two_blocks":
+        return two_block_pair(rng, n, int(rng.integers(1, n)),
+                              hermitian=False), 2
+    if name == "multiplicity":
+        # M_2 (x) I_m: a generic h has two m-fold eigenvalues
+        m = n // 2
+        return [U @ np.kron(A, np.eye(m)) @ U.conj().T
+                for A in random_mats(rng, 2, 2)], m * m
+    if name == "nilpotent":
+        N = np.triu(random_mats(rng, n, 1)[0], 1)
+        return [U @ N @ U.conj().T], 1
+    if name == "gaps":
+        # levels 1e-12 apart commute at the cutoff, levels 1e-6 apart do not
+        w = np.cumsum(rng.uniform(0.1, 0.25, n))
+        w[1], w[3] = w[0] + 1e-12 * w[-1], w[2] + 1e-6 * w[-1]
+        return [(U * w) @ U.conj().T], n + 2
+    return [], n * n  # scalars alone
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["pair", "hermitian", "two_blocks", "multiplicity",
+                             "nilpotent", "gaps", "scalars"]),
+       n=st.integers(2, 8), scalars=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_commutant_matches_kronecker_oracle(name, n, scalars, seed):
+    rng = np.random.default_rng(seed)
+    gens, dim_c = commutant_case(name, rng, n)
+    n = gens[0].shape[0] if gens else n
+    if scalars or not gens:  # the zero matrix and multiples of I
+        U = haar_unitary(rng, n)
+        gens = gens + [np.zeros((n, n)), 3.0 * np.eye(n),
+                       U @ (0.7j * np.eye(n)) @ U.conj().T]
+    prime = commutant(gens)
+    want = commutant_oracle(gens, n)
+    assert len(prime) == len(want) == dim_c
+    assert span_gap(prime, want) <= 1e-8
+    again = commutant(gens)
+    assert len(again) == len(prime)
+    assert all(np.array_equal(X, Y) for X, Y in zip(prime, again))
+
+
+def test_commutant_of_two_complex_generators_at_n64_is_scalars():
+    gens = random_mats(np.random.default_rng(64), 64, 2)
+    commutant(random_mats(np.random.default_rng(0), 8, 2))  # warm up BLAS
+    elapsed = []  # best of three, so that a burst of load elsewhere passes
+    for _ in range(3):
+        t0 = time.perf_counter()
+        prime = commutant(gens)
+        elapsed.append(time.perf_counter() - t0)
+    assert len(prime) == 1
+    X = prime[0]
+    assert frobenius(X - np.trace(X) / 64 * np.eye(64)) <= 1e-10
+    assert min(elapsed) <= 1.0
 
 
 def _benchmark_shapes():
