@@ -44,38 +44,72 @@ class MaxIterExceeded(RuntimeError):
         self.residual = float(residual)
 
 
+# Entries per slice of a stack check: the temporaries stay a few MB at any
+# stack length, and a frame of n <= 16 is checked in one slice.
+_CHECK_SLICE = 1 << 16
+
+
+def _fro_rows(S):
+    """frobenius() of each matrix of a (k, n, n) stack, bit for bit: the same
+    dot products of the real and imaginary parts (_fro_batch sums otherwise)."""
+    re, im = S.real.reshape(len(S), -1), S.imag.reshape(len(S), -1)
+    sq = re[:, None] @ re[:, :, None] + im[:, None] @ im[:, :, None]
+    return np.sqrt(sq.reshape(len(S)))
+
+
+def _ranks(stack, tol):
+    """Ranks of a (k, n, n) stack of projectors. Raises NotProjector with the
+    defect of the first matrix whose largest Hermiticity, idempotency or
+    trace-gap defect exceeds tol or is NaN."""
+    tol = DEFAULT_TOL if tol is None else float(tol)
+    step = max(1, _CHECK_SLICE // max(1, stack.shape[-1] ** 2))
+    ranks = []
+    for lo in range(0, len(stack), step):
+        S = stack[lo:lo + step]
+        tr = S.trace(axis1=1, axis2=2).real
+        rounded = np.rint(tr)
+        herm = _fro_rows(S - S.conj().transpose(0, 2, 1))
+        idem = _fro_rows(S @ S - S)
+        defect = np.maximum(np.maximum(herm, idem), np.abs(tr - rounded))
+        ok = defect <= tol
+        if not ok.all():
+            raise NotProjector(defect[ok.argmin()])
+        ranks += rounded.astype(int).tolist()
+    return ranks
+
+
 class Projector:
     """Validated orthogonal projector: P = P* = P^2, integer trace."""
 
     __slots__ = ("dim", "matrix", "rank")
 
     def __init__(self, matrix, tol=None):
-        tol = DEFAULT_TOL if tol is None else float(tol)
         P = require_square(as_matrix(matrix))
-        herm = frobenius(P - P.conj().T)
-        idem = frobenius(P @ P - P)
-        tr = P.trace().real
-        trace_gap = abs(tr - round(tr))
-        defect = max(herm, idem, trace_gap)
-        if defect > tol:
-            raise NotProjector(defect)
-        self.matrix = P
-        self.matrix.setflags(write=False)
-        self.dim = P.shape[0]
-        self.rank = int(round(tr))
+        self._admit(P, _ranks(P[None], tol)[0])
+
+    def _admit(self, P, rank):
+        P.setflags(write=False)
+        self.matrix, self.dim, self.rank = P, P.shape[0], rank
+        return self
 
     def __repr__(self):
         return f"Projector(dim={self.dim}, rank={self.rank})"
+
+
+def _projectors(stack, tol=None) -> list:
+    """Projectors of a complex (k, n, n) stack, checked as one stack: the first
+    matrix that Projector refuses raises the same NotProjector. The stack is
+    made read-only and each projector's matrix is a view of it."""
+    ranks = _ranks(stack, tol)
+    stack.setflags(write=False)
+    return [Projector.__new__(Projector)._admit(M, r) for M, r in zip(stack, ranks)]
 
 
 def span_projector(vectors, tol=None) -> Projector:
     """Projector onto the span of a vector or a sequence of vectors."""
     arr = np.asarray(vectors, dtype=complex)
     cols = arr[:, None] if arr.ndim == 1 else arr.T
-    u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    keep = s > _SPAN_RTOL * max(1.0, float(s[0]) if s.size else 0.0)
-    basis = u[:, keep]
-    return Projector(basis @ basis.conj().T, tol=tol)
+    return Projector(_union_span_projector([cols], cols.shape[0]), tol=tol)
 
 
 def zero_projector(dim) -> Projector:
@@ -173,9 +207,8 @@ def commuting_decomposition(P: Projector, Q: Projector, tol=None):
     tol = DEFAULT_TOL if tol is None else float(tol)
     _same_dim(P, Q)
     overlap = P.matrix @ Q.matrix
-    c3 = Projector(overlap, tol=100 * tol)
-    c1 = Projector(P.matrix - overlap, tol=100 * tol)
-    c2 = Projector(Q.matrix - Q.matrix @ P.matrix, tol=100 * tol)
+    c3, c1, c2 = _projectors(np.array(
+        [overlap, P.matrix - overlap, Q.matrix - Q.matrix @ P.matrix]), 100 * tol)
     return c1, c2, c3
 
 

@@ -257,12 +257,17 @@ def func_calculus(pvm, f) -> np.ndarray:
 
     f may be a mapping from labels to values (the discrete sampled form) or
     a callable evaluated at each label. A Hermitian operator is accepted in
-    place of a PVM and decomposed with the default clustering.
+    place of a PVM and decomposed with the default clustering. A value that
+    is not finite raises ValueError naming its label, before any product.
     """
     if isinstance(pvm, HermitianOperator) or isinstance(pvm, np.ndarray):
         pvm = spectral_decompose(pvm)
     sample = (lambda lab: _lookup_sample(f, lab)) if isinstance(f, Mapping) else f
-    return atom_sum(pvm, np.array([complex(sample(lab)) for lab in pvm._labels]))
+    values = np.array([complex(sample(lab)) for lab in pvm._labels])
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"f({pvm._labels[bad[0]]!r}) = {values[bad[0]]} is not finite")
+    return atom_sum(pvm, values)
 
 
 def _commute_defect(p, q):

@@ -5,10 +5,11 @@ witness that no state is two-valued on the projector lattice.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .lattice import Projector
+from .lattice import Projector, _projectors
 from .linalg import (
     _PHASE_FLOOR,
     DEFAULT_TOL,
@@ -240,53 +241,36 @@ def purity(rho: DensityState) -> float:
 
 # --- tomography -----------------------------------------------------------
 
+# the pairs (j, k), j < k, of an n x n upper triangle in row-major order
+_upper_pairs = lru_cache(maxsize=64)(partial(np.triu_indices, k=1))
+
+
 def tomography_frame(dim) -> list:
     """The standard informationally complete rank-1 family: basis rays e_j,
     then (e_j + e_k)/sqrt2 and (e_j + i e_k)/sqrt2 for j < k. Exactly dim^2
-    projectors, in a fixed deterministic order."""
+    projectors, in a fixed deterministic order, checked as one stack."""
     eye = np.eye(dim)
-    frame = [Projector(np.outer(eye[j], eye[j])) for j in range(dim)]
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            v = (eye[j] + eye[k]) / np.sqrt(2.0)
-            frame.append(Projector(np.outer(v, v.conj())))
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            v = (eye[j] + 1j * eye[k]) / np.sqrt(2.0)
-            frame.append(Projector(np.outer(v, v.conj())))
-    return frame
+    j, k = _upper_pairs(dim)
+    rays = np.concatenate([eye, (eye[j] + eye[k]) / np.sqrt(2.0),
+                           (eye[j] + 1j * eye[k]) / np.sqrt(2.0)])
+    return _projectors(rays[:, :, None] * rays.conj()[:, None, :])
 
 
-def _herm_coordinate_row(P):
-    """Row of real coefficients r with tr(T P) = r . theta, where theta is
-    the real parametrization of Hermitian T: diagonal entries, then Re and
-    Im of the upper triangle."""
-    n = P.shape[0]
-    row = [P[j, j].real for j in range(n)]
-    for j in range(n):
-        for k in range(j + 1, n):
-            row.append(2.0 * P[k, j].real)
-    for j in range(n):
-        for k in range(j + 1, n):
-            row.append(-2.0 * P[k, j].imag)
-    return row
+def _herm_coordinates(stack):
+    """Design matrix of a (k, n, n) stack: row r holds the real coefficients
+    with tr(T P_r) = row . theta, where theta is the real parametrization of
+    Hermitian T: diagonal entries, then Re and Im of the upper triangle."""
+    n = stack.shape[-1]
+    j, k = _upper_pairs(n)
+    return np.hstack([stack[:, range(n), range(n)].real,
+                      2.0 * stack[:, k, j].real, -2.0 * stack[:, k, j].imag])
 
 
 def _herm_from_coordinates(theta, n):
-    T = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        T[j, j] = theta[j]
-    pos = n
-    for j in range(n):
-        for k in range(j + 1, n):
-            T[j, k] += theta[pos]
-            T[k, j] += theta[pos]
-            pos += 1
-    for j in range(n):
-        for k in range(j + 1, n):
-            T[j, k] += 1j * theta[pos]
-            T[k, j] += -1j * theta[pos]
-            pos += 1
+    j, k = _upper_pairs(n)
+    T = np.diag(np.asarray(theta[:n], dtype=complex))
+    T[j, k] = theta[n:n + j.size] + 1j * theta[n + j.size:]
+    T[k, j] = T[j, k].conj()
     return T
 
 
@@ -307,9 +291,10 @@ def gleason_fit(assignments, fit_tol=1e-6) -> GleasonFit:
     pairs = [(_proj_matrix(P), float(p)) for P, p in assignments]
     if not pairs:
         raise ValueError("no assignments given")
-    n = pairs[0][0].shape[0]
+    stack = np.array([M for M, _ in pairs])
+    n = stack.shape[-1]
     needed = n * n
-    design = np.array([_herm_coordinate_row(P) for P, _ in pairs])
+    design = _herm_coordinates(stack)
     probs = np.array([p for _, p in pairs])
     rank = int(np.linalg.matrix_rank(design, tol=1e-10 * max(1.0, n)))
     if rank < needed:
@@ -324,9 +309,8 @@ def gleason_fit(assignments, fit_tol=1e-6) -> GleasonFit:
         raise InconsistentAssignments(1.0)
     T = (v * (w / total)) @ v.conj().T
 
-    residual = max(
-        abs(float((T @ P).trace().real) - p) for P, p in pairs
-    )
+    residual = float(np.abs(
+        np.trace(T @ stack, axis1=1, axis2=2).real - probs).max())
     if residual > fit_tol:
         raise InconsistentAssignments(residual)
     return GleasonFit(DensityState(T), residual, rank, n == 2)

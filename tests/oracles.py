@@ -273,3 +273,51 @@ def joint_atoms_dense(families):
                  for label, M in atoms for lab, P in family
                  if np.trace(M @ P).real >= 0.5]
     return sorted(atoms, key=lambda atom: atom[0])
+
+
+# --- tomography loops: one frame member, one design row, one entry at a time ---
+
+def tomography_frame_loop(n):
+    """The rays e_j, then (e_j + e_k)/sqrt2 and (e_j + i e_k)/sqrt2 for
+    j < k, each as its own outer product."""
+    eye = np.eye(n)
+    frame = [np.outer(eye[j], eye[j]) for j in range(n)]
+    for phase in (1.0, 1j):
+        for j in range(n):
+            for k in range(j + 1, n):
+                v = (eye[j] + phase * eye[k]) / np.sqrt(2.0)
+                frame.append(np.outer(v, v.conj()))
+    return frame
+
+
+def herm_coordinate_row_loop(P):
+    """Real coefficients r with tr(T P) = r . theta, theta the diagonal of a
+    Hermitian T, then Re and Im of its upper triangle, entry by entry."""
+    n = P.shape[0]
+    row = [P[j, j].real for j in range(n)]
+    for j in range(n):
+        for k in range(j + 1, n):
+            row.append(2.0 * P[k, j].real)
+    for j in range(n):
+        for k in range(j + 1, n):
+            row.append(-2.0 * P[k, j].imag)
+    return row
+
+
+def herm_from_coordinates_loop(theta, n):
+    """The Hermitian T of the coordinates theta, entry by entry."""
+    T = np.zeros((n, n), dtype=complex)
+    for j in range(n):
+        T[j, j] = theta[j]
+    pos = n
+    for j in range(n):
+        for k in range(j + 1, n):
+            T[j, k] += theta[pos]
+            T[k, j] += theta[pos]
+            pos += 1
+    for j in range(n):
+        for k in range(j + 1, n):
+            T[j, k] += 1j * theta[pos]
+            T[k, j] += -1j * theta[pos]
+            pos += 1
+    return T

@@ -1,6 +1,7 @@
 """Command-line surface: JSON in, JSON out, exit-code taxonomy."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +89,17 @@ def test_removed_seed_and_report_flags_are_refused(tmp_path, capsys):
     assert run(["ccr", "--n", "4", "--report",
                 str(tmp_path / "r.json")]) == 2
     capsys.readouterr()
+
+
+def test_funcalc_refuses_an_infinite_function_value(tmp_path, capsys):
+    infile = write_json(tmp_path / "big.json",
+                        matrix_to_json(np.diag([1e200, 1.0])))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["funcalc", "--in", infile, "--f", "square"]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: f(1e+200)")
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # ||A||_F

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oplattice import lattice
 from oplattice import (
     MaxIterExceeded,
     NotComparable,
@@ -25,6 +26,8 @@ from oplattice import (
     zero_projector,
 )
 
+from oplattice.lattice import _projectors
+
 from oracles import span_projector_oracle
 
 
@@ -45,6 +48,73 @@ def test_validation_rejects_non_idempotent_and_non_hermitian():
         Projector(np.array([[0.5, 0.5], [0.5, 0.5]]) * 1.2)
     with pytest.raises(NotProjector):
         Projector(np.array([[1.0, 0.3], [0.0, 0.0]]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # P @ P
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_idempotency_defect_lost_to_overflow_is_refused():
+    # Hermitian with trace 0, but P @ P is inf - inf = NaN off the diagonal
+    with pytest.raises(NotProjector) as info:
+        Projector(np.array([[1e200, 1e200], [1e200, -1e200]]))
+    assert np.isnan(info.value.defect)
+
+
+def _refused(kind, n):
+    """A matrix of the given kind that Projector refuses."""
+    M = np.zeros((n, n), dtype=complex)
+    M[0, 0] = 1.0
+    if kind == "non_hermitian":
+        M[0, 1] = 1e-6
+    elif kind == "non_idempotent":
+        M[0, 0], M[1, 1] = 2.0, -1.0  # Hermitian, trace 1
+    elif kind == "fractional_trace":
+        M[0, 0] = 0.5
+    else:
+        M[1, 1] = np.nan
+    return M
+
+
+@pytest.mark.parametrize(
+    "kind", ["non_hermitian", "non_idempotent", "fractional_trace", "nan"])
+def test_stack_check_refuses_what_projector_refuses(kind, monkeypatch):
+    rng = np.random.default_rng(17)
+    n = 4
+    good = [random_projector(rng, n, r).matrix for r in (0, 1, 2, 3, 4, 2, 1)]
+    first = _refused(kind, n)
+    later = _refused("non_hermitian" if kind == "nan" else "nan", n)
+    later[2, 3] += 0.25  # a defect of its own
+    stack = good[:3] + [first] + good[3:5] + [later] + good[5:]
+    with pytest.raises(ValueError) as alone:
+        Projector(first)
+    # one slice, then slices of two matrices so the first refusal is in the second
+    for entries in (lattice._CHECK_SLICE, 2 * n * n):
+        monkeypatch.setattr(lattice, "_CHECK_SLICE", entries)
+        with pytest.raises(NotProjector) as stacked:
+            _projectors(np.array(stack))
+        if kind == "nan":  # Projector's as_matrix refuses NaN before the check
+            assert np.isnan(stacked.value.defect)
+        else:
+            assert type(alone.value) is NotProjector
+            assert stacked.value.defect == alone.value.defect
+
+
+@pytest.mark.parametrize("entries", [1 << 16, 32])
+def test_stack_check_admits_what_projector_admits(entries, monkeypatch):
+    rng = np.random.default_rng(19)
+    n = 4
+    noisy = [random_projector(rng, n, r).matrix + 1e-7 * np.eye(n) / n
+             for r in (0, 1, 2, 3, 4, 2)]
+    monkeypatch.setattr(lattice, "_CHECK_SLICE", entries)
+    stack = np.array(noisy)
+    got = _projectors(stack, tol=1e-5)
+    with pytest.raises(NotProjector):
+        _projectors(np.array(noisy))
+    for P, M in zip(got, noisy):
+        alone = Projector(M, tol=1e-5)
+        assert (P.rank, P.dim) == (alone.rank, alone.dim)
+        assert np.array_equal(P.matrix, M) and P.matrix.base is stack
+        assert not P.matrix.flags.writeable
+    assert not stack.flags.writeable
 
 
 def test_span_matches_qr_oracle():

@@ -1,5 +1,7 @@
 """Spectral decomposition, functional calculus, and joint diagonalization."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,6 +116,16 @@ def test_sampled_function_table_and_missing_label():
     np.testing.assert_allclose(near, np.diag([3.0, 2.0]), atol=1e-11)
     with pytest.raises(MissingSample):
         func_calculus(pvm, {1.0: 3.0})
+
+
+def test_non_finite_function_value_is_refused_before_the_product():
+    pvm = spectral_decompose(np.diag([1e200, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"f\(1e\+200\) = \(inf\+0j\)"):
+            func_calculus(pvm, lambda x: x * x)
+        with pytest.raises(ValueError, match=r"f\(-1\.0\)"):
+            func_calculus(spectral_decompose(SZ), {-1.0: np.nan, 1.0: 1.0})
 
 
 def test_joint_atoms_match_diagonal_oracle():

@@ -1,7 +1,11 @@
 """States, Born rule, collapse chains, state recovery, and band witnesses."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oplattice import (
     DensityState,
@@ -24,6 +28,13 @@ from oplattice import (
     std_deviation,
     tomography_frame,
     transition_probability,
+)
+from oplattice.states import _herm_coordinates, _herm_from_coordinates
+
+from oracles import (
+    herm_coordinate_row_loop,
+    herm_from_coordinates_loop,
+    tomography_frame_loop,
 )
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -118,6 +129,106 @@ def test_tomography_frame_is_informationally_complete():
         assert frobenius(fit.state.matrix - rho.matrix) <= 1e-8
         assert fit.frame_rank == n * n
         assert not fit.dim_two_warning
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_frame_and_design_match_the_loops(n):
+    rng = np.random.default_rng(n)
+    frame = tomography_frame(n)
+    loops = tomography_frame_loop(n)
+    assert len(frame) == len(loops) == n * n
+    for P, M in zip(frame, loops):
+        assert np.array_equal(P.matrix, M) and P.rank == 1
+    # the frame, then general complex matrices, whose imaginary parts all count
+    general = rng.standard_normal((5, n, n)) + 1j * rng.standard_normal((5, n, n))
+    for stack in (np.array([P.matrix for P in frame]), general):
+        rows = [herm_coordinate_row_loop(M) for M in stack]
+        assert np.array_equal(_herm_coordinates(stack), np.array(rows))
+    theta = rng.standard_normal(n * n)
+    assert np.array_equal(_herm_from_coordinates(theta, n),
+                          herm_from_coordinates_loop(theta, n))
+
+
+def test_frame_matrices_are_read_only():
+    for P in tomography_frame(3):
+        assert not P.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            P.matrix[0, 0] = 0.0
+
+
+def test_frame_check_memory_stays_near_the_frame_itself():
+    # the n^2 matrices themselves take 16 n^4 bytes; the check is sliced
+    n = 32
+    tracemalloc.start()
+    try:
+        tomography_frame(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 16 * n ** 4
+
+
+def _orthonormal_columns(rng, n, r):
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return np.linalg.qr(z)[0][:, :r]
+
+
+def _random_state(rng, n, rank, spread=0.0):
+    """A complex density matrix of the given rank, its weights spread over
+    `spread` decades."""
+    basis = _orthonormal_columns(rng, n, rank)
+    w = 10.0 ** (-spread * rng.uniform(size=rank))
+    return DensityState((basis * (w / w.sum())) @ basis.conj().T)
+
+
+def _random_projector(rng, n):
+    basis = _orthonormal_columns(rng, n, int(rng.integers(1, n + 1)))
+    return Projector(basis @ basis.conj().T)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.integers(2, 16).flatmap(
+           lambda n: st.tuples(st.just(n), st.integers(1, n))),
+       spread=st.sampled_from([0.0, 4.0, 8.0]), seed=st.integers(0, 2**32 - 1))
+def test_gleason_fit_recovers_random_complex_states(shape, spread, seed):
+    n, rank = shape
+    rho = _random_state(np.random.default_rng(seed), n, rank, spread)
+    frame = tomography_frame(n)
+    fit = gleason_fit([(P, born_probability(rho, P)) for P in frame])
+    assert frobenius(fit.state.matrix - rho.matrix) <= 1e-8
+    assert fit.residual <= 1e-10
+    assert fit.frame_rank == n * n
+    assert fit.dim_two_warning == (n == 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 16), rank=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
+def test_luders_collapse_matches_the_direct_product(n, rank, seed):
+    rng = np.random.default_rng(seed)
+    rho = _random_state(rng, n, min(rank, n))
+    P = _random_projector(rng, n)
+    p = float(np.trace(rho.matrix @ P.matrix).real)
+    assume(p > 1e-3)  # below it, rounding in either route is amplified by 1/p
+    direct = P.matrix @ rho.matrix @ P.matrix / p
+    assert frobenius(luders_collapse(rho, P).matrix - direct) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 16), length=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_sequential_probability_matches_direct_products(n, length, seed):
+    rng = np.random.default_rng(seed)
+    rho = _random_state(rng, n, int(rng.integers(1, n + 1)))
+    chain = [_random_projector(rng, n) for _ in range(length)]
+
+    def direct(order):
+        state = rho.matrix
+        for P in order:
+            state = P.matrix @ state @ P.matrix
+        return float(np.trace(state).real)
+
+    seq = sequential_probability(rho, chain)
+    assert abs(seq.value - direct(chain)) <= 1e-12
+    assert abs(seq.reversed_value - direct(chain[::-1])) <= 1e-12
 
 
 def test_gleason_fit_flags_dim_two():
