@@ -8,6 +8,7 @@ from collections import namedtuple
 
 import numpy as np
 
+from .lattice import _CHECK_SLICE
 from .linalg import (
     DEFAULT_TOL,
     DimensionMismatch,
@@ -89,7 +90,8 @@ def commutant(generators, dim=None) -> list:
     h = W + W^* for W = sum_i c_i G_i, fixed pseudo-random c_i, is in the
     generated *-algebra, so every X commuting with it is V (+)_a X_a V^* for
     h's eigenblocks V_a (merged eigenvalues only enlarge a block). _kernel
-    solves [G~, X~] = 0, G~ = V^* G V and its adjoint, for the block entries.
+    solves [G~, X~] = 0, G~ = V^* B V over an orthonormal basis B of
+    span{G, G^*} (one SVD, _NULLSPACE_RTOL cutoff), for the block entries.
     Generators within _NULLSPACE_RTOL of a multiple of I constrain nothing;
     with none left the commutant is M_n, as the matrix-unit basis."""
     mats = _as_generator_list(generators, dim)
@@ -103,8 +105,10 @@ def commutant(generators, dim=None) -> list:
     pvm = spectral_decompose(W + W.conj().T)
     V = np.hstack([B for _, B in pvm.blocks])
     owner = np.repeat(np.arange(len(pvm)), pvm.ranks)
-    H = G.conj().transpose(0, 2, 1)  # adjoints, where they add constraints
-    Gt = V.conj().T @ np.concatenate([G, H[(H != G).any(axis=(1, 2))]]) @ V
+    _, s, B = np.linalg.svd(np.concatenate([G, G.conj().transpose(0, 2, 1)])
+                            .reshape(2 * len(G), -1), full_matrices=False)
+    B = B[:np.sum(s > _NULLSPACE_RTOL * s[0])].reshape(-1, n, n)
+    Gt = V.conj().T @ B @ V
     # unknown u is X~[cs_u, ds_u]; column u of L holds [G~, E_u]
     cs, ds = np.nonzero(owner[:, None] == owner)
     u = np.arange(len(cs))
@@ -121,9 +125,7 @@ def double_commutant(generators, dim=None) -> list:
     """Basis of the algebra the generators actually generate: the commutant
     of their commutant. This is the smallest *-algebra with unit containing
     them, so it doubles as a closure operation."""
-    mats = _as_generator_list(generators, dim)
-    n = mats[0].shape[0] if mats else dim
-    return commutant(commutant(mats, n), n)
+    return commutant(commutant(generators, dim), dim)
 
 
 def _span_residual(span, X):
@@ -135,10 +137,10 @@ def _span_residual(span, X):
 
 class MatrixStarAlgebra:
     """A concrete *-algebra: the span of a basis that is verified to be
-    closed under adjoints and products and to contain the identity. _span
-    holds an orthonormal basis of that span, one flattened matrix per row."""
+    closed under adjoints and products and to contain the identity. _span is
+    an orthonormal basis of it (flattened rows), _prime its kept commutant."""
 
-    __slots__ = ("dim", "basis", "_span")
+    __slots__ = ("dim", "basis", "_span", "_prime")
 
     def __init__(self, basis, tol=None):
         tol = DEFAULT_TOL if tol is None else float(tol)
@@ -162,17 +164,28 @@ class MatrixStarAlgebra:
             raise NotClosedUnderProducts(worst)
         if k < n * n:
             # k = n^2 means the span is everything, products included.
-            worst = max(_span_residual(span, A @ stack).max() for A in stack)
+            # A_i A_j for the pairs p = i k + j, _CHECK_SLICE entries a slice
+            i, j = np.divmod(np.arange(k * k), k)
+            step = max(1, _CHECK_SLICE // (n * n))
+            worst = max(_span_residual(
+                span, stack[i[lo:lo + step]] @ stack[j[lo:lo + step]]).max()
+                for lo in range(0, k * k, step))
             if worst > tol * scale * scale:
                 raise NotClosedUnderProducts(worst)
 
         self.dim = n
         self.basis = mats
         self._span = span
+        self._prime = None
 
     @classmethod
     def generated_by(cls, generators, dim=None):
-        return cls(double_commutant(generators, dim))
+        """The algebra A the generators generate, the commutant of their
+        commutant A', which it keeps for center and is_factor."""
+        prime = commutant(generators, dim)
+        algebra = cls(commutant(prime, dim))
+        algebra._prime = prime
+        return algebra
 
     def contains(self, X, tol=ALGEBRA_MEMBER_TOL) -> bool:
         X = require_square(as_matrix(X))
@@ -195,16 +208,20 @@ class MatrixStarAlgebra:
 
 def center(algebra: MatrixStarAlgebra) -> list:
     """Frobenius-orthonormal basis of the center A ∩ A': X = sum_j c_j C_j
-    over the orthonormal basis C_j of A' (the commutant of A's basis) is
-    central exactly when c is in the kernel of c -> (X off A's span)."""
+    over the orthonormal basis C_j of A' is central exactly when c is in the
+    kernel of c -> (X off A's span). A' is the one the algebra keeps, or the
+    commutant of A's basis, computed here once and kept."""
     n, span = algebra.dim, algebra._span
-    prime = np.array(commutant(span.reshape(-1, n, n))).reshape(-1, n * n)
+    if algebra._prime is None:
+        algebra._prime = commutant(span.reshape(-1, n, n))
+    prime = np.array(algebra._prime).reshape(-1, n * n)
     x = _kernel((prime - (prime @ span.conj().T) @ span).T)
     return list((x @ prime).reshape(-1, n, n))
 
 
 def is_factor(algebra: MatrixStarAlgebra) -> bool:
-    """Trivial center, i.e. multiples of the identity only."""
+    """Trivial center, i.e. multiples of the identity only; center's kernel
+    step on the commutant the algebra keeps."""
     return len(center(algebra)) == 1
 
 

@@ -316,13 +316,11 @@ def cmd_gleason_fit(args):
 def cmd_commutant(args):
     obj = _load_json(args.infile)
     gens = [_matrix_of(m, "generators") for m in _field(obj, "generators")]
-    dim = obj.get("dim")
-    prime = commutant(gens, dim)
-    bicom = commutant(prime, dim)
-    centre = center(MatrixStarAlgebra(bicom))
+    alg = MatrixStarAlgebra.generated_by(gens, obj.get("dim"))
+    centre = center(alg)
     return {
-        "commutant_dimension": len(prime),
-        "double_commutant_dimension": len(bicom),
+        "commutant_dimension": len(alg._prime),
+        "double_commutant_dimension": alg.linear_dimension(),
         "center_dimension": len(centre),
         "is_factor": len(centre) == 1,
         "tolerance_used": args.tol,

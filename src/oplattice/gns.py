@@ -42,6 +42,27 @@ class InputIsPure(ValueError):
         super().__init__("input state is pure; the demo needs a mixed one")
 
 
+def _axiom_residuals(c, s, u):
+    """(axiom, residual array, power of the scale in its bound) for the
+    structure constants c, involution s and unit u, in checking order; each
+    contraction is one BLAS product."""
+    n = u.size
+    # (b_i b_j) b_l - b_i (b_j b_l) at ijlq, (b_i b_j)^* - b_j^* b_i^* at ijq
+    assoc = (c.reshape(-1, n) @ c.reshape(n, -1)).reshape((n,) * 4) \
+        - np.tensordot(c, c, axes=(1, 2)).transpose(0, 2, 3, 1)
+    anti = c.conj() @ s \
+        - np.tensordot(s, np.tensordot(s, c, axes=(1, 0)), axes=(1, 1))
+    units = np.stack([np.tensordot(u, c, axes=1),  # 1 b_j and b_i 1
+                      np.tensordot(c, u, axes=(1, 0))])
+    return [
+        ("associativity", assoc, 2),
+        ("involution squaring to the identity", s.conj() @ s - np.eye(n), 0),
+        ("the adjoint of a product", anti, 1),
+        ("the unit acting as identity", units - np.eye(n), 1),
+        ("self-adjointness of the unit", u.conj() @ s - u, 0),
+    ]
+
+
 class AbstractStarAlgebra:
     """Finite-dimensional unital *-algebra in coordinates.
 
@@ -62,36 +83,10 @@ class AbstractStarAlgebra:
                 f"shape mismatch: mult {c.shape}, invol {s.shape}, unit {n}"
             )
         scale = max(1.0, float(np.abs(c).max()))
-
-        assoc = np.einsum("ijp,plq->ijlq", c, c) \
-            - np.einsum("jlp,ipq->ijlq", c, c)
-        defect = float(np.abs(assoc).max())
-        if defect > tol * scale * scale:
-            raise DegenerateAlgebra("associativity", defect)
-
-        invol_sq = s.conj() @ s - np.eye(n)
-        defect = float(np.abs(invol_sq).max())
-        if defect > tol:
-            raise DegenerateAlgebra("involution squaring to the identity",
-                                    defect)
-
-        anti = np.einsum("ijk,kq->ijq", c.conj(), s) \
-            - np.einsum("jk,il,klq->ijq", s, s, c)
-        defect = float(np.abs(anti).max())
-        if defect > tol * scale:
-            raise DegenerateAlgebra("the adjoint of a product", defect)
-
-        eye = np.eye(n)
-        left = np.einsum("i,ijq->jq", u, c) - eye
-        right = np.einsum("j,ijq->iq", u, c) - eye
-        defect = float(max(np.abs(left).max(), np.abs(right).max()))
-        if defect > tol * scale:
-            raise DegenerateAlgebra("the unit acting as identity", defect)
-
-        star_u = np.einsum("i,ik->k", u.conj(), s)
-        defect = float(np.abs(star_u - u).max())
-        if defect > tol:
-            raise DegenerateAlgebra("self-adjointness of the unit", defect)
+        for what, resid, power in _axiom_residuals(c, s, u):
+            defect = float(np.abs(resid).max())
+            if defect > tol * scale ** power:
+                raise DegenerateAlgebra(what, defect)
 
         self.n_basis = n
         self.mult = c
@@ -127,7 +122,7 @@ class AlgebraicState:
         if abs(unit_value - 1.0) > tol:
             raise NotAState("the unit is not sent to 1",
                             abs(unit_value - 1.0))
-        G = np.einsum("ik,kjp,p->ij", algebra.invol, algebra.mult, w)
+        G = algebra.invol @ (algebra.mult @ w)
         herm = float(np.abs(G - G.conj().T).max())
         if herm > tol * max(1.0, float(np.abs(G).max())):
             raise NotAState("Gram matrix is not Hermitian", herm)
@@ -182,19 +177,13 @@ def verify_gns(triple: GNSTriple, alg: AbstractStarAlgebra,
     psi = np.asarray(triple.cyclic_vector, dtype=complex).reshape(-1)
     n = alg.n_basis
 
-    hom = max(
-        frobenius(M[i] @ M[j]
-                  - np.einsum("k,kab->ab", alg.mult[i, j], stack))
-        for i in range(n) for j in range(n)
-    )
-    inv = max(
-        frobenius(M[i].conj().T
-                  - np.einsum("k,kab->ab", alg.invol[i], stack))
-        for i in range(n)
-    )
-    unit = frobenius(
-        np.einsum("i,iab->ab", alg.unit, stack) - np.eye(triple.rep_dim)
-    )
+    hom = max(  # pi(b_i) pi(b_j) - pi(b_i b_j), one batch per left factor i
+        float(np.linalg.norm(M[i] @ stack - np.tensordot(
+            alg.mult[i], stack, axes=1), axis=(1, 2)).max()) for i in range(n))
+    inv = float(np.linalg.norm(stack.conj().transpose(0, 2, 1) - np.tensordot(
+        alg.invol, stack, axes=1), axis=(1, 2)).max())
+    unit = frobenius(np.tensordot(alg.unit, stack, axes=1)
+                     - np.eye(triple.rep_dim))
     expect = max(
         abs(complex(psi.conj() @ (M[i] @ psi)) - complex(omega.values[i]))
         for i in range(n)
@@ -273,26 +262,31 @@ def folium_state(triple: GNSTriple, T, alg: AbstractStarAlgebra) -> AlgebraicSta
 
 def algebra_from_matrices(mats, tol=_AXIOM_TOL) -> AbstractStarAlgebra:
     """Structure constants of a concrete matrix basis, expanded by least
-    squares. The basis must be independent, closed under products and
-    adjoints, and contain the identity; failures surface as residuals."""
+    squares through one SVD of it. The basis must be independent (relative
+    cutoff 1e-10), closed under products and adjoints, and contain the
+    identity; failures surface as residuals."""
     mats = [require_square(as_matrix(M)) for M in mats]
     if not mats:
         raise ValueError("empty basis")
     n = mats[0].shape[0]
     k = len(mats)
     V = np.stack([M.reshape(-1) for M in mats], axis=1)
-    if np.linalg.matrix_rank(V, tol=1e-10) < k:
+    U, sv, Wh = np.linalg.svd(V, full_matrices=False)
+    if np.sum(sv > 1e-10 * sv[0]) < k:
         raise ValueError("basis matrices are linearly dependent")
 
     def expand(rhs, what):
-        sol, *_ = np.linalg.lstsq(V, rhs, rcond=None)
+        # parts apart: a complex quotient multiplies by a rounded reciprocal
+        coef = U.conj().T @ rhs
+        sol = Wh.conj().T @ (coef.real / sv[:, None]
+                             + 1j * (coef.imag / sv[:, None]))
         resid = float(np.abs(V @ sol - rhs).max())
         if resid > tol * max(1.0, float(np.abs(rhs).max())):
             raise ValueError(f"{what} does not stay in the span "
                              f"(residual {resid:.3e})")
         return sol
 
-    u = expand(np.eye(n, dtype=complex).reshape(-1), "the identity")
+    u = expand(np.eye(n, dtype=complex).reshape(-1, 1), "the identity")[:, 0]
     adj = np.stack([M.conj().T.reshape(-1) for M in mats], axis=1)
     s = expand(adj, "an adjoint").T
     prods = np.stack(
@@ -306,7 +300,8 @@ def algebra_from_matrices(mats, tol=_AXIOM_TOL) -> AbstractStarAlgebra:
 def state_from_density(alg: AbstractStarAlgebra, mats, rho) -> AlgebraicState:
     """The algebraic state a density operator induces on a concrete basis."""
     rho = rho if isinstance(rho, DensityState) else DensityState(rho)
-    values = [complex(np.trace(rho.matrix @ as_matrix(M))) for M in mats]
+    stack = np.array([as_matrix(M) for M in mats])
+    values = np.tensordot(stack, rho.matrix, axes=([1, 2], [1, 0]))
     return AlgebraicState(alg, values)
 
 

@@ -296,10 +296,10 @@ def gleason_fit(assignments, fit_tol=1e-6) -> GleasonFit:
     needed = n * n
     design = _herm_coordinates(stack)
     probs = np.array([p for _, p in pairs])
-    rank = int(np.linalg.matrix_rank(design, tol=1e-10 * max(1.0, n)))
+    theta, _, _, sing = np.linalg.lstsq(design, probs, rcond=None)
+    rank = int(np.sum(sing > 1e-10 * max(1.0, n)))
     if rank < needed:
         raise UnderdeterminedFrame(rank, needed)
-    theta, *_ = np.linalg.lstsq(design, probs, rcond=None)
     T = _herm_from_coordinates(theta, n)
 
     w, v = np.linalg.eigh(T)

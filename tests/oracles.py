@@ -321,3 +321,57 @@ def herm_from_coordinates_loop(theta, n):
             T[k, j] += -1j * theta[pos]
             pos += 1
     return T
+
+
+# --- GNS loops: plain einsum sums and one product pair at a time ---
+
+def axiom_residuals_loop(c, s, u):
+    """Residual arrays of the *-algebra axioms for structure constants c,
+    involution s and unit u, by axiom name, each an unoptimized einsum sum
+    over the defining indices."""
+    eye = np.eye(u.size)
+    return {
+        "associativity": np.einsum("ijp,plq->ijlq", c, c)
+        - np.einsum("jlp,ipq->ijlq", c, c),
+        "involution squaring to the identity":
+            np.einsum("ij,jk->ik", s.conj(), s) - eye,
+        "the adjoint of a product": np.einsum("ijk,kq->ijq", c.conj(), s)
+        - np.einsum("jk,il,klq->ijq", s, s, c),
+        "the unit acting as identity": np.stack(
+            [np.einsum("i,ijq->jq", u, c) - eye,
+             np.einsum("j,ijq->iq", u, c) - eye]),
+        "self-adjointness of the unit": np.einsum("i,ik->k", u.conj(), s) - u,
+    }
+
+
+def gram_loop(invol, mult, values):
+    """Gram matrix of a functional, entry (i, j) its value on b_i^* b_j."""
+    return np.einsum("ik,kjp,p->ij", invol, mult, values)
+
+
+def density_values_loop(mats, rho):
+    """tr(rho M) for each matrix M, one trace at a time."""
+    return np.array([np.trace(rho @ M) for M in mats])
+
+
+def gns_residuals_loop(images, mult, invol, unit, psi, values):
+    """The residuals verify_gns reports, one pair of images at a time: the
+    largest Frobenius norm of pi(b_i) pi(b_j) - pi(b_i b_j) and of
+    pi(b_i)^* - pi(b_i^*), that of pi(1) - I, and the largest
+    |<psi, pi(b_i) psi> - omega(b_i)|."""
+    stack = np.stack(images)
+    k = len(images)
+    return {
+        "homomorphism": max(
+            np.linalg.norm(images[i] @ images[j]
+                           - np.einsum("k,kab->ab", mult[i, j], stack))
+            for i in range(k) for j in range(k)),
+        "involution": max(
+            np.linalg.norm(images[i].conj().T
+                           - np.einsum("k,kab->ab", invol[i], stack))
+            for i in range(k)),
+        "unit": np.linalg.norm(np.einsum("i,iab->ab", unit, stack)
+                               - np.eye(len(psi))),
+        "expectation": max(abs(psi.conj() @ images[i] @ psi - values[i])
+                           for i in range(k)),
+    }

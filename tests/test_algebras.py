@@ -367,16 +367,65 @@ def _benchmark_shapes():
 
 
 def test_center_matches_oracle_and_is_orthonormal():
+    """For the algebra generated_by builds, which keeps the commutant it
+    computed, and for the same basis as a new algebra, whose center
+    computes the commutant and keeps it."""
     for gens, dim_z in _benchmark_shapes():
         alg = MatrixStarAlgebra.generated_by(gens)
-        n = alg.dim
-        centre = center(alg)
-        want = center_oracle(alg.basis, n)
-        assert len(centre) == len(want) == dim_z
-        assert span_gap(centre, want) <= 1e-8
-        flat = np.array([Z.reshape(-1) for Z in centre])
-        gram = flat.conj() @ flat.T
-        assert frobenius(gram - np.eye(len(centre))) <= 1e-10
+        assert span_gap(alg._prime, commutant(alg.basis)) <= 1e-8
+        want = center_oracle(alg.basis, alg.dim)
+        direct = MatrixStarAlgebra(alg.basis)
+        for algebra in (alg, direct):
+            centre = center(algebra)
+            assert len(centre) == len(want) == dim_z
+            assert span_gap(centre, want) <= 1e-8
+            assert is_factor(algebra) == (dim_z == 1)
+            flat = np.array([Z.reshape(-1) for Z in centre])
+            gram = flat.conj() @ flat.T
+            assert frobenius(gram - np.eye(len(centre))) <= 1e-10
+        assert span_gap(direct._prime, alg._prime) <= 1e-8
+
+
+@settings(max_examples=20, deadline=None)
+@given(d=st.integers(1, 3), m=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_commutant_of_adjoint_closed_sets_matches_oracle(d, m, seed):
+    """Sets whose span is closed under adjoints: the matrix units of M_d
+    tensored with I_m, as a GNS representation of M_d has them, in a
+    Haar-random basis (commutant I_d (x) M_m), and the basis of the algebra
+    they generate."""
+    rng = np.random.default_rng(seed)
+    U = haar_unitary(rng, d * m)
+    units = [U @ np.kron(E, np.eye(m)) @ U.conj().T
+             for E in np.eye(d * d).reshape(d * d, d, d)]
+    prime = commutant(units)
+    want = commutant_oracle(units, d * m)
+    assert len(prime) == len(want) == m * m
+    assert span_gap(prime, want) <= 1e-8
+    basis = MatrixStarAlgebra.generated_by(units).basis
+    assert len(basis) == d * d
+    prime = commutant(basis)
+    want = commutant_oracle(basis, d * m)
+    assert len(prime) == len(want) == m * m
+    assert span_gap(prime, want) <= 1e-8
+
+
+def test_closure_gate_refuses_a_product_in_the_last_slice(monkeypatch):
+    """D1, D2 and X = diag(1, 2, 3, 0) in a Haar basis: every product is in
+    their span but X X, the last pair; the full diagonal algebra, with X X
+    added, passes. Slices of one, two and all products agree."""
+    U = haar_unitary(np.random.default_rng(11), 4)
+    D1, D2, X = (U * w @ U.conj().T for w in
+                 ([1, 1, 1, 0], [0, 0, 0, 1], [1, 2, 3, 0]))
+    defects = []
+    for pairs in (1, 2, 9):
+        monkeypatch.setattr("oplattice.algebras._CHECK_SLICE", pairs * 16)
+        with pytest.raises(NotClosedUnderProducts) as info:
+            MatrixStarAlgebra([D1, D2, X])
+        defects.append(info.value.defect)
+        assert MatrixStarAlgebra([D1, D2, X, X @ X]).linear_dimension() == 4
+    assert defects[0] > 0.1
+    np.testing.assert_allclose(defects, defects[0], rtol=1e-12)
 
 
 def test_word_closure_spans_eigenprojectors_of_spread_spectrum():

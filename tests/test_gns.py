@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oplattice import (
     AbstractStarAlgebra,
@@ -11,6 +13,7 @@ from oplattice import (
     InputIsPure,
     NotAState,
     algebra_from_matrices,
+    commutant,
     folium_state,
     frobenius,
     gns_construct,
@@ -22,7 +25,15 @@ from oplattice import (
     verify_gns,
 )
 
-from oracles import gram_rank_bruteforce
+from oplattice.gns import _axiom_residuals
+
+from oracles import (
+    axiom_residuals_loop,
+    density_values_loop,
+    gns_residuals_loop,
+    gram_loop,
+    gram_rank_bruteforce,
+)
 
 
 def matrix_units(n):
@@ -214,3 +225,78 @@ def test_mixed_state_paradox_report():
 
     with pytest.raises(InputIsPure):
         mixed_to_vector_paradox_demo(np.diag([1.0, 0.0]))
+
+
+def test_basis_independence_is_judged_at_every_scale():
+    units = matrix_units(2)
+    ref = algebra_from_matrices(units)
+    for scale in (1e-11, 1.0, 1e6):
+        alg = algebra_from_matrices([scale * E for E in units])
+        np.testing.assert_allclose(alg.mult, scale * ref.mult, rtol=1e-12,
+                                   atol=0.0)
+        np.testing.assert_allclose(alg.invol, ref.invol, atol=1e-12)
+        np.testing.assert_allclose(alg.unit, ref.unit / scale, rtol=1e-12,
+                                   atol=0.0)
+        with pytest.raises(ValueError, match="linearly dependent"):
+            algebra_from_matrices([scale * np.eye(2), 2.0 * scale * np.eye(2)])
+
+
+def haar_unitary(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n))
+                        + 1j * rng.standard_normal((n, n)))
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(2, 5), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_gns_of_random_rank_r_states(n, data, seed):
+    """A rank-r density matrix on M_n, both it and the matrix-unit basis
+    in Haar-random complex bases: representation of dimension n r, a
+    commutant of dimension r^2, purity exactly at r = 1, and the batched
+    residuals equal to the loop routes."""
+    r = data.draw(st.integers(1, n), label="r")
+    rng = np.random.default_rng(seed)
+    U, B = haar_unitary(rng, n), haar_unitary(rng, n)
+    units = [B @ E @ B.conj().T for E in matrix_units(n)]
+    alg = algebra_from_matrices(units)
+    p = rng.uniform(0.1, 1.0, r)
+    rho = (U[:, :r] * (p / p.sum())) @ U[:, :r].conj().T
+    omega = state_from_density(alg, units, rho)
+    np.testing.assert_allclose(omega.values, density_values_loop(units, rho),
+                               rtol=0.0, atol=1e-12)
+    gram = gram_loop(alg.invol, alg.mult, omega.values)
+    np.testing.assert_allclose(omega.gram, (gram + gram.conj().T) / 2.0,
+                               rtol=0.0, atol=1e-12)
+
+    triple = gns_construct(alg, omega)
+    assert triple.rep_dim == n * r
+    check = verify_gns(triple, alg, omega)
+    assert check["ok"], check
+    # on the triple and on a tampered one, whose residuals are O(1e-2)
+    noise = 1e-2 * rng.standard_normal((len(units), n * r, n * r))
+    for t in (triple, triple._replace(pi_images=list(
+            np.array(triple.pi_images) + noise))):
+        got = verify_gns(t, alg, omega)["residuals"]
+        want = gns_residuals_loop(t.pi_images, alg.mult, alg.invol,
+                                  alg.unit, t.cyclic_vector, omega.values)
+        for key, value in want.items():
+            assert abs(got[key] - value) <= 1e-12, key
+    assert len(commutant(triple.pi_images, triple.rep_dim)) == r * r
+    assert is_pure_state(alg, omega) == (r == 1)
+
+    # the algebra and the mutations of test_axiom_violations_are_caught on
+    # M_n, which must be refused
+    bad_c = alg.mult.copy()
+    bad_c[0, 1, 2] += 0.05
+    e0 = np.eye(n * n, dtype=complex)[0]
+    mutants = [(bad_c, alg.invol, alg.unit),
+               (alg.mult, np.eye(n * n, dtype=complex), alg.unit),
+               (alg.mult, alg.invol, e0)]
+    for c, s, u in [(alg.mult, alg.invol, alg.unit)] + mutants:
+        loops = axiom_residuals_loop(c, s, u)
+        for what, resid, _ in _axiom_residuals(c, s, u):
+            assert np.abs(resid - loops[what]).max() <= 1e-12, what
+    for c, s, u in mutants:
+        with pytest.raises(DegenerateAlgebra):
+            AbstractStarAlgebra(c, s, u)
