@@ -11,6 +11,8 @@ import numpy as np
 from .lattice import _CHECK_SLICE
 from .linalg import (
     DEFAULT_TOL,
+    NULLSPACE_RTOL,
+    SOLVER_TOL,
     DimensionMismatch,
     _fro_batch,
     as_matrix,
@@ -18,15 +20,8 @@ from .linalg import (
     require_square,
     require_same_dim,
 )
-from .spectral import (
-    ALGEBRA_MEMBER_TOL,
-    CENTRAL_CHARGE_TOL,
-    NonCommuting,
-    joint_pvm,
-    spectral_decompose,
-)
+from .spectral import NonCommuting, joint_pvm, spectral_decompose
 
-_NULLSPACE_RTOL = 1e-9
 _WEIGHT_SEED = 1729  # commutant's generic element, fixed: bit-stable results
 
 
@@ -80,7 +75,7 @@ def _kernel(L):
     if L.shape[0] > 2 * L.shape[1]:
         L = np.linalg.qr(L, mode="r")
     _, s, vh = np.linalg.svd(L, full_matrices=False)
-    return vh[np.sum(s > _NULLSPACE_RTOL * max(1.0, *s[:1])):].conj()
+    return vh[np.sum(s > NULLSPACE_RTOL * max(1.0, *s[:1])):].conj()
 
 
 def commutant(generators, dim=None) -> list:
@@ -91,13 +86,13 @@ def commutant(generators, dim=None) -> list:
     generated *-algebra, so every X commuting with it is V (+)_a X_a V^* for
     h's eigenblocks V_a (merged eigenvalues only enlarge a block). _kernel
     solves [G~, X~] = 0, G~ = V^* B V over an orthonormal basis B of
-    span{G, G^*} (one SVD, _NULLSPACE_RTOL cutoff), for the block entries.
-    Generators within _NULLSPACE_RTOL of a multiple of I constrain nothing;
+    span{G, G^*} (one SVD, NULLSPACE_RTOL cutoff), for the block entries.
+    Generators within NULLSPACE_RTOL of a multiple of I constrain nothing;
     with none left the commutant is M_n, as the matrix-unit basis."""
     mats = _as_generator_list(generators, dim)
     n = mats[0].shape[0] if mats else dim
     G = np.array([M / frobenius(M) for M in mats if frobenius(
-        M - np.trace(M) / n * np.eye(n)) > _NULLSPACE_RTOL * frobenius(M)])
+        M - np.trace(M) / n * np.eye(n)) > NULLSPACE_RTOL * frobenius(M)])
     if not len(G):
         return _matrix_units(n)
     c = np.random.default_rng(_WEIGHT_SEED).uniform(0.5, 1.0, (len(G), 2))
@@ -107,7 +102,7 @@ def commutant(generators, dim=None) -> list:
     owner = np.repeat(np.arange(len(pvm)), pvm.ranks)
     _, s, B = np.linalg.svd(np.concatenate([G, G.conj().transpose(0, 2, 1)])
                             .reshape(2 * len(G), -1), full_matrices=False)
-    B = B[:np.sum(s > _NULLSPACE_RTOL * s[0])].reshape(-1, n, n)
+    B = B[:np.sum(s > NULLSPACE_RTOL * s[0])].reshape(-1, n, n)
     Gt = V.conj().T @ B @ V
     # unknown u is X~[cs_u, ds_u]; column u of L holds [G~, E_u]
     cs, ds = np.nonzero(owner[:, None] == owner)
@@ -142,8 +137,7 @@ class MatrixStarAlgebra:
 
     __slots__ = ("dim", "basis", "_span", "_prime")
 
-    def __init__(self, basis, tol=None):
-        tol = DEFAULT_TOL if tol is None else float(tol)
+    def __init__(self, basis):
         mats = [require_square(as_matrix(B)) for B in basis]
         if not mats:
             raise ValueError("empty basis")
@@ -153,14 +147,14 @@ class MatrixStarAlgebra:
         stack = np.array(mats)
 
         _, s, span = np.linalg.svd(stack.reshape(k, -1), full_matrices=False)
-        if np.sum(s > _NULLSPACE_RTOL * s[0]) < k:
+        if np.sum(s > NULLSPACE_RTOL * s[0]) < k:
             raise ValueError("basis matrices are linearly dependent")
 
         scale = max(1.0, max(frobenius(M) for M in mats))
-        if _span_residual(span, np.eye(n))[0] > tol * np.sqrt(n):
+        if _span_residual(span, np.eye(n))[0] > DEFAULT_TOL * np.sqrt(n):
             raise ValueError("algebra does not contain the identity")
         worst = _span_residual(span, stack.conj().transpose(0, 2, 1)).max()
-        if worst > tol * scale:
+        if worst > DEFAULT_TOL * scale:
             raise NotClosedUnderProducts(worst)
         if k < n * n:
             # k = n^2 means the span is everything, products included.
@@ -170,7 +164,7 @@ class MatrixStarAlgebra:
             worst = max(_span_residual(
                 span, stack[i[lo:lo + step]] @ stack[j[lo:lo + step]]).max()
                 for lo in range(0, k * k, step))
-            if worst > tol * scale * scale:
+            if worst > DEFAULT_TOL * scale * scale:
                 raise NotClosedUnderProducts(worst)
 
         self.dim = n
@@ -187,14 +181,16 @@ class MatrixStarAlgebra:
         algebra._prime = prime
         return algebra
 
-    def contains(self, X, tol=ALGEBRA_MEMBER_TOL) -> bool:
+    def contains(self, X) -> bool:
+        """Span distance within SOLVER_TOL * max(1, ||X||_F), above the
+        null-space solver's noise in the basis."""
         X = require_square(as_matrix(X))
         if X.shape[0] != self.dim:
             raise DimensionMismatch(
                 f"element dim {X.shape[0]} vs algebra dim {self.dim}"
             )
         resid = _span_residual(self._span, X)[0]
-        return float(resid) <= tol * max(1.0, frobenius(X))
+        return float(resid) <= SOLVER_TOL * max(1.0, frobenius(X))
 
     def linear_dimension(self) -> int:
         return len(self.basis)
@@ -236,15 +232,17 @@ SuperselectionReport = namedtuple(
 )
 
 
-def superselection_sectors(charges, observables, tol=None) -> SuperselectionReport:
+def superselection_sectors(charges, observables,
+                           tol=DEFAULT_TOL) -> SuperselectionReport:
     """Split the Hilbert space by the joint eigenvalues of commuting central
     charges, and restrict the observable algebra to each block.
 
     Each charge must commute with every other charge and with every
     observable. Each sector carries the compressed observable algebra and an
-    irreducibility verdict (commutant trivial inside the block).
+    irreducibility verdict (commutant trivial inside the block). [Q, G] is
+    held to max(tol, SOLVER_TOL) * max(1, ||Q||_F): it keeps two products'
+    rounding.
     """
-    tol = DEFAULT_TOL if tol is None else float(tol)
     charge_mats = [require_square(as_matrix(Q)) for Q in charges]
     obs_mats = [require_square(as_matrix(G)) for G in observables]
     if not charge_mats:
@@ -258,7 +256,7 @@ def superselection_sectors(charges, observables, tol=None) -> SuperselectionRepo
         raise NonCommutingCharges(*exc.pair) from exc
     for idx, Q in enumerate(charge_mats):
         defect = float(_fro_batch(Q @ obs - obs @ Q).max(initial=0.0))
-        if defect > max(tol, CENTRAL_CHARGE_TOL) * max(1.0, frobenius(Q)):
+        if defect > max(tol, SOLVER_TOL) * max(1.0, frobenius(Q)):
             raise NonCentralCharge(idx, defect)
 
     offdiag = 0.0

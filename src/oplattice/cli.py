@@ -52,6 +52,8 @@ from .lattice import (
     neg,
 )
 from .linalg import (
+    DEFAULT_TOL,
+    PRODUCT_TOL,
     ConvergenceFailure,
     HermitianOperator,
     as_matrix,
@@ -210,7 +212,6 @@ def cmd_spectral(args):
                   for (label, P), r in zip(pvm.atoms, pvm.ranks)],
         "residuals": pvm_residuals(pvm),
         "reconstruction_residual": frobenius(rebuilt - A.matrix),
-        "tolerance_used": args.tol,
     }
 
 
@@ -235,7 +236,6 @@ def cmd_funcalc(args):
             [float(label), complex(f(float(label), args.t))]
             for label in pvm.labels
         ],
-        "tolerance_used": args.tol,
     }
 
 
@@ -254,7 +254,6 @@ def cmd_lattice(args):
         "commutes": commutes(P, Q, tol=args.tol),
         "jauch_gap": frobenius(iterated.matrix - both.matrix),
         "jauch_multiplications": len(log),
-        "tolerance_used": args.tol,
     }
 
 
@@ -269,14 +268,10 @@ def cmd_measure(args):
             "value": seq.value,
             "reversed_value": seq.reversed_value,
             "chain_length": len(chain),
-            "tolerance_used": args.tol,
         }
     P = Projector(_matrix_of(_field(obj, "projector"), "projector"),
                   tol=args.tol)
-    return {
-        "probability": born_probability(rho, P, tol=args.tol),
-        "tolerance_used": args.tol,
-    }
+    return {"probability": born_probability(rho, P, tol=args.tol)}
 
 
 def cmd_collapse(args):
@@ -290,7 +285,6 @@ def cmd_collapse(args):
         "probability": p,
         "post_state": post.matrix,
         "post_purity": purity(post),
-        "tolerance_used": args.tol,
     }
 
 
@@ -309,7 +303,6 @@ def cmd_gleason_fit(args):
         "frame_rank": fit.frame_rank,
         "dim_two_warning": fit.dim_two_warning,
         "assignments": len(pairs),
-        "tolerance_used": args.tol,
     }
 
 
@@ -323,7 +316,6 @@ def cmd_commutant(args):
         "double_commutant_dimension": alg.linear_dimension(),
         "center_dimension": len(centre),
         "is_factor": len(centre) == 1,
-        "tolerance_used": args.tol,
     }
 
 
@@ -344,7 +336,6 @@ def _sectors_report(obj, tol):
             for s in rep.sectors
         ],
         "offdiagonal_defect": rep.offdiag_defect,
-        "tolerance_used": tol,
     }
 
 
@@ -365,7 +356,6 @@ def cmd_evolve(args):
         "group_law_defect": frobenius(half @ half - U),
         "t": args.t,
         "hbar": args.hbar,
-        "tolerance_used": args.tol,
     }
 
 
@@ -380,7 +370,6 @@ def cmd_noether(args):
         "dynamical_symmetry": rep.dynamical_symmetry,
         "h_invariance": rep.h_invariance,
         "defects": rep.defects,
-        "tolerance_used": args.tol,
     }
 
 
@@ -408,7 +397,6 @@ def cmd_dyson(args):
         "nodes": len(samples),
         "t1": args.t1,
         "t2": args.t2,
-        "tolerance_used": args.tol,
     }
 
 
@@ -434,7 +422,6 @@ def _ccr_report(n, m, omega, hbar, tol):
             "irreducible": svn["irreducible"],
             "minimum_defect_bound": svn["minimum_defect_bound"],
         },
-        "tolerance_used": tol,
     }
 
 
@@ -445,7 +432,7 @@ def cmd_ccr(args):
 def _gns_report(alg, values, tol):
     omega = AlgebraicState(alg, values)
     triple = gns_construct(alg, omega)
-    check = verify_gns(triple, alg, omega, tol=max(tol, 1e-9))
+    check = verify_gns(triple, alg, omega, tol=max(tol, PRODUCT_TOL))
     prime = commutant(triple.pi_images, triple.rep_dim)
     return {
         "rep_dim": triple.rep_dim,
@@ -453,7 +440,6 @@ def _gns_report(alg, values, tol):
         "pure": len(prime) == 1,
         "verify": check,
         "cyclic_vector_norm": float(np.linalg.norm(triple.cyclic_vector)),
-        "tolerance_used": tol,
     }
 
 
@@ -480,7 +466,6 @@ def _demo_c2_distributivity(data, args):
         "lhs_equals_p1_defect": frobenius(left.matrix - P1.matrix),
         "rhs_equals_zero_defect": frobenius(right.matrix),
         "distributive": False,
-        "tolerance_used": args.tol,
     }
 
 
@@ -496,7 +481,6 @@ def _demo_spin_ccr(data, args):
         "group_law_defect": rep["group_law_defect"],
         "quadratic_invariant": quad,
         "invariant_gap": frobenius(quad - expected * np.eye(2)),
-        "tolerance_used": args.tol,
     }
 
 
@@ -537,7 +521,12 @@ def cmd_demo(args):
     return report
 
 
-HANDLERS = {
+def _reporting(handler):
+    """The handler, its report carrying the tolerance the run used."""
+    return lambda args: dict(handler(args), tolerance_used=args.tol)
+
+
+HANDLERS = {name: _reporting(handler) for name, handler in {
     "spectral": cmd_spectral,
     "funcalc": cmd_funcalc,
     "lattice": cmd_lattice,
@@ -552,7 +541,7 @@ HANDLERS = {
     "ccr": cmd_ccr,
     "gns": cmd_gns,
     "demo": cmd_demo,
-}
+}.items()}
 
 
 @functools.cache
@@ -564,8 +553,9 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--tol", type=float, default=None,
-                       help="tolerance (default: OPLATTICE_TOL or 1e-10)")
+        p.add_argument(
+            "--tol", type=float, default=None,
+            help=f"tolerance (default: OPLATTICE_TOL or {DEFAULT_TOL})")
         p.add_argument("--hbar", type=float, default=1.0)
         p.add_argument("--out", default=None,
                        help="report path (default: stdout)")
@@ -630,7 +620,7 @@ def _resolve_tol(args):
             return float(env)
         except ValueError:
             raise MalformedInput(f"OPLATTICE_TOL={env!r} is not a number")
-    return 1e-10
+    return DEFAULT_TOL
 
 
 def run(argv) -> int:

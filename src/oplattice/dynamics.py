@@ -10,6 +10,10 @@ from collections import namedtuple
 import numpy as np
 
 from .linalg import (
+    ABS_FLOOR,
+    FIT_TOL,
+    PRODUCT_TOL,
+    SOLVER_TOL,
     DimensionMismatch,
     HermitianOperator,
     UnitaryOperator,
@@ -29,8 +33,6 @@ MAX_DYSON_ORDER = 12
 # Incommensurate times, so a periodic generator cannot fake commutation by
 # hitting a revival at every grid point.
 DEFAULT_NOETHER_GRID = (0.1, 0.37, 1.0)
-
-DEFAULT_STENCIL = (1e-3, 5e-4, -5e-4, -1e-3)
 
 
 class InconsistentGroup(ValueError):
@@ -120,14 +122,14 @@ def _unitary_matrix(U):
     return U.matrix if isinstance(U, UnitaryOperator) else as_matrix(U)
 
 
-def generator_from_group(samples, group_tol=1e-8, recon_tol=1e-6,
-                         hbar=1.0) -> HermitianOperator:
+def generator_from_group(samples, hbar=1.0) -> HermitianOperator:
     """Recover H from samples (t, U_t) of U_t = exp(-i t H / hbar).
 
     Uses the central difference i*hbar*(U_t - U_{-t})/(2t) at the smallest
     sampled pair, Richardson-extrapolated against the half-step pair when
-    the stencil contains one. The group law and a full reconstruction of
-    the samples are verified before the result is returned.
+    the stencil contains one. The group law (within SOLVER_TOL) and a full
+    reconstruction of the samples (within FIT_TOL) are verified before the
+    result is returned.
     """
     table = {}
     for t, U in samples:
@@ -140,7 +142,7 @@ def generator_from_group(samples, group_tol=1e-8, recon_tol=1e-6,
 
     if 0.0 in table:
         defect = frobenius(table[0.0] - eye)
-        if defect > group_tol:
+        if defect > SOLVER_TOL:
             raise InconsistentGroup(defect)
 
     pos = sorted(t for t in table if t > 0 and -t in table)
@@ -159,20 +161,20 @@ def generator_from_group(samples, group_tol=1e-8, recon_tol=1e-6,
         # group-law consistency of the stencil itself
         half = table[t_full / 2.0]
         defect = frobenius(half @ half - table[t_full])
-        if defect > group_tol:
+        if defect > SOLVER_TOL:
             raise InconsistentGroup(defect)
         D = (4.0 * central(t_full / 2.0) - central(t_full)) / 3.0
     else:
         D = central(pos[0])
 
     herm_defect = frobenius(D - D.conj().T)
-    if herm_defect > max(group_tol, 1e-8) * max(1.0, frobenius(D)):
+    if herm_defect > SOLVER_TOL * max(1.0, frobenius(D)):
         raise NotHermitianResult(herm_defect)
     H = HermitianOperator(D, tol=np.inf)
 
     recon = _evolve_grid(spectral_decompose(H), list(table), hbar)
     worst = float(_fro_batch(recon - np.stack(list(table.values()))).max())
-    if worst > recon_tol:
+    if worst > FIT_TOL:
         raise InconsistentGroup(worst)
     return H
 
@@ -193,7 +195,7 @@ NoetherReport = namedtuple(
 )
 
 
-def noether_check(A, H, t_grid=None, s_grid=None, tol=1e-9,
+def noether_check(A, H, t_grid=None, s_grid=None, tol=PRODUCT_TOL,
                   hbar=1.0) -> NoetherReport:
     """Evaluate the three equivalent faces of conservation on finite grids:
     invariance of A under the H-evolution, commutation of the two unitary
@@ -229,7 +231,7 @@ def noether_check(A, H, t_grid=None, s_grid=None, tol=1e-9,
     return NoetherReport(*flags, defects)
 
 
-def commuting_via_groups(A, B, grid=None, tol=1e-9, hbar=1.0) -> bool:
+def commuting_via_groups(A, B, grid=None, tol=PRODUCT_TOL, hbar=1.0) -> bool:
     """Group-level compatibility test: exp(-itA) and exp(-isB) commute for
     every (t, s) in the grid. Agrees with the spectral-measure test."""
     A = _herm(A)
@@ -256,7 +258,7 @@ def _prepare_grid(samples, t1, t2):
         raise ValueError("sample times must be distinct")
     if t1 > t2:
         raise ValueError(f"t1 {t1} exceeds t2 {t2}")
-    if t1 < taus[0] - 1e-12 or t2 > taus[-1] + 1e-12:
+    if t1 < taus[0] - ABS_FLOOR or t2 > taus[-1] + ABS_FLOOR:
         raise ValueError("samples do not cover the requested interval")
     stack = np.stack([H for _, H in pairs])
 
@@ -266,7 +268,8 @@ def _prepare_grid(samples, t1, t2):
         lam = 0.0 if hi == lo else (t - lo) / (hi - lo)
         return (1.0 - lam) * stack[j - 1] + lam * stack[j]
 
-    inner = [(t, Hm) for (t, Hm) in pairs if t1 + 1e-12 < t < t2 - 1e-12]
+    inner = [(t, Hm) for (t, Hm) in pairs
+             if t1 + ABS_FLOOR < t < t2 - ABS_FLOOR]
     grid = [(float(t1), at(t1))] + inner + [(float(t2), at(t2))]
     return grid
 
@@ -333,8 +336,8 @@ class SymmetryOperator:
 
     __slots__ = ("dim", "matrix", "antiunitary")
 
-    def __init__(self, matrix, antiunitary=False, tol=None):
-        U = UnitaryOperator(matrix, tol=tol)
+    def __init__(self, matrix, antiunitary=False):
+        U = UnitaryOperator(matrix)
         self.matrix = U.matrix
         self.dim = U.dim
         self.antiunitary = bool(antiunitary)
@@ -400,7 +403,7 @@ class MultiplierTable:
 
     __slots__ = ("elements", "omega")
 
-    def __init__(self, elements, omega, tol=1e-9):
+    def __init__(self, elements, omega):
         self.elements = list(elements)
         table = {}
         for g in self.elements:
@@ -409,7 +412,7 @@ class MultiplierTable:
                     z = complex(omega[(g, h)])
                 except KeyError:
                     raise ValueError(f"multiplier missing for ({g!r}, {h!r})")
-                if abs(abs(z) - 1.0) > tol:
+                if abs(abs(z) - 1.0) > PRODUCT_TOL:
                     raise ValueError(
                         f"multiplier for ({g!r}, {h!r}) has modulus {abs(z)}"
                     )
@@ -420,7 +423,7 @@ class MultiplierTable:
         return self.omega[(g, h)]
 
 
-def cocycle_check(table: MultiplierTable, group_mult, tol=1e-9) -> bool:
+def cocycle_check(table: MultiplierTable, group_mult) -> bool:
     """Associativity constraint on the multipliers, over every triple:
     omega(g1,g2) omega(g1 g2, g3) = omega(g1, g2 g3) omega(g2, g3).
     When an identity element is present the equal-normalization consequence
@@ -432,7 +435,7 @@ def cocycle_check(table: MultiplierTable, group_mult, tol=1e-9) -> bool:
                 lhs = table(g1, g2) * table(group_mult(g1, g2), g3)
                 rhs = table(g1, group_mult(g2, g3)) * table(g2, g3)
                 defect = abs(lhs - rhs)
-                if defect > tol:
+                if defect > PRODUCT_TOL:
                     raise NotACocycle(g1, g2, g3, defect)
     identity = None
     for e in els:
@@ -442,13 +445,13 @@ def cocycle_check(table: MultiplierTable, group_mult, tol=1e-9) -> bool:
     if identity is not None:
         for g in els:
             defect = abs(table(g, identity) - table(identity, g))
-            if defect > tol:
+            if defect > PRODUCT_TOL:
                 raise NotACocycle(g, identity, identity, defect)
     return True
 
 
-def multipliers_from_operators(elements, group_mult, operators,
-                               tol=1e-8) -> MultiplierTable:
+def multipliers_from_operators(elements, group_mult,
+                               operators) -> MultiplierTable:
     """Read the multipliers off a concrete projective family:
     U_g U_h = omega(g,h) U_{gh}. Each pair is verified to actually satisfy
     the relation with the extracted phase."""
@@ -463,7 +466,7 @@ def multipliers_from_operators(elements, group_mult, operators,
             z = complex(np.trace(prod @ np.linalg.inv(target))) / dim
             z = z / abs(z)
             defect = frobenius(prod - z * target)
-            if defect > tol * max(1.0, frobenius(target)):
+            if defect > SOLVER_TOL * max(1.0, frobenius(target)):
                 raise ValueError(
                     f"operators are not projective on ({g!r}, {h!r}): "
                     f"defect {defect:.3e}"

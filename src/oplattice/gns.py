@@ -10,15 +10,16 @@ from collections import namedtuple
 import numpy as np
 
 from .algebras import _matrix_units, commutant
-from .linalg import DimensionMismatch, as_matrix, frobenius, require_square
+from .linalg import (
+    PRODUCT_TOL,
+    RANK_RTOL,
+    SOLVER_TOL,
+    DimensionMismatch,
+    as_matrix,
+    frobenius,
+    require_square,
+)
 from .states import DensityState, is_pure
-
-# Gram eigenvalues at or below this fraction of the top one are treated as
-# exact zeros of the quotient. All shipped fixtures keep their spectral gap
-# many orders above it.
-GNS_NULL_RTOL = 1e-10
-
-_AXIOM_TOL = 1e-8
 
 
 class DegenerateAlgebra(ValueError):
@@ -43,10 +44,13 @@ class InputIsPure(ValueError):
 
 
 def _axiom_residuals(c, s, u):
-    """(axiom, residual array, power of the scale in its bound) for the
-    structure constants c, involution s and unit u, in checking order; each
-    contraction is one BLAS product."""
+    """(axiom, residual array, scale of its bound) for the structure
+    constants c, involution s and unit u, in checking order; each
+    contraction is one BLAS product. The scales are m^2, 1, m, m with
+    m = max(1, max |c|), then max |u| for u^* s - u, linear in u: a floor at
+    1 would blind it on a large basis, whose unit has small coordinates."""
     n = u.size
+    scale = max(1.0, float(np.abs(c).max()))
     # (b_i b_j) b_l - b_i (b_j b_l) at ijlq, (b_i b_j)^* - b_j^* b_i^* at ijq
     assoc = (c.reshape(-1, n) @ c.reshape(n, -1)).reshape((n,) * 4) \
         - np.tensordot(c, c, axes=(1, 2)).transpose(0, 2, 3, 1)
@@ -55,11 +59,12 @@ def _axiom_residuals(c, s, u):
     units = np.stack([np.tensordot(u, c, axes=1),  # 1 b_j and b_i 1
                       np.tensordot(c, u, axes=(1, 0))])
     return [
-        ("associativity", assoc, 2),
-        ("involution squaring to the identity", s.conj() @ s - np.eye(n), 0),
-        ("the adjoint of a product", anti, 1),
-        ("the unit acting as identity", units - np.eye(n), 1),
-        ("self-adjointness of the unit", u.conj() @ s - u, 0),
+        ("associativity", assoc, scale ** 2),
+        ("involution squaring to the identity", s.conj() @ s - np.eye(n), 1.0),
+        ("the adjoint of a product", anti, scale),
+        ("the unit acting as identity", units - np.eye(n), scale),
+        ("self-adjointness of the unit", u.conj() @ s - u,
+         float(np.abs(u).max())),
     ]
 
 
@@ -68,12 +73,13 @@ class AbstractStarAlgebra:
 
     mult[i, j, k] are the coefficients of b_i b_j on b_k, invol[i, k] those
     of the adjoint of b_i, unit the coordinates of the identity. All algebra
-    axioms are verified numerically at construction.
+    axioms are verified numerically at construction, each within SOLVER_TOL
+    times the scale _axiom_residuals gives it.
     """
 
     __slots__ = ("n_basis", "mult", "invol", "unit")
 
-    def __init__(self, mult_tensor, invol_matrix, unit_coeffs, tol=_AXIOM_TOL):
+    def __init__(self, mult_tensor, invol_matrix, unit_coeffs):
         c = np.asarray(mult_tensor, dtype=complex)
         s = np.asarray(invol_matrix, dtype=complex)
         u = np.asarray(unit_coeffs, dtype=complex).reshape(-1)
@@ -82,10 +88,9 @@ class AbstractStarAlgebra:
             raise ValueError(
                 f"shape mismatch: mult {c.shape}, invol {s.shape}, unit {n}"
             )
-        scale = max(1.0, float(np.abs(c).max()))
-        for what, resid, power in _axiom_residuals(c, s, u):
+        for what, resid, scale in _axiom_residuals(c, s, u):
             defect = float(np.abs(resid).max())
-            if defect > tol * scale ** power:
+            if defect > SOLVER_TOL * scale:
                 raise DegenerateAlgebra(what, defect)
 
         self.n_basis = n
@@ -108,27 +113,29 @@ class AbstractStarAlgebra:
 class AlgebraicState:
     """Normalized positive functional, held as its values on the basis.
     Positivity is the Gram condition: the matrix of values on b_i* b_j must
-    be positive semidefinite."""
+    be positive semidefinite, within SOLVER_TOL; the unit's value sum_i u_i w_i
+    is held to SOLVER_TOL * max(1, sum_i |u_i w_i|), the size of its terms."""
 
     __slots__ = ("algebra", "values", "gram")
 
-    def __init__(self, algebra: AbstractStarAlgebra, values, tol=_AXIOM_TOL):
+    def __init__(self, algebra: AbstractStarAlgebra, values):
         w = np.asarray(values, dtype=complex).reshape(-1)
         if w.size != algebra.n_basis:
             raise ValueError(
                 f"{w.size} values for {algebra.n_basis} basis elements"
             )
         unit_value = complex(np.dot(algebra.unit, w))
-        if abs(unit_value - 1.0) > tol:
+        if abs(unit_value - 1.0) > SOLVER_TOL * max(
+                1.0, float(np.abs(algebra.unit * w).sum())):
             raise NotAState("the unit is not sent to 1",
                             abs(unit_value - 1.0))
         G = algebra.invol @ (algebra.mult @ w)
         herm = float(np.abs(G - G.conj().T).max())
-        if herm > tol * max(1.0, float(np.abs(G).max())):
+        if herm > SOLVER_TOL * max(1.0, float(np.abs(G).max())):
             raise NotAState("Gram matrix is not Hermitian", herm)
         G = (G + G.conj().T) / 2.0
         eigmin = float(np.linalg.eigvalsh(G)[0])
-        if eigmin < -tol:
+        if eigmin < -SOLVER_TOL:
             raise NotAState("Gram matrix is not positive", -eigmin)
         self.algebra = algebra
         self.values = w
@@ -152,7 +159,7 @@ def gns_construct(alg: AbstractStarAlgebra, omega: AlgebraicState) -> GNSTriple:
     if omega.algebra is not alg:
         omega = AlgebraicState(alg, omega.values)
     w, v = np.linalg.eigh(omega.gram)
-    keep = w > GNS_NULL_RTOL * max(float(w[-1]), 0.0)
+    keep = w > RANK_RTOL * max(float(w[-1]), 0.0)
     r = int(np.count_nonzero(keep))
     if r == 0:
         raise NotAState("Gram matrix vanishes", float(np.abs(w).max()))
@@ -166,7 +173,7 @@ def gns_construct(alg: AbstractStarAlgebra, omega: AlgebraicState) -> GNSTriple:
 
 
 def verify_gns(triple: GNSTriple, alg: AbstractStarAlgebra,
-               omega: AlgebraicState, tol=1e-9) -> dict:
+               omega: AlgebraicState, tol=PRODUCT_TOL) -> dict:
     """Re-check every property the construction promises, reporting the
     measured residuals and the first violated one.
 
@@ -190,7 +197,7 @@ def verify_gns(triple: GNSTriple, alg: AbstractStarAlgebra,
     )
     orbit = np.stack([m @ psi for m in M], axis=1)
     sing = np.linalg.svd(orbit, compute_uv=False)
-    rank = int(np.sum(sing > 1e-10 * max(1.0, float(sing[0]))))
+    rank = int(np.sum(sing > RANK_RTOL * max(1.0, float(sing[0]))))
 
     residuals = {
         "homomorphism": hom,
@@ -210,7 +217,7 @@ def verify_gns(triple: GNSTriple, alg: AbstractStarAlgebra,
             "residuals": residuals, "tol": tol}
 
 
-def gns_intertwiner(first: GNSTriple, second: GNSTriple, tol=1e-9) -> np.ndarray:
+def gns_intertwiner(first: GNSTriple, second: GNSTriple) -> np.ndarray:
     """Unitary carrying the first representation onto the second, fixed by
     matching the two orbits of the cyclic vectors. Certified before return;
     triples of different states have none and raise."""
@@ -230,7 +237,7 @@ def gns_intertwiner(first: GNSTriple, second: GNSTriple, tol=1e-9) -> np.ndarray
         max(frobenius(W @ as_matrix(a) - as_matrix(b) @ W)
             for a, b in zip(first.pi_images, second.pi_images)),
     )
-    if defect > tol * max(1.0, frobenius(c1)):
+    if defect > PRODUCT_TOL * max(1.0, frobenius(c1)):
         raise ValueError(
             f"no unitary intertwiner within tolerance (defect {defect:.3e})"
         )
@@ -260,11 +267,12 @@ def folium_state(triple: GNSTriple, T, alg: AbstractStarAlgebra) -> AlgebraicSta
 
 # --- concrete matrix algebras as abstract ones ------------------------------
 
-def algebra_from_matrices(mats, tol=_AXIOM_TOL) -> AbstractStarAlgebra:
+def algebra_from_matrices(mats) -> AbstractStarAlgebra:
     """Structure constants of a concrete matrix basis, expanded by least
     squares through one SVD of it. The basis must be independent (relative
-    cutoff 1e-10), closed under products and adjoints, and contain the
-    identity; failures surface as residuals."""
+    cutoff RANK_RTOL), closed under products and adjoints (each expansion
+    within SOLVER_TOL * max(1, its largest entry)), and contain the identity;
+    failures surface as residuals."""
     mats = [require_square(as_matrix(M)) for M in mats]
     if not mats:
         raise ValueError("empty basis")
@@ -272,7 +280,7 @@ def algebra_from_matrices(mats, tol=_AXIOM_TOL) -> AbstractStarAlgebra:
     k = len(mats)
     V = np.stack([M.reshape(-1) for M in mats], axis=1)
     U, sv, Wh = np.linalg.svd(V, full_matrices=False)
-    if np.sum(sv > 1e-10 * sv[0]) < k:
+    if np.sum(sv > RANK_RTOL * sv[0]) < k:
         raise ValueError("basis matrices are linearly dependent")
 
     def expand(rhs, what):
@@ -281,7 +289,7 @@ def algebra_from_matrices(mats, tol=_AXIOM_TOL) -> AbstractStarAlgebra:
         sol = Wh.conj().T @ (coef.real / sv[:, None]
                              + 1j * (coef.imag / sv[:, None]))
         resid = float(np.abs(V @ sol - rhs).max())
-        if resid > tol * max(1.0, float(np.abs(rhs).max())):
+        if resid > SOLVER_TOL * max(1.0, float(np.abs(rhs).max())):
             raise ValueError(f"{what} does not stay in the span "
                              f"(residual {resid:.3e})")
         return sol
@@ -294,7 +302,7 @@ def algebra_from_matrices(mats, tol=_AXIOM_TOL) -> AbstractStarAlgebra:
         axis=1,
     )
     c = expand(prods, "a product").T.reshape(k, k, k)
-    return AbstractStarAlgebra(c, s, u, tol=tol)
+    return AbstractStarAlgebra(c, s, u)
 
 
 def state_from_density(alg: AbstractStarAlgebra, mats, rho) -> AlgebraicState:
@@ -305,7 +313,7 @@ def state_from_density(alg: AbstractStarAlgebra, mats, rho) -> AlgebraicState:
     return AlgebraicState(alg, values)
 
 
-def mixed_to_vector_paradox_demo(rho, tol=1e-9) -> dict:
+def mixed_to_vector_paradox_demo(rho) -> dict:
     """A mixed state becomes a single unit vector in its own representation,
     yet stays mixed: the commutant there is nontrivial, so the vector does
     not mean purity. The report shows both sides."""
@@ -317,7 +325,7 @@ def mixed_to_vector_paradox_demo(rho, tol=1e-9) -> dict:
     omega = state_from_density(alg, mats, rho)
     triple = gns_construct(alg, omega)
     prime = commutant(triple.pi_images, triple.rep_dim)
-    check = verify_gns(triple, alg, omega, tol=tol)
+    check = verify_gns(triple, alg, omega)
     return {
         "dim": rho.dim,
         "rep_dim": triple.rep_dim,

@@ -11,6 +11,7 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    RANK_RTOL,
     DimensionMismatch,
     as_matrix,
     frobenius,
@@ -20,8 +21,6 @@ from .linalg import (
     range_basis,
     require_square,
 )
-
-_SPAN_RTOL = 1e-10
 
 
 class NotProjector(ValueError):
@@ -61,7 +60,6 @@ def _ranks(stack, tol):
     """Ranks of a (k, n, n) stack of projectors. Raises NotProjector with the
     defect of the first matrix whose largest Hermiticity, idempotency or
     trace-gap defect exceeds tol or is NaN."""
-    tol = DEFAULT_TOL if tol is None else float(tol)
     step = max(1, _CHECK_SLICE // max(1, stack.shape[-1] ** 2))
     ranks = []
     for lo in range(0, len(stack), step):
@@ -83,7 +81,7 @@ class Projector:
 
     __slots__ = ("dim", "matrix", "rank")
 
-    def __init__(self, matrix, tol=None):
+    def __init__(self, matrix, tol=DEFAULT_TOL):
         P = require_square(as_matrix(matrix))
         self._admit(P, _ranks(P[None], tol)[0])
 
@@ -96,7 +94,7 @@ class Projector:
         return f"Projector(dim={self.dim}, rank={self.rank})"
 
 
-def _projectors(stack, tol=None) -> list:
+def _projectors(stack, tol=DEFAULT_TOL) -> list:
     """Projectors of a complex (k, n, n) stack, checked as one stack: the first
     matrix that Projector refuses raises the same NotProjector. The stack is
     made read-only and each projector's matrix is a view of it."""
@@ -105,11 +103,11 @@ def _projectors(stack, tol=None) -> list:
     return [Projector.__new__(Projector)._admit(M, r) for M, r in zip(stack, ranks)]
 
 
-def span_projector(vectors, tol=None) -> Projector:
+def span_projector(vectors) -> Projector:
     """Projector onto the span of a vector or a sequence of vectors."""
     arr = np.asarray(vectors, dtype=complex)
     cols = arr[:, None] if arr.ndim == 1 else arr.T
-    return Projector(_union_span_projector([cols], cols.shape[0]), tol=tol)
+    return Projector(_union_span_projector([cols], cols.shape[0]))
 
 
 def zero_projector(dim) -> Projector:
@@ -138,12 +136,12 @@ def _union_span_projector(bases, dim):
     if cols.shape[1] == 0:
         return np.zeros((dim, dim), dtype=complex)
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    keep = s > _SPAN_RTOL * max(1.0, float(s[0]))
+    keep = s > RANK_RTOL * max(1.0, float(s[0]))
     basis = u[:, keep]
     return basis @ basis.conj().T
 
 
-def meet(P: Projector, Q: Projector, tol=None) -> Projector:
+def meet(P: Projector, Q: Projector) -> Projector:
     """Projector onto range(P) intersect range(Q).
 
     Nullspace method: the intersection is the orthocomplement of
@@ -153,19 +151,17 @@ def meet(P: Projector, Q: Projector, tol=None) -> Projector:
     union = _union_span_projector(
         [range_basis(neg(P).matrix), range_basis(neg(Q).matrix)], dim
     )
-    return Projector(np.eye(dim) - union, tol=tol)
+    return Projector(np.eye(dim) - union)
 
 
-def join(P: Projector, Q: Projector, tol=None) -> Projector:
+def join(P: Projector, Q: Projector) -> Projector:
     """Projector onto range(P) + range(Q)."""
     dim = _same_dim(P, Q)
-    return Projector(
-        _union_span_projector([range_basis(P.matrix), range_basis(Q.matrix)],
-                              dim), tol=tol
-    )
+    return Projector(_union_span_projector(
+        [range_basis(P.matrix), range_basis(Q.matrix)], dim))
 
 
-def jauch_meet(P: Projector, Q: Projector, tol=None, max_iter=200000,
+def jauch_meet(P: Projector, Q: Projector, tol=DEFAULT_TOL, max_iter=200000,
                norm_log=None) -> Projector:
     """Meet as the limit of the alternating products (PQ)^n P.
 
@@ -178,7 +174,6 @@ def jauch_meet(P: Projector, Q: Projector, tol=None, max_iter=200000,
     When norm_log is a list, the operator norm of each iterate is appended,
     one entry per multiplication.
     """
-    tol = DEFAULT_TOL if tol is None else float(tol)
     _same_dim(P, Q)
     target = meet(P, Q).matrix
     PQ = P.matrix @ Q.matrix
@@ -194,17 +189,15 @@ def jauch_meet(P: Projector, Q: Projector, tol=None, max_iter=200000,
     raise MaxIterExceeded(max_iter, frobenius(M - target))
 
 
-def is_below(P: Projector, Q: Projector, tol=None) -> bool:
+def is_below(P: Projector, Q: Projector) -> bool:
     """Range inclusion P <= Q, tested as QP = P."""
-    tol = DEFAULT_TOL if tol is None else float(tol)
     _same_dim(P, Q)
-    return frobenius(Q.matrix @ P.matrix - P.matrix) <= tol
+    return frobenius(Q.matrix @ P.matrix - P.matrix) <= DEFAULT_TOL
 
 
-def commuting_decomposition(P: Projector, Q: Projector, tol=None):
+def commuting_decomposition(P: Projector, Q: Projector, tol=DEFAULT_TOL):
     """For commuting P, Q: the three pairwise-orthogonal parts
     (P minus the overlap, Q minus the overlap, the overlap PQ)."""
-    tol = DEFAULT_TOL if tol is None else float(tol)
     _same_dim(P, Q)
     overlap = P.matrix @ Q.matrix
     c3, c1, c2 = _projectors(np.array(
@@ -212,10 +205,9 @@ def commuting_decomposition(P: Projector, Q: Projector, tol=None):
     return c1, c2, c3
 
 
-def commutes(P: Projector, Q: Projector, tol=None) -> bool:
+def commutes(P: Projector, Q: Projector, tol=DEFAULT_TOL) -> bool:
     """PQ = QP within tol. A true result is certified by producing the
     three-part decomposition and checking its pairwise orthogonality."""
-    tol = DEFAULT_TOL if tol is None else float(tol)
     _same_dim(P, Q)
     if frobenius(P.matrix @ Q.matrix - Q.matrix @ P.matrix) > tol:
         return False
@@ -231,13 +223,12 @@ def commutes(P: Projector, Q: Projector, tol=None) -> bool:
     return True
 
 
-def orthomodular_check(P: Projector, Q: Projector, tol=None) -> bool:
+def orthomodular_check(P: Projector, Q: Projector) -> bool:
     """For P <= Q, verify Q = P v (~P ^ Q)."""
-    tol = DEFAULT_TOL if tol is None else float(tol)
-    if not is_below(P, Q, tol):
+    if not is_below(P, Q):
         raise NotComparable("orthomodularity is only stated for P <= Q")
     rebuilt = join(P, meet(neg(P), Q))
-    return frobenius(rebuilt.matrix - Q.matrix) <= max(tol, 1e-12)
+    return frobenius(rebuilt.matrix - Q.matrix) <= DEFAULT_TOL
 
 
 def projector_to_json(P: Projector) -> dict:
@@ -246,8 +237,8 @@ def projector_to_json(P: Projector) -> dict:
     return out
 
 
-def projector_from_json(obj, tol=None) -> Projector:
-    P = Projector(matrix_from_json(obj), tol=tol)
+def projector_from_json(obj) -> Projector:
+    P = Projector(matrix_from_json(obj))
     if "rank" in obj and int(obj["rank"]) != P.rank:
         raise ValueError(
             f"declared rank {obj['rank']} but trace says {P.rank}"

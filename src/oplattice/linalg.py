@@ -1,21 +1,39 @@
-"""Validated complex matrices and the Hermitian eigensolver.
+"""Validated complex matrices, the Hermitian eigensolver, and the package's
+tolerance policy.
 
 Conventions used across the package:
   * operators are dense complex numpy arrays,
-  * tolerances are relative, Frobenius-scaled, default 1e-10,
+  * every threshold is one of the names below (README lists their gates),
   * eigenvalues come out ascending with a deterministic eigenvector phase.
 """
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
 
-DEFAULT_TOL = 1e-10
+# --- tolerance policy -------------------------------------------------------
+# A gate holds a defect of X against tol * max(1, s) for the scale s of X it
+# names (a norm, the spread, the largest entry), or against tol itself on a
+# unit-scale object: a projector, state, unitary or unit-modulus number.
 
-# floor below which an eigenvector component does not anchor the phase fix
-_PHASE_FLOOR = 1e-12
+# identities of input as given; the default of every tol keyword and --tol
+DEFAULT_TOL = 1e-10
+# identities among products of validated operators or numbers
+PRODUCT_TOL = 1e-9
+# results carried through a solve: eigensolve, SVD, least squares, finite
+# differences; also the eigenvalue cluster width (s = the spread)
+SOLVER_TOL = 1e-8
+# a fit's residual against the data it was fitted to
+FIT_TOL = 1e-6
+# rank cutoff: a singular value or Gram eigenvalue counts when above this
+# times the largest one, floored at 1 where the gate says so
+RANK_RTOL = 1e-10
+# the same for the commutant solver's kernels and generator spans
+NULLSPACE_RTOL = 1e-9
+# absolute: an order-one quantity (probability, unit-vector component,
+# sample time, uncertainty product) within this of a bound is at it
+ABS_FLOOR = 1e-12
 
 
 class NotSquare(ValueError):
@@ -83,13 +101,12 @@ def operator_norm(M) -> float:
     return float(np.linalg.svd(M, compute_uv=False)[0])
 
 
-def hermitian_part(matrix, tol: float | None = None) -> np.ndarray:
+def hermitian_part(matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
     """A/2 + A*/2 of a square A with ||A - A*||_F <= tol * max(1, ||A||_F),
     else NotHermitian. The norms are taken on A over the power of two at its
     largest real or imaginary part (at least 2^-1022): exactly, and clear of
     the overflow that would make both sides inf. A is halved before the sum
     so that near-overflow input stays finite."""
-    tol = DEFAULT_TOL if tol is None else float(tol)
     M = require_square(as_matrix(matrix))
     top = float(np.abs(np.stack([M.real, M.imag])).max(initial=0.0))
     scale = math.ldexp(1.0, max(math.frexp(top)[1] - 1, -1022))
@@ -111,7 +128,7 @@ class HermitianOperator:
 
     __slots__ = ("matrix", "dim")
 
-    def __init__(self, matrix, tol: float | None = None):
+    def __init__(self, matrix, tol: float = DEFAULT_TOL):
         self.matrix = hermitian_part(matrix, tol)
         self.matrix.setflags(write=False)
         self.dim = self.matrix.shape[0]
@@ -120,16 +137,15 @@ class HermitianOperator:
         return f"HermitianOperator(dim={self.dim})"
 
 
-def require_unitary(M: np.ndarray, tol: float | None = None) -> np.ndarray:
+def require_unitary(M: np.ndarray) -> np.ndarray:
     """Return M, a matrix or a (..., n, n) stack, once every matrix in it has
-    max(||M^*M - I||_F, ||MM^* - I||_F) <= tol * max(1, sqrt(n))."""
-    tol = DEFAULT_TOL if tol is None else float(tol)
+    max(||M^*M - I||_F, ||MM^* - I||_F) <= DEFAULT_TOL * max(1, sqrt(n))."""
     n = M.shape[-1]
     eye = np.eye(n)
     Mh = np.swapaxes(M, -1, -2).conj()
     defect = np.maximum(_fro_batch(Mh @ M - eye), _fro_batch(M @ Mh - eye))
     worst = float(defect.max(initial=0.0))
-    if not worst <= tol * max(1.0, float(np.sqrt(n))):  # NaN fails too
+    if not worst <= DEFAULT_TOL * max(1.0, float(np.sqrt(n))):  # NaN fails too
         raise NotUnitary(worst)
     return M
 
@@ -137,8 +153,8 @@ def require_unitary(M: np.ndarray, tol: float | None = None) -> np.ndarray:
 class UnitaryOperator:
     __slots__ = ("matrix", "dim")
 
-    def __init__(self, matrix, tol: float | None = None):
-        self.matrix = require_unitary(require_square(as_matrix(matrix)), tol)
+    def __init__(self, matrix):
+        self.matrix = require_unitary(require_square(as_matrix(matrix)))
         self.matrix.setflags(write=False)
         self.dim = self.matrix.shape[0]
 
@@ -164,7 +180,7 @@ class EigenSystem:
 
 def _phase_fix_columns(V: np.ndarray) -> np.ndarray:
     V = V.copy()
-    live = np.abs(V) > _PHASE_FLOOR
+    live = np.abs(V) > ABS_FLOOR
     cols = np.flatnonzero(live.any(axis=0))
     if cols.size:
         a = V[live[:, cols].argmax(axis=0), cols]
@@ -208,7 +224,3 @@ def matrix_from_json(obj) -> np.ndarray:
     flat = np.array([complex(re, im) for re, im in data], dtype=complex)
     return as_matrix(flat.reshape(rows, cols))
 
-
-def load_matrix(path) -> np.ndarray:
-    with open(path) as fh:
-        return matrix_from_json(json.load(fh))

@@ -11,10 +11,15 @@ from collections import namedtuple
 import numpy as np
 
 from .algebras import commutant
-from .linalg import DEFAULT_TOL, HermitianOperator, frobenius, operator_norm
+from .linalg import (
+    ABS_FLOOR,
+    DEFAULT_TOL,
+    SOLVER_TOL,
+    HermitianOperator,
+    frobenius,
+    operator_norm,
+)
 from .states import DensityState, PureStateVector, std_deviation
-
-DEFAULT_TAIL_TOL = 1e-8
 
 
 class BadDimension(ValueError):
@@ -107,12 +112,12 @@ UncertaintyReport = namedtuple(
 )
 
 
-def heisenberg_uncertainty(pair: TruncatedCanonicalPair, psi,
-                           tail_tol=DEFAULT_TAIL_TOL) -> UncertaintyReport:
+def heisenberg_uncertainty(pair: TruncatedCanonicalPair,
+                           psi) -> UncertaintyReport:
     """Deviation product against the commutator bound.
 
     The state must sit away from the truncation edge: weight on the top two
-    levels beyond tail_tol is rejected, since second moments reach two
+    levels beyond SOLVER_TOL is rejected, since second moments reach two
     levels above the support. The reported bound is hbar/2 corrected by the
     exact corner term, never the bare textbook constant.
     """
@@ -122,7 +127,7 @@ def heisenberg_uncertainty(pair: TruncatedCanonicalPair, psi,
         raise ValueError(f"state dim {psi.dim} vs truncation {pair.n}")
     weights = np.abs(psi.amplitudes) ** 2
     tail = float(weights[-2:].sum())
-    if tail > tail_tol:
+    if tail > SOLVER_TOL:
         raise TailTooLarge(tail)
     rho = DensityState.from_vector(psi)
     dx = std_deviation(rho, pair.X)
@@ -130,14 +135,14 @@ def heisenberg_uncertainty(pair: TruncatedCanonicalPair, psi,
     top = float(weights[-1])
     bound = pair.hbar / 2.0 * abs(1.0 - pair.n * top)
     product = dx * dp
-    if product + 1e-12 < bound:
+    if product + ABS_FLOOR < bound:
         raise ArithmeticError(
             f"deviation product {product} beat its own lower bound {bound}"
         )
     return UncertaintyReport(dx, dp, product, bound, tail)
 
 
-def svn_hypotheses_check(Q_list, M_list, tol=None, hbar=1.0) -> dict:
+def svn_hypotheses_check(Q_list, M_list, tol=DEFAULT_TOL, hbar=1.0) -> dict:
     """Diagnostic report on a candidate canonical family.
 
     Measures how far the pairs are from the canonical relations (operator
@@ -147,7 +152,6 @@ def svn_hypotheses_check(Q_list, M_list, tol=None, hbar=1.0) -> dict:
     can never hold exactly at finite dimension and the defect is at least
     hbar in operator norm.
     """
-    tol = DEFAULT_TOL if tol is None else float(tol)
     Qs = [_coerce(Q) for Q in Q_list]
     Ms = [_coerce(M) for M in M_list]
     if len(Qs) != len(Ms):

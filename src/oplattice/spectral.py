@@ -14,6 +14,8 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    PRODUCT_TOL,
+    SOLVER_TOL,
     HermitianOperator,
     _fro_batch,
     as_matrix,
@@ -25,19 +27,6 @@ from .linalg import (
     require_same_dim,
     require_square,
 )
-
-DEFAULT_CLUSTER_TOL = 1e-8
-
-# Eigenprojectors of independently diagonalized commuting operators carry
-# solver noise well above the base tolerance, so joint constructions get
-# their own default.
-JOINT_COMMUTE_TOL = 1e-8
-# cluster labels are means: a sampled key this close (relative) still matches
-SAMPLE_KEY_RTOL = 1e-9
-# centrality floor: [Q, G] of commuting matrices keeps two products' rounding
-CENTRAL_CHARGE_TOL = 1e-8
-# algebra membership: relative span distance above null-space basis noise
-ALGEBRA_MEMBER_TOL = 1e-8
 
 
 class NonCommuting(ValueError):
@@ -126,27 +115,27 @@ class ProjectorValuedMeasure:
 
     __slots__ = ("dim", "_labels", "_atoms", "_factor", "_residuals")
 
-    def __init__(self, dim, atoms, tol=None):
+    def __init__(self, dim, atoms):
         dim = int(dim)
         clean = [(label, require_square(as_matrix(P))) for label, P in atoms]
         require_same_dim(dim, *(P.shape[0] for _, P in clean))
         if not clean:
             raise ValueError("a PVM needs at least one atom")
-        self._admit(dim, [lab for lab, _ in clean], _atom_residuals(dim, clean), tol)
+        self._admit(dim, [lab for lab, _ in clean], _atom_residuals(dim, clean),
+                    DEFAULT_TOL)
         self._atoms, self._factor = clean, _stack([range_basis(P) for _, P in clean])
         ranks = self._factor[2]
         if not ranks.all() or ranks.sum() != dim:
             raise ValueError(f"atom ranks {ranks.tolist()} do not partition {dim}")
 
     @classmethod
-    def _from_factor(cls, labels, V, starts, ranks, tol=None):
+    def _from_factor(cls, labels, V, starts, ranks, tol=DEFAULT_TOL):
         pvm = cls.__new__(cls)
         pvm._admit(V.shape[0], labels, _factor_residuals(V, starts), tol)
         pvm._atoms, pvm._factor = None, (V, starts, ranks)
         return pvm
 
     def _admit(self, dim, labels, report, tol):
-        tol = DEFAULT_TOL if tol is None else float(tol)
         if not all(v <= tol for v in report.values()):  # NaN fails too
             raise ValueError(f"PVM invariants violated ({report})")
         if len(set(map(_as_tuple, labels))) != len(labels):
@@ -205,7 +194,7 @@ def pvm_residuals(pvm) -> dict:
     return dict(pvm._residuals)
 
 
-def spectral_decompose(A, cluster_tol=None) -> ProjectorValuedMeasure:
+def spectral_decompose(A, cluster_tol=SOLVER_TOL) -> ProjectorValuedMeasure:
     """PVM of a Hermitian operator.
 
     Eigenvalues closer than cluster_tol * max(1, spectral spread) are merged
@@ -214,10 +203,9 @@ def spectral_decompose(A, cluster_tol=None) -> ProjectorValuedMeasure:
     corresponding rank-1 projectors.
     """
     A = A if isinstance(A, HermitianOperator) else HermitianOperator(A)
-    ctol = DEFAULT_CLUSTER_TOL if cluster_tol is None else float(cluster_tol)
     es = eig_hermitian(A)
     w, V = es.eigenvalues, es.eigenvectors
-    threshold = ctol * max(1.0, float(w[-1] - w[0]))
+    threshold = cluster_tol * max(1.0, float(w[-1] - w[0]))
     starts = np.flatnonzero(np.diff(w, prepend=-np.inf) > threshold)
     ranks = np.diff(starts, append=len(w))
     labels = [float(w[a]) if r == 1 else float(np.mean(w[a:a + r]))
@@ -239,7 +227,7 @@ def _lookup_sample(mapping, label):
         gap = float(np.abs(have - want).max())
         if best_gap is None or gap < best_gap:
             best_key, best_gap = key, gap
-    if best_gap is not None and best_gap <= SAMPLE_KEY_RTOL * scale:
+    if best_gap is not None and best_gap <= PRODUCT_TOL * scale:
         return mapping[best_key]
     raise MissingSample(label)
 
@@ -286,34 +274,34 @@ def _commute_defect(p, q):
     return float(np.sqrt(2.0 * worst)), M
 
 
-def pvm_commute(p, q, tol=None) -> bool:
+def pvm_commute(p, q, tol=DEFAULT_TOL) -> bool:
     """True when every atom of p commutes with every atom of q within tol."""
-    tol = DEFAULT_TOL if tol is None else float(tol)
     require_same_dim(p.dim, q.dim)
     return _commute_defect(p, q)[0] <= tol
 
 
-def joint_pvm(ops, cluster_tol=None, tol=None) -> ProjectorValuedMeasure:
+def joint_pvm(ops) -> ProjectorValuedMeasure:
     """Joint PVM of a commuting family, atoms labeled by eigenvalue tuples
     in lexicographic order.
 
     The spectral measures are checked to commute pair by pair, each on its
-    Gram matrix M. Then each later operator j splits every block, held as
-    coefficients C in a block V_a of the first operator: the left singular
-    vectors of C^* M_ab (M = V_1^* V_j) with singular values above 1/2 span
-    its part inside eigenspace b of operator j.
+    Gram matrix M, within SOLVER_TOL: eigenprojectors of independently
+    diagonalized operators carry solver noise above DEFAULT_TOL. Then each
+    later operator j splits every block, held as coefficients C in a block
+    V_a of the first operator: the left singular vectors of C^* M_ab
+    (M = V_1^* V_j) with singular values above 1/2 span its part inside
+    eigenspace b of operator j.
     """
     ops = list(ops)
     if not ops:
         raise ValueError("joint_pvm needs at least one operator")
-    tol = JOINT_COMMUTE_TOL if tol is None else float(tol)
-    pvms = [spectral_decompose(op, cluster_tol) for op in ops]
+    pvms = [spectral_decompose(op) for op in ops]
     require_same_dim(*(p.dim for p in pvms))
     grams = []
     for i in range(len(pvms)):
         for j in range(i + 1, len(pvms)):
             defect, M = _commute_defect(pvms[i], pvms[j])
-            if defect > tol:
+            if defect > SOLVER_TOL:
                 raise NonCommuting(i, j, defect)
             if i == 0:
                 grams.append(M)
@@ -337,10 +325,10 @@ def joint_pvm(ops, cluster_tol=None, tol=None) -> ProjectorValuedMeasure:
     return ProjectorValuedMeasure._from_factor(
         [label for label, _, _ in blocks],
         *_stack([V[:, a:a + len(C)] @ C for _, a, C in blocks]),
-        tol=max(tol, DEFAULT_TOL))
+        tol=SOLVER_TOL)
 
 
-def marginal_pvm(joint, coordinate, tol=None) -> ProjectorValuedMeasure:
+def marginal_pvm(joint, coordinate) -> ProjectorValuedMeasure:
     """Collapse a joint PVM onto one label coordinate by merging the column
     blocks of the atoms that share it."""
     groups: dict[float, list] = {}
@@ -348,7 +336,7 @@ def marginal_pvm(joint, coordinate, tol=None) -> ProjectorValuedMeasure:
         groups.setdefault(float(label[coordinate]), []).append(B)
     keys = sorted(groups)
     return ProjectorValuedMeasure._from_factor(
-        keys, *_stack([np.hstack(groups[key]) for key in keys]), tol)
+        keys, *_stack([np.hstack(groups[key]) for key in keys]))
 
 
 # --- JSON form: {"dim": n, "atoms": [{"label": [..], "projector": ..}]} ---
@@ -363,10 +351,10 @@ def pvm_to_json(pvm) -> dict:
     return {"dim": pvm.dim, "atoms": out}
 
 
-def pvm_from_json(obj, tol=None) -> ProjectorValuedMeasure:
+def pvm_from_json(obj) -> ProjectorValuedMeasure:
     atoms = []
     for atom in obj["atoms"]:
         lab = [float(x) for x in atom["label"]]
         label = lab[0] if len(lab) == 1 else tuple(lab)
         atoms.append((label, matrix_from_json(atom["projector"])))
-    return ProjectorValuedMeasure(int(obj["dim"]), atoms, tol=tol)
+    return ProjectorValuedMeasure(int(obj["dim"]), atoms)

@@ -11,8 +11,10 @@ import numpy as np
 
 from .lattice import Projector, _projectors
 from .linalg import (
-    _PHASE_FLOOR,
+    ABS_FLOOR,
     DEFAULT_TOL,
+    FIT_TOL,
+    RANK_RTOL,
     DimensionMismatch,
     HermitianOperator,
     as_matrix,
@@ -20,8 +22,6 @@ from .linalg import (
     frobenius,
     hermitian_part,
 )
-
-PROB_FLOOR = 1e-12
 
 
 class ZeroProbability(ValueError):
@@ -63,21 +63,21 @@ class WitnessNotFound(RuntimeError):
 
 class PureStateVector:
     """Unit vector with the global phase fixed: the first component larger
-    than 1e-12 in modulus is made real positive, so ray equality is plain
+    than ABS_FLOOR in modulus is made real positive, so ray equality is plain
     vector equality."""
 
     __slots__ = ("dim", "amplitudes")
 
-    def __init__(self, amplitudes, tol=None):
-        tol = DEFAULT_TOL if tol is None else float(tol)
+    def __init__(self, amplitudes):
         v = np.asarray(amplitudes, dtype=complex).reshape(-1)
         if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
             raise ValueError("amplitudes contain non-finite entries")
         norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > tol:
-            raise ValueError(f"vector norm {norm} is not 1 within {tol}")
+        if abs(norm - 1.0) > DEFAULT_TOL:
+            raise ValueError(
+                f"vector norm {norm} is not 1 within {DEFAULT_TOL}")
         v = v / norm
-        idx = np.flatnonzero(np.abs(v) > _PHASE_FLOOR)
+        idx = np.flatnonzero(np.abs(v) > ABS_FLOOR)
         lead = v[idx[0]]
         v = v * (lead.conj() / abs(lead))
         self.amplitudes = v
@@ -101,8 +101,7 @@ class DensityState:
 
     __slots__ = ("dim", "matrix")
 
-    def __init__(self, matrix, tol=None):
-        tol = DEFAULT_TOL if tol is None else float(tol)
+    def __init__(self, matrix, tol=DEFAULT_TOL):
         M = hermitian_part(matrix, tol)
         eigmin = float(np.linalg.eigvalsh(M)[0])
         if eigmin < -tol:
@@ -144,9 +143,8 @@ def _check_dim(rho, M):
         )
 
 
-def born_probability(rho: DensityState, P, tol=None) -> float:
+def born_probability(rho: DensityState, P, tol=DEFAULT_TOL) -> float:
     """tr(rho P), clamped to [0, 1] after checking it is within tol of it."""
-    tol = DEFAULT_TOL if tol is None else float(tol)
     M = _proj_matrix(P)
     _check_dim(rho, M)
     p = float((rho.matrix @ M).trace().real)
@@ -161,25 +159,25 @@ def expectation(rho: DensityState, A) -> float:
     return float((rho.matrix @ M).trace().real)
 
 
-def std_deviation(rho: DensityState, A, tol=None) -> float:
-    """sqrt(<A^2> - <A>^2); the radicand is clamped to 0 when within -tol."""
-    tol = DEFAULT_TOL if tol is None else float(tol)
+def std_deviation(rho: DensityState, A) -> float:
+    """sqrt(<A^2> - <A>^2); the radicand is clamped to 0 when within
+    -DEFAULT_TOL."""
     M = _herm_matrix(A)
     _check_dim(rho, M)
     mean = float((rho.matrix @ M).trace().real)
     second = float((rho.matrix @ M @ M).trace().real)
     radicand = second - mean * mean
-    if radicand < -tol:
+    if radicand < -DEFAULT_TOL:
         raise ValueError(f"variance came out {radicand:.3e} < 0")
     return float(np.sqrt(max(radicand, 0.0)))
 
 
-def luders_collapse(rho: DensityState, P, prob_floor=PROB_FLOOR) -> DensityState:
+def luders_collapse(rho: DensityState, P) -> DensityState:
     """Post-measurement state P rho P / tr(rho P)."""
     M = _proj_matrix(P)
     _check_dim(rho, M)
     p = float((rho.matrix @ M).trace().real)
-    if p <= prob_floor:
+    if p <= ABS_FLOOR:
         raise ZeroProbability(p)
     return DensityState(M @ rho.matrix @ M.conj().T / p)
 
@@ -212,12 +210,11 @@ def sequential_probability(rho: DensityState, chain) -> SequentialProbability:
     )
 
 
-def conditional_probability(rho: DensityState, target, given,
-                            prob_floor=PROB_FLOOR) -> float:
+def conditional_probability(rho: DensityState, target, given) -> float:
     """Probability of target right after given succeeded: the two-step
     sequential probability divided by the probability of the condition."""
     p_given = born_probability(rho, given)
-    if p_given <= prob_floor:
+    if p_given <= ABS_FLOOR:
         raise ZeroProbability(p_given)
     joint = sequential_probability(rho, [given, target]).value
     return joint / p_given
@@ -229,10 +226,9 @@ def transition_probability(psi: PureStateVector, phi: PureStateVector) -> float:
     return float(abs(np.vdot(psi.amplitudes, phi.amplitudes)) ** 2)
 
 
-def is_pure(rho: DensityState, tol=None) -> bool:
+def is_pure(rho: DensityState) -> bool:
     """Extremality test rho^2 = rho."""
-    tol = DEFAULT_TOL if tol is None else float(tol)
-    return frobenius(rho.matrix @ rho.matrix - rho.matrix) <= tol
+    return frobenius(rho.matrix @ rho.matrix - rho.matrix) <= DEFAULT_TOL
 
 
 def purity(rho: DensityState) -> float:
@@ -279,7 +275,7 @@ GleasonFit = namedtuple(
 )
 
 
-def gleason_fit(assignments, fit_tol=1e-6) -> GleasonFit:
+def gleason_fit(assignments) -> GleasonFit:
     """Recover the density operator behind projector-probability assignments.
 
     Linear least squares on the n^2 real parameters of a Hermitian matrix,
@@ -297,7 +293,7 @@ def gleason_fit(assignments, fit_tol=1e-6) -> GleasonFit:
     design = _herm_coordinates(stack)
     probs = np.array([p for _, p in pairs])
     theta, _, _, sing = np.linalg.lstsq(design, probs, rcond=None)
-    rank = int(np.sum(sing > 1e-10 * max(1.0, n)))
+    rank = int(np.sum(sing > RANK_RTOL * max(1.0, n)))
     if rank < needed:
         raise UnderdeterminedFrame(rank, needed)
     T = _herm_from_coordinates(theta, n)
@@ -305,13 +301,13 @@ def gleason_fit(assignments, fit_tol=1e-6) -> GleasonFit:
     w, v = np.linalg.eigh(T)
     w = np.clip(w, 0.0, None)
     total = float(w.sum())
-    if total <= PROB_FLOOR:
+    if total <= ABS_FLOOR:
         raise InconsistentAssignments(1.0)
     T = (v * (w / total)) @ v.conj().T
 
     residual = float(np.abs(
         np.trace(T @ stack, axis1=1, axis2=2).real - probs).max())
-    if residual > fit_tol:
+    if residual > FIT_TOL:
         raise InconsistentAssignments(residual)
     return GleasonFit(DensityState(T), residual, rank, n == 2)
 

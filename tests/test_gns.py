@@ -26,6 +26,7 @@ from oplattice import (
 )
 
 from oplattice.gns import _axiom_residuals
+from oplattice.linalg import SOLVER_TOL
 
 from oracles import (
     axiom_residuals_loop,
@@ -246,6 +247,52 @@ def haar_unitary(rng, n):
                         + 1j * rng.standard_normal((n, n)))
     d = np.diag(r)
     return q * (d / np.abs(d))
+
+
+def scaled_m2(scale):
+    """The M_2 matrix units in a fixed random complex basis, times scale."""
+    B = haar_unitary(np.random.default_rng(11), 2)
+    return [scale * B @ E @ B.conj().T for E in matrix_units(2)]
+
+
+@pytest.mark.parametrize("scale", [1e-11, 1e-9, 1.0, 1e6])
+def test_unit_gates_are_relative_at_every_scale(scale):
+    """The unit's coordinates go as 1/scale, and its self-adjointness and
+    its value under a state are judged relative to them: the algebra and a
+    mixed state are admitted at every scale, while a unit moved by a
+    relative 1e-6 toward the anti-self-adjoint i1, or values moved by a
+    relative 1e-6 off omega(1) = 1, are refused."""
+    units = scaled_m2(scale)
+    alg = algebra_from_matrices(units)
+    omega = state_from_density(alg, units, np.diag([0.7, 0.3]))
+    assert gns_construct(alg, omega).rep_dim == 4
+    with pytest.raises(NotAState, match="unit is not sent to 1"):
+        AlgebraicState(alg, omega.values * (1.0 + 1e-6))
+    bent = alg.unit * (1.0 + 1e-6j)
+    what, resid, scale_of_bound = _axiom_residuals(alg.mult, alg.invol,
+                                                   bent)[-1]
+    assert what == "self-adjointness of the unit"
+    assert np.abs(resid).max() > SOLVER_TOL * scale_of_bound
+    with pytest.raises(DegenerateAlgebra):
+        AbstractStarAlgebra(alg.mult, alg.invol, bent)
+
+
+@pytest.mark.parametrize("scale", [
+    pytest.param(1e-11, marks=pytest.mark.xfail(strict=True, reason=(
+        "the cyclic-rank cutoff is floored at 1, so an orbit of norm "
+        "1e-11 has rank 0"))),
+    1e-9,
+    1.0,
+    pytest.param(1e6, marks=pytest.mark.xfail(strict=True, reason=(
+        "residuals are held to an absolute tol, and products of images "
+        "of norm 1e6 round at 1e-4"))),
+])
+def test_gns_of_a_scaled_basis_verifies(scale):
+    units = scaled_m2(scale)
+    alg = algebra_from_matrices(units)
+    omega = state_from_density(alg, units, np.diag([0.7, 0.3]))
+    check = verify_gns(gns_construct(alg, omega), alg, omega)
+    assert check["ok"], check
 
 
 @settings(max_examples=20, deadline=None)

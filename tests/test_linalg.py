@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,3 +184,22 @@ def test_json_round_trip_bit_exact():
 def test_json_rejects_bad_length():
     with pytest.raises(ValueError):
         matrix_from_json({"rows": 2, "cols": 2, "data": [[0.0, 0.0]]})
+
+
+def test_thresholds_are_named_only_in_the_linalg_policy_block():
+    """A float literal below 1e-3 in the package is a threshold, and each
+    lives in one module-level assignment of linalg; anywhere else it would
+    be a second, unnamed tolerance policy."""
+    stray = []
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        named = set()
+        if path.name == "linalg.py":
+            named = {id(node) for stmt in tree.body
+                     if isinstance(stmt, ast.Assign) for node in ast.walk(stmt)}
+        stray += [f"{path.name}:{node.lineno} {node.value!r}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant)
+                  and isinstance(node.value, float)
+                  and 0.0 < abs(node.value) < 1e-3 and id(node) not in named]
+    assert not stray, stray
