@@ -13,7 +13,6 @@ from .linalg import (
     DEFAULT_TOL,
     NULLSPACE_RTOL,
     SOLVER_TOL,
-    DimensionMismatch,
     _fro_batch,
     as_matrix,
     frobenius,
@@ -51,15 +50,10 @@ class NonCentralCharge(ValueError):
 
 def _as_generator_list(generators, dim=None):
     mats = [require_square(as_matrix(G)) for G in generators]
-    if mats:
-        require_same_dim(*(M.shape[0] for M in mats))
-        if dim is not None and mats[0].shape[0] != dim:
-            raise DimensionMismatch(
-                f"generators are {mats[0].shape[0]}x{mats[0].shape[0]}, "
-                f"expected dim {dim}"
-            )
-    elif dim is None:
+    dims = [M.shape[0] for M in mats] + ([] if dim is None else [dim])
+    if not dims:
         raise ValueError("no generators and no dimension given")
+    require_same_dim(*dims)
     return mats
 
 
@@ -185,10 +179,7 @@ class MatrixStarAlgebra:
         """Span distance within SOLVER_TOL * max(1, ||X||_F), above the
         null-space solver's noise in the basis."""
         X = require_square(as_matrix(X))
-        if X.shape[0] != self.dim:
-            raise DimensionMismatch(
-                f"element dim {X.shape[0]} vs algebra dim {self.dim}"
-            )
+        require_same_dim(X.shape[0], self.dim)
         resid = _span_residual(self._span, X)[0]
         return float(resid) <= SOLVER_TOL * max(1.0, frobenius(X))
 

@@ -56,6 +56,7 @@ from .linalg import (
     PRODUCT_TOL,
     ConvergenceFailure,
     HermitianOperator,
+    _complex_pairs,
     as_matrix,
     frobenius,
     matrix_from_json,
@@ -158,12 +159,9 @@ def _load_json(path):
 
 def _complex_array(data, what):
     try:
-        arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError):
-        raise MalformedInput(f"{what}: expected nested [re, im] pairs")
-    if arr.ndim < 1 or arr.shape[-1] != 2:
-        raise MalformedInput(f"{what}: last axis must hold [re, im] pairs")
-    return arr[..., 0] + 1j * arr[..., 1]
+        return _complex_pairs(data)
+    except ValueError as exc:
+        raise MalformedInput(f"{what}: {exc}")
 
 
 def _matrix_of(obj, what):
@@ -400,11 +398,11 @@ def cmd_dyson(args):
     }
 
 
-def _ccr_report(n, m, omega, hbar, tol):
+def _ccr_report(n, m, omega, hbar):
     pair = build_truncated_pair(n, m, omega, hbar)
     ground = heisenberg_uncertainty(pair, pair.ground_state())
     first = heisenberg_uncertainty(pair, pair.fock_state(1))
-    svn = svn_hypotheses_check([pair.X], [pair.P], tol=tol, hbar=hbar)
+    svn = svn_hypotheses_check([pair.X], [pair.P], hbar=hbar)
     comm = pair.commutator()
     return {
         "n": pair.n,
@@ -426,7 +424,7 @@ def _ccr_report(n, m, omega, hbar, tol):
 
 
 def cmd_ccr(args):
-    return _ccr_report(args.n, args.m, args.omega, args.hbar, args.tol)
+    return _ccr_report(args.n, args.m, args.omega, args.hbar)
 
 
 def _gns_report(alg, values, tol):
@@ -500,7 +498,6 @@ def _demo_oscillator(data, args):
         float(data.get("m", 1.0)),
         float(data.get("omega", 1.0)),
         float(data.get("hbar", args.hbar)),
-        args.tol,
     )
 
 
@@ -552,11 +549,12 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, hbar=False):
         p.add_argument(
             "--tol", type=float, default=None,
             help=f"tolerance (default: OPLATTICE_TOL or {DEFAULT_TOL})")
-        p.add_argument("--hbar", type=float, default=1.0)
+        if hbar:
+            p.add_argument("--hbar", type=float, default=1.0)
         p.add_argument("--out", default=None,
                        help="report path (default: stdout)")
 
@@ -577,24 +575,24 @@ def _build_parser():
         p.add_argument("--in", dest="infile", required=True)
 
     p = sub.add_parser("evolve")
-    common(p)
+    common(p, hbar=True)
     p.add_argument("--hamiltonian", required=True)
     p.add_argument("--t", type=float, required=True)
 
     p = sub.add_parser("noether")
-    common(p)
+    common(p, hbar=True)
     p.add_argument("--a", required=True)
     p.add_argument("--h", required=True)
 
     p = sub.add_parser("dyson")
-    common(p)
+    common(p, hbar=True)
     p.add_argument("--samples", required=True)
     p.add_argument("--t1", type=float, required=True)
     p.add_argument("--t2", type=float, required=True)
     p.add_argument("--order", type=int, default=8)
 
     p = sub.add_parser("ccr")
-    common(p)
+    common(p, hbar=True)
     p.add_argument("--n", type=int, default=16)
     p.add_argument("--m", type=float, default=1.0)
     p.add_argument("--omega", type=float, default=1.0)
@@ -605,7 +603,7 @@ def _build_parser():
     p.add_argument("--state", required=True)
 
     p = sub.add_parser("demo")
-    common(p)
+    common(p, hbar=True)
     p.add_argument("--name", required=True)
 
     return parser
@@ -645,7 +643,7 @@ def run(argv) -> int:
         args.tol = _resolve_tol(args)
         if args.tol <= 0:
             raise ValueError(f"tol must be positive, got {args.tol}")
-        if args.hbar <= 0:
+        if getattr(args, "hbar", 1.0) <= 0:
             raise ValueError(f"hbar must be positive, got {args.hbar}")
         payload = _json(HANDLERS[args.command](args)) + "\n"
     except MalformedInput as exc:

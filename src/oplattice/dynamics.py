@@ -14,10 +14,10 @@ from .linalg import (
     FIT_TOL,
     PRODUCT_TOL,
     SOLVER_TOL,
-    DimensionMismatch,
     HermitianOperator,
     UnitaryOperator,
     _fro_batch,
+    _hermitian,
     as_matrix,
     frobenius,
     operator_norm,
@@ -90,10 +90,6 @@ class NotACocycle(ValueError):
         self.defect = float(defect)
 
 
-def _herm(A):
-    return A if isinstance(A, HermitianOperator) else HermitianOperator(A)
-
-
 def _evolve(pvm, t, hbar):
     """exp(-i t H / hbar) for each time in the array t, on the spectral
     measure of H: one n x n product V exp(-i t Lambda / hbar) V^* per time."""
@@ -104,7 +100,7 @@ def _evolve(pvm, t, hbar):
 def evolve_unitary(H, t, hbar=1.0) -> UnitaryOperator:
     """exp(-i t H / hbar), unitary to machine precision: one eigendecomposition
     of H and one n x n product on its eigenvector factor."""
-    return UnitaryOperator(_evolve(spectral_decompose(_herm(H)), t, hbar))
+    return UnitaryOperator(_evolve(spectral_decompose(_hermitian(H)), t, hbar))
 
 
 def _evolve_grid(pvm, times, hbar):
@@ -181,10 +177,8 @@ def generator_from_group(samples, hbar=1.0) -> HermitianOperator:
 
 def heisenberg_observable(A, H, t, hbar=1.0) -> HermitianOperator:
     """A_t = U_t^{-1} A U_t. The spectrum is untouched."""
-    A = _herm(A)
-    H = _herm(H)
-    if A.dim != H.dim:
-        raise DimensionMismatch(f"observable dim {A.dim} vs generator {H.dim}")
+    A, H = _hermitian(A), _hermitian(H)
+    require_same_dim(A.dim, H.dim)
     U = evolve_unitary(H, t, hbar).matrix
     return HermitianOperator(U.conj().T @ A.matrix @ U)
 
@@ -202,10 +196,8 @@ def noether_check(A, H, t_grid=None, s_grid=None, tol=PRODUCT_TOL,
     groups, and invariance of H under the A-evolution. The flags must agree;
     a split verdict raises, because the equivalence is a theorem and only
     the tolerance can fail."""
-    A = _herm(A)
-    H = _herm(H)
-    if A.dim != H.dim:
-        raise DimensionMismatch(f"dims differ: {A.dim} vs {H.dim}")
+    A, H = _hermitian(A), _hermitian(H)
+    require_same_dim(A.dim, H.dim)
     t_grid = DEFAULT_NOETHER_GRID if t_grid is None else tuple(t_grid)
     s_grid = DEFAULT_NOETHER_GRID if s_grid is None else tuple(s_grid)
     if not t_grid or not s_grid:
@@ -234,10 +226,8 @@ def noether_check(A, H, t_grid=None, s_grid=None, tol=PRODUCT_TOL,
 def commuting_via_groups(A, B, grid=None, tol=PRODUCT_TOL, hbar=1.0) -> bool:
     """Group-level compatibility test: exp(-itA) and exp(-isB) commute for
     every (t, s) in the grid. Agrees with the spectral-measure test."""
-    A = _herm(A)
-    B = _herm(B)
-    if A.dim != B.dim:
-        raise DimensionMismatch(f"dims differ: {A.dim} vs {B.dim}")
+    A, B = _hermitian(A), _hermitian(B)
+    require_same_dim(A.dim, B.dim)
     grid = DEFAULT_NOETHER_GRID if grid is None else tuple(grid)
     worst = _commutator_defect(_evolve_grid(spectral_decompose(A), grid, hbar),
                                _evolve_grid(spectral_decompose(B), grid, hbar))
@@ -248,7 +238,7 @@ def commuting_via_groups(A, B, grid=None, tol=PRODUCT_TOL, hbar=1.0) -> bool:
 
 def _prepare_grid(samples, t1, t2):
     pairs = sorted(
-        ((float(t), _herm(H).matrix) for t, H in samples),
+        ((float(t), _hermitian(H).matrix) for t, H in samples),
         key=lambda p: p[0],
     )
     if len(pairs) < 2:
@@ -344,15 +334,13 @@ class SymmetryOperator:
 
     def apply(self, vector):
         v = np.asarray(vector, dtype=complex).reshape(-1)
-        if v.size != self.dim:
-            raise DimensionMismatch(f"vector dim {v.size} vs {self.dim}")
+        require_same_dim(v.size, self.dim)
         return self.matrix @ (v.conj() if self.antiunitary else v)
 
     def compose(self, other):
         """self after other. Conjugation slides past the second factor when
         the first is antiunitary."""
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"dims differ: {self.dim} vs {other.dim}")
+        require_same_dim(self.dim, other.dim)
         inner = other.matrix.conj() if self.antiunitary else other.matrix
         return SymmetryOperator(
             self.matrix @ inner,
@@ -371,8 +359,7 @@ class SymmetryOperator:
 
 def wigner_apply(V: SymmetryOperator, rho: DensityState) -> DensityState:
     """State transport rho -> V rho V^{-1}."""
-    if V.dim != rho.dim:
-        raise DimensionMismatch(f"dims differ: {V.dim} vs {rho.dim}")
+    require_same_dim(V.dim, rho.dim)
     R = rho.matrix.conj() if V.antiunitary else rho.matrix
     return DensityState(V.matrix @ R @ V.matrix.conj().T)
 
@@ -380,9 +367,8 @@ def wigner_apply(V: SymmetryOperator, rho: DensityState) -> DensityState:
 def wigner_apply_observable(V: SymmetryOperator, A) -> HermitianOperator:
     """Observable transport A -> V A V^{-1}; pairs with wigner_apply so that
     expectations are preserved."""
-    A = _herm(A)
-    if V.dim != A.dim:
-        raise DimensionMismatch(f"dims differ: {V.dim} vs {A.dim}")
+    A = _hermitian(A)
+    require_same_dim(V.dim, A.dim)
     M = A.matrix.conj() if V.antiunitary else A.matrix
     return HermitianOperator(V.matrix @ M @ V.matrix.conj().T)
 
@@ -392,7 +378,7 @@ def spectrum_reversal_gap(H) -> float:
     gap between the sorted spectrum and the sorted negated spectrum. Any
     unitary T with T H T^{-1} = -H needs this to vanish, so a positive gap
     certifies no such T exists (and time reversal must be antiunitary)."""
-    w = np.linalg.eigvalsh(_herm(H).matrix)
+    w = np.linalg.eigvalsh(_hermitian(H).matrix)
     return float(np.max(np.abs(w + w[::-1])))
 
 

@@ -14,9 +14,9 @@ from .linalg import (
     PRODUCT_TOL,
     RANK_RTOL,
     SOLVER_TOL,
-    DimensionMismatch,
     as_matrix,
     frobenius,
+    require_same_dim,
     require_square,
 )
 from .states import DensityState, is_pure
@@ -46,9 +46,11 @@ class InputIsPure(ValueError):
 def _axiom_residuals(c, s, u):
     """(axiom, residual array, scale of its bound) for the structure
     constants c, involution s and unit u, in checking order; each
-    contraction is one BLAS product. The scales are m^2, 1, m, m with
-    m = max(1, max |c|), then max |u| for u^* s - u, linear in u: a floor at
-    1 would blind it on a large basis, whose unit has small coordinates."""
+    contraction is one BLAS product. The scales are m^2, 1, m with
+    m = max(1, max |c|), then 1 for u c - I, which is dimensionless (u goes
+    as 1/scale, c as scale), then max |u| for u^* s - u, linear in u: a
+    floor at 1 would blind it on a large basis, whose unit has small
+    coordinates."""
     n = u.size
     scale = max(1.0, float(np.abs(c).max()))
     # (b_i b_j) b_l - b_i (b_j b_l) at ijlq, (b_i b_j)^* - b_j^* b_i^* at ijq
@@ -62,7 +64,7 @@ def _axiom_residuals(c, s, u):
         ("associativity", assoc, scale ** 2),
         ("involution squaring to the identity", s.conj() @ s - np.eye(n), 1.0),
         ("the adjoint of a product", anti, scale),
-        ("the unit acting as identity", units - np.eye(n), scale),
+        ("the unit acting as identity", units - np.eye(n), 1.0),
         ("self-adjointness of the unit", u.conj() @ s - u,
          float(np.abs(u).max())),
     ]
@@ -257,10 +259,7 @@ def folium_state(triple: GNSTriple, T, alg: AbstractStarAlgebra) -> AlgebraicSta
     algebraic state: values tr(T pi(b_i))."""
     Tm = T.matrix if isinstance(T, DensityState) else \
         DensityState(as_matrix(T)).matrix
-    if Tm.shape[0] != triple.rep_dim:
-        raise DimensionMismatch(
-            f"density dim {Tm.shape[0]} vs representation {triple.rep_dim}"
-        )
+    require_same_dim(Tm.shape[0], triple.rep_dim)
     values = [complex(np.trace(Tm @ as_matrix(m))) for m in triple.pi_images]
     return AlgebraicState(alg, values)
 

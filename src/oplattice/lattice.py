@@ -12,13 +12,13 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     RANK_RTOL,
-    DimensionMismatch,
     as_matrix,
     frobenius,
     matrix_from_json,
     matrix_to_json,
     operator_norm,
     range_basis,
+    require_same_dim,
     require_square,
 )
 
@@ -94,6 +94,11 @@ class Projector:
         return f"Projector(dim={self.dim}, rank={self.rank})"
 
 
+def _projector(P, tol=DEFAULT_TOL) -> Projector:
+    """P if it is already admitted, else P admitted at tol."""
+    return P if isinstance(P, Projector) else Projector(P, tol)
+
+
 def _projectors(stack, tol=DEFAULT_TOL) -> list:
     """Projectors of a complex (k, n, n) stack, checked as one stack: the first
     matrix that Projector refuses raises the same NotProjector. The stack is
@@ -118,15 +123,12 @@ def identity_projector(dim) -> Projector:
     return Projector(np.eye(dim))
 
 
-def _same_dim(P, Q):
-    if P.dim != Q.dim:
-        raise DimensionMismatch(f"projector dims differ: {P.dim} vs {Q.dim}")
-    return P.dim
-
-
 def neg(P: Projector) -> Projector:
-    """Orthocomplement I - P."""
-    return Projector(np.eye(P.dim) - P.matrix)
+    """Orthocomplement I - P. Its Hermiticity, idempotency and trace defects
+    are P's, so it carries P's admission, at the caller's tol, with rank
+    n - r, and is not checked again."""
+    return Projector.__new__(Projector)._admit(np.eye(P.dim) - P.matrix,
+                                               P.dim - P.rank)
 
 
 def _union_span_projector(bases, dim):
@@ -147,7 +149,7 @@ def meet(P: Projector, Q: Projector) -> Projector:
     Nullspace method: the intersection is the orthocomplement of
     span(range(I-P) union range(I-Q)), which needs no iteration.
     """
-    dim = _same_dim(P, Q)
+    dim = require_same_dim(P.dim, Q.dim)
     union = _union_span_projector(
         [range_basis(neg(P).matrix), range_basis(neg(Q).matrix)], dim
     )
@@ -156,7 +158,7 @@ def meet(P: Projector, Q: Projector) -> Projector:
 
 def join(P: Projector, Q: Projector) -> Projector:
     """Projector onto range(P) + range(Q)."""
-    dim = _same_dim(P, Q)
+    dim = require_same_dim(P.dim, Q.dim)
     return Projector(_union_span_projector(
         [range_basis(P.matrix), range_basis(Q.matrix)], dim))
 
@@ -174,7 +176,7 @@ def jauch_meet(P: Projector, Q: Projector, tol=DEFAULT_TOL, max_iter=200000,
     When norm_log is a list, the operator norm of each iterate is appended,
     one entry per multiplication.
     """
-    _same_dim(P, Q)
+    require_same_dim(P.dim, Q.dim)
     target = meet(P, Q).matrix
     PQ = P.matrix @ Q.matrix
     M = P.matrix
@@ -191,14 +193,14 @@ def jauch_meet(P: Projector, Q: Projector, tol=DEFAULT_TOL, max_iter=200000,
 
 def is_below(P: Projector, Q: Projector) -> bool:
     """Range inclusion P <= Q, tested as QP = P."""
-    _same_dim(P, Q)
+    require_same_dim(P.dim, Q.dim)
     return frobenius(Q.matrix @ P.matrix - P.matrix) <= DEFAULT_TOL
 
 
 def commuting_decomposition(P: Projector, Q: Projector, tol=DEFAULT_TOL):
     """For commuting P, Q: the three pairwise-orthogonal parts
     (P minus the overlap, Q minus the overlap, the overlap PQ)."""
-    _same_dim(P, Q)
+    require_same_dim(P.dim, Q.dim)
     overlap = P.matrix @ Q.matrix
     c3, c1, c2 = _projectors(np.array(
         [overlap, P.matrix - overlap, Q.matrix - Q.matrix @ P.matrix]), 100 * tol)
@@ -208,7 +210,7 @@ def commuting_decomposition(P: Projector, Q: Projector, tol=DEFAULT_TOL):
 def commutes(P: Projector, Q: Projector, tol=DEFAULT_TOL) -> bool:
     """PQ = QP within tol. A true result is certified by producing the
     three-part decomposition and checking its pairwise orthogonality."""
-    _same_dim(P, Q)
+    require_same_dim(P.dim, Q.dim)
     if frobenius(P.matrix @ Q.matrix - Q.matrix @ P.matrix) > tol:
         return False
     parts = commuting_decomposition(P, Q, tol)

@@ -137,6 +137,11 @@ class HermitianOperator:
         return f"HermitianOperator(dim={self.dim})"
 
 
+def _hermitian(A) -> HermitianOperator:
+    """A if it is already admitted, else A admitted at DEFAULT_TOL."""
+    return A if isinstance(A, HermitianOperator) else HermitianOperator(A)
+
+
 def require_unitary(M: np.ndarray) -> np.ndarray:
     """Return M, a matrix or a (..., n, n) stack, once every matrix in it has
     max(||M^*M - I||_F, ||MM^* - I||_F) <= DEFAULT_TOL * max(1, sqrt(n))."""
@@ -216,11 +221,21 @@ def matrix_to_json(M) -> dict:
     return {"rows": rows, "cols": cols, "data": data}
 
 
+def _complex_pairs(data) -> np.ndarray:
+    """Nested [re, im] number pairs as a complex array of one axis fewer. The
+    pairs are viewed as complex, not added up, so every bit is kept, the
+    sign of a zero included."""
+    arr = np.asarray(data)
+    if arr.dtype.kind not in "biuf" or arr.ndim < 1 or arr.shape[-1] != 2:
+        raise ValueError("expected nested [re, im] pairs of numbers")
+    return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
+
+
 def matrix_from_json(obj) -> np.ndarray:
     rows, cols = int(obj["rows"]), int(obj["cols"])
     data = obj["data"]
     if len(data) != rows * cols:
         raise ValueError(f"data length {len(data)} != rows*cols {rows * cols}")
-    flat = np.array([complex(re, im) for re, im in data], dtype=complex)
+    flat = _complex_pairs(data) if rows * cols else np.zeros(0, dtype=complex)
     return as_matrix(flat.reshape(rows, cols))
 

@@ -13,11 +13,12 @@ import numpy as np
 from .algebras import commutant
 from .linalg import (
     ABS_FLOOR,
-    DEFAULT_TOL,
     SOLVER_TOL,
     HermitianOperator,
+    _hermitian,
     frobenius,
     operator_norm,
+    require_same_dim,
 )
 from .states import DensityState, PureStateVector, std_deviation
 
@@ -142,7 +143,7 @@ def heisenberg_uncertainty(pair: TruncatedCanonicalPair,
     return UncertaintyReport(dx, dp, product, bound, tail)
 
 
-def svn_hypotheses_check(Q_list, M_list, tol=DEFAULT_TOL, hbar=1.0) -> dict:
+def svn_hypotheses_check(Q_list, M_list, hbar=1.0) -> dict:
     """Diagnostic report on a candidate canonical family.
 
     Measures how far the pairs are from the canonical relations (operator
@@ -152,8 +153,8 @@ def svn_hypotheses_check(Q_list, M_list, tol=DEFAULT_TOL, hbar=1.0) -> dict:
     can never hold exactly at finite dimension and the defect is at least
     hbar in operator norm.
     """
-    Qs = [_coerce(Q) for Q in Q_list]
-    Ms = [_coerce(M) for M in M_list]
+    Qs = [_hermitian(Q).matrix for Q in Q_list]
+    Ms = [_hermitian(M).matrix for M in M_list]
     if len(Qs) != len(Ms):
         raise ValueError(
             f"need matching lists, got {len(Qs)} and {len(Ms)}"
@@ -161,7 +162,6 @@ def svn_hypotheses_check(Q_list, M_list, tol=DEFAULT_TOL, hbar=1.0) -> dict:
     report = {
         "pairs": len(Qs),
         "hbar": hbar,
-        "tolerance": tol,
         "finite_dim_note": (
             "commutators are traceless, so the canonical relation cannot "
             "hold exactly at finite dimension"
@@ -180,10 +180,7 @@ def svn_hypotheses_check(Q_list, M_list, tol=DEFAULT_TOL, hbar=1.0) -> dict:
             "sum_squares_hermiticity_defect": 0.0,
         })
         return report
-    dims = {Q.shape[0] for Q in Qs} | {M.shape[0] for M in Ms}
-    if len(dims) != 1:
-        raise ValueError(f"mixed dimensions {sorted(dims)}")
-    n = dims.pop()
+    n = require_same_dim(*(A.shape[0] for A in Qs + Ms))
     eye = np.eye(n)
 
     ccr = [[0.0] * len(Ms) for _ in Qs]
@@ -213,9 +210,3 @@ def svn_hypotheses_check(Q_list, M_list, tol=DEFAULT_TOL, hbar=1.0) -> dict:
         "sum_squares_hermiticity_defect": herm_defect,
     })
     return report
-
-
-def _coerce(A):
-    if isinstance(A, HermitianOperator):
-        return A.matrix
-    return HermitianOperator(A).matrix

@@ -18,6 +18,7 @@ from .linalg import (
     SOLVER_TOL,
     HermitianOperator,
     _fro_batch,
+    _hermitian,
     as_matrix,
     eig_hermitian,
     frobenius,
@@ -202,7 +203,7 @@ def spectral_decompose(A, cluster_tol=SOLVER_TOL) -> ProjectorValuedMeasure:
     the mean of the merged eigenvalues and whose projector is the sum of the
     corresponding rank-1 projectors.
     """
-    A = A if isinstance(A, HermitianOperator) else HermitianOperator(A)
+    A = _hermitian(A)
     es = eig_hermitian(A)
     w, V = es.eigenvalues, es.eigenvectors
     threshold = cluster_tol * max(1.0, float(w[-1] - w[0]))

@@ -9,18 +9,18 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .lattice import Projector, _projectors
+from .lattice import Projector, _projector, _projectors
 from .linalg import (
     ABS_FLOOR,
     DEFAULT_TOL,
     FIT_TOL,
     RANK_RTOL,
-    DimensionMismatch,
     HermitianOperator,
-    as_matrix,
+    _hermitian,
     eig_hermitian,
     frobenius,
     hermitian_part,
+    require_same_dim,
 )
 
 
@@ -128,25 +128,16 @@ class DensityState:
         return f"DensityState(dim={self.dim})"
 
 
-def _proj_matrix(P):
-    return P.matrix if isinstance(P, Projector) else as_matrix(P)
-
-
-def _herm_matrix(A):
-    return A.matrix if isinstance(A, HermitianOperator) else as_matrix(A)
-
-
-def _check_dim(rho, M):
-    if rho.dim != M.shape[0]:
-        raise DimensionMismatch(
-            f"state dim {rho.dim} vs operator dim {M.shape[0]}"
-        )
+def _matched(rho, admitted):
+    """The matrix of an admitted operator, once its dim is rho's."""
+    require_same_dim(rho.dim, admitted.dim)
+    return admitted.matrix
 
 
 def born_probability(rho: DensityState, P, tol=DEFAULT_TOL) -> float:
-    """tr(rho P), clamped to [0, 1] after checking it is within tol of it."""
-    M = _proj_matrix(P)
-    _check_dim(rho, M)
+    """tr(rho P), clamped to [0, 1] after checking it is within tol of it;
+    a raw P is admitted as a Projector at tol."""
+    M = _matched(rho, _projector(P, tol))
     p = float((rho.matrix @ M).trace().real)
     if p < -tol or p > 1.0 + tol:
         raise ValueError(f"probability {p} outside [0,1] beyond tolerance")
@@ -154,16 +145,14 @@ def born_probability(rho: DensityState, P, tol=DEFAULT_TOL) -> float:
 
 
 def expectation(rho: DensityState, A) -> float:
-    M = _herm_matrix(A)
-    _check_dim(rho, M)
+    M = _matched(rho, _hermitian(A))
     return float((rho.matrix @ M).trace().real)
 
 
 def std_deviation(rho: DensityState, A) -> float:
     """sqrt(<A^2> - <A>^2); the radicand is clamped to 0 when within
     -DEFAULT_TOL."""
-    M = _herm_matrix(A)
-    _check_dim(rho, M)
+    M = _matched(rho, _hermitian(A))
     mean = float((rho.matrix @ M).trace().real)
     second = float((rho.matrix @ M @ M).trace().real)
     radicand = second - mean * mean
@@ -174,8 +163,7 @@ def std_deviation(rho: DensityState, A) -> float:
 
 def luders_collapse(rho: DensityState, P) -> DensityState:
     """Post-measurement state P rho P / tr(rho P)."""
-    M = _proj_matrix(P)
-    _check_dim(rho, M)
+    M = _matched(rho, _projector(P))
     p = float((rho.matrix @ M).trace().real)
     if p <= ABS_FLOOR:
         raise ZeroProbability(p)
@@ -199,11 +187,9 @@ def sequential_probability(rho: DensityState, chain) -> SequentialProbability:
     """Probability of a chain of outcomes measured first-to-last:
     tr(Pn ... P1 rho P1 ... Pn). The reversed-order value rides along, since
     for non-commuting chains the order matters."""
-    mats = [_proj_matrix(P) for P in chain]
+    mats = [_matched(rho, _projector(P)) for P in chain]
     if not mats:
         raise ValueError("empty measurement chain")
-    for M in mats:
-        _check_dim(rho, M)
     return SequentialProbability(
         _chain_probability(rho, mats),
         _chain_probability(rho, mats[::-1]),
@@ -221,8 +207,7 @@ def conditional_probability(rho: DensityState, target, given) -> float:
 
 
 def transition_probability(psi: PureStateVector, phi: PureStateVector) -> float:
-    if psi.dim != phi.dim:
-        raise DimensionMismatch(f"vector dims differ: {psi.dim} vs {phi.dim}")
+    require_same_dim(psi.dim, phi.dim)
     return float(abs(np.vdot(psi.amplitudes, phi.amplitudes)) ** 2)
 
 
@@ -284,11 +269,11 @@ def gleason_fit(assignments) -> GleasonFit:
     The probability assignment on rays determines the state only from
     dimension 3 up, so dimension 2 is flagged in the result.
     """
-    pairs = [(_proj_matrix(P), float(p)) for P, p in assignments]
+    pairs = [(_projector(P), float(p)) for P, p in assignments]
     if not pairs:
         raise ValueError("no assignments given")
-    stack = np.array([M for M, _ in pairs])
-    n = stack.shape[-1]
+    n = require_same_dim(*(P.dim for P, _ in pairs))
+    stack = np.array([P.matrix for P, _ in pairs])
     needed = n * n
     design = _herm_coordinates(stack)
     probs = np.array([p for _, p in pairs])

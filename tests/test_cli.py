@@ -160,6 +160,25 @@ def test_lattice_report_for_commuting_pair(tmp_path):
     assert rep["jauch_gap"] <= 1e-7
 
 
+def test_lattice_keeps_the_tolerance_it_admitted_at(tmp_path, capsys):
+    """P is 1e-8 off a projector along e1, orthogonal to P ^ Q = span(e0):
+    refused at the default tol, and at --tol 1e-6 admitted once, its
+    orthocomplement and meet included."""
+    v = np.array([0.0, 1.0, 1.0]) / np.sqrt(2.0)
+    obj = {
+        "p": matrix_to_json(np.diag([1.0, 1.0 + 1e-8, 0.0])),
+        "q": matrix_to_json(np.diag([1.0, 0.0, 0.0]) + np.outer(v, v)),
+    }
+    infile = write_json(tmp_path / "pq.json", obj)
+    assert run(["lattice", "--in", infile]) == 2
+    capsys.readouterr()
+    rep = run_json(tmp_path, ["lattice", "--in", infile, "--tol", "1e-6"])
+    assert rep["commutes"] is False
+    meet_mat = complexify(rep["meet"]["data"]).reshape(3, 3)
+    np.testing.assert_allclose(meet_mat, np.diag([1.0, 0.0, 0.0]), atol=1e-12)
+    assert rep["jauch_gap"] <= 1e-5
+
+
 def test_measurement_chain_orders_differ(tmp_path):
     obj = {
         "state": matrix_to_json(np.diag([1.0, 0.0]).astype(complex)),
@@ -298,6 +317,35 @@ def test_gns_through_cli_files(tmp_path):
     assert rep["commutant_dimension"] == 2
     assert rep["pure"] is False
     assert rep["verify"]["ok"] is True
+
+
+def test_pair_reader_keeps_signed_zeros():
+    z = cli._complex_array([[-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0]], "z")
+    assert np.signbit(z.real).tolist() == [True, False, True]
+    assert np.signbit(z.imag).tolist() == [True, True, False]
+    with pytest.raises(cli.MalformedInput):
+        cli._complex_array([[1.0, 2.0, 3.0]], "z")
+    with pytest.raises(cli.MalformedInput):
+        cli._complex_array([["1.0", "2.0"]], "z")
+
+
+def test_hbar_is_declared_only_where_it_is_read(tmp_path, capsys):
+    sz = write_json(tmp_path / "sz.json", matrix_to_json(SZ))
+    for argv in (["spectral", "--in", sz], ["funcalc", "--in", sz, "--f",
+                                            "square"],
+                 *([name, "--in", sz] for name in (
+                     "lattice", "measure", "collapse", "gleason-fit",
+                     "commutant", "sectors")),
+                 ["gns", "--algebra", sz, "--state", sz]):
+        assert run(argv + ["--hbar", "2.0"]) == 2, argv
+    out = str(tmp_path / "out.json")
+    assert run(["noether", "--a", sz, "--h", sz, "--hbar", "2.0",
+                "--out", out]) == 0
+    assert run(["demo", "--name", "spin-ccr", "--hbar", "2.0",
+                "--out", out]) == 0
+    rep = run_json(tmp_path, ["ccr", "--n", "4", "--hbar", "2.0"])
+    assert rep["hbar"] == 2.0
+    capsys.readouterr()
 
 
 def test_all_demos_run_clean(tmp_path, capsys):

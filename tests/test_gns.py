@@ -277,6 +277,17 @@ def test_unit_gates_are_relative_at_every_scale(scale):
         AbstractStarAlgebra(alg.mult, alg.invol, bent)
 
 
+@pytest.mark.parametrize("scale", [1e-11, 1e-9, 1.0, 1e6])
+def test_unit_acting_as_identity_is_judged_without_a_scale(scale):
+    """u c - I is dimensionless (u goes as 1/scale, c as scale), so a unit
+    moved by a relative 1e-3, still self-adjoint, is refused at every scale
+    of the plain M_2 matrix units, while the unmoved unit is admitted."""
+    alg = algebra_from_matrices([scale * E for E in matrix_units(2)])
+    assert AbstractStarAlgebra(alg.mult, alg.invol, alg.unit).n_basis == 4
+    with pytest.raises(DegenerateAlgebra, match="the unit acting as identity"):
+        AbstractStarAlgebra(alg.mult, alg.invol, alg.unit * (1.0 + 1e-3))
+
+
 @pytest.mark.parametrize("scale", [
     pytest.param(1e-11, marks=pytest.mark.xfail(strict=True, reason=(
         "the cyclic-rank cutoff is floored at 1, so an orbit of norm "

@@ -236,3 +236,27 @@ def test_json_roundtrip_and_declared_rank_check():
     obj["rank"] = 2
     with pytest.raises(ValueError):
         projector_from_json(obj)
+
+
+def test_orthocomplement_keeps_the_admission_of_its_projector():
+    """I - P carries P's defects, so a P admitted at tol 1e-6 but 1e-8 off a
+    projector has an orthocomplement and meets under the default tol. The
+    bend, along e1 of the basis U, is orthogonal to P ^ Q = span(U e0), so
+    the intersection survives it."""
+    rng = np.random.default_rng(71)
+    U, _ = np.linalg.qr(rng.standard_normal((3, 3))
+                        + 1j * rng.standard_normal((3, 3)))
+    v = np.array([0.0, 1.0, 1.0]) / np.sqrt(2.0)
+    bent = U @ np.diag([1.0, 1.0 + 1e-8, 0.0]) @ U.conj().T
+    with pytest.raises(NotProjector):
+        Projector(bent)
+    P = Projector(bent, tol=1e-6)
+    Q = Projector(U @ (np.diag([1.0, 0.0, 0.0]) + np.outer(v, v))
+                  @ U.conj().T, tol=1e-6)
+    notP = neg(P)
+    assert notP.rank == 1 and notP.dim == 3
+    assert np.array_equal(notP.matrix, np.eye(3) - P.matrix)
+    assert not notP.matrix.flags.writeable
+    both = meet(P, Q)
+    assert both.rank == 1
+    assert frobenius(both.matrix - np.outer(U[:, 0], U[:, 0].conj())) <= 1e-12

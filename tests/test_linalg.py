@@ -203,3 +203,56 @@ def test_thresholds_are_named_only_in_the_linalg_policy_block():
                   and isinstance(node.value, float)
                   and 0.0 < abs(node.value) < 1e-3 and id(node) not in named]
     assert not stray, stray
+
+
+def test_only_linalg_raises_dimension_mismatch():
+    """require_same_dim is the one dimension check: a DimensionMismatch
+    built anywhere else in the package would be a second one."""
+    stray = []
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        if path.name != "linalg.py":
+            stray += [f"{path.name}:{node.lineno}"
+                      for node in ast.walk(ast.parse(path.read_text()))
+                      if isinstance(node, ast.Call)
+                      and getattr(node.func, "id", getattr(
+                          node.func, "attr", None)) == "DimensionMismatch"]
+    assert not stray, stray
+
+
+def test_every_dimension_check_raises_dimension_mismatch():
+    import oplattice as op
+    two, three = np.diag([1.0, 2.0]), np.diag([1.0, 2.0, 3.0])
+    P2 = op.Projector(np.diag([1.0, 0.0]))
+    P3 = op.Projector(np.diag([1.0, 0.0, 0.0]))
+    rho = op.DensityState.maximally_mixed(2)
+    V = op.SymmetryOperator(np.eye(3))
+    units = list(np.eye(4).reshape(4, 2, 2))
+    alg = op.algebra_from_matrices(units)
+    triple = op.gns_construct(alg, op.state_from_density(alg, units, rho))
+    calls = [
+        lambda: op.commutant([two], dim=3),
+        lambda: op.commutant([two, three]),
+        lambda: op.MatrixStarAlgebra([np.eye(2)]).contains(np.eye(3)),
+        lambda: op.heisenberg_observable(two, three, 0.1),
+        lambda: op.noether_check(two, three),
+        lambda: op.commuting_via_groups(two, three),
+        lambda: V.apply([1.0, 0.0]),
+        lambda: V.compose(op.SymmetryOperator(np.eye(2))),
+        lambda: op.wigner_apply(V, rho),
+        lambda: op.wigner_apply_observable(V, two),
+        lambda: op.folium_state(triple, rho, alg),
+        *(lambda f=f: f(P2, P3) for f in (
+            op.meet, op.join, op.jauch_meet, op.is_below, op.commutes,
+            op.commuting_decomposition, op.orthomodular_check)),
+        *(lambda f=f, A=A: f(rho, A) for f, A in (
+            (op.born_probability, P3), (op.expectation, three),
+            (op.std_deviation, three), (op.luders_collapse, P3),
+            (op.sequential_probability, [P3]))),
+        lambda: op.transition_probability(op.PureStateVector([1.0, 0.0]),
+                                          op.PureStateVector([1.0, 0, 0])),
+        lambda: op.gleason_fit([(P2, 1.0), (P3, 1.0)]),
+        lambda: op.svn_hypotheses_check([two], [three]),
+    ]
+    for call in calls:
+        with pytest.raises(op.DimensionMismatch):
+            call()

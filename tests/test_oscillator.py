@@ -5,6 +5,7 @@ import pytest
 
 from oplattice import (
     BadDimension,
+    DimensionMismatch,
     PureStateVector,
     TailTooLarge,
     TruncatedCanonicalPair,
@@ -119,6 +120,17 @@ def test_hypothesis_audit_spin_example():
     assert abs(rep["ccr_residuals"][0][0] - 4.0) <= 1e-12
     assert rep["irreducible"]
     assert rep["minimum_defect_bound"] == 2.0
+
+
+def test_hypothesis_audit_takes_no_tolerance():
+    """No quantity of the audit is compared with a tolerance, so it takes
+    none and echoes none; mixed dimensions are refused as a mismatch."""
+    pair = build_truncated_pair(4)
+    assert "tolerance" not in svn_hypotheses_check([pair.X], [pair.P])
+    with pytest.raises(TypeError):
+        svn_hypotheses_check([pair.X], [pair.P], tol=1e-9)
+    with pytest.raises(DimensionMismatch):
+        svn_hypotheses_check([pair.X], [SX])
 
 
 def test_hypothesis_audit_trivial_for_empty_input():

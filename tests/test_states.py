@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 
 from oplattice import (
     DensityState,
+    HermitianOperator,
     InconsistentAssignments,
+    NotHermitian,
+    NotProjector,
     Projector,
     PureStateVector,
     UnderdeterminedFrame,
@@ -80,6 +83,26 @@ def test_expectation_and_spread():
     assert abs(expectation(x_up, SZ)) <= 1e-12
     assert abs(std_deviation(x_up, SZ) - 1.0) <= 1e-12
     assert abs(std_deviation(Z_UP, SZ)) <= 1e-7
+
+
+def test_raw_arrays_are_admitted_as_the_operators_they_stand_for():
+    """A raw observable is admitted as a HermitianOperator and a raw event as
+    a Projector, so a non-Hermitian array or a non-projector is refused here
+    as it is in dynamics, and an admissible one counts as its operator."""
+    skew = SZ + 0.5j * SX
+    for read in (expectation, std_deviation):
+        with pytest.raises(NotHermitian):
+            read(Z_UP, skew)
+        assert read(Z_UP, SX) == read(Z_UP, HermitianOperator(SX))
+    half = np.diag([1.0, 0.5])
+    for measure in (born_probability, luders_collapse,
+                    lambda rho, P: sequential_probability(rho, [P_XUP, P])):
+        with pytest.raises(NotProjector):
+            measure(Z_UP, half)
+    with pytest.raises(NotProjector):
+        gleason_fit([(half, 1.0)])
+    assert born_probability(Z_UP, P_XUP.matrix) == born_probability(Z_UP,
+                                                                    P_XUP)
 
 
 def test_collapse_moves_z_up_onto_x_axis():
