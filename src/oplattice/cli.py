@@ -468,7 +468,7 @@ def _demo_c2_distributivity(data, args):
 
 
 def _demo_spin_ccr(data, args):
-    hbar = float(data.get("hbar", args.hbar))
+    hbar = float(data.get("hbar", 1.0))
     S, rep = su2_fixture(hbar)
     quad = rep["quadratic_invariant"]
     expected = rep["expected_invariant_value"]
@@ -497,7 +497,7 @@ def _demo_oscillator(data, args):
         int(data.get("n", 16)),
         float(data.get("m", 1.0)),
         float(data.get("omega", 1.0)),
-        float(data.get("hbar", args.hbar)),
+        float(data.get("hbar", 1.0)),
     )
 
 
@@ -603,7 +603,7 @@ def _build_parser():
     p.add_argument("--state", required=True)
 
     p = sub.add_parser("demo")
-    common(p, hbar=True)
+    common(p)
     p.add_argument("--name", required=True)
 
     return parser

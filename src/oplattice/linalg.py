@@ -224,8 +224,11 @@ def matrix_to_json(M) -> dict:
 def _complex_pairs(data) -> np.ndarray:
     """Nested [re, im] number pairs as a complex array of one axis fewer. The
     pairs are viewed as complex, not added up, so every bit is kept, the
-    sign of a zero included."""
+    sign of a zero included. An integer beyond 64 bits is read as a float."""
     arr = np.asarray(data)
+    if arr.dtype.kind == "O" and all(isinstance(x, (int, float))
+                                     for x in arr.flat):
+        arr = arr.astype(float)
     if arr.dtype.kind not in "biuf" or arr.ndim < 1 or arr.shape[-1] != 2:
         raise ValueError("expected nested [re, im] pairs of numbers")
     return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]

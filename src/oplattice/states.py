@@ -199,6 +199,7 @@ def sequential_probability(rho: DensityState, chain) -> SequentialProbability:
 def conditional_probability(rho: DensityState, target, given) -> float:
     """Probability of target right after given succeeded: the two-step
     sequential probability divided by the probability of the condition."""
+    given, target = _projector(given), _projector(target)
     p_given = born_probability(rho, given)
     if p_given <= ABS_FLOOR:
         raise ZeroProbability(p_given)

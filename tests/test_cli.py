@@ -327,6 +327,8 @@ def test_pair_reader_keeps_signed_zeros():
         cli._complex_array([[1.0, 2.0, 3.0]], "z")
     with pytest.raises(cli.MalformedInput):
         cli._complex_array([["1.0", "2.0"]], "z")
+    big = cli._complex_array(json.loads("[[100000000000000000000, 0]]"), "z")
+    assert big.tolist() == [1e20 + 0j]
 
 
 def test_hbar_is_declared_only_where_it_is_read(tmp_path, capsys):
@@ -338,10 +340,9 @@ def test_hbar_is_declared_only_where_it_is_read(tmp_path, capsys):
                      "commutant", "sectors")),
                  ["gns", "--algebra", sz, "--state", sz]):
         assert run(argv + ["--hbar", "2.0"]) == 2, argv
+    assert run(["demo", "--name", "spin-ccr", "--hbar", "2.0"]) == 2
     out = str(tmp_path / "out.json")
     assert run(["noether", "--a", sz, "--h", sz, "--hbar", "2.0",
-                "--out", out]) == 0
-    assert run(["demo", "--name", "spin-ccr", "--hbar", "2.0",
                 "--out", out]) == 0
     rep = run_json(tmp_path, ["ccr", "--n", "4", "--hbar", "2.0"])
     assert rep["hbar"] == 2.0

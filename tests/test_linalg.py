@@ -181,6 +181,17 @@ def test_json_round_trip_bit_exact():
     assert np.array_equal(back, M)  # bit-exact, not just close
 
 
+def test_json_reads_integers_beyond_64_bits_as_floats():
+    blob = ('{"rows": 1, "cols": 2, '
+            '"data": [[100000000000000000000, -0.0], [1, 2]]}')
+    back = matrix_from_json(json.loads(blob))
+    assert np.array_equal(back, [[1e20, 1 + 2j]])
+    assert np.signbit(back[0, 0].imag)
+    with pytest.raises(ValueError):
+        matrix_from_json({"rows": 1, "cols": 1,
+                          "data": [[100000000000000000000, "1.0"]]})
+
+
 def test_json_rejects_bad_length():
     with pytest.raises(ValueError):
         matrix_from_json({"rows": 2, "cols": 2, "data": [[0.0, 0.0]]})
