@@ -117,17 +117,33 @@ def double_commutant(generators, dim=None) -> list:
     return commutant(commutant(generators, dim), dim)
 
 
-def _span_residual(span, X):
+def _span_residual(span, X, comp=None):
     """Frobenius distance of each matrix in X, one or a (k, n, n) stack, from
-    the span of the orthonormal rows of span (flattened matrices)."""
+    the span of the orthonormal rows of span (flattened matrices): the norm
+    of v - (v S^*) S, or of v comp when comp, the conjugate transpose of the
+    complement's orthonormal rows, is given."""
     v = X.reshape(-1, span.shape[1])
-    return np.linalg.norm(v - (v @ span.conj().T) @ span, axis=1)
+    return np.linalg.norm(v - (v @ span.conj().T) @ span if comp is None
+                          else v @ comp, axis=1)
+
+
+def _products(left, right):
+    """A_i B_j for every A_i of the (m, n, n) stack left and B_j of right, in
+    one GEMM, flattened as the rows i len(right) + j of an (m r, n^2) array."""
+    m, n, _ = left.shape
+    r = len(right)
+    P = left.reshape(m * n, n) @ right.transpose(1, 0, 2).reshape(n, r * n)
+    return P.reshape(m, n, r, n).transpose(0, 2, 1, 3).reshape(m * r, n * n)
 
 
 class MatrixStarAlgebra:
     """A concrete *-algebra: the span of a basis that is verified to be
     closed under adjoints and products and to contain the identity. _span is
-    an orthonormal basis of it (flattened rows), _prime its kept commutant."""
+    an orthonormal basis of it (flattened rows), _prime its kept commutant.
+    The products A_i A_j are formed one GEMM per slice of m left factors by
+    r right ones (r = k unless one left factor passes _CHECK_SLICE entries),
+    each residual on the span's smaller side: along the n^2 - k complement
+    rows when 3k > n^2, else as v - (v S^*) S, a pass through 2k rows."""
 
     __slots__ = ("dim", "basis", "_span", "_prime")
 
@@ -135,29 +151,29 @@ class MatrixStarAlgebra:
         mats = [require_square(as_matrix(B)) for B in basis]
         if not mats:
             raise ValueError("empty basis")
-        require_same_dim(*(M.shape[0] for M in mats))
-        n = mats[0].shape[0]
+        n = require_same_dim(*(M.shape[0] for M in mats))
         k = len(mats)
         stack = np.array(mats)
 
-        _, s, span = np.linalg.svd(stack.reshape(k, -1), full_matrices=False)
+        full = 3 * k > n * n
+        _, s, vh = np.linalg.svd(stack.reshape(k, -1), full_matrices=full)
         if np.sum(s > NULLSPACE_RTOL * s[0]) < k:
             raise ValueError("basis matrices are linearly dependent")
+        span, comp = vh[:k].copy(), vh[k:].conj().T if full else None
 
         scale = max(1.0, max(frobenius(M) for M in mats))
-        if _span_residual(span, np.eye(n))[0] > DEFAULT_TOL * np.sqrt(n):
+        if _span_residual(span, np.eye(n), comp)[0] > DEFAULT_TOL * np.sqrt(n):
             raise ValueError("algebra does not contain the identity")
-        worst = _span_residual(span, stack.conj().transpose(0, 2, 1)).max()
+        worst = _span_residual(span, stack.conj().transpose(0, 2, 1), comp).max()
         if worst > DEFAULT_TOL * scale:
             raise NotClosedUnderProducts(worst)
         if k < n * n:
-            # k = n^2 means the span is everything, products included.
-            # A_i A_j for the pairs p = i k + j, _CHECK_SLICE entries a slice
-            i, j = np.divmod(np.arange(k * k), k)
-            step = max(1, _CHECK_SLICE // (n * n))
+            # k = n^2 means the span is everything, products included
+            r = min(k, max(1, _CHECK_SLICE // (n * n)))
+            m = max(1, _CHECK_SLICE // (r * n * n))
             worst = max(_span_residual(
-                span, stack[i[lo:lo + step]] @ stack[j[lo:lo + step]]).max()
-                for lo in range(0, k * k, step))
+                span, _products(stack[lo:lo + m], stack[j:j + r]), comp).max()
+                for lo in range(0, k, m) for j in range(0, k, r))
             if worst > DEFAULT_TOL * scale * scale:
                 raise NotClosedUnderProducts(worst)
 
@@ -260,18 +276,15 @@ def superselection_sectors(charges, observables,
         leak = _fro_batch(BG - compressed @ B.conj().T).max(initial=0.0)
         offdiag = max(offdiag, float(leak))
         prime = commutant(compressed, rank)
-        values = []
-        for Q in charge_mats:
-            QB = B.conj().T @ Q @ B
-            q = float(QB.trace().real) / rank
-            values.append(q)
+        values = tuple(float((B.conj().T @ Q @ B).trace().real) / rank
+                       for Q in charge_mats)
         sectors.append(Sector(
             label=label,
             projector=P,
             rank=rank,
             restricted_basis=commutant(prime, rank),
             irreducible=(len(prime) == 1),
-            charge_values=tuple(values),
+            charge_values=values,
         ))
     return SuperselectionReport(sectors, joint, float(offdiag))
 
@@ -280,8 +293,5 @@ def decohere_across_sectors(rho, report: SuperselectionReport):
     """Kill the coherences between sectors: rho -> sum_k P_k rho P_k.
     Exactly the states the sector-respecting observables can tell apart."""
     R = require_square(as_matrix(rho))
-    out = np.zeros_like(R)
-    for sector in report.sectors:
-        P = sector.projector
-        out += P @ R @ P
-    return out
+    return sum((s.projector @ R @ s.projector for s in report.sectors),
+               np.zeros_like(R))

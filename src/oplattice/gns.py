@@ -9,7 +9,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .algebras import _matrix_units, commutant
+from .algebras import _matrix_units, _products, commutant
 from .linalg import (
     PRODUCT_TOL,
     RANK_RTOL,
@@ -19,7 +19,7 @@ from .linalg import (
     require_same_dim,
     require_square,
 )
-from .states import DensityState, is_pure
+from .states import _density, is_pure
 
 
 class DegenerateAlgebra(ValueError):
@@ -257,8 +257,7 @@ def is_pure_state(alg: AbstractStarAlgebra, omega: AlgebraicState) -> bool:
 def folium_state(triple: GNSTriple, T, alg: AbstractStarAlgebra) -> AlgebraicState:
     """Pull a density operator on the representation space back to an
     algebraic state: values tr(T pi(b_i))."""
-    Tm = T.matrix if isinstance(T, DensityState) else \
-        DensityState(as_matrix(T)).matrix
+    Tm = _density(T).matrix
     require_same_dim(Tm.shape[0], triple.rep_dim)
     values = [complex(np.trace(Tm @ as_matrix(m))) for m in triple.pi_images]
     return AlgebraicState(alg, values)
@@ -275,9 +274,9 @@ def algebra_from_matrices(mats) -> AbstractStarAlgebra:
     mats = [require_square(as_matrix(M)) for M in mats]
     if not mats:
         raise ValueError("empty basis")
-    n = mats[0].shape[0]
-    k = len(mats)
-    V = np.stack([M.reshape(-1) for M in mats], axis=1)
+    stack = np.array(mats)
+    k, n, _ = stack.shape
+    V = stack.reshape(k, -1).T
     U, sv, Wh = np.linalg.svd(V, full_matrices=False)
     if np.sum(sv > RANK_RTOL * sv[0]) < k:
         raise ValueError("basis matrices are linearly dependent")
@@ -294,19 +293,15 @@ def algebra_from_matrices(mats) -> AbstractStarAlgebra:
         return sol
 
     u = expand(np.eye(n, dtype=complex).reshape(-1, 1), "the identity")[:, 0]
-    adj = np.stack([M.conj().T.reshape(-1) for M in mats], axis=1)
+    adj = stack.conj().transpose(0, 2, 1).reshape(k, -1).T
     s = expand(adj, "an adjoint").T
-    prods = np.stack(
-        [(mats[i] @ mats[j]).reshape(-1) for i in range(k) for j in range(k)],
-        axis=1,
-    )
-    c = expand(prods, "a product").T.reshape(k, k, k)
+    c = expand(_products(stack, stack).T, "a product").T.reshape(k, k, k)
     return AbstractStarAlgebra(c, s, u)
 
 
 def state_from_density(alg: AbstractStarAlgebra, mats, rho) -> AlgebraicState:
     """The algebraic state a density operator induces on a concrete basis."""
-    rho = rho if isinstance(rho, DensityState) else DensityState(rho)
+    rho = _density(rho)
     stack = np.array([as_matrix(M) for M in mats])
     values = np.tensordot(stack, rho.matrix, axes=([1, 2], [1, 0]))
     return AlgebraicState(alg, values)
@@ -316,7 +311,7 @@ def mixed_to_vector_paradox_demo(rho) -> dict:
     """A mixed state becomes a single unit vector in its own representation,
     yet stays mixed: the commutant there is nontrivial, so the vector does
     not mean purity. The report shows both sides."""
-    rho = rho if isinstance(rho, DensityState) else DensityState(rho)
+    rho = _density(rho)
     if is_pure(rho):
         raise InputIsPure()
     mats = _matrix_units(rho.dim)

@@ -128,6 +128,11 @@ class DensityState:
         return f"DensityState(dim={self.dim})"
 
 
+def _density(rho) -> DensityState:
+    """rho if it is already admitted, else rho admitted at DEFAULT_TOL."""
+    return rho if isinstance(rho, DensityState) else DensityState(rho)
+
+
 def _matched(rho, admitted):
     """The matrix of an admitted operator, once its dim is rho's."""
     require_same_dim(rho.dim, admitted.dim)

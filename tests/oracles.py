@@ -375,3 +375,32 @@ def gns_residuals_loop(images, mult, invol, unit, psi, values):
         "expectation": max(abs(psi.conj() @ images[i] @ psi - values[i])
                            for i in range(k)),
     }
+
+
+# --- closure and structure constants, one product pair at a time ---
+
+def closure_defect_oracle(stack):
+    """Largest Frobenius distance of a product A_i A_j of the (k, n, n) stack
+    from its span, pair by pair: each product is projected on an orthonormal
+    basis of the span from a QR factorization of the flattened basis."""
+    k = len(stack)
+    q = np.linalg.qr(np.asarray(stack, dtype=complex).reshape(k, -1).T)[0]
+    worst = 0.0
+    for i in range(k):
+        for j in range(k):
+            v = (stack[i] @ stack[j]).reshape(-1)
+            worst = max(worst, float(np.linalg.norm(v - q @ (q.conj().T @ v))))
+    return worst
+
+
+def structure_constants_loop(mats):
+    """c[i, j] with A_i A_j = sum_l c[i, j, l] A_l, one least-squares solve
+    per pair (LAPACK gelsd through lstsq)."""
+    k = len(mats)
+    V = np.array([np.asarray(M, dtype=complex).reshape(-1) for M in mats]).T
+    c = np.zeros((k, k, k), dtype=complex)
+    for i in range(k):
+        for j in range(k):
+            rhs = (mats[i] @ mats[j]).reshape(-1)
+            c[i, j] = np.linalg.lstsq(V, rhs, rcond=None)[0]
+    return c

@@ -4,7 +4,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oplattice import (
@@ -25,6 +25,7 @@ from oplattice import (
 
 from oracles import (
     center_oracle,
+    closure_defect_oracle,
     commutant_oracle,
     joint_atoms_dense,
     span_gap,
@@ -426,6 +427,70 @@ def test_closure_gate_refuses_a_product_in_the_last_slice(monkeypatch):
         assert MatrixStarAlgebra([D1, D2, X, X @ X]).linear_dimension() == 4
     assert defects[0] > 0.1
     np.testing.assert_allclose(defects, defects[0], rtol=1e-12)
+
+
+def block_algebra_basis(rng, blocks):
+    """Basis of U ((+)_i M_d_i (x) I_m_i) U^* for blocks [(d_i, m_i), ...]
+    and a Haar U: every block's matrix units, each times a real factor in
+    [0.5, 2], with the identity in place of the first diagonal unit.
+    Returns the stack and the index of a Hermitian non-identity element."""
+    n = sum(d * m for d, m in blocks)
+    units, hermitian, lo = [], [], 0
+    for d, m in blocks:
+        for a, b in np.ndindex(d, d):
+            E = np.zeros((n, n), dtype=complex)
+            E[lo:lo + d * m, lo:lo + d * m] = np.kron(
+                np.eye(d)[:, [a]] @ np.eye(d)[[b]], np.eye(m))
+            hermitian.append(a == b)
+            units.append(E * rng.uniform(0.5, 2.0))
+        lo += d * m
+    units[0] = np.eye(n)
+    U = haar_unitary(rng, n)
+    return U @ np.array(units) @ U.conj().T, hermitian.index(True, 1)
+
+
+# blocks [(d_i, m_i), ...] with 3k <= n^2 (every m_i >= 2) and with
+# 3k > n^2 (two multiplicity-free blocks), for k = sum d_i^2
+_CLOSURE_BLOCKS = {
+    "span": st.lists(st.tuples(st.integers(1, 2), st.integers(2, 3)),
+                     min_size=1, max_size=2),
+    "complement": st.lists(st.tuples(st.integers(1, 4), st.just(1)),
+                           min_size=2, max_size=2),
+}
+
+
+@pytest.mark.parametrize("side", ["span", "complement"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), eps=st.floats(1e-6, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_closure_gate_matches_the_pairwise_oracle(side, data, eps, seed):
+    """Closed bases are admitted; one Hermitian element plus eps times a
+    random Hermitian is refused with the oracle's defect. k above n^2 / 3
+    reads residuals on the complement, at or below it on the span. Left
+    out: the scalars, and n = 2, where span{I, X} is closed for every X
+    (Cayley-Hamilton)."""
+    blocks = data.draw(_CLOSURE_BLOCKS[side])
+    n = sum(d * m for d, m in blocks)
+    k = sum(d * d for d, _ in blocks)
+    assume(k > 1 and n > 2)
+    assert (3 * k > n * n) == (side == "complement") and k < n * n
+    rng = np.random.default_rng(seed)
+    stack, h = block_algebra_basis(rng, blocks)
+    assert MatrixStarAlgebra(stack).linear_dimension() == k
+    H = random_mats(rng, n, 1)[0]
+    stack[h] += eps * (H + H.conj().T)
+    with pytest.raises(NotClosedUnderProducts) as info:
+        MatrixStarAlgebra(stack)
+    np.testing.assert_allclose(info.value.defect,
+                               closure_defect_oracle(stack), rtol=1e-6)
+
+
+def test_closure_gate_on_the_complement_side_is_exact():
+    """span{I, sx, sz} in C^2, k = 3 > 4 / 3: sz sx = i sy is orthogonal to
+    the span, so the defect is ||i sy||_F = sqrt(2)."""
+    with pytest.raises(NotClosedUnderProducts) as info:
+        MatrixStarAlgebra([I2, SX, SZ])
+    assert abs(info.value.defect - np.sqrt(2.0)) <= 1e-12
 
 
 def test_word_closure_spans_eigenprojectors_of_spread_spectrum():

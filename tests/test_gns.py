@@ -34,6 +34,7 @@ from oracles import (
     gns_residuals_loop,
     gram_loop,
     gram_rank_bruteforce,
+    structure_constants_loop,
 )
 
 
@@ -226,6 +227,70 @@ def test_mixed_state_paradox_report():
 
     with pytest.raises(InputIsPure):
         mixed_to_vector_paradox_demo(np.diag([1.0, 0.0]))
+
+
+def test_paradox_report_fields_are_pinned():
+    """Every field of the demo for diag(0.7, 0.3) and for I/2; the two
+    floats are held to 1e-15, a few roundings."""
+    for rho in (np.diag([0.7, 0.3]), np.eye(2) / 2.0):
+        rep = mixed_to_vector_paradox_demo(rho)
+        cyclic = rep.pop("cyclic_vector_norm")
+        residual = rep.pop("expectation_residual")
+        assert rep == {
+            "dim": 2, "rep_dim": 4, "commutant_dimension": 4,
+            "state_is_pure": False,
+            "note": ("the cyclic vector is a unit vector, but purity is "
+                     "decided by the commutant on the representation space, "
+                     "and it is nontrivial here"),
+        }
+        assert abs(cyclic - 1.0) <= 1e-15
+        assert abs(residual - 1.1102230246251565e-16) <= 1e-15
+
+
+def test_density_admission_is_shared():
+    """A raw matrix and its DensityState give equal results in the three
+    entry points that take a density operator; a matrix with a negative
+    eigenvalue is refused by each with DensityState's ValueError."""
+    units, alg = m2_setup()
+    rho = np.array([[0.6, 0.2j], [-0.2j, 0.4]])
+    triple = gns_construct(alg, AlgebraicState(alg, [1.0, 0, 0, 0]))
+    calls = [
+        lambda r: folium_state(triple, r, alg).values,
+        lambda r: state_from_density(alg, units, r).values,
+        mixed_to_vector_paradox_demo,
+    ]
+    for call in calls:
+        raw, admitted = call(rho), call(DensityState(rho))
+        if isinstance(raw, dict):
+            assert raw == admitted
+        else:
+            np.testing.assert_array_equal(raw, admitted)
+        with pytest.raises(ValueError, match="density matrix has eigenvalue"):
+            call(np.diag([1.2, -0.2]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(dims=st.sampled_from([(1, 1), (2, 0), (2, 1), (3, 0), (2, 2)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_structure_constants_match_the_pairwise_loop(dims, seed):
+    """M_a (+) M_b (b = 0: M_a alone) in a random complex basis: every
+    element a combination of the matrix units with Haar-unitary weights
+    scaled by [0.5, 2], conjugated by a Haar unitary. The constants match
+    one least-squares solve per product pair to 1e-12 of the largest."""
+    a, b = dims
+    n, k = a + b, a * a + b * b
+    rng = np.random.default_rng(seed)
+    units = np.zeros((k, n, n), dtype=complex)
+    for i, (p, q) in enumerate([(p, q) for p in range(a) for q in range(a)]
+                               + [(a + p, a + q) for p in range(b)
+                                  for q in range(b)]):
+        units[i, p, q] = 1.0
+    weights = haar_unitary(rng, k) * rng.uniform(0.5, 2.0, k)
+    U = haar_unitary(rng, n)
+    mats = list(U @ np.tensordot(weights, units, axes=1) @ U.conj().T)
+    got = algebra_from_matrices(mats).mult
+    want = structure_constants_loop(mats)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_basis_independence_is_judged_at_every_scale():
