@@ -22,6 +22,7 @@ from .linalg import (
 from .spectral import NonCommuting, joint_pvm, spectral_decompose
 
 _WEIGHT_SEED = 1729  # commutant's generic element, fixed: bit-stable results
+_QR_ROWS = 1024  # chunk height of _kernel's blocked QR
 
 
 class NotClosedUnderProducts(ValueError):
@@ -48,28 +49,29 @@ class NonCentralCharge(ValueError):
         self.defect = float(defect)
 
 
-def _as_generator_list(generators, dim=None):
-    mats = [require_square(as_matrix(G)) for G in generators]
-    dims = [M.shape[0] for M in mats] + ([] if dim is None else [dim])
-    if not dims:
-        raise ValueError("no generators and no dimension given")
-    require_same_dim(*dims)
-    return mats
-
-
 def _matrix_units(n):
     return list(np.eye(n * n, dtype=complex).reshape(n * n, n, n))
 
 
-def _kernel(L):
+def _kernel(L, certify=False):
     """Orthonormal rows x with L @ x = 0 (L at least as tall as wide): the
-    conjugated rows of vh past the numerical rank of one SVD, taken of L's
-    QR factor R when L is tall. Callers scale L's columns to O(1), so genuine
-    constraints sit well above the eps-level noise of a commuting pair."""
+    conjugated rows of vh past the numerical rank of one SVD of L, or of its
+    QR factor R if L is tall (blocked, from two _QR_ROWS-row chunks each 4x
+    as tall as wide). Callers scale L's columns to O(1), so genuine constraints
+    sit well above the eps-level noise of a commuting pair. With certify, also
+    c = 3 ||L x^T||_F / s_keep (0 if no s is kept; else inf): ||L xy|| <=
+    ||Lx|| ||y||_2 + ||x||_2 ||Ly|| puts xy, if in L's domain, within c of x."""
+    R = L
     if L.shape[0] > 2 * L.shape[1]:
-        L = np.linalg.qr(L, mode="r")
-    _, s, vh = np.linalg.svd(L, full_matrices=False)
-    return vh[np.sum(s > NULLSPACE_RTOL * max(1.0, *s[:1])):].conj()
+        if L.shape[0] >= 2 * _QR_ROWS >= 8 * L.shape[1]:
+            R = np.concatenate([np.linalg.qr(L[i:i + _QR_ROWS], mode="r")
+                                for i in range(0, len(L), _QR_ROWS)])
+        R = np.linalg.qr(R, mode="r")
+    _, s, vh = np.linalg.svd(R, full_matrices=False)
+    r = np.sum(s > NULLSPACE_RTOL * max(1.0, *s[:1]))
+    x = vh[r:].conj()
+    return x, ((3 * frobenius(L @ x.T) / s[r - 1] if r else 0.0)
+               if certify else np.inf)
 
 
 def commutant(generators, dim=None) -> list:
@@ -83,12 +85,21 @@ def commutant(generators, dim=None) -> list:
     span{G, G^*} (one SVD, NULLSPACE_RTOL cutoff), for the block entries.
     Generators within NULLSPACE_RTOL of a multiple of I constrain nothing;
     with none left the commutant is M_n, as the matrix-unit basis."""
-    mats = _as_generator_list(generators, dim)
-    n = mats[0].shape[0] if mats else dim
+    return _commutant(generators, dim)[0]
+
+
+def _commutant(generators, dim, certify=False):
+    """commutant's basis, and beta = (1 + e)(c + e) + 2 n^2 eps >= its product
+    defect: e = ||V^*V - I||_F, 2 n^2 eps for rounding; inf if not certify."""
+    mats = [require_square(as_matrix(M)) for M in generators]
+    dims = [M.shape[0] for M in mats] + ([] if dim is None else [dim])
+    if not dims:
+        raise ValueError("no generators and no dimension given")
+    n = require_same_dim(*dims)
     G = np.array([M / frobenius(M) for M in mats if frobenius(
         M - np.trace(M) / n * np.eye(n)) > NULLSPACE_RTOL * frobenius(M)])
     if not len(G):
-        return _matrix_units(n)
+        return _matrix_units(n), 0.0
     c = np.random.default_rng(_WEIGHT_SEED).uniform(0.5, 1.0, (len(G), 2))
     W = np.tensordot(c @ [1.0, 1.0j], G, axes=1)
     pvm = spectral_decompose(W + W.conj().T)
@@ -104,10 +115,12 @@ def commutant(generators, dim=None) -> list:
     L = np.zeros((len(Gt), n, n, len(u)), dtype=complex)
     L[:, :, ds, u] = Gt[:, :, cs]
     L[:, cs, :, u] -= Gt[:, ds, :].transpose(1, 0, 2)
-    x = _kernel(L.reshape(-1, len(u)))
+    x, gap = _kernel(L.reshape(-1, len(u)), certify)
     Xt = np.zeros((len(x), n, n), dtype=complex)
     Xt[:, cs, ds] = x
-    return list(V @ Xt @ V.conj().T)
+    e = frobenius(V.conj().T @ V - np.eye(n))
+    beta = (1 + e) * (gap + e) + 2 * n * n * np.finfo(float).eps
+    return list(V @ Xt @ V.conj().T), beta
 
 
 def double_commutant(generators, dim=None) -> list:
@@ -137,13 +150,13 @@ def _products(left, right):
 
 
 class MatrixStarAlgebra:
-    """A concrete *-algebra: the span of a basis that is verified to be
-    closed under adjoints and products and to contain the identity. _span is
-    an orthonormal basis of it (flattened rows), _prime its kept commutant.
-    The products A_i A_j are formed one GEMM per slice of m left factors by
-    r right ones (r = k unless one left factor passes _CHECK_SLICE entries),
-    each residual on the span's smaller side: along the n^2 - k complement
-    rows when 3k > n^2, else as v - (v S^*) S, a pass through 2k rows."""
+    """A concrete *-algebra: the span of a basis checked to contain the
+    identity and to be closed under adjoints and, by the product gate or by
+    generated_by's certificate, products. _span is an orthonormal basis of it
+    (flattened rows), _prime its kept commutant. The gate forms A_i A_j one
+    GEMM per slice of m left by r right factors (r = k unless one left factor
+    passes _CHECK_SLICE entries), each residual on the span's smaller side:
+    the n^2 - k complement rows if 3k > n^2, else v - (v S^*) S (2k rows)."""
 
     __slots__ = ("dim", "basis", "_span", "_prime")
 
@@ -151,23 +164,26 @@ class MatrixStarAlgebra:
         mats = [require_square(as_matrix(B)) for B in basis]
         if not mats:
             raise ValueError("empty basis")
-        n = require_same_dim(*(M.shape[0] for M in mats))
-        k = len(mats)
-        stack = np.array(mats)
+        require_same_dim(*(M.shape[0] for M in mats))
+        self._admit(np.array(mats))
 
-        full = 3 * k > n * n
-        _, s, vh = np.linalg.svd(stack.reshape(k, -1), full_matrices=full)
-        if np.sum(s > NULLSPACE_RTOL * s[0]) < k:
-            raise ValueError("basis matrices are linearly dependent")
-        span, comp = vh[:k].copy(), vh[k:].conj().T if full else None
-
-        scale = max(1.0, max(frobenius(M) for M in mats))
+    def _admit(self, stack, certified=False):
+        """The gates, less the product gate for a basis certified closed."""
+        k, n, _ = stack.shape
+        span, comp = stack.reshape(k, -1), None
+        if not certified:
+            full = 3 * k > n * n
+            _, s, vh = np.linalg.svd(span, full_matrices=full)
+            if np.sum(s > NULLSPACE_RTOL * s[0]) < k:
+                raise ValueError("basis matrices are linearly dependent")
+            span, comp = vh[:k].copy(), vh[k:].conj().T if full else None
+        scale = max(1.0, _fro_batch(stack).max())
         if _span_residual(span, np.eye(n), comp)[0] > DEFAULT_TOL * np.sqrt(n):
             raise ValueError("algebra does not contain the identity")
         worst = _span_residual(span, stack.conj().transpose(0, 2, 1), comp).max()
         if worst > DEFAULT_TOL * scale:
             raise NotClosedUnderProducts(worst)
-        if k < n * n:
+        if not certified and k < n * n:
             # k = n^2 means the span is everything, products included
             r = min(k, max(1, _CHECK_SLICE // (n * n)))
             m = max(1, _CHECK_SLICE // (r * n * n))
@@ -178,16 +194,20 @@ class MatrixStarAlgebra:
                 raise NotClosedUnderProducts(worst)
 
         self.dim = n
-        self.basis = mats
+        self.basis = list(stack)
         self._span = span
         self._prime = None
 
     @classmethod
     def generated_by(cls, generators, dim=None):
         """The algebra A the generators generate, the commutant of their
-        commutant A', which it keeps for center and is_factor."""
+        commutant A', which it keeps for center and is_factor. A's basis is
+        orthonormal, so it is its own span; it skips the product gate when
+        _commutant's beta bounds the defect within DEFAULT_TOL (scale 1)."""
         prime = commutant(generators, dim)
-        algebra = cls(commutant(prime, dim))
+        basis, beta = _commutant(prime, dim, certify=True)
+        algebra = cls.__new__(cls)
+        algebra._admit(np.array(basis), certified=beta <= DEFAULT_TOL)
         algebra._prime = prime
         return algebra
 
@@ -218,7 +238,7 @@ def center(algebra: MatrixStarAlgebra) -> list:
     if algebra._prime is None:
         algebra._prime = commutant(span.reshape(-1, n, n))
     prime = np.array(algebra._prime).reshape(-1, n * n)
-    x = _kernel((prime - (prime @ span.conj().T) @ span).T)
+    x = _kernel((prime - (prime @ span.conj().T) @ span).T)[0]
     return list((x @ prime).reshape(-1, n, n))
 
 

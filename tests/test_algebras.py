@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oplattice import (
+    DEFAULT_TOL,
     DensityState,
     MatrixStarAlgebra,
     NonCentralCharge,
@@ -22,6 +23,8 @@ from oplattice import (
     spectral_decompose,
     superselection_sectors,
 )
+from oplattice import algebras
+from oplattice.algebras import _commutant, _kernel
 
 from oracles import (
     center_oracle,
@@ -491,6 +494,108 @@ def test_closure_gate_on_the_complement_side_is_exact():
     with pytest.raises(NotClosedUnderProducts) as info:
         MatrixStarAlgebra([I2, SX, SZ])
     assert abs(info.value.defect - np.sqrt(2.0)) <= 1e-12
+
+
+def _count_products(monkeypatch):
+    """Patch algebras._products to record the number of products of every
+    call; returns the record."""
+    calls, products = [], algebras._products
+
+    def counted(left, right):
+        calls.append(len(left) * len(right))
+        return products(left, right)
+    monkeypatch.setattr("oplattice.algebras._products", counted)
+    return calls
+
+
+@pytest.mark.parametrize("side", ["span", "complement"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_generated_algebra_certificate_bounds_the_closure_defect(
+        side, data, seed):
+    """Two random elements of U ((+)_i M_d_i (x) I_m_i) U^*, complex Haar U,
+    generate it, on each side of 3k = n^2. The certificate beta of its
+    double commutant bounds the pairwise oracle's defect and admits it; the
+    certified span is orthonormal, and contains and center agree with the
+    algebra the constructor admits from the same basis."""
+    blocks = data.draw(_CLOSURE_BLOCKS[side])
+    n = sum(d * m for d, m in blocks)
+    k = sum(d * d for d, _ in blocks)
+    assume(k > 1)
+    rng = np.random.default_rng(seed)
+    stack, _ = block_algebra_basis(rng, blocks)
+    weights = rng.standard_normal((5, k)) + 1j * rng.standard_normal((5, k))
+    gens = list(np.tensordot(weights[:2], stack, axes=1))
+    basis, beta = _commutant(commutant(gens), None, certify=True)
+    assert closure_defect_oracle(np.array(basis)) <= beta <= DEFAULT_TOL
+    alg = MatrixStarAlgebra.generated_by(gens)
+    assert alg.linear_dimension() == k
+    np.testing.assert_array_equal(alg.basis, basis)
+    assert frobenius(alg._span.conj() @ alg._span.T - np.eye(k)) <= 1e-12
+    direct = MatrixStarAlgebra(alg.basis)
+    members = list(np.tensordot(weights[2:], stack, axes=1))
+    others = random_mats(rng, n, 3)
+    verdicts = [True] * 3 + [False] * 3
+    assert [alg.contains(X) for X in members + others] == verdicts
+    assert [direct.contains(X) for X in members + others] == verdicts
+    centre, want = center(alg), center(direct)
+    assert len(centre) == len(want) == len(blocks)
+    assert span_gap(centre, want) <= 1e-8
+
+
+def test_generated_by_admits_two_blocks_without_products(monkeypatch):
+    """The two-block family, real and complex: generated_by forms no
+    product, the constructor on the same basis does."""
+    rng = np.random.default_rng(17)
+    calls = _count_products(monkeypatch)
+    for real in (True, False):
+        for n, k in ((5, 2), (9, 3), (12, 6)):
+            alg = MatrixStarAlgebra.generated_by(
+                two_block_pair(rng, n, k, real))
+            assert alg.linear_dimension() == k * k + (n - k) ** 2
+            assert calls == []
+            MatrixStarAlgebra(alg.basis)
+            assert sum(calls) == len(alg.basis) ** 2
+            calls.clear()
+
+
+def test_generated_by_falls_back_to_the_product_gate(monkeypatch):
+    """With the certificate above tolerance, generated_by runs the product
+    gate: it admits the same basis as before, and refuses a span that is
+    not closed (span{I, sx, sz}, defect sqrt(2))."""
+    gens = two_block_pair(np.random.default_rng(3), 6, 2)
+    want = MatrixStarAlgebra.generated_by(gens).basis
+    calls = _count_products(monkeypatch)
+    monkeypatch.setattr("oplattice.algebras._commutant",
+                        lambda g, dim, certify=False:
+                        (_commutant(g, dim)[0], 2 * DEFAULT_TOL))
+    alg = MatrixStarAlgebra.generated_by(gens)
+    assert sum(calls) == len(want) ** 2
+    np.testing.assert_array_equal(alg.basis, want)
+    monkeypatch.setattr("oplattice.algebras._commutant",
+                        lambda g, dim, certify=False: ([I2, SX, SZ], 1.0))
+    with pytest.raises(NotClosedUnderProducts) as info:
+        MatrixStarAlgebra.generated_by([SZ])
+    assert abs(info.value.defect - np.sqrt(2.0)) <= 1e-12
+
+
+def test_blocked_qr_kernel_matches_one_qr(monkeypatch):
+    """A 4196 x 16 complex L: four 1024-row chunks and a 100-row rest, each
+    adding two independent constraints. Its kernel through the blocked QR
+    is the one through one QR, both certified to eps level; a chunk left
+    out would leave two more kernel rows."""
+    rng = np.random.default_rng(7)
+    L = np.concatenate([rng.standard_normal((rows, 2))
+                        @ random_mats(rng, 16, 1)[0][:2]
+                        for rows in (1024, 1024, 1024, 1024, 100)])
+    assert len(L) >= 2 * algebras._QR_ROWS >= 8 * L.shape[1]
+    x, gap = _kernel(L, certify=True)
+    monkeypatch.setattr("oplattice.algebras._QR_ROWS", len(L))
+    x1, gap1 = _kernel(L, certify=True)
+    assert len(x) == len(x1) == 6
+    assert span_gap(list(x), list(x1)) <= 1e-12
+    assert max(gap, gap1) <= 1e-12
+    assert _kernel(L)[1] == np.inf
 
 
 def test_word_closure_spans_eigenprojectors_of_spread_spectrum():
