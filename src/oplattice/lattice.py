@@ -77,9 +77,11 @@ def _ranks(stack, tol):
 
 
 class Projector:
-    """Validated orthogonal projector: P = P* = P^2, integer trace."""
+    """Validated orthogonal projector: P = P* = P^2, integer trace. It keeps
+    the bases of range(P) and range(I - P) that meet and join take, computed
+    on first use (O(n^2), read-only)."""
 
-    __slots__ = ("dim", "matrix", "rank")
+    __slots__ = ("dim", "matrix", "rank", "_bases")
 
     def __init__(self, matrix, tol=DEFAULT_TOL):
         P = require_square(as_matrix(matrix))
@@ -88,6 +90,7 @@ class Projector:
     def _admit(self, P, rank):
         P.setflags(write=False)
         self.matrix, self.dim, self.rank = P, P.shape[0], rank
+        self._bases = [None, None]
         return self
 
     def __repr__(self):
@@ -131,6 +134,15 @@ def neg(P: Projector) -> Projector:
                                                P.dim - P.rank)
 
 
+def _basis(P: Projector, complement: bool) -> np.ndarray:
+    """range_basis of I - P if complement, else of P; kept with P."""
+    if P._bases[complement] is None:
+        B = range_basis(np.eye(P.dim) - P.matrix if complement else P.matrix)
+        B.setflags(write=False)
+        P._bases[complement] = B
+    return P._bases[complement]
+
+
 def _union_span_projector(bases, dim):
     cols = np.hstack([b for b in bases if b.size]) if any(
         b.size for b in bases
@@ -150,17 +162,14 @@ def meet(P: Projector, Q: Projector) -> Projector:
     span(range(I-P) union range(I-Q)), which needs no iteration.
     """
     dim = require_same_dim(P.dim, Q.dim)
-    union = _union_span_projector(
-        [range_basis(neg(P).matrix), range_basis(neg(Q).matrix)], dim
-    )
+    union = _union_span_projector([_basis(P, True), _basis(Q, True)], dim)
     return Projector(np.eye(dim) - union)
 
 
 def join(P: Projector, Q: Projector) -> Projector:
     """Projector onto range(P) + range(Q)."""
     dim = require_same_dim(P.dim, Q.dim)
-    return Projector(_union_span_projector(
-        [range_basis(P.matrix), range_basis(Q.matrix)], dim))
+    return Projector(_union_span_projector([_basis(P, False), _basis(Q, False)], dim))
 
 
 def jauch_meet(P: Projector, Q: Projector, tol=DEFAULT_TOL, max_iter=200000,

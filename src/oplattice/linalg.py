@@ -123,15 +123,18 @@ class HermitianOperator:
     The stored form is hermitian_part(A), the symmetrization A/2 + A*/2,
     halved before the sum so that finite input near overflow stays finite;
     inputs whose defect ||A - A*||_F exceeds tol * max(1, ||A||_F) are
-    rejected instead of being silently repaired.
+    rejected instead of being silently repaired. The first
+    spectral_decompose at the default cluster_tol keeps its factor here
+    (O(n^2), read-only) and later ones build their measure on it.
     """
 
-    __slots__ = ("matrix", "dim")
+    __slots__ = ("matrix", "dim", "_spectral")
 
     def __init__(self, matrix, tol: float = DEFAULT_TOL):
         self.matrix = hermitian_part(matrix, tol)
         self.matrix.setflags(write=False)
         self.dim = self.matrix.shape[0]
+        self._spectral = None
 
     def __repr__(self):
         return f"HermitianOperator(dim={self.dim})"

@@ -133,6 +133,8 @@ class ProjectorValuedMeasure:
     def _from_factor(cls, labels, V, starts, ranks, tol=DEFAULT_TOL):
         pvm = cls.__new__(cls)
         pvm._admit(V.shape[0], labels, _factor_residuals(V, starts), tol)
+        for part in (V, starts, ranks):
+            part.setflags(write=False)
         pvm._atoms, pvm._factor = None, (V, starts, ranks)
         return pvm
 
@@ -156,6 +158,7 @@ class ProjectorValuedMeasure:
                 else:
                     P = B @ B.conj().T
                     P = (P + P.conj().T) / 2
+                P.setflags(write=False)
                 self._atoms.append((label, P))
         return self._atoms
 
@@ -201,9 +204,17 @@ def spectral_decompose(A, cluster_tol=SOLVER_TOL) -> ProjectorValuedMeasure:
     Eigenvalues closer than cluster_tol * max(1, spectral spread) are merged
     into a single atom (single linkage on the sorted values), whose label is
     the mean of the merged eigenvalues and whose projector is the sum of the
-    corresponding rank-1 projectors.
+    corresponding rank-1 projectors. At the default cluster_tol an admitted
+    operator is decomposed once (see HermitianOperator); each call returns a
+    new measure over its factor, so atoms built on one are not kept.
     """
     A = _hermitian(A)
+    keep = cluster_tol == SOLVER_TOL
+    if keep and A._spectral is not None:
+        pvm = ProjectorValuedMeasure.__new__(ProjectorValuedMeasure)
+        pvm.dim, pvm._atoms = A.dim, None
+        pvm._labels, pvm._factor, pvm._residuals = A._spectral
+        return pvm
     es = eig_hermitian(A)
     w, V = es.eigenvalues, es.eigenvectors
     threshold = cluster_tol * max(1.0, float(w[-1] - w[0]))
@@ -211,7 +222,10 @@ def spectral_decompose(A, cluster_tol=SOLVER_TOL) -> ProjectorValuedMeasure:
     ranks = np.diff(starts, append=len(w))
     labels = [float(w[a]) if r == 1 else float(np.mean(w[a:a + r]))
               for a, r in zip(starts.tolist(), ranks.tolist())]
-    return ProjectorValuedMeasure._from_factor(labels, V, starts, ranks)
+    pvm = ProjectorValuedMeasure._from_factor(labels, V, starts, ranks)
+    if keep:
+        A._spectral = pvm._labels, pvm._factor, pvm._residuals
+    return pvm
 
 
 def _lookup_sample(mapping, label):

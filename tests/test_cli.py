@@ -357,11 +357,31 @@ def test_all_demos_run_clean(tmp_path, capsys):
 
 
 def test_demo_output_is_deterministic(tmp_path):
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    assert run(["demo", "--name", "c2-distributivity", "--out", str(a)]) == 0
-    assert run(["demo", "--name", "c2-distributivity", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    """Every shipped demo, then spectral, evolve, lattice and noether on a
+    seeded input, run twice over in one process, write the same bytes."""
+    rng = np.random.default_rng(83)
+    z = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    H = (z + z.conj().T) / 2
+    q, _ = np.linalg.qr(z)
+    P = q[:, :3] @ q[:, :3].conj().T
+    v = np.column_stack([q[:, 0], (q[:, 1] + q[:, 4]) / np.sqrt(2)])
+    h = write_json(tmp_path / "h.json", matrix_to_json(H))
+    a = write_json(tmp_path / "a.json", matrix_to_json(H @ H - H))
+    pq = write_json(tmp_path / "pq.json", {"p": matrix_to_json(P),
+                                           "q": matrix_to_json(v @ v.conj().T)})
+    commands = [["demo", "--name", name] for name in sorted(cli._DEMOS)] + [
+        ["spectral", "--in", h], ["evolve", "--hamiltonian", h, "--t", "0.7"],
+        ["lattice", "--in", pq], ["noether", "--a", a, "--h", h]]
+    passes = []
+    for _ in range(2):
+        reports = []
+        for argv in commands:
+            out = tmp_path / "out.json"
+            assert run(argv + ["--out", str(out)]) == 0, argv
+            reports.append(out.read_bytes())
+        passes.append(reports)
+    for argv, first, second in zip(commands, *passes):
+        assert first == second, argv
 
 
 def test_tolerance_resolution_env_and_flag(tmp_path, monkeypatch):

@@ -3,6 +3,8 @@ symmetry operators, and multiplier bookkeeping."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oplattice.spectral
 from oplattice import (
@@ -24,8 +26,10 @@ from oplattice import (
     dyson_series,
     evolve_unitary,
     frobenius,
+    func_calculus,
     generator_from_group,
     heisenberg_observable,
+    joint_pvm,
     multipliers_from_operators,
     noether_check,
     operator_norm,
@@ -176,6 +180,49 @@ def test_group_checks_decompose_each_operator_once(monkeypatch):
         calls.clear()
         run()
         assert len(calls) == distinct
+
+
+def test_admitted_operators_are_decomposed_once(monkeypatch):
+    rng = np.random.default_rng(73)
+    H = random_hermitian(rng, 5)
+    mats = (H, random_hermitian(rng, 5), H @ H - 2.0 * H)
+    calls = _count_decompositions(monkeypatch)
+    for run, distinct in (
+            (lambda H, A, K: (evolve_unitary(H, 0.3),
+                              evolve_unitary(H, 0.15)), 1),
+            (lambda H, A, K: (heisenberg_observable(A, H, 0.3),
+                              heisenberg_observable(A, H, 0.3)), 1),
+            (lambda H, A, K: (spectral_decompose(H),
+                              func_calculus(H, np.exp)), 1),
+            (lambda H, A, K: (spectral_decompose(H), joint_pvm([H, K])), 2),
+            # another cluster_tol decomposes afresh and keeps nothing
+            (lambda H, A, K: (spectral_decompose(H),
+                              spectral_decompose(H, cluster_tol=0.0),
+                              spectral_decompose(H, cluster_tol=0.0),
+                              spectral_decompose(H)), 3)):
+        calls.clear()
+        run(*(HermitianOperator(M) for M in mats))
+        assert len(calls) == distinct
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 24), scale=st.floats(1e-3, 30.0),
+       t=st.floats(-3.0, 3.0), s=st.floats(-3.0, 3.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_evolution_of_complex_generators_matches_expm_and_group_law(
+        n, scale, t, s, seed):
+    M = scale * random_hermitian(np.random.default_rng(seed), n)
+    H = HermitianOperator(M)
+    Ut, Us, Uts = (evolve_unitary(H, x).matrix for x in (t, s, t + s))
+    # eigenvalues carry about eps * ||M|| error, which t turns into phase
+    norm = operator_norm(M)
+    assert frobenius(Ut - expm_oracle(-1j * t * M)) <= 1e-14 * n * max(
+        1.0, abs(t) * norm)
+    assert frobenius(Ut @ Us - Uts) <= 1e-14 * n * max(
+        1.0, (abs(t) + abs(s)) * norm)
+    # H kept its factor; a freshly admitted copy gives the same bits
+    for x, U in ((t, Ut), (s, Us), (t + s, Uts)):
+        assert np.array_equal(U, evolve_unitary(HermitianOperator(M), x).matrix)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oplattice import lattice
 from oplattice import (
@@ -260,3 +262,72 @@ def test_orthocomplement_keeps_the_admission_of_its_projector():
     both = meet(P, Q)
     assert both.rank == 1
     assert frobenius(both.matrix - np.outer(U[:, 0], U[:, 0].conj())) <= 1e-12
+
+
+def test_meet_join_and_jauch_meet_take_each_range_basis_once(monkeypatch):
+    calls = []
+    basis = lattice.range_basis
+    monkeypatch.setattr(lattice, "range_basis",
+                        lambda M: calls.append(M) or basis(M))
+    rng = np.random.default_rng(43)
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6))
+                        + 1j * rng.standard_normal((6, 6)))
+    P = span_projector(q[:, :3].T)
+    Q = span_projector([q[:, 0], (q[:, 1] + q[:, 3]) / np.sqrt(2), q[:, 4]])
+    first = meet(P, Q), join(P, Q), jauch_meet(P, Q)
+    # range(P), range(Q), range(I - P), range(I - Q): not 6 as before
+    assert len(calls) == 4
+    for B in P._bases + Q._bases:
+        with pytest.raises(ValueError):
+            B[0, 0] = 0.0
+    again = meet(P, Q), join(P, Q), jauch_meet(P, Q)
+    assert len(calls) == 4
+    fresh = [Projector(R.matrix.copy()) for R in (P, Q)]
+    for got, want in zip(again, (meet(*fresh), join(*fresh), jauch_meet(*fresh))):
+        assert np.array_equal(got.matrix, want.matrix)
+    assert first[0].rank == 1 and first[1].rank == 5
+
+
+def _projector_onto(cols):
+    return Projector(cols @ cols.conj().T)
+
+
+def _oracle(cols):
+    n = cols.shape[0]
+    return span_projector_oracle(cols) if cols.shape[1] else np.zeros((n, n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(2, 16), seed=st.integers(0, 2**32 - 1))
+def test_lattice_of_complex_subspaces_matches_the_oracle(data, n, seed):
+    """P and Q share k directions of a Haar basis U, and p more of each meet
+    at principal angles in [1e-3, pi/2]; R <= Q is a random subspace of Q."""
+    k = data.draw(st.integers(0, n // 3))
+    p = data.draw(st.integers(0, (n - k) // 2))
+    theta = np.array(data.draw(st.lists(st.floats(1e-3, np.pi / 2),
+                                        min_size=p, max_size=p)))
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.standard_normal((n, n))
+                        + 1j * rng.standard_normal((n, n)))
+    Qcols = np.hstack([U[:, :k], U[:, k:k + p] * np.cos(theta)
+                       + U[:, k + p:k + 2 * p] * np.sin(theta)])
+    W, _ = np.linalg.qr(rng.standard_normal((k + p, k + p))
+                        + 1j * rng.standard_normal((k + p, k + p)))
+    a = data.draw(st.integers(0, k + p))
+    mats = (U[:, :k + p], Qcols, Qcols @ W[:, :a])
+
+    def results(P, Q, R):
+        return (meet(P, Q), join(P, Q), neg(join(P, Q)), meet(neg(P), neg(Q)),
+                join(R, meet(neg(R), Q)))
+
+    P, Q, R = (_projector_onto(c) for c in mats)
+    both, either, lhs, rhs, _ = results(P, Q, R)
+    # about eps / theta at the smallest angle: 1e-12 at 1e-3
+    assert frobenius(both.matrix - _oracle(U[:, :k])) <= 1e-10
+    assert frobenius(either.matrix - _oracle(U[:, :k + 2 * p])) <= 1e-10
+    assert frobenius(lhs.matrix - rhs.matrix) <= 1e-10
+    assert is_below(R, Q) and orthomodular_check(R, Q)
+    # P, Q and R now keep their bases; fresh admissions give the same bits
+    for got, want in zip(results(P, Q, R),
+                         results(*(_projector_onto(c) for c in mats))):
+        assert np.array_equal(got.matrix, want.matrix)

@@ -296,6 +296,32 @@ def test_evolution_on_factor_matches_expm(kind, n, seed):
     assert frobenius(got - expm_oracle(-1j * t * H)) <= bound
 
 
+def _bits(pvm):
+    """Labels, ranks, residual report and the bytes of every block."""
+    return (pvm.labels, pvm.ranks, pvm_residuals(pvm),
+            [B.tobytes() for _, B in pvm.blocks])
+
+
+def test_kept_factor_is_read_only_and_reused_bit_for_bit():
+    rng = np.random.default_rng(29)
+    w = np.array([-1.0, 0.5, 0.5, 0.5, 2.0, 3.5])
+    H = HermitianOperator(_hermitian_with_spectrum(w, rng))
+    first = spectral_decompose(H)
+    assert first.ranks == [1, 3, 1, 1]
+    for _, B in first.blocks:
+        with pytest.raises(ValueError):
+            B[0, 0] = 0.0
+    for _, P in first.atoms:
+        with pytest.raises(ValueError):
+            P[0, 0] = 0.0
+    second = spectral_decompose(H)
+    # a new measure over the kept factor: atoms built on one stay with it
+    assert second is not first and second._atoms is None
+    assert _bits(second) == _bits(first)
+    assert _bits(second) == _bits(spectral_decompose(HermitianOperator(H.matrix)))
+    assert np.array_equal(func_calculus(second, np.exp), func_calculus(first, np.exp))
+
+
 def test_func_calculus_leaves_atoms_unbuilt():
     rng = np.random.default_rng(43)
     pvm = spectral_decompose(random_hermitian(rng, 8))
