@@ -1,18 +1,25 @@
 """Batch front end.
 
 Every subcommand reads JSON, emits exactly one JSON report and exits by a
-fixed taxonomy: 0 success, 2 validation error, 3 numerical-tolerance
-failure, 64 unknown subcommand, 65 malformed input. The report layout is a
-fixed contract, so identical inputs give identical bytes: 2-space indent,
-sorted keys, ASCII only, NaN/Infinity for non-finite scalars, a complex
-scalar as [re, im], and every matrix as
+fixed taxonomy: 0 success, 2 validation error, 3 a `ToleranceFailure` (the
+computation ran but a numerical budget failed), 64 unknown subcommand, 65
+malformed input. The report layout is a fixed contract, so identical inputs
+give identical bytes: 2-space indent, sorted keys, ASCII only, NaN/Infinity
+for non-finite scalars, a complex scalar as [re, im], and every matrix as
 {"cols": n, "data": [[re, im], ...], "rows": m} in row-major order.
+
+COMMANDS declares each subcommand once, with its handler and its flags.
+`demo --name` replays a shipped fixture: `c2-distributivity` and `spin-ccr`
+have reports of their own, while `electric-charge-sectors`, `gns-m2-pure`,
+`gns-m2-trace` and `truncated-oscillator` run the `sectors`, `gns` and `ccr`
+reports on their fixture.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from importlib import resources
@@ -26,10 +33,6 @@ from .algebras import (
     superselection_sectors,
 )
 from .dynamics import (
-    EquivalenceViolation,
-    InconsistentGroup,
-    NotACocycle,
-    NotHermitianResult,
     _evolve_grid,
     dyson_evolve,
     dyson_series,
@@ -43,7 +46,6 @@ from .gns import (
     verify_gns,
 )
 from .lattice import (
-    MaxIterExceeded,
     Projector,
     commutes,
     jauch_meet,
@@ -54,15 +56,14 @@ from .lattice import (
 from .linalg import (
     DEFAULT_TOL,
     PRODUCT_TOL,
-    ConvergenceFailure,
     HermitianOperator,
+    ToleranceFailure,
     _complex_pairs,
     as_matrix,
     frobenius,
     matrix_from_json,
 )
 from .oscillator import (
-    TailTooLarge,
     build_truncated_pair,
     heisenberg_uncertainty,
     svn_hypotheses_check,
@@ -74,9 +75,6 @@ from .spectral import (
 )
 from .states import (
     DensityState,
-    InconsistentAssignments,
-    WitnessNotFound,
-    ZeroProbability,
     born_probability,
     gleason_fit,
     luders_collapse,
@@ -89,21 +87,6 @@ EXIT_VALIDATION = 2
 EXIT_TOLERANCE = 3
 EXIT_UNKNOWN_COMMAND = 64
 EXIT_MALFORMED = 65
-
-# Exceptions meaning "the computation ran but a numerical budget failed",
-# as opposed to bad input.
-TOLERANCE_FAILURES = (
-    MaxIterExceeded,
-    ConvergenceFailure,
-    InconsistentGroup,
-    NotHermitianResult,
-    EquivalenceViolation,
-    NotACocycle,
-    InconsistentAssignments,
-    WitnessNotFound,
-    ZeroProbability,
-    TailTooLarge,
-)
 
 
 class MalformedInput(ValueError):
@@ -180,28 +163,20 @@ def _field(obj, key):
         raise MalformedInput(f"missing field {key!r}")
 
 
-def _data_fixture(name):
-    root = resources.files("oplattice") / "data"
-    path = root / f"{name}.json"
-    if not path.is_file():
-        known = sorted(p.name[:-5] for p in root.iterdir()
-                       if p.name.endswith(".json"))
-        raise ValueError(f"unknown demo {name!r}; shipped: {', '.join(known)}")
-    return json.loads(path.read_text())
+def _admit(kind, obj, key, tol):
+    """The matrix at obj[key], admitted as kind at tol."""
+    return kind(_matrix_of(_field(obj, key), key), tol=tol)
 
 
-def _algebra_from_json(obj):
-    c = _complex_array(_field(obj, "mult"), "mult")
-    s = _complex_array(_field(obj, "invol"), "invol")
-    u = _complex_array(_field(obj, "unit"), "unit")
-    return AbstractStarAlgebra(c, s, u)
+def _operator(path, tol):
+    """The matrix in the JSON file at path, admitted as Hermitian at tol."""
+    return HermitianOperator(_matrix_of(_load_json(path), path), tol=tol)
 
 
 # --- handlers ---------------------------------------------------------------
 
 def cmd_spectral(args):
-    M = _matrix_of(_load_json(args.infile), args.infile)
-    A = HermitianOperator(M, tol=args.tol)
+    A = _operator(args.infile, args.tol)
     pvm = spectral_decompose(A)
     rebuilt = func_calculus(pvm, lambda x: x)
     return {
@@ -222,8 +197,7 @@ _FUNCTIONS = {
 
 
 def cmd_funcalc(args):
-    M = _matrix_of(_load_json(args.infile), args.infile)
-    pvm = spectral_decompose(HermitianOperator(M, tol=args.tol))
+    pvm = spectral_decompose(_operator(args.infile, args.tol))
     f = _FUNCTIONS[args.f]
     out = func_calculus(pvm, lambda x: f(x, args.t))
     return {
@@ -239,8 +213,8 @@ def cmd_funcalc(args):
 
 def cmd_lattice(args):
     obj = _load_json(args.infile)
-    P = Projector(_matrix_of(_field(obj, "p"), "p"), tol=args.tol)
-    Q = Projector(_matrix_of(_field(obj, "q"), "q"), tol=args.tol)
+    P = _admit(Projector, obj, "p", args.tol)
+    Q = _admit(Projector, obj, "q", args.tol)
     both = meet(P, Q)
     log = []
     iterated = jauch_meet(P, Q, tol=args.tol, norm_log=log)
@@ -257,7 +231,7 @@ def cmd_lattice(args):
 
 def cmd_measure(args):
     obj = _load_json(args.infile)
-    rho = DensityState(_matrix_of(_field(obj, "state"), "state"), tol=args.tol)
+    rho = _admit(DensityState, obj, "state", args.tol)
     if "chain" in obj:
         chain = [Projector(_matrix_of(m, "chain"), tol=args.tol)
                  for m in obj["chain"]]
@@ -267,16 +241,14 @@ def cmd_measure(args):
             "reversed_value": seq.reversed_value,
             "chain_length": len(chain),
         }
-    P = Projector(_matrix_of(_field(obj, "projector"), "projector"),
-                  tol=args.tol)
+    P = _admit(Projector, obj, "projector", args.tol)
     return {"probability": born_probability(rho, P, tol=args.tol)}
 
 
 def cmd_collapse(args):
     obj = _load_json(args.infile)
-    rho = DensityState(_matrix_of(_field(obj, "state"), "state"), tol=args.tol)
-    P = Projector(_matrix_of(_field(obj, "projector"), "projector"),
-                  tol=args.tol)
+    rho = _admit(DensityState, obj, "state", args.tol)
+    P = _admit(Projector, obj, "projector", args.tol)
     p = born_probability(rho, P, tol=args.tol)
     post = luders_collapse(rho, P)
     return {
@@ -287,13 +259,9 @@ def cmd_collapse(args):
 
 
 def cmd_gleason_fit(args):
-    obj = _load_json(args.infile)
-    rows = _field(obj, "assignments")
-    pairs = []
-    for row in rows:
-        P = Projector(_matrix_of(_field(row, "projector"), "projector"),
-                      tol=args.tol)
-        pairs.append((P, float(_field(row, "probability"))))
+    rows = _field(_load_json(args.infile), "assignments")
+    pairs = [(_admit(Projector, row, "projector", args.tol),
+              float(_field(row, "probability"))) for row in rows]
     fit = gleason_fit(pairs)
     return {
         "state": fit.state.matrix,
@@ -342,10 +310,7 @@ def cmd_sectors(args):
 
 
 def cmd_evolve(args):
-    H = HermitianOperator(
-        _matrix_of(_load_json(args.hamiltonian), args.hamiltonian),
-        tol=args.tol,
-    )
+    H = _operator(args.hamiltonian, args.tol)
     U, half = _evolve_grid(spectral_decompose(H), [args.t, args.t / 2.0],
                            args.hbar)
     return {
@@ -358,10 +323,7 @@ def cmd_evolve(args):
 
 
 def cmd_noether(args):
-    A = HermitianOperator(_matrix_of(_load_json(args.a), args.a),
-                          tol=args.tol)
-    H = HermitianOperator(_matrix_of(_load_json(args.h), args.h),
-                          tol=args.tol)
+    A, H = _operator(args.a, args.tol), _operator(args.h, args.tol)
     rep = noether_check(A, H, tol=args.tol, hbar=args.hbar)
     return {
         "constant_of_motion": rep.constant_of_motion,
@@ -376,9 +338,7 @@ def cmd_dyson(args):
     times = _field(obj, "times")
     mats = _field(obj, "matrices")
     if len(times) != len(mats):
-        raise MalformedInput(
-            f"{len(times)} times for {len(mats)} matrices"
-        )
+        raise MalformedInput(f"{len(times)} times for {len(mats)} matrices")
     samples = [
         (float(t), HermitianOperator(_matrix_of(m, "samples"), tol=args.tol))
         for t, m in zip(times, mats)
@@ -398,11 +358,12 @@ def cmd_dyson(args):
     }
 
 
-def _ccr_report(n, m, omega, hbar):
-    pair = build_truncated_pair(n, m, omega, hbar)
+def _ccr_report(obj, tol):
+    pair = build_truncated_pair(
+        *(_field(obj, k) for k in ("n", "m", "omega", "hbar")))
     ground = heisenberg_uncertainty(pair, pair.ground_state())
     first = heisenberg_uncertainty(pair, pair.fock_state(1))
-    svn = svn_hypotheses_check([pair.X], [pair.P], hbar=hbar)
+    svn = svn_hypotheses_check([pair.X], [pair.P], hbar=pair.hbar)
     comm = pair.commutator()
     return {
         "n": pair.n,
@@ -424,10 +385,16 @@ def _ccr_report(n, m, omega, hbar):
 
 
 def cmd_ccr(args):
-    return _ccr_report(args.n, args.m, args.omega, args.hbar)
+    return _ccr_report(vars(args), args.tol)
 
 
-def _gns_report(alg, values, tol):
+def _gns_report(obj, tol):
+    """The report on {"algebra": {"mult", "invol", "unit"}, "state":
+    {"values"}}, each a nested list of [re, im] pairs."""
+    alg = _field(obj, "algebra")
+    alg = AbstractStarAlgebra(*(_complex_array(_field(alg, k), k)
+                                for k in ("mult", "invol", "unit")))
+    values = _complex_array(_field(_field(obj, "state"), "values"), "values")
     omega = AlgebraicState(alg, values)
     triple = gns_construct(alg, omega)
     check = verify_gns(triple, alg, omega, tol=max(tol, PRODUCT_TOL))
@@ -442,17 +409,12 @@ def _gns_report(alg, values, tol):
 
 
 def cmd_gns(args):
-    alg = _algebra_from_json(_load_json(args.algebra))
-    values = _complex_array(
-        _field(_load_json(args.state), "values"), "values"
-    )
-    return _gns_report(alg, values, args.tol)
+    return _gns_report({"algebra": _load_json(args.algebra),
+                        "state": _load_json(args.state)}, args.tol)
 
 
-def _demo_c2_distributivity(data, args):
-    P1 = Projector(_matrix_of(_field(data, "p1"), "p1"), tol=args.tol)
-    P2 = Projector(_matrix_of(_field(data, "p2"), "p2"), tol=args.tol)
-    P3 = Projector(_matrix_of(_field(data, "p3"), "p3"), tol=args.tol)
+def _c2_distributivity_report(data, tol):
+    P1, P2, P3 = (_admit(Projector, data, k, tol) for k in ("p1", "p2", "p3"))
     left = meet(P1, join(P2, P3))
     right = join(meet(P1, P2), meet(P1, P3))
     return {
@@ -467,7 +429,7 @@ def _demo_c2_distributivity(data, args):
     }
 
 
-def _demo_spin_ccr(data, args):
+def _spin_ccr_report(data, tol):
     hbar = float(data.get("hbar", 1.0))
     S, rep = su2_fixture(hbar)
     quad = rep["quadratic_invariant"]
@@ -482,63 +444,67 @@ def _demo_spin_ccr(data, args):
     }
 
 
-def _demo_sectors(data, args):
-    return _sectors_report(data, args.tol)
-
-
-def _demo_gns(data, args):
-    alg = _algebra_from_json(_field(data, "algebra"))
-    values = _complex_array(_field(_field(data, "state"), "values"), "values")
-    return _gns_report(alg, values, args.tol)
-
-
-def _demo_oscillator(data, args):
-    return _ccr_report(
-        int(data.get("n", 16)),
-        float(data.get("m", 1.0)),
-        float(data.get("omega", 1.0)),
-        float(data.get("hbar", 1.0)),
-    )
-
-
+# each shipped fixture, src/oplattice/data/<name>.json, and its report
 _DEMOS = {
-    "c2-distributivity": _demo_c2_distributivity,
-    "spin-ccr": _demo_spin_ccr,
-    "electric-charge-sectors": _demo_sectors,
-    "gns-m2-pure": _demo_gns,
-    "gns-m2-trace": _demo_gns,
-    "truncated-oscillator": _demo_oscillator,
+    "c2-distributivity": _c2_distributivity_report,
+    "spin-ccr": _spin_ccr_report,
+    "electric-charge-sectors": _sectors_report,
+    "gns-m2-pure": _gns_report,
+    "gns-m2-trace": _gns_report,
+    "truncated-oscillator": _ccr_report,
 }
 
 
 def cmd_demo(args):
-    data = _data_fixture(args.name)
-    report = _DEMOS[args.name](data, args)
-    report["demo"] = args.name
-    return report
+    if args.name not in _DEMOS:
+        raise ValueError(f"unknown demo {args.name!r}; "
+                         f"shipped: {', '.join(sorted(_DEMOS))}")
+    path = resources.files("oplattice") / "data" / f"{args.name}.json"
+    report = _DEMOS[args.name](json.loads(path.read_text()), args.tol)
+    return dict(report, demo=args.name)
 
 
-def _reporting(handler):
-    """The handler, its report carrying the tolerance the run used."""
-    return lambda args: dict(handler(args), tolerance_used=args.tol)
+# --- subcommands ------------------------------------------------------------
 
+_IN = {"--in": dict(dest="infile", required=True)}
+_HBAR = {"--hbar": dict(type=float, default=1.0)}
 
-HANDLERS = {name: _reporting(handler) for name, handler in {
-    "spectral": cmd_spectral,
-    "funcalc": cmd_funcalc,
-    "lattice": cmd_lattice,
-    "measure": cmd_measure,
-    "collapse": cmd_collapse,
-    "gleason-fit": cmd_gleason_fit,
-    "commutant": cmd_commutant,
-    "sectors": cmd_sectors,
-    "evolve": cmd_evolve,
-    "noether": cmd_noether,
-    "dyson": cmd_dyson,
-    "ccr": cmd_ccr,
-    "gns": cmd_gns,
-    "demo": cmd_demo,
-}.items()}
+# Each subcommand: its handler and the flags it takes beside --tol and
+# --out. --hbar goes only where a handler reads it.
+COMMANDS = {
+    "spectral": (cmd_spectral, _IN),
+    "funcalc": (cmd_funcalc, {
+        **_IN, "--f": dict(choices=sorted(_FUNCTIONS), required=True),
+        "--t": dict(type=float, default=1.0)}),
+    "lattice": (cmd_lattice, _IN),
+    "measure": (cmd_measure, _IN),
+    "collapse": (cmd_collapse, _IN),
+    "gleason-fit": (cmd_gleason_fit, _IN),
+    "commutant": (cmd_commutant, _IN),
+    "sectors": (cmd_sectors, _IN),
+    "evolve": (cmd_evolve, {
+        **_HBAR, "--hamiltonian": dict(required=True),
+        "--t": dict(type=float, required=True)}),
+    "noether": (cmd_noether, {
+        **_HBAR, "--a": dict(required=True), "--h": dict(required=True)}),
+    "dyson": (cmd_dyson, {
+        **_HBAR, "--samples": dict(required=True),
+        "--t1": dict(type=float, required=True),
+        "--t2": dict(type=float, required=True),
+        "--order": dict(type=int, default=8)}),
+    "ccr": (cmd_ccr, {
+        **_HBAR, "--n": dict(type=int, default=16),
+        "--m": dict(type=float, default=1.0),
+        "--omega": dict(type=float, default=1.0)}),
+    "gns": (cmd_gns, {"--algebra": dict(required=True),
+                      "--state": dict(required=True)}),
+    "demo": (cmd_demo, {"--name": dict(required=True)}),
+}
+
+# each report carries the tolerance the run used
+HANDLERS = {name: lambda args, handler=handler: dict(handler(args),
+                                                     tolerance_used=args.tol)
+            for name, (handler, _) in COMMANDS.items()}
 
 
 @functools.cache
@@ -548,89 +514,44 @@ def _build_parser():
         description="JSON-in, JSON-out desk for the operator-lattice toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, hbar=False):
+    for name, (_, flags) in COMMANDS.items():
+        p = sub.add_parser(name)
         p.add_argument(
             "--tol", type=float, default=None,
             help=f"tolerance (default: OPLATTICE_TOL or {DEFAULT_TOL})")
-        if hbar:
-            p.add_argument("--hbar", type=float, default=1.0)
         p.add_argument("--out", default=None,
                        help="report path (default: stdout)")
-
-    p = sub.add_parser("spectral")
-    common(p)
-    p.add_argument("--in", dest="infile", required=True)
-
-    p = sub.add_parser("funcalc")
-    common(p)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--f", choices=sorted(_FUNCTIONS), required=True)
-    p.add_argument("--t", type=float, default=1.0)
-
-    for name in ("lattice", "measure", "collapse", "gleason-fit",
-                 "commutant", "sectors"):
-        p = sub.add_parser(name)
-        common(p)
-        p.add_argument("--in", dest="infile", required=True)
-
-    p = sub.add_parser("evolve")
-    common(p, hbar=True)
-    p.add_argument("--hamiltonian", required=True)
-    p.add_argument("--t", type=float, required=True)
-
-    p = sub.add_parser("noether")
-    common(p, hbar=True)
-    p.add_argument("--a", required=True)
-    p.add_argument("--h", required=True)
-
-    p = sub.add_parser("dyson")
-    common(p, hbar=True)
-    p.add_argument("--samples", required=True)
-    p.add_argument("--t1", type=float, required=True)
-    p.add_argument("--t2", type=float, required=True)
-    p.add_argument("--order", type=int, default=8)
-
-    p = sub.add_parser("ccr")
-    common(p, hbar=True)
-    p.add_argument("--n", type=int, default=16)
-    p.add_argument("--m", type=float, default=1.0)
-    p.add_argument("--omega", type=float, default=1.0)
-
-    p = sub.add_parser("gns")
-    common(p)
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--state", required=True)
-
-    p = sub.add_parser("demo")
-    common(p)
-    p.add_argument("--name", required=True)
-
+        for flag, options in flags.items():
+            p.add_argument(flag, **options)
     return parser
+
+
+def _finite(name, value):
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
 
 
 def _resolve_tol(args):
     if args.tol is not None:
-        return float(args.tol)
+        return _finite("--tol", float(args.tol))
     env = os.environ.get("OPLATTICE_TOL")
-    if env:
-        try:
-            return float(env)
-        except ValueError:
-            raise MalformedInput(f"OPLATTICE_TOL={env!r} is not a number")
-    return DEFAULT_TOL
+    if not env:
+        return DEFAULT_TOL
+    try:
+        tol = float(env)
+    except ValueError:
+        raise MalformedInput(f"OPLATTICE_TOL={env!r} is not a number")
+    return _finite("OPLATTICE_TOL", tol)
 
 
 def run(argv) -> int:
     argv = list(argv)
-    if not argv:
-        print("missing subcommand; known: " + ", ".join(sorted(HANDLERS)),
+    if not argv or argv[0] not in (*COMMANDS, "-h", "--help"):
+        what = (f"unknown subcommand {argv[0]!r}" if argv
+                else "missing subcommand")
+        print(f"{what}; known: " + ", ".join(sorted(COMMANDS)),
               file=sys.stderr)
-        return EXIT_UNKNOWN_COMMAND
-    head = argv[0]
-    if head not in HANDLERS and head not in ("-h", "--help"):
-        print(f"unknown subcommand {head!r}; known: "
-              + ", ".join(sorted(HANDLERS)), file=sys.stderr)
         return EXIT_UNKNOWN_COMMAND
 
     parser = _build_parser()
@@ -643,13 +564,13 @@ def run(argv) -> int:
         args.tol = _resolve_tol(args)
         if args.tol <= 0:
             raise ValueError(f"tol must be positive, got {args.tol}")
-        if getattr(args, "hbar", 1.0) <= 0:
+        if _finite("--hbar", getattr(args, "hbar", 1.0)) <= 0:
             raise ValueError(f"hbar must be positive, got {args.hbar}")
         payload = _json(HANDLERS[args.command](args)) + "\n"
     except MalformedInput as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
-    except TOLERANCE_FAILURES as exc:
+    except ToleranceFailure as exc:
         print(f"tolerance failure: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE
     except (ValueError, KeyError, ArithmeticError) as exc:

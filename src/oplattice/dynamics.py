@@ -15,6 +15,7 @@ from .linalg import (
     PRODUCT_TOL,
     SOLVER_TOL,
     HermitianOperator,
+    ToleranceFailure,
     UnitaryOperator,
     _fro_batch,
     _hermitian,
@@ -35,7 +36,7 @@ MAX_DYSON_ORDER = 12
 DEFAULT_NOETHER_GRID = (0.1, 0.37, 1.0)
 
 
-class InconsistentGroup(ValueError):
+class InconsistentGroup(ToleranceFailure, ValueError):
     def __init__(self, defect):
         super().__init__(
             f"samples are not consistent with a one-parameter group "
@@ -44,7 +45,7 @@ class InconsistentGroup(ValueError):
         self.defect = float(defect)
 
 
-class NotHermitianResult(ValueError):
+class NotHermitianResult(ToleranceFailure, ValueError):
     def __init__(self, defect):
         super().__init__(
             f"recovered generator is not Hermitian (defect {defect:.3e})"
@@ -52,7 +53,7 @@ class NotHermitianResult(ValueError):
         self.defect = float(defect)
 
 
-class EquivalenceViolation(RuntimeError):
+class EquivalenceViolation(ToleranceFailure, RuntimeError):
     """The three conservation conditions must agree; disagreement means the
     tolerance budget failed, never a counterexample."""
 
@@ -80,7 +81,7 @@ class QuadratureTooCoarse(ValueError):
         self.needed = int(needed)
 
 
-class NotACocycle(ValueError):
+class NotACocycle(ToleranceFailure, ValueError):
     def __init__(self, g1, g2, g3, defect):
         super().__init__(
             f"multiplier identity fails on ({g1!r}, {g2!r}, {g3!r}) "

@@ -12,6 +12,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     RANK_RTOL,
+    ToleranceFailure,
     as_matrix,
     frobenius,
     matrix_from_json,
@@ -33,7 +34,7 @@ class NotComparable(ValueError):
     pass
 
 
-class MaxIterExceeded(RuntimeError):
+class MaxIterExceeded(ToleranceFailure, RuntimeError):
     def __init__(self, iterations, residual):
         super().__init__(
             f"alternating product did not settle after {iterations} steps "

@@ -52,7 +52,13 @@ class NotUnitary(ValueError):
         self.defect = float(defect)
 
 
-class ConvergenceFailure(RuntimeError):
+class ToleranceFailure(Exception):
+    """Marker base: the computation ran but a numerical budget failed, as
+    opposed to bad input. Each subclass also keeps its ValueError or
+    RuntimeError base."""
+
+
+class ConvergenceFailure(ToleranceFailure, RuntimeError):
     pass
 
 

@@ -15,6 +15,7 @@ from .linalg import (
     ABS_FLOOR,
     SOLVER_TOL,
     HermitianOperator,
+    ToleranceFailure,
     _hermitian,
     frobenius,
     operator_norm,
@@ -29,7 +30,7 @@ class BadDimension(ValueError):
         self.n = int(n)
 
 
-class TailTooLarge(ValueError):
+class TailTooLarge(ToleranceFailure, ValueError):
     def __init__(self, weight):
         super().__init__(
             f"state carries weight {weight:.3e} on the top truncation "

@@ -104,21 +104,24 @@ class ProjectorValuedMeasure:
     and idempotent, atoms pairwise orthogonal, the sum equal to the
     identity, labels pairwise distinct.
 
-    Atoms given as matrices are checked densely and kept as `atoms`; V_a is
-    read off each one's 0/1 eigensplit. A measure the library builds is
-    checked on V, with P_a built on first use of `atoms`: the Gram defect
-    V^*V - I bounds idempotency and orthogonality, and VV^* - I is the
-    completeness defect. Both kinds of atom are Hermitian by construction:
-    in u u^* the (i, j) and (j, i) entries are conjugates made from the same
-    two real products, and a higher-rank atom is (BB^* + (BB^*)^*)/2, whose
-    mirrored entries add the same two numbers.
+    Atoms given as matrices are checked densely and kept, as read-only
+    copies, as `atoms`; V_a is read off each one's 0/1 eigensplit. A measure
+    the library builds is checked on V, with P_a built on first use of
+    `atoms`: the Gram defect V^*V - I bounds idempotency and orthogonality,
+    and VV^* - I is the completeness defect. Both kinds of atom are
+    Hermitian by construction: in u u^* the (i, j) and (j, i) entries are
+    conjugates made from the same two real products, and a higher-rank atom
+    is (BB^* + (BB^*)^*)/2, whose mirrored entries add the same two numbers.
     """
 
     __slots__ = ("dim", "_labels", "_atoms", "_factor", "_residuals")
 
     def __init__(self, dim, atoms):
         dim = int(dim)
-        clean = [(label, require_square(as_matrix(P))) for label, P in atoms]
+        clean = [(label, require_square(as_matrix(P).copy()))
+                 for label, P in atoms]
+        for _, P in clean:
+            P.setflags(write=False)
         require_same_dim(dim, *(P.shape[0] for _, P in clean))
         if not clean:
             raise ValueError("a PVM needs at least one atom")

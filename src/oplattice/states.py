@@ -16,6 +16,7 @@ from .linalg import (
     FIT_TOL,
     RANK_RTOL,
     HermitianOperator,
+    ToleranceFailure,
     _hermitian,
     eig_hermitian,
     frobenius,
@@ -24,7 +25,7 @@ from .linalg import (
 )
 
 
-class ZeroProbability(ValueError):
+class ZeroProbability(ToleranceFailure, ValueError):
     def __init__(self, probability):
         super().__init__(
             f"event probability {probability:.3e} is below the floor; "
@@ -43,7 +44,7 @@ class UnderdeterminedFrame(ValueError):
         self.needed = int(needed)
 
 
-class InconsistentAssignments(ValueError):
+class InconsistentAssignments(ToleranceFailure, ValueError):
     def __init__(self, residual):
         super().__init__(
             f"no density operator reproduces the assignments "
@@ -52,7 +53,7 @@ class InconsistentAssignments(ValueError):
         self.residual = float(residual)
 
 
-class WitnessNotFound(RuntimeError):
+class WitnessNotFound(ToleranceFailure, RuntimeError):
     def __init__(self, best_probability):
         super().__init__(
             "witness search budget exhausted; best candidate probability "

@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import oplattice
 import oplattice.spectral
 from oplattice import (
     DensityState,
     HermitianOperator,
     NotHermitian,
+    ToleranceFailure,
     cli,
     matrix_to_json,
 )
@@ -117,6 +119,66 @@ def test_tolerance_failures_exit_3(tmp_path, capsys):
     })
     assert run(["collapse", "--in", fixture]) == 3
     capsys.readouterr()
+
+
+_TOLERANCE_FAILURES = {
+    "MaxIterExceeded", "ConvergenceFailure", "InconsistentGroup",
+    "NotHermitianResult", "EquivalenceViolation", "NotACocycle",
+    "InconsistentAssignments", "WitnessNotFound", "ZeroProbability",
+    "TailTooLarge"}
+_EXPORTED_ERRORS = [value for value in vars(oplattice).values()
+                    if isinstance(value, type)
+                    and issubclass(value, Exception)]
+
+
+def test_tolerance_failures_are_exactly_the_numerical_budget_errors():
+    marked = {cls.__name__ for cls in _EXPORTED_ERRORS
+              if issubclass(cls, ToleranceFailure)
+              and cls is not ToleranceFailure}
+    assert marked == _TOLERANCE_FAILURES
+    for cls in _EXPORTED_ERRORS:
+        if cls.__name__ in _TOLERANCE_FAILURES:
+            assert issubclass(cls, (ValueError, RuntimeError)), cls
+
+
+@pytest.mark.parametrize("name, code", [
+    *((name, 3) for name in sorted(_TOLERANCE_FAILURES)),
+    ("NotHermitian", 2), ("NotProjector", 2), ("NotClosedUnderProducts", 2),
+    ("DimensionMismatch", 2)])
+def test_each_exception_class_exits_by_the_taxonomy(monkeypatch, capsys,
+                                                    name, code):
+    cls = getattr(oplattice, name)
+
+    def failing(args):
+        raise cls.__new__(cls)
+
+    monkeypatch.setitem(cli.HANDLERS, "ccr", failing)
+    assert run(["ccr"]) == code
+    prefix = "tolerance failure: " if code == 3 else "error: "
+    assert capsys.readouterr().err.startswith(prefix)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("source", ["--tol", "OPLATTICE_TOL", "--hbar"])
+def test_non_finite_tolerance_or_hbar_exits_2_naming_it(tmp_path, monkeypatch,
+                                                        capsys, source, value):
+    """diag(1, 0.3) is no projector; a tolerance of inf used to admit it."""
+    fixture = write_json(tmp_path / "m.json", {
+        "state": matrix_to_json(np.diag([1.0, 0.0])),
+        "projector": matrix_to_json(np.diag([1.0, 0.3]))})
+    argv = ["measure", "--in", fixture]
+    if source == "OPLATTICE_TOL":
+        monkeypatch.setenv(source, value)
+    else:
+        monkeypatch.delenv("OPLATTICE_TOL", raising=False)
+        if source == "--hbar":
+            argv = ["evolve", "--hamiltonian",
+                    write_json(tmp_path / "h.json", matrix_to_json(SZ)),
+                    "--t", "1.0"]
+        argv.append(f"{source}={value}")
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {source} must be finite, got {float(value)}\n")
 
 
 def test_spectral_report_on_sigma_z(tmp_path):

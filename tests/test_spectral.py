@@ -209,6 +209,24 @@ def test_json_roundtrip_preserves_atoms_exactly():
         assert np.array_equal(P, Q)
 
 
+def test_given_atoms_are_copied_and_read_only():
+    """A later write to the caller's arrays leaves the measure as admitted,
+    and its atoms, like those the library builds, refuse writes."""
+    P = np.diag([1.0, 0.0]).astype(complex)
+    Q = np.eye(2, dtype=complex) - P
+    pvm = ProjectorValuedMeasure(2, [(0.0, P), (1.0, Q)])
+    P[0, 0] = 5.0
+    Q[1, 1] = 7.0
+    assert np.array_equal(pvm.atoms[0][1], np.diag([1.0, 0.0]))
+    assert np.array_equal(pvm.atoms[1][1], np.diag([0.0, 1.0]))
+    assert pvm_to_json(pvm)["atoms"][0]["projector"]["data"][0] == [1.0, 0.0]
+    assert np.array_equal(func_calculus(pvm, lambda x: x),
+                          np.diag([0.0, 1.0]))
+    for _, atom in pvm.atoms:
+        with pytest.raises(ValueError):
+            atom[0, 0] = 0.0
+
+
 # --- the factored route against the dense one --------------------------------
 
 def _spectrum(kind, n, rng):
