@@ -8,18 +8,19 @@ from collections import namedtuple
 
 import numpy as np
 
-from .lattice import _CHECK_SLICE
+from .lattice import _CHECK_SLICE, _fro_rows
 from .linalg import (
     DEFAULT_TOL,
     NULLSPACE_RTOL,
     SOLVER_TOL,
+    HermitianOperator,
     _fro_batch,
     as_matrix,
     frobenius,
     require_square,
     require_same_dim,
 )
-from .spectral import NonCommuting, joint_pvm, spectral_decompose
+from .spectral import NonCommuting, _decompose, joint_pvm
 
 _WEIGHT_SEED = 1729  # commutant's generic element, fixed: bit-stable results
 _QR_ROWS = 1024  # chunk height of _kernel's blocked QR
@@ -90,20 +91,27 @@ def commutant(generators, dim=None) -> list:
 
 def _commutant(generators, dim, certify=False):
     """commutant's basis, and beta = (1 + e)(c + e) + 2 n^2 eps >= its product
-    defect: e = ||V^*V - I||_F, 2 n^2 eps for rounding; inf if not certify."""
-    mats = [require_square(as_matrix(M)) for M in generators]
-    dims = [M.shape[0] for M in mats] + ([] if dim is None else [dim])
+    defect: e = ||V^*V - I||_F off the factor gate's Gram, 2 n^2 eps for
+    rounding; inf if not certify. h skips admission: its (i, j) and (j, i)
+    entries add the same two numbers, so hermitian_part(h) is h."""
+    mats = list(generators)
+    dims = [len(M) for M in mats] + ([] if dim is None else [dim])
     if not dims:
         raise ValueError("no generators and no dimension given")
     n = require_same_dim(*dims)
-    G = np.array([M / frobenius(M) for M in mats if frobenius(
-        M - np.trace(M) / n * np.eye(n)) > NULLSPACE_RTOL * frobenius(M)])
+    S = require_square(as_matrix(mats or np.zeros((0, n, n)), 3))
+    norms = _fro_rows(S)
+    keep = _fro_rows(S - (S.trace(axis1=1, axis2=2) / n)[:, None, None]
+                     * np.eye(n)) > NULLSPACE_RTOL * norms
+    G = S[keep] / norms[keep, None, None]
     if not len(G):
         return _matrix_units(n), 0.0
     c = np.random.default_rng(_WEIGHT_SEED).uniform(0.5, 1.0, (len(G), 2))
     W = np.tensordot(c @ [1.0, 1.0j], G, axes=1)
-    pvm = spectral_decompose(W + W.conj().T)
-    V = np.hstack([B for _, B in pvm.blocks])
+    h = HermitianOperator.__new__(HermitianOperator)
+    h.matrix = W + W.conj().T
+    pvm, gram = _decompose(h)
+    V = pvm._factor[0]
     owner = np.repeat(np.arange(len(pvm)), pvm.ranks)
     _, s, B = np.linalg.svd(np.concatenate([G, G.conj().transpose(0, 2, 1)])
                             .reshape(2 * len(G), -1), full_matrices=False)
@@ -118,7 +126,7 @@ def _commutant(generators, dim, certify=False):
     x, gap = _kernel(L.reshape(-1, len(u)), certify)
     Xt = np.zeros((len(x), n, n), dtype=complex)
     Xt[:, cs, ds] = x
-    e = frobenius(V.conj().T @ V - np.eye(n))
+    e = frobenius(gram)
     beta = (1 + e) * (gap + e) + 2 * n * n * np.finfo(float).eps
     return list(V @ Xt @ V.conj().T), beta
 

@@ -66,12 +66,12 @@ class DimensionMismatch(ValueError):
     pass
 
 
-def as_matrix(data) -> np.ndarray:
-    """Coerce to a 2-d complex array, rejecting NaN/Inf entries."""
+def as_matrix(data, ndim=2) -> np.ndarray:
+    """Coerce to a 2-d complex array (ndim=3: a stack), rejecting NaN/Inf."""
     M = np.asarray(data, dtype=complex)
-    if M.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got ndim={M.ndim}")
-    if not np.all(np.isfinite(M.real)) or not np.all(np.isfinite(M.imag)):
+    if M.ndim != ndim:
+        raise ValueError(f"expected a {ndim}-d array, got ndim={M.ndim}")
+    if not np.isfinite(M).all():
         raise ValueError("matrix contains non-finite entries")
     return M
 
@@ -86,8 +86,8 @@ def _fro_batch(stack):
 
 
 def require_square(M: np.ndarray) -> np.ndarray:
-    if M.shape[0] != M.shape[1]:
-        raise NotSquare(f"matrix is {M.shape[0]}x{M.shape[1]}")
+    if M.shape[-2] != M.shape[-1]:
+        raise NotSquare(f"matrix is {M.shape[-2]}x{M.shape[-1]}")
     return M
 
 
@@ -114,7 +114,7 @@ def hermitian_part(matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
     the overflow that would make both sides inf. A is halved before the sum
     so that near-overflow input stays finite."""
     M = require_square(as_matrix(matrix))
-    top = float(np.abs(np.stack([M.real, M.imag])).max(initial=0.0))
+    top = max(np.abs(M.real).max(initial=0.0), np.abs(M.imag).max(initial=0.0))
     scale = math.ldexp(1.0, max(math.frexp(top)[1] - 1, -1022))
     S = M * (1.0 / scale)
     defect = frobenius(S - S.conj().T)

@@ -77,14 +77,16 @@ def _stack(blocks):
 
 
 def _factor_residuals(V, starts):
-    """Bounds for the atoms P_a = V_a V_a^* of the column blocks V_a of V:
-    with fd the largest ||V_a^* V_a - I||_F and off the mass of V^*V - I
-    outside the diagonal blocks, ||P_a P_b||_F <= off + 2 fd for every pair
-    and ||P_a^2 - P_a||_F <= (1 + fd) fd for every atom. Atoms are built
-    Hermitian to the last bit (see ProjectorValuedMeasure)."""
+    """Bounds for the atoms P_a = V_a V_a^* of the column blocks V_a of V, and
+    the Gram defect G = V^*V - I: with fd the largest ||V_a^* V_a - I||_F and
+    off the mass of G outside the diagonal blocks, ||P_a P_b||_F <= off + 2 fd
+    for every pair and ||P_a^2 - P_a||_F <= (1 + fd) fd for every atom. Atoms
+    are built Hermitian to the last bit (see ProjectorValuedMeasure)."""
     eye = np.eye(V.shape[0])
-    gram = np.abs(V.conj().T @ V - eye) ** 2
-    tiles = np.add.reduceat(np.add.reduceat(gram, starts, axis=0), starts, axis=1)
+    gram = V.conj().T @ V - eye
+    tiles = np.abs(gram) ** 2
+    if len(starts) < V.shape[1]:  # else each tile is one entry
+        tiles = np.add.reduceat(np.add.reduceat(tiles, starts, axis=0), starts, axis=1)
     fd = float(np.sqrt(np.diagonal(tiles).max()))
     np.fill_diagonal(tiles, 0.0)
     return {
@@ -92,7 +94,27 @@ def _factor_residuals(V, starts):
         "idempotency": (1.0 + fd) * fd,
         "completeness": frobenius(V @ V.conj().T - eye),
         "orthogonality": float(np.sqrt(tiles.sum())) + 2.0 * fd,
-    }
+    }, gram
+
+
+def _clusters(w, cluster_tol):
+    """(labels, starts, ranks) of the ascending w split where a gap exceeds
+    cluster_tol * max(1, spread) (see spectral_decompose)."""
+    cut = w[1:] - w[:-1] > cluster_tol * max(1.0, float(w[-1] - w[0]))
+    if cut.all():
+        return w.tolist(), np.arange(len(w)), np.ones(len(w), dtype=int)
+    bounds = np.flatnonzero(np.concatenate(([True], cut, [True])))
+    starts, ranks = bounds[:-1], bounds[1:] - bounds[:-1]
+    return [float(w[a]) if r == 1 else float(np.mean(w[a:a + r]))
+            for a, r in zip(starts.tolist(), ranks.tolist())], starts, ranks
+
+
+def _decompose(A, cluster_tol=SOLVER_TOL):
+    """(measure, V^*V - I) of a HermitianOperator A, through eig_hermitian,
+    _clusters and the factor gate; A is not admitted again here."""
+    es = eig_hermitian(A)
+    labels, starts, ranks = _clusters(es.eigenvalues, cluster_tol)
+    return ProjectorValuedMeasure._from_factor(labels, es.eigenvectors, starts, ranks)
 
 
 class ProjectorValuedMeasure:
@@ -134,12 +156,13 @@ class ProjectorValuedMeasure:
 
     @classmethod
     def _from_factor(cls, labels, V, starts, ranks, tol=DEFAULT_TOL):
-        pvm = cls.__new__(cls)
-        pvm._admit(V.shape[0], labels, _factor_residuals(V, starts), tol)
+        """The measure over a factor that passes the gate at tol, and V^*V - I."""
+        pvm, (report, gram) = cls.__new__(cls), _factor_residuals(V, starts)
+        pvm._admit(V.shape[0], labels, report, tol)
         for part in (V, starts, ranks):
             part.setflags(write=False)
         pvm._atoms, pvm._factor = None, (V, starts, ranks)
-        return pvm
+        return pvm, gram
 
     def _admit(self, dim, labels, report, tol):
         if not all(v <= tol for v in report.values()):  # NaN fails too
@@ -218,14 +241,7 @@ def spectral_decompose(A, cluster_tol=SOLVER_TOL) -> ProjectorValuedMeasure:
         pvm.dim, pvm._atoms = A.dim, None
         pvm._labels, pvm._factor, pvm._residuals = A._spectral
         return pvm
-    es = eig_hermitian(A)
-    w, V = es.eigenvalues, es.eigenvectors
-    threshold = cluster_tol * max(1.0, float(w[-1] - w[0]))
-    starts = np.flatnonzero(np.diff(w, prepend=-np.inf) > threshold)
-    ranks = np.diff(starts, append=len(w))
-    labels = [float(w[a]) if r == 1 else float(np.mean(w[a:a + r]))
-              for a, r in zip(starts.tolist(), ranks.tolist())]
-    pvm = ProjectorValuedMeasure._from_factor(labels, V, starts, ranks)
+    pvm = _decompose(A, cluster_tol)[0]
     if keep:
         A._spectral = pvm._labels, pvm._factor, pvm._residuals
     return pvm
@@ -343,7 +359,7 @@ def joint_pvm(ops) -> ProjectorValuedMeasure:
     return ProjectorValuedMeasure._from_factor(
         [label for label, _, _ in blocks],
         *_stack([V[:, a:a + len(C)] @ C for _, a, C in blocks]),
-        tol=SOLVER_TOL)
+        tol=SOLVER_TOL)[0]
 
 
 def marginal_pvm(joint, coordinate) -> ProjectorValuedMeasure:
@@ -354,7 +370,7 @@ def marginal_pvm(joint, coordinate) -> ProjectorValuedMeasure:
         groups.setdefault(float(label[coordinate]), []).append(B)
     keys = sorted(groups)
     return ProjectorValuedMeasure._from_factor(
-        keys, *_stack([np.hstack(groups[key]) for key in keys]))
+        keys, *_stack([np.hstack(groups[key]) for key in keys]))[0]
 
 
 # --- JSON form: {"dim": n, "atoms": [{"label": [..], "projector": ..}]} ---

@@ -1,5 +1,6 @@
 """Commutants, generated *-algebras, centers, and superselection splitting."""
 
+import json
 import time
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from oplattice import (
     DEFAULT_TOL,
+    ConvergenceFailure,
     DensityState,
     MatrixStarAlgebra,
     NonCentralCharge,
@@ -20,11 +22,13 @@ from oplattice import (
     double_commutant,
     frobenius,
     is_factor,
+    matrix_to_json,
     spectral_decompose,
     superselection_sectors,
 )
-from oplattice import algebras
+from oplattice import algebras, cli
 from oplattice.algebras import _commutant, _kernel
+from oplattice.linalg import hermitian_part
 
 from oracles import (
     center_oracle,
@@ -283,6 +287,94 @@ def test_algebra_of_one_complex_hermitian_is_abelian(n, seed, clustered):
     atoms = spectral_decompose(H).atoms
     assert len(atoms) == distinct
     assert len(center(MatrixStarAlgebra([P for _, P in atoms]))) == distinct
+
+
+def _generic_element(gens):
+    """h = W + W^* of one commutant call and _commutant's decomposition of
+    it, caught on their way into spectral._decompose."""
+    seen, decompose = [], algebras._decompose
+
+    def spy(h, *args):
+        seen.append((h.matrix, decompose(h, *args)))
+        return seen[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebras, "_decompose", spy)
+        commutant(gens)
+    assert len(seen) == 1
+    return seen[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["hermitian", "clustered", "commuting_pair",
+                             "two_blocks", "nonnormal_pair"]),
+       n=st.integers(2, 8), scalars=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_generic_element_skips_admission_and_decomposes_as_admitted(
+        name, n, scalars, seed):
+    """h is Hermitian to the last bit, so admitting it would change nothing:
+    hermitian_part(h) is h, and spectral_decompose(h) gives the labels and
+    factor _commutant reads, bit for bit. The generators are admitted as one
+    C-ordered stack, so Fortran-ordered copies, or an iterator over them,
+    give the same basis bits."""
+    rng = np.random.default_rng(seed)
+    if name == "clustered":
+        U = haar_unitary(rng, n)
+        gens = [(U * spectrum_with_repeats(rng, n, clustered=True)[0])
+                @ U.conj().T]
+    else:
+        gens = complex_family(name, rng, n)
+    if scalars:
+        gens = [np.zeros((n, n)), 3.0 * np.eye(n)] + gens + [0.7j * np.eye(n)]
+    h, (got, _) = _generic_element(gens)
+    assert np.array_equal(h, h.conj().T)
+    assert np.array_equal(hermitian_part(h), h)
+    want = spectral_decompose(h)
+    assert got.labels == want.labels
+    for a, b in zip(got._factor, want._factor):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    basis = commutant(gens)
+    for again in (commutant([np.asfortranarray(G) for G in gens]),
+                  commutant(iter(gens))):
+        assert len(basis) == len(again)
+        assert all(np.array_equal(X, Y) for X, Y in zip(basis, again))
+
+
+def test_commutant_maps_an_eigensolver_failure_to_exit_3(tmp_path,
+                                                         monkeypatch):
+    """commutant's generic element goes through the shared decomposition
+    step: LAPACK's LinAlgError becomes ConvergenceFailure, a tolerance
+    failure, so `oplattice commutant` exits 3."""
+    def failing(M):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    with pytest.raises(ConvergenceFailure):
+        commutant([SX, SZ])
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps(
+        {"generators": [matrix_to_json(SX), matrix_to_json(SZ)]}))
+    assert cli.run(["commutant", "--in", str(path)]) == 3
+
+
+def test_commutant_refuses_bent_eigenvectors(monkeypatch):
+    """The factor gate runs on commutant's generic element: eigenvectors
+    bent by 1e-6, orthonormal no more, are refused as they would be by
+    spectral_decompose."""
+    solve = np.linalg.eigh
+
+    def bent(M):
+        w, V = solve(M)
+        V = V.copy()
+        V[:, 0] += 1e-6 * V[:, 1]
+        return w, V
+
+    gens = random_mats(np.random.default_rng(43), 5, 2)
+    monkeypatch.setattr(np.linalg, "eigh", bent)
+    for call in (lambda: commutant(gens),
+                 lambda: spectral_decompose(gens[0] + gens[0].conj().T)):
+        with pytest.raises(ValueError, match="invariants violated"):
+            call()
 
 
 def commutant_case(name, rng, n):

@@ -100,6 +100,32 @@ def test_stack_check_refuses_what_projector_refuses(kind, monkeypatch):
             assert stacked.value.defect == alone.value.defect
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), k=st.integers(1, 4), fortran=st.booleans(),
+       noise=st.sampled_from([0.0, 1e-13, 1e-6]),
+       seed=st.integers(0, 2**32 - 1))
+def test_stack_defects_are_frobenius_norms_bit_for_bit(n, k, fortran, noise,
+                                                       seed):
+    """_fro_rows is frobenius() of each C-ordered matrix, bit for bit, and a
+    refused matrix reports max(||P - P^*||_F, ||P^2 - P||_F, trace gap) with
+    those norms, however its entries are laid out in memory."""
+    rng = np.random.default_rng(seed)
+    stack = np.array([random_projector(rng, n, int(rng.integers(0, n + 1)))
+                      .matrix for _ in range(k)])
+    stack += noise * (rng.standard_normal(stack.shape)
+                      + 1j * rng.standard_normal(stack.shape))
+    want = [frobenius(M) for M in stack]
+    assert np.array_equal(lattice._fro_rows(stack), want)
+    P = np.asfortranarray(stack[0]) if fortran else stack[0]
+    tr = np.trace(P).real
+    parts = (P - P.conj().T, P @ P - P)
+    defect = max(*(frobenius(np.ascontiguousarray(D)) for D in parts),
+                 abs(tr - np.rint(tr)))
+    with pytest.raises(NotProjector) as info:
+        Projector(P, tol=-1.0)
+    assert info.value.defect == defect
+
+
 @pytest.mark.parametrize("entries", [1 << 16, 32])
 def test_stack_check_admits_what_projector_admits(entries, monkeypatch):
     rng = np.random.default_rng(19)

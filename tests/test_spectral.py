@@ -269,6 +269,73 @@ _spectral_cases = given(
 )
 
 
+# --- the decomposition step's shortcuts against their general form ----------
+
+def _split_by_diff(w, cluster_tol):
+    """The cluster split through np.diff with prepend and append, for every
+    spectrum: the general form of _clusters."""
+    threshold = cluster_tol * max(1.0, float(w[-1] - w[0]))
+    starts = np.flatnonzero(np.diff(w, prepend=-np.inf) > threshold)
+    ranks = np.diff(starts, append=len(w))
+    labels = [float(w[a]) if r == 1 else float(np.mean(w[a:a + r]))
+              for a, r in zip(starts.tolist(), ranks.tolist())]
+    return labels, starts, ranks
+
+
+def _residuals_by_tiling(V, starts):
+    """The factor bounds with the Gram tiled by reduceat, whatever the
+    ranks: the general form of _factor_residuals."""
+    eye = np.eye(V.shape[0])
+    tiles = np.abs(V.conj().T @ V - eye) ** 2
+    tiles = np.add.reduceat(np.add.reduceat(tiles, starts, axis=0), starts,
+                            axis=1)
+    fd = float(np.sqrt(np.diagonal(tiles).max()))
+    np.fill_diagonal(tiles, 0.0)
+    return {
+        "hermiticity": 0.0,
+        "idempotency": (1.0 + fd) * fd,
+        "completeness": frobenius(V @ V.conj().T - eye),
+        "orthogonality": float(np.sqrt(tiles.sum())) + 2.0 * fd,
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(start=st.floats(-1e3, 1e3),
+       gaps=st.lists(st.sampled_from([0.0, 1e-13, 5e-9, 9.9e-9, 1e-8,
+                                      1.01e-8, 2e-8, 1e-6, 0.5]),
+                     max_size=15),
+       scale=st.floats(-4.0, 4.0),
+       cluster_tol=st.sampled_from([oplattice.spectral.SOLVER_TOL, 0.0, 1e-6]))
+def test_cluster_split_matches_the_diff_split(start, gaps, scale,
+                                              cluster_tol):
+    """Near-degenerate ascending spectra, with gaps near the cut of
+    cluster_tol * max(1, spread): _clusters gives the labels, starts and
+    ranks of the np.diff split, bit for bit."""
+    w = start + np.concatenate([[0.0], np.cumsum(gaps)]) * 10.0 ** scale
+    got = oplattice.spectral._clusters(w, cluster_tol)
+    want = _split_by_diff(w, cluster_tol)
+    assert got[0] == want[0]
+    for a, b in zip(got[1:], want[1:]):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 24), bend=st.sampled_from([0.0, 1e-12, 1e-6]),
+       seed=st.integers(0, 2**32 - 1))
+def test_rank_one_factor_bounds_match_the_tiling(n, bend, seed):
+    """With every atom of rank 1, _factor_residuals skips both reduceat
+    tilings: its bounds are the tiled ones bit for bit, and the Gram defect
+    it returns is V^*V - I. A spectrum with a merged pair takes the tiling."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    V = np.linalg.qr(z)[0]
+    V[:, 0] += bend * V[:, -1]
+    for starts in (np.arange(n), np.arange(n)[np.arange(n) != 1]):
+        report, gram = oplattice.spectral._factor_residuals(V, starts)
+        assert report == _residuals_by_tiling(V, starts)
+        assert np.array_equal(gram, V.conj().T @ V - np.eye(n))
+
+
 def _relative_gap(got, want):
     return frobenius(got - want) / max(1.0, frobenius(want))
 
