@@ -4,9 +4,11 @@ Every subcommand reads JSON, emits exactly one JSON report and exits by a
 fixed taxonomy: 0 success, 2 validation error, 3 a `ToleranceFailure` (the
 computation ran but a numerical budget failed), 64 unknown subcommand, 65
 malformed input. The report layout is a fixed contract, so identical inputs
-give identical bytes: 2-space indent, sorted keys, ASCII only, NaN/Infinity
-for non-finite scalars, a complex scalar as [re, im], and every matrix as
-{"cols": n, "data": [[re, im], ...], "rows": m} in row-major order.
+give identical bytes. The package's one codec writes reports (`linalg.dumps`:
+2-space indent, sorted keys, ASCII only, NaN/Infinity, [re, im] for a complex
+scalar) and reads input matrices (`linalg.matrix_from_json`), also wrapped as
+{"matrix": M, ...}, as `projector_to_json` writes them. `spectral` writes the
+`pvm_to_json` layout, which `pvm_from_json` reads back as a measure.
 
 COMMANDS declares each subcommand once, with its handler and its flags.
 `demo --name` replays a shipped fixture: `c2-distributivity` and `spin-ccr`
@@ -59,7 +61,7 @@ from .linalg import (
     HermitianOperator,
     ToleranceFailure,
     _complex_pairs,
-    as_matrix,
+    dumps,
     frobenius,
     matrix_from_json,
 )
@@ -71,6 +73,7 @@ from .oscillator import (
 from .spectral import (
     func_calculus,
     pvm_residuals,
+    pvm_to_json,
     spectral_decompose,
 )
 from .states import (
@@ -91,43 +94,6 @@ EXIT_MALFORMED = 65
 
 class MalformedInput(ValueError):
     pass
-
-
-# --- report writer ----------------------------------------------------------
-# json.dumps(..., indent=2) would run json's pure-Python encoder over every
-# [re, im] pair. Matrices stay arrays until here instead, and each data block
-# is one %-format over the matrix's float64 view.
-
-def _block(brackets, body, pad):
-    """The JSON texts in body as an indented array or object at pad."""
-    if not body:
-        return brackets
-    inner = pad + "  "
-    return (f"{brackets[0]}\n{inner}" + f",\n{inner}".join(body)
-            + f"\n{pad}{brackets[1]}")
-
-
-def _json(obj, pad=""):
-    """obj as JSON text in the report layout, on a line indented by pad.
-    Keys become str; a 2-d array is a matrix, any other array a list."""
-    if isinstance(obj, np.ndarray) and obj.ndim == 2:
-        M, inner = as_matrix(obj), pad + "  "
-        pair = _block("[]", ["%r", "%r"], inner + "  ")
-        data = _block("[]", [pair] * M.size, inner) % tuple(
-            M.ravel().view(np.float64).tolist())
-        return _block("{}", [f'"cols": {M.shape[1]}', f'"data": {data}',
-                             f'"rows": {M.shape[0]}'], pad)
-    if isinstance(obj, (np.ndarray, np.generic)):
-        obj = obj.tolist()
-    if isinstance(obj, complex):
-        obj = [obj.real, obj.imag]
-    if isinstance(obj, dict):
-        keyed = sorted({str(k): v for k, v in obj.items()}.items())
-        return _block("{}", [f"{json.dumps(k)}: {_json(v, pad + '  ')}"
-                             for k, v in keyed], pad)
-    if isinstance(obj, (list, tuple)):
-        return _block("[]", [_json(v, pad + "  ") for v in obj], pad)
-    return json.dumps(obj)
 
 
 def _load_json(path):
@@ -179,13 +145,8 @@ def cmd_spectral(args):
     A = _operator(args.infile, args.tol)
     pvm = spectral_decompose(A)
     rebuilt = func_calculus(pvm, lambda x: x)
-    return {
-        "dim": pvm.dim,
-        "atoms": [{"label": [label], "projector": P, "rank": r}
-                  for (label, P), r in zip(pvm.atoms, pvm.ranks)],
-        "residuals": pvm_residuals(pvm),
-        "reconstruction_residual": frobenius(rebuilt - A.matrix),
-    }
+    return {**pvm_to_json(pvm), "residuals": pvm_residuals(pvm),
+            "reconstruction_residual": frobenius(rebuilt - A.matrix)}
 
 
 _FUNCTIONS = {
@@ -459,7 +420,7 @@ def cmd_demo(args):
     if args.name not in _DEMOS:
         raise ValueError(f"unknown demo {args.name!r}; "
                          f"shipped: {', '.join(sorted(_DEMOS))}")
-    path = resources.files("oplattice") / "data" / f"{args.name}.json"
+    path = resources.files("oplattice") / f"data/{args.name}.json"
     report = _DEMOS[args.name](json.loads(path.read_text()), args.tol)
     return dict(report, demo=args.name)
 
@@ -566,7 +527,7 @@ def run(argv) -> int:
             raise ValueError(f"tol must be positive, got {args.tol}")
         if _finite("--hbar", getattr(args, "hbar", 1.0)) <= 0:
             raise ValueError(f"hbar must be positive, got {args.hbar}")
-        payload = _json(HANDLERS[args.command](args)) + "\n"
+        payload = dumps(HANDLERS[args.command](args)) + "\n"
     except MalformedInput as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return EXIT_MALFORMED

@@ -179,6 +179,12 @@ def verify_gns(triple: GNSTriple, alg: AbstractStarAlgebra,
     """Re-check every property the construction promises, reporting the
     measured residuals and the first violated one.
 
+    Residuals are held to tol times their scale: s^2 for the homomorphism
+    and s for the involution, s = max(1, max ||pi(b_i)||_F), 1 for the
+    dimensionless unit, max(1, max |omega_i|) for the expectation. The
+    cyclic rank counts singular values of the orbit above RANK_RTOL times
+    the largest, with no floor.
+
     Keys: ok, violation (None when ok), residuals, tol.
     """
     M = [as_matrix(m) for m in triple.pi_images]
@@ -199,20 +205,15 @@ def verify_gns(triple: GNSTriple, alg: AbstractStarAlgebra,
     )
     orbit = np.stack([m @ psi for m in M], axis=1)
     sing = np.linalg.svd(orbit, compute_uv=False)
-    rank = int(np.sum(sing > RANK_RTOL * max(1.0, float(sing[0]))))
+    rank = int(np.sum(sing > RANK_RTOL * sing[0]))
+    s = max(1.0, float(np.linalg.norm(stack, axis=(1, 2)).max()))
+    scale = {"homomorphism": s * s, "involution": s, "unit": 1.0,
+             "expectation": max(1.0, float(np.abs(omega.values).max()))}
 
-    residuals = {
-        "homomorphism": hom,
-        "involution": inv,
-        "unit": unit,
-        "expectation": expect,
-        "cyclic_rank_gap": triple.rep_dim - rank,
-    }
-    violation = None
-    for key in ("homomorphism", "involution", "unit", "expectation"):
-        if residuals[key] > tol:
-            violation = key
-            break
+    residuals = {"homomorphism": hom, "involution": inv, "unit": unit,
+                 "expectation": expect, "cyclic_rank_gap": triple.rep_dim - rank}
+    violation = next((key for key in scale
+                      if residuals[key] > tol * scale[key]), None)
     if violation is None and rank != triple.rep_dim:
         violation = "cyclicity"
     return {"ok": violation is None, "violation": violation,

@@ -16,7 +16,6 @@ from .linalg import (
     as_matrix,
     frobenius,
     matrix_from_json,
-    matrix_to_json,
     operator_norm,
     range_basis,
     require_same_dim,
@@ -244,15 +243,13 @@ def orthomodular_check(P: Projector, Q: Projector) -> bool:
 
 
 def projector_to_json(P: Projector) -> dict:
-    out = matrix_to_json(P.matrix)
-    out["rank"] = P.rank
-    return out
+    """{"matrix": P, "rank": r}, the matrix left as an array for linalg.dumps
+    to write; every matrix input of the command line reads this form."""
+    return {"matrix": P.matrix, "rank": P.rank}
 
 
 def projector_from_json(obj) -> Projector:
-    P = Projector(matrix_from_json(obj))
+    P = Projector(matrix_from_json(obj["matrix"]))
     if "rank" in obj and int(obj["rank"]) != P.rank:
-        raise ValueError(
-            f"declared rank {obj['rank']} but trace says {P.rank}"
-        )
+        raise ValueError(f"declared rank {obj['rank']} but trace says {P.rank}")
     return P

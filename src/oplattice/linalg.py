@@ -1,5 +1,5 @@
-"""Validated complex matrices, the Hermitian eigensolver, and the package's
-tolerance policy.
+"""Validated complex matrices, the Hermitian eigensolver, the package's
+tolerance policy, and its one JSON codec.
 
 Conventions used across the package:
   * operators are dense complex numpy arrays,
@@ -8,6 +8,7 @@ Conventions used across the package:
 """
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -219,15 +220,44 @@ def eig_hermitian(A: HermitianOperator) -> EigenSystem:
 
 
 # ---------------------------------------------------------------------------
-# JSON matrix format, shared by every module:
-# {"rows": m, "cols": n, "data": [[re, im], ...]} row-major.
-# Python floats are IEEE-754 doubles and json round-trips them bit-exactly.
+# JSON matrix layout, the package's one codec: dumps writes it, matrix_from_json
+# reads it. A matrix is {"cols": n, "data": [[re, im], ...], "rows": m},
+# row-major; %r and json round-trip every double bit-exactly. Matrices stay
+# arrays until dumps, which writes each data block as one %-format over the
+# float64 view, not through json's pure-Python encoder pair by pair.
 
-def matrix_to_json(M) -> dict:
-    M = as_matrix(M)
-    rows, cols = M.shape
-    data = [[float(z.real), float(z.imag)] for z in M.reshape(-1)]
-    return {"rows": rows, "cols": cols, "data": data}
+def _block(brackets, body, pad):
+    """The JSON texts in body as an indented array or object at pad."""
+    if not body:
+        return brackets
+    inner = pad + "  "
+    return (f"{brackets[0]}\n{inner}" + f",\n{inner}".join(body)
+            + f"\n{pad}{brackets[1]}")
+
+
+def dumps(obj, pad="") -> str:
+    """obj as JSON text in the report layout (2-space indent, sorted keys,
+    ASCII only, NaN/Infinity for non-finite scalars), on a line indented by
+    pad. Keys become str; a 2-d array is a matrix, any other array a list,
+    a complex scalar [re, im]."""
+    if isinstance(obj, np.ndarray) and obj.ndim == 2:
+        M, inner = as_matrix(obj), pad + "  "
+        pair = _block("[]", ["%r", "%r"], inner + "  ")
+        data = _block("[]", [pair] * M.size, inner) % tuple(
+            M.ravel().view(np.float64).tolist())
+        return _block("{}", [f'"cols": {M.shape[1]}', f'"data": {data}',
+                             f'"rows": {M.shape[0]}'], pad)
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
+    if isinstance(obj, complex):
+        obj = [obj.real, obj.imag]
+    if isinstance(obj, dict):
+        keyed = sorted({str(k): v for k, v in obj.items()}.items())
+        return _block("{}", [f"{json.dumps(k)}: {dumps(v, pad + '  ')}"
+                             for k, v in keyed], pad)
+    if isinstance(obj, (list, tuple)):
+        return _block("[]", [dumps(v, pad + "  ") for v in obj], pad)
+    return json.dumps(obj)
 
 
 def _complex_pairs(data) -> np.ndarray:

@@ -8,6 +8,7 @@ tuples, whose blocks split the first operator's along the others'.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 
 import numpy as np
@@ -23,8 +24,6 @@ from .linalg import (
     eig_hermitian,
     frobenius,
     matrix_from_json,
-    matrix_to_json,
-    range_basis,
     require_same_dim,
     require_square,
 )
@@ -50,24 +49,6 @@ def _as_tuple(label):
     if isinstance(label, tuple):
         return tuple(float(x) for x in label)
     return (float(label),)
-
-
-def _atom_residuals(dim, atoms):
-    """Measured invariant defects of a dense atom list."""
-    stack = np.stack([P for _, P in atoms])
-    herm = float(_fro_batch(stack - stack.conj().transpose(0, 2, 1)).max())
-    complete = frobenius(stack.sum(axis=0) - np.eye(dim))
-    idem = float(_fro_batch(stack @ stack - stack).max())
-    ortho = 0.0
-    for a in range(len(atoms) - 1):
-        prods = stack[a][None, :, :] @ stack[a + 1:]
-        ortho = max(ortho, float(_fro_batch(prods).max()))
-    return {
-        "hermiticity": herm,
-        "idempotency": idem,
-        "completeness": complete,
-        "orthogonality": float(ortho),
-    }
 
 
 def _stack(blocks):
@@ -117,6 +98,46 @@ def _decompose(A, cluster_tol=SOLVER_TOL):
     return ProjectorValuedMeasure._from_factor(labels, es.eigenvectors, starts, ranks)
 
 
+def _atom(B):
+    """B B^* of a column block, read-only and Hermitian by construction: the
+    (i, j) and (j, i) entries of u u^* are conjugates made from the same two
+    real products, and those of (BB^* + (BB^*)^*)/2 add the same numbers."""
+    if B.shape[1] == 1:
+        P = np.einsum("ia,ja->aij", B, B.conj())[0]
+    else:
+        P = B @ B.conj().T
+        P = (P + P.conj().T) / 2
+    P.setflags(write=False)
+    return P
+
+
+def _given_factor(stack):
+    """(factor, bounds) of the (k, n, n) stack of given atoms P_a: V from one
+    eigh of sum_a a P_a, whose k clusters must have the atoms' traces as
+    ranks, and the factor gate's bounds widened by the fits E_a = P_a - Q_a,
+    Q_a = V_a V_a^*. With f = max ||E_a||_F and q = 1 + the idempotency
+    bound >= ||Q_a||_2, the defects of the P_a grow by at most 2f, (2q + 1 +
+    f) f, ||sum_a E_a||_F and (2q + f) f, in the order of the keys."""
+    k, dim = stack.shape[:2]
+    # its Hermitian part: how far the atoms are from it shows in the fits
+    weighted = np.tensordot(np.arange(float(k)), stack, axes=1)
+    factor = _decompose(HermitianOperator(weighted, tol=math.inf))[0]
+    V, starts, ranks = factor._factor
+    traces = np.rint(stack.trace(axis1=1, axis2=2).real)
+    if len(ranks) != k or (ranks != traces).any():
+        raise ValueError(f"atom traces {traces.tolist()} are not the "
+                         f"ranks {ranks.tolist()} of a partition of {dim}")
+    E = stack - np.stack([_atom(V[:, a:a + r]) for a, r in zip(starts, ranks)])
+    bounds, f = factor._residuals, float(_fro_batch(E).max())
+    q = 1.0 + bounds["idempotency"]
+    return factor._factor, {
+        "hermiticity": bounds["hermiticity"] + 2.0 * f,
+        "idempotency": bounds["idempotency"] + (2.0 * q + 1.0 + f) * f,
+        "completeness": bounds["completeness"] + frobenius(E.sum(axis=0)),
+        "orthogonality": bounds["orthogonality"] + (2.0 * q + f) * f,
+    }
+
+
 class ProjectorValuedMeasure:
     """Finite PVM: atoms (label, projector), held as the factor
     (V, starts, ranks), P_a = V_a V_a^* for the column block V_a of V.
@@ -126,33 +147,27 @@ class ProjectorValuedMeasure:
     and idempotent, atoms pairwise orthogonal, the sum equal to the
     identity, labels pairwise distinct.
 
-    Atoms given as matrices are checked densely and kept, as read-only
-    copies, as `atoms`; V_a is read off each one's 0/1 eigensplit. A measure
-    the library builds is checked on V, with P_a built on first use of
-    `atoms`: the Gram defect V^*V - I bounds idempotency and orthogonality,
-    and VV^* - I is the completeness defect. Both kinds of atom are
-    Hermitian by construction: in u u^* the (i, j) and (j, i) entries are
-    conjugates made from the same two real products, and a higher-rank atom
-    is (BB^* + (BB^*)^*)/2, whose mirrored entries add the same two numbers.
+    Every measure is checked on V: the Gram defect V^*V - I bounds
+    idempotency and orthogonality, and VV^* - I is the completeness defect.
+    A measure the library builds has P_a built (see _atom) on first use of
+    `atoms`. Atoms given as matrices are kept, as read-only copies, as
+    `atoms`; V comes from one eigh of their weighted sum, and the bounds are
+    widened by each atom's fit ||P_a - V_a V_a^*||_F (see _given_factor).
     """
 
     __slots__ = ("dim", "_labels", "_atoms", "_factor", "_residuals")
 
     def __init__(self, dim, atoms):
-        dim = int(dim)
-        clean = [(label, require_square(as_matrix(P).copy()))
-                 for label, P in atoms]
-        for _, P in clean:
-            P.setflags(write=False)
-        require_same_dim(dim, *(P.shape[0] for _, P in clean))
-        if not clean:
+        dim, atoms = int(dim), list(atoms)
+        mats = [require_square(as_matrix(P)) for _, P in atoms]
+        require_same_dim(dim, *(P.shape[0] for P in mats))
+        if not mats:
             raise ValueError("a PVM needs at least one atom")
-        self._admit(dim, [lab for lab, _ in clean], _atom_residuals(dim, clean),
-                    DEFAULT_TOL)
-        self._atoms, self._factor = clean, _stack([range_basis(P) for _, P in clean])
-        ranks = self._factor[2]
-        if not ranks.all() or ranks.sum() != dim:
-            raise ValueError(f"atom ranks {ranks.tolist()} do not partition {dim}")
+        stack = np.stack(mats)  # a copy: the caller's arrays stay theirs
+        stack.setflags(write=False)
+        self._factor, report = _given_factor(stack)
+        self._admit(dim, [label for label, _ in atoms], report, DEFAULT_TOL)
+        self._atoms = list(zip(self._labels, stack))
 
     @classmethod
     def _from_factor(cls, labels, V, starts, ranks, tol=DEFAULT_TOL):
@@ -174,18 +189,7 @@ class ProjectorValuedMeasure:
     @property
     def atoms(self):
         if self._atoms is None:
-            V, starts, ranks = self._factor
-            cols = V[:, starts[ranks == 1]]
-            outers = iter(np.einsum("ia,ja->aij", cols, cols.conj()))
-            self._atoms = []
-            for label, B in self.blocks:
-                if B.shape[1] == 1:
-                    P = next(outers)
-                else:
-                    P = B @ B.conj().T
-                    P = (P + P.conj().T) / 2
-                P.setflags(write=False)
-                self._atoms.append((label, P))
+            self._atoms = [(label, _atom(B)) for label, B in self.blocks]
         return self._atoms
 
     @property
@@ -205,10 +209,12 @@ class ProjectorValuedMeasure:
         return list(self._labels)
 
     def projector_for(self, label):
+        """The atom labeled label; on a measure whose `atoms` are not built,
+        only that one is built."""
         target = _as_tuple(label)
-        for lab, P in self.atoms:
+        for a, lab in enumerate(self._labels):
             if _as_tuple(lab) == target:
-                return P
+                return self._atoms[a][1] if self._atoms else _atom(self.blocks[a][1])
         raise KeyError(f"no atom labeled {label!r}")
 
     def __len__(self):
@@ -219,8 +225,8 @@ class ProjectorValuedMeasure:
 
 
 def pvm_residuals(pvm) -> dict:
-    """The invariant defects construction admitted: measured on atoms given
-    as matrices, bounds read off V on a measure the library built."""
+    """The invariant defects construction admitted: bounds read off V, for
+    atoms given as matrices widened by their fits to V."""
     return dict(pvm._residuals)
 
 
@@ -373,22 +379,25 @@ def marginal_pvm(joint, coordinate) -> ProjectorValuedMeasure:
         keys, *_stack([np.hstack(groups[key]) for key in keys]))[0]
 
 
-# --- JSON form: {"dim": n, "atoms": [{"label": [..], "projector": ..}]} ---
+# --- JSON layout, that of `oplattice spectral`: {"dim": n, "atoms": [{"label":
+# [..], "projector": P, "rank": r}, ...]}, each P an array for linalg.dumps.
 
 def pvm_to_json(pvm) -> dict:
-    out = []
-    for label, P in pvm.atoms:
-        out.append({
-            "label": [float(x) for x in _as_tuple(label)],
-            "projector": matrix_to_json(P),
-        })
-    return {"dim": pvm.dim, "atoms": out}
+    return {"dim": pvm.dim, "atoms": [
+        {"label": list(_as_tuple(label)), "projector": P, "rank": r}
+        for (label, P), r in zip(pvm.atoms, pvm.ranks)]}
 
 
 def pvm_from_json(obj) -> ProjectorValuedMeasure:
+    """The measure in that layout, parsed; other keys, such as a report's
+    residuals, are ignored. A declared rank must be the admitted one."""
     atoms = []
     for atom in obj["atoms"]:
         lab = [float(x) for x in atom["label"]]
-        label = lab[0] if len(lab) == 1 else tuple(lab)
-        atoms.append((label, matrix_from_json(atom["projector"])))
-    return ProjectorValuedMeasure(int(obj["dim"]), atoms)
+        atoms.append((lab[0] if len(lab) == 1 else tuple(lab),
+                      matrix_from_json(atom["projector"])))
+    pvm = ProjectorValuedMeasure(int(obj["dim"]), atoms)
+    for atom, rank in zip(obj["atoms"], pvm.ranks):
+        if "rank" in atom and int(atom["rank"]) != rank:
+            raise ValueError(f"declared rank {atom['rank']} but trace says {rank}")
+    return pvm

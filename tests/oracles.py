@@ -248,6 +248,23 @@ def center_oracle(basis, n, rcond=1e-10):
 
 # --- dense spectral-measure routes: atoms as lists of (label, n x n matrix) ---
 
+def _atom_residuals(dim, atoms):
+    """The invariant defects of a dense atom list, measured on the atoms
+    themselves: the largest ||P - P^*||_F and ||P^2 - P||_F, ||sum P - I||_F,
+    and the largest ||P_a P_b||_F over every pair a < b."""
+    stack = np.stack([P for _, P in atoms])
+    fro = lambda S: np.sqrt((np.abs(S) ** 2).sum(axis=(-2, -1)))
+    ortho = 0.0
+    for a in range(len(atoms) - 1):
+        ortho = max(ortho, float(fro(stack[a][None] @ stack[a + 1:]).max()))
+    return {
+        "hermiticity": float(fro(stack - stack.conj().transpose(0, 2, 1)).max()),
+        "idempotency": float(fro(stack @ stack - stack).max()),
+        "completeness": float(np.linalg.norm(stack.sum(axis=0) - np.eye(dim))),
+        "orthogonality": ortho,
+    }
+
+
 def func_calculus_dense(atoms, f):
     """sum_a f(a) P_a, one dense projector at a time."""
     out = np.zeros_like(np.asarray(atoms[0][1], dtype=complex))

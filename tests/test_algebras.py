@@ -1,6 +1,5 @@
 """Commutants, generated *-algebras, centers, and superselection splitting."""
 
-import json
 import time
 
 import numpy as np
@@ -20,9 +19,9 @@ from oplattice import (
     commutant,
     decohere_across_sectors,
     double_commutant,
+    dumps,
     frobenius,
     is_factor,
-    matrix_to_json,
     spectral_decompose,
     superselection_sectors,
 )
@@ -352,8 +351,7 @@ def test_commutant_maps_an_eigensolver_failure_to_exit_3(tmp_path,
     with pytest.raises(ConvergenceFailure):
         commutant([SX, SZ])
     path = tmp_path / "gens.json"
-    path.write_text(json.dumps(
-        {"generators": [matrix_to_json(SX), matrix_to_json(SZ)]}))
+    path.write_text(dumps({"generators": [SX, SZ]}))
     assert cli.run(["commutant", "--in", str(path)]) == 3
 
 

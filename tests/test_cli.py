@@ -17,7 +17,7 @@ from oplattice import (
     NotHermitian,
     ToleranceFailure,
     cli,
-    matrix_to_json,
+    dumps,
 )
 from oplattice.cli import run
 
@@ -28,7 +28,7 @@ SZ = np.diag([1.0, -1.0]).astype(complex)
 
 
 def write_json(path, obj):
-    path.write_text(json.dumps(obj))
+    path.write_text(dumps(obj))
     return str(path)
 
 
@@ -63,9 +63,9 @@ def test_malformed_json_exits_65(tmp_path, capsys):
 
 
 def test_validation_failures_exit_2(tmp_path, capsys):
-    skew = write_json(tmp_path / "h.json", matrix_to_json(SZ + 1j * SX))
+    skew = write_json(tmp_path / "h.json", SZ + 1j * SX)
     assert run(["spectral", "--in",skew]) == 2
-    good = write_json(tmp_path / "g.json", matrix_to_json(SZ))
+    good = write_json(tmp_path / "g.json", SZ)
     assert run(["evolve", "--hamiltonian", good, "--t", "1.0",
                 "--hbar", "-1.0"]) == 2
     assert run(["demo", "--name", "no-such-demo"]) == 2
@@ -79,14 +79,14 @@ def test_hermiticity_gate_sees_past_norm_overflow(tmp_path, capsys):
         for cls in (HermitianOperator, DensityState):
             with pytest.raises(NotHermitian):
                 cls(np.array(M))
-    infile = write_json(tmp_path / "h.json", matrix_to_json(
-        np.array([[1e308, 1e308], [0.0, 1e308]])))
+    infile = write_json(tmp_path / "h.json",
+                        np.array([[1e308, 1e308], [0.0, 1e308]]))
     assert run(["spectral", "--in", infile]) == 2
     capsys.readouterr()
 
 
 def test_removed_seed_and_report_flags_are_refused(tmp_path, capsys):
-    infile = write_json(tmp_path / "sz.json", matrix_to_json(SZ))
+    infile = write_json(tmp_path / "sz.json", SZ)
     assert run(["spectral", "--in", infile, "--seed", "1"]) == 2
     assert run(["ccr", "--n", "4", "--report",
                 str(tmp_path / "r.json")]) == 2
@@ -95,7 +95,7 @@ def test_removed_seed_and_report_flags_are_refused(tmp_path, capsys):
 
 def test_funcalc_refuses_an_infinite_function_value(tmp_path, capsys):
     infile = write_json(tmp_path / "big.json",
-                        matrix_to_json(np.diag([1e200, 1.0])))
+                        np.diag([1e200, 1.0]))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert run(["funcalc", "--in", infile, "--f", "square"]) == 2
@@ -107,15 +107,15 @@ def test_funcalc_refuses_an_infinite_function_value(tmp_path, capsys):
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # ||A||_F
 def test_spectral_on_finite_input_near_overflow(tmp_path):
     big = np.array([[-0.0, 1e-300], [1e-300, 1e308]])
-    infile = write_json(tmp_path / "big.json", matrix_to_json(big))
+    infile = write_json(tmp_path / "big.json", big)
     rep = run_json(tmp_path, ["spectral", "--in", infile])
     assert [a["label"] for a in rep["atoms"]] == [[0.0], [1e308]]
 
 
 def test_tolerance_failures_exit_3(tmp_path, capsys):
     fixture = write_json(tmp_path / "c.json", {
-        "state": matrix_to_json(np.diag([1.0, 0.0]).astype(complex)),
-        "projector": matrix_to_json(np.diag([0.0, 1.0]).astype(complex)),
+        "state": np.diag([1.0, 0.0]).astype(complex),
+        "projector": np.diag([0.0, 1.0]).astype(complex),
     })
     assert run(["collapse", "--in", fixture]) == 3
     capsys.readouterr()
@@ -164,8 +164,8 @@ def test_non_finite_tolerance_or_hbar_exits_2_naming_it(tmp_path, monkeypatch,
                                                         capsys, source, value):
     """diag(1, 0.3) is no projector; a tolerance of inf used to admit it."""
     fixture = write_json(tmp_path / "m.json", {
-        "state": matrix_to_json(np.diag([1.0, 0.0])),
-        "projector": matrix_to_json(np.diag([1.0, 0.3]))})
+        "state": np.diag([1.0, 0.0]),
+        "projector": np.diag([1.0, 0.3])})
     argv = ["measure", "--in", fixture]
     if source == "OPLATTICE_TOL":
         monkeypatch.setenv(source, value)
@@ -173,7 +173,7 @@ def test_non_finite_tolerance_or_hbar_exits_2_naming_it(tmp_path, monkeypatch,
         monkeypatch.delenv("OPLATTICE_TOL", raising=False)
         if source == "--hbar":
             argv = ["evolve", "--hamiltonian",
-                    write_json(tmp_path / "h.json", matrix_to_json(SZ)),
+                    write_json(tmp_path / "h.json", SZ),
                     "--t", "1.0"]
         argv.append(f"{source}={value}")
     assert run(argv) == 2
@@ -182,7 +182,7 @@ def test_non_finite_tolerance_or_hbar_exits_2_naming_it(tmp_path, monkeypatch,
 
 
 def test_spectral_report_on_sigma_z(tmp_path):
-    infile = write_json(tmp_path / "sz.json", matrix_to_json(SZ))
+    infile = write_json(tmp_path / "sz.json", SZ)
     rep = run_json(tmp_path, ["spectral", "--in", infile])
     assert rep["dim"] == 2
     assert [a["label"] for a in rep["atoms"]] == [[-1.0], [1.0]]
@@ -191,14 +191,14 @@ def test_spectral_report_on_sigma_z(tmp_path):
 
 
 def test_funcalc_square_gives_identity(tmp_path):
-    infile = write_json(tmp_path / "sz.json", matrix_to_json(SZ))
+    infile = write_json(tmp_path / "sz.json", SZ)
     rep = run_json(tmp_path, ["funcalc", "--in", infile, "--f", "square"])
     got = complexify(rep["matrix"]["data"]).reshape(2, 2)
     np.testing.assert_allclose(got, np.eye(2), atol=1e-12)
 
 
 def test_evolve_matches_exponential_oracle(tmp_path):
-    infile = write_json(tmp_path / "h.json", matrix_to_json(SX))
+    infile = write_json(tmp_path / "h.json", SX)
     rep = run_json(tmp_path, ["evolve", "--hamiltonian", infile,
                               "--t", "0.7"])
     got = complexify(rep["matrix" if "matrix" in rep else "unitary"]["data"])
@@ -211,8 +211,8 @@ def test_evolve_matches_exponential_oracle(tmp_path):
 def test_lattice_report_for_commuting_pair(tmp_path):
     e = np.eye(3, dtype=complex)
     obj = {
-        "p": matrix_to_json(np.diag([1.0, 1.0, 0.0]).astype(complex)),
-        "q": matrix_to_json(np.diag([0.0, 1.0, 1.0]).astype(complex)),
+        "p": np.diag([1.0, 1.0, 0.0]).astype(complex),
+        "q": np.diag([0.0, 1.0, 1.0]).astype(complex),
     }
     infile = write_json(tmp_path / "pq.json", obj)
     rep = run_json(tmp_path, ["lattice", "--in", infile])
@@ -228,8 +228,8 @@ def test_lattice_keeps_the_tolerance_it_admitted_at(tmp_path, capsys):
     orthocomplement and meet included."""
     v = np.array([0.0, 1.0, 1.0]) / np.sqrt(2.0)
     obj = {
-        "p": matrix_to_json(np.diag([1.0, 1.0 + 1e-8, 0.0])),
-        "q": matrix_to_json(np.diag([1.0, 0.0, 0.0]) + np.outer(v, v)),
+        "p": np.diag([1.0, 1.0 + 1e-8, 0.0]),
+        "q": np.diag([1.0, 0.0, 0.0]) + np.outer(v, v),
     }
     infile = write_json(tmp_path / "pq.json", obj)
     assert run(["lattice", "--in", infile]) == 2
@@ -243,9 +243,9 @@ def test_lattice_keeps_the_tolerance_it_admitted_at(tmp_path, capsys):
 
 def test_measurement_chain_orders_differ(tmp_path):
     obj = {
-        "state": matrix_to_json(np.diag([1.0, 0.0]).astype(complex)),
-        "chain": [matrix_to_json(np.full((2, 2), 0.5).astype(complex)),
-                  matrix_to_json(np.diag([1.0, 0.0]).astype(complex))],
+        "state": np.diag([1.0, 0.0]).astype(complex),
+        "chain": [np.full((2, 2), 0.5).astype(complex),
+                  np.diag([1.0, 0.0]).astype(complex)],
     }
     infile = write_json(tmp_path / "chain.json", obj)
     rep = run_json(tmp_path, ["measure", "--in", infile])
@@ -256,8 +256,8 @@ def test_measurement_chain_orders_differ(tmp_path):
 
 def test_single_projector_measurement(tmp_path):
     obj = {
-        "state": matrix_to_json(np.diag([1.0, 0.0]).astype(complex)),
-        "projector": matrix_to_json(np.full((2, 2), 0.5).astype(complex)),
+        "state": np.diag([1.0, 0.0]).astype(complex),
+        "projector": np.full((2, 2), 0.5).astype(complex),
     }
     infile = write_json(tmp_path / "m.json", obj)
     rep = run_json(tmp_path, ["measure", "--in", infile])
@@ -266,8 +266,8 @@ def test_single_projector_measurement(tmp_path):
 
 def test_collapse_report(tmp_path):
     obj = {
-        "state": matrix_to_json(np.diag([1.0, 0.0]).astype(complex)),
-        "projector": matrix_to_json(np.full((2, 2), 0.5).astype(complex)),
+        "state": np.diag([1.0, 0.0]).astype(complex),
+        "projector": np.full((2, 2), 0.5).astype(complex),
     }
     infile = write_json(tmp_path / "c.json", obj)
     rep = run_json(tmp_path, ["collapse", "--in", infile])
@@ -280,7 +280,7 @@ def test_collapse_report(tmp_path):
 def test_gleason_fit_roundtrip_through_cli(tmp_path):
     from oplattice import DensityState, born_probability, tomography_frame
     rho = DensityState(np.diag([0.5, 0.3, 0.2]))
-    rows = [{"projector": matrix_to_json(P.matrix),
+    rows = [{"projector": P.matrix,
              "probability": born_probability(rho, P)}
             for P in tomography_frame(3)]
     infile = write_json(tmp_path / "fit.json", {"assignments": rows})
@@ -293,7 +293,7 @@ def test_gleason_fit_roundtrip_through_cli(tmp_path):
 
 
 def test_commutant_dimensions_for_pauli_generators(tmp_path):
-    obj = {"generators": [matrix_to_json(SX), matrix_to_json(SZ)]}
+    obj = {"generators": [SX, SZ]}
     infile = write_json(tmp_path / "gens.json", obj)
     rep = run_json(tmp_path, ["commutant", "--in", infile])
     assert rep["commutant_dimension"] == 1
@@ -305,10 +305,10 @@ def test_commutant_dimensions_for_pauli_generators(tmp_path):
 def test_sectors_through_input_file(tmp_path):
     I2 = np.eye(2, dtype=complex)
     obj = {
-        "charges": [matrix_to_json(np.kron(I2, SZ))],
-        "observables": [matrix_to_json(np.kron(SX, I2)),
-                        matrix_to_json(np.kron(SZ, I2)),
-                        matrix_to_json(np.kron(I2, SZ))],
+        "charges": [np.kron(I2, SZ)],
+        "observables": [np.kron(SX, I2),
+                        np.kron(SZ, I2),
+                        np.kron(I2, SZ)],
     }
     infile = write_json(tmp_path / "sec.json", obj)
     rep = run_json(tmp_path, ["sectors", "--in", infile])
@@ -319,12 +319,12 @@ def test_sectors_through_input_file(tmp_path):
 
 
 def test_noether_flags_through_cli(tmp_path):
-    h = write_json(tmp_path / "h.json", matrix_to_json(SZ))
-    a = write_json(tmp_path / "a.json", matrix_to_json((SZ @ SZ + SZ)))
+    h = write_json(tmp_path / "h.json", SZ)
+    a = write_json(tmp_path / "a.json", SZ @ SZ + SZ)
     rep = run_json(tmp_path, ["noether", "--a", a, "--h", h])
     assert rep["constant_of_motion"] and rep["dynamical_symmetry"]
     assert rep["h_invariance"]
-    a2 = write_json(tmp_path / "a2.json", matrix_to_json(SX))
+    a2 = write_json(tmp_path / "a2.json", SX)
     rep = run_json(tmp_path, ["noether", "--a", a2, "--h", h])
     assert not rep["constant_of_motion"]
 
@@ -333,7 +333,7 @@ def test_dyson_through_cli(tmp_path):
     taus = np.linspace(0.0, 1.0, 201)
     obj = {
         "times": list(taus),
-        "matrices": [matrix_to_json((1 + t * t / 2) * SZ) for t in taus],
+        "matrices": [(1 + t * t / 2) * SZ for t in taus],
     }
     infile = write_json(tmp_path / "samples.json", obj)
     rep = run_json(tmp_path, ["dyson", "--samples", infile,
@@ -394,7 +394,7 @@ def test_pair_reader_keeps_signed_zeros():
 
 
 def test_hbar_is_declared_only_where_it_is_read(tmp_path, capsys):
-    sz = write_json(tmp_path / "sz.json", matrix_to_json(SZ))
+    sz = write_json(tmp_path / "sz.json", SZ)
     for argv in (["spectral", "--in", sz], ["funcalc", "--in", sz, "--f",
                                             "square"],
                  *([name, "--in", sz] for name in (
@@ -427,10 +427,10 @@ def test_demo_output_is_deterministic(tmp_path):
     q, _ = np.linalg.qr(z)
     P = q[:, :3] @ q[:, :3].conj().T
     v = np.column_stack([q[:, 0], (q[:, 1] + q[:, 4]) / np.sqrt(2)])
-    h = write_json(tmp_path / "h.json", matrix_to_json(H))
-    a = write_json(tmp_path / "a.json", matrix_to_json(H @ H - H))
-    pq = write_json(tmp_path / "pq.json", {"p": matrix_to_json(P),
-                                           "q": matrix_to_json(v @ v.conj().T)})
+    h = write_json(tmp_path / "h.json", H)
+    a = write_json(tmp_path / "a.json", H @ H - H)
+    pq = write_json(tmp_path / "pq.json", {"p": P,
+                                           "q": v @ v.conj().T})
     commands = [["demo", "--name", name] for name in sorted(cli._DEMOS)] + [
         ["spectral", "--in", h], ["evolve", "--hamiltonian", h, "--t", "0.7"],
         ["lattice", "--in", pq], ["noether", "--a", a, "--h", h]]
@@ -447,7 +447,7 @@ def test_demo_output_is_deterministic(tmp_path):
 
 
 def test_tolerance_resolution_env_and_flag(tmp_path, monkeypatch):
-    infile = write_json(tmp_path / "sz.json", matrix_to_json(SZ))
+    infile = write_json(tmp_path / "sz.json", SZ)
     rep = run_json(tmp_path, ["spectral", "--in", infile])
     assert rep["tolerance_used"] == 1e-10
     monkeypatch.setenv("OPLATTICE_TOL", "1e-6")
@@ -460,7 +460,7 @@ def test_tolerance_resolution_env_and_flag(tmp_path, monkeypatch):
 
 
 def test_stdout_when_no_out_path(tmp_path, capsys):
-    infile = write_json(tmp_path / "sz.json", matrix_to_json(SZ))
+    infile = write_json(tmp_path / "sz.json", SZ)
     assert run(["spectral", "--in", infile]) == 0
     captured = capsys.readouterr()
     rep = json.loads(captured.out)
@@ -471,7 +471,7 @@ def test_parser_is_built_once_and_keeps_no_state(tmp_path, monkeypatch,
                                                  capsys):
     monkeypatch.delenv("OPLATTICE_TOL", raising=False)
     assert cli._build_parser() is cli._build_parser()
-    sz = write_json(tmp_path / "sz.json", matrix_to_json(SZ))
+    sz = write_json(tmp_path / "sz.json", SZ)
     first = tmp_path / "first.json"
     assert run(["spectral", "--in", sz, "--tol", "1e-8",
                 "--out", str(first)]) == 0
@@ -498,7 +498,7 @@ def test_evolve_decomposes_the_hamiltonian_once(tmp_path, monkeypatch):
         return solve(A)
 
     monkeypatch.setattr(oplattice.spectral, "eig_hermitian", counted)
-    h = write_json(tmp_path / "h.json", matrix_to_json(SX + 0.5 * SZ))
+    h = write_json(tmp_path / "h.json", SX + 0.5 * SZ)
     rep = run_json(tmp_path, ["evolve", "--hamiltonian", h, "--t", "0.7"])
     assert len(calls) == 1
     assert rep["group_law_defect"] <= 1e-12
@@ -550,7 +550,7 @@ _TREES = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(_TREES)
 def test_report_writer_matches_indented_json_encoder(tree):
-    assert cli._json(tree) + "\n" == report_json_reference(tree)
+    assert dumps(tree) + "\n" == report_json_reference(tree)
 
 
 def _report_through_both_routes(tmp_path, argv):
@@ -580,10 +580,10 @@ def test_matrix_reports_match_indented_json_encoder(tmp_path, monkeypatch):
     X = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     Q, _ = np.linalg.qr(X)
     degenerate = Q @ np.diag([-1.0, 2.0, 2.0, 0.5, 2.0]) @ Q.conj().T
-    H = write_json(tmp_path / "h.json", matrix_to_json((X + X.conj().T) / 2))
-    D = write_json(tmp_path / "d.json", matrix_to_json(degenerate))
+    H = write_json(tmp_path / "h.json", (X + X.conj().T) / 2)
+    D = write_json(tmp_path / "d.json", degenerate)
     rho = DensityState(np.diag([0.5, 0.3, 0.2]))
-    rows = [{"projector": matrix_to_json(P.matrix),
+    rows = [{"projector": P.matrix,
              "probability": born_probability(rho, P)}
             for P in tomography_frame(3)]
     fit = write_json(tmp_path / "fit.json", {"assignments": rows})

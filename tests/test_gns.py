@@ -353,22 +353,30 @@ def test_unit_acting_as_identity_is_judged_without_a_scale(scale):
         AbstractStarAlgebra(alg.mult, alg.invol, alg.unit * (1.0 + 1e-3))
 
 
-@pytest.mark.parametrize("scale", [
-    pytest.param(1e-11, marks=pytest.mark.xfail(strict=True, reason=(
-        "the cyclic-rank cutoff is floored at 1, so an orbit of norm "
-        "1e-11 has rank 0"))),
-    1e-9,
-    1.0,
-    pytest.param(1e6, marks=pytest.mark.xfail(strict=True, reason=(
-        "residuals are held to an absolute tol, and products of images "
-        "of norm 1e6 round at 1e-4"))),
-])
+@pytest.mark.parametrize("scale", [1e-11, 1e-9, 1.0, 1e6])
 def test_gns_of_a_scaled_basis_verifies(scale):
     units = scaled_m2(scale)
     alg = algebra_from_matrices(units)
     omega = state_from_density(alg, units, np.diag([0.7, 0.3]))
     check = verify_gns(gns_construct(alg, omega), alg, omega)
     assert check["ok"], check
+
+
+@pytest.mark.parametrize("scale", [1e-11, 1e-9, 1.0, 1e6])
+def test_verify_gns_refuses_a_bent_image_at_every_scale(scale):
+    """One image moved by a relative 1e-6, in a fixed random direction, is
+    refused at every scale of the basis: from scale 1 up by the
+    homomorphism gate, held to tol s^2, and below it by the dimensionless
+    unit gate, since the unit has coordinate 1/scale on the bent image."""
+    units = scaled_m2(scale)
+    alg = algebra_from_matrices(units)
+    omega = state_from_density(alg, units, np.diag([0.7, 0.3]))
+    triple = gns_construct(alg, omega)
+    images = [m.copy() for m in triple.pi_images]
+    X = haar_unitary(np.random.default_rng(5), triple.rep_dim)
+    images[0] = images[0] + 1e-6 * frobenius(images[0]) * X / frobenius(X)
+    check = verify_gns(triple._replace(pi_images=images), alg, omega)
+    assert not check["ok"], check
 
 
 @settings(max_examples=20, deadline=None)

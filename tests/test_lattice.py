@@ -1,5 +1,7 @@
 """Projector lattice: meet, join, ordering, and the alternating-product meet."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from oplattice import (
     Projector,
     commutes,
     commuting_decomposition,
+    dumps,
     frobenius,
     identity_projector,
     is_below,
@@ -257,7 +260,7 @@ def test_commutes_false_for_tilted_ray():
 def test_json_roundtrip_and_declared_rank_check():
     rng = np.random.default_rng(53)
     P = random_projector(rng, 5, 3)
-    obj = projector_to_json(P)
+    obj = json.loads(dumps(projector_to_json(P)))
     assert obj["rank"] == 3
     back = projector_from_json(obj)
     assert frobenius(back.matrix - P.matrix) <= 1e-12

@@ -12,9 +12,9 @@ from oplattice.linalg import (
     NotSquare,
     NotUnitary,
     UnitaryOperator,
+    dumps,
     eig_hermitian,
     matrix_from_json,
-    matrix_to_json,
     operator_norm,
     require_unitary,
 )
@@ -175,7 +175,7 @@ def test_operator_norm_against_gram_oracle():
 def test_json_round_trip_bit_exact():
     rng = np.random.default_rng(19)
     M = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-    blob = json.dumps(matrix_to_json(M))
+    blob = dumps(M)
     back = matrix_from_json(json.loads(blob))
     assert back.shape == (3, 4)
     assert np.array_equal(back, M)  # bit-exact, not just close
@@ -227,6 +227,19 @@ def test_only_linalg_raises_dimension_mismatch():
                       if isinstance(node, ast.Call)
                       and getattr(node.func, "id", getattr(
                           node.func, "attr", None)) == "DimensionMismatch"]
+    assert not stray, stray
+
+
+def test_only_linalg_spells_the_matrix_layout():
+    """dumps and matrix_from_json are the one codec: the layout's keys as a
+    string literal anywhere else in the package would be a second one."""
+    stray = []
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        if path.name != "linalg.py":
+            stray += [f"{path.name}:{node.lineno} {node.value!r}"
+                      for node in ast.walk(ast.parse(path.read_text()))
+                      if isinstance(node, ast.Constant)
+                      and node.value in ("rows", "cols", "data")]
     assert not stray, stray
 
 

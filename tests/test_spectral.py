@@ -1,6 +1,10 @@
 """Spectral decomposition, functional calculus, and joint diagonalization."""
 
+import json
+import tempfile
+import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,8 @@ from oplattice import (
     MissingSample,
     NonCommuting,
     ProjectorValuedMeasure,
+    cli,
+    dumps,
     frobenius,
     func_calculus,
     joint_pvm,
@@ -28,6 +34,7 @@ from oplattice import (
 )
 
 from oracles import (
+    _atom_residuals,
     char_poly_roots,
     commute_defect_dense,
     diag_joint_atoms,
@@ -203,10 +210,14 @@ def test_decompose_refuses_non_orthonormal_eigenvectors(monkeypatch):
 def test_json_roundtrip_preserves_atoms_exactly():
     rng = np.random.default_rng(37)
     pvm = spectral_decompose(random_hermitian(rng, 4))
-    back = pvm_from_json(pvm_to_json(pvm))
+    obj = json.loads(dumps(pvm_to_json(pvm)))
+    back = pvm_from_json(obj)
     assert back.labels == pvm.labels
     for (_, P), (_, Q) in zip(back.atoms, pvm.atoms):
         assert np.array_equal(P, Q)
+    obj["atoms"][0]["rank"] = 2
+    with pytest.raises(ValueError, match="declared rank 2 but trace says 1"):
+        pvm_from_json(obj)
 
 
 def test_given_atoms_are_copied_and_read_only():
@@ -219,7 +230,8 @@ def test_given_atoms_are_copied_and_read_only():
     Q[1, 1] = 7.0
     assert np.array_equal(pvm.atoms[0][1], np.diag([1.0, 0.0]))
     assert np.array_equal(pvm.atoms[1][1], np.diag([0.0, 1.0]))
-    assert pvm_to_json(pvm)["atoms"][0]["projector"]["data"][0] == [1.0, 0.0]
+    assert np.array_equal(pvm_to_json(pvm)["atoms"][0]["projector"],
+                          np.diag([1.0, 0.0]))
     assert np.array_equal(func_calculus(pvm, lambda x: x),
                           np.diag([0.0, 1.0]))
     for _, atom in pvm.atoms:
@@ -483,3 +495,111 @@ def test_joint_and_marginals_match_product_oracle(n, m, seed):
         for (label, P), (lab, Q) in zip(marginal.atoms, family):
             assert _close(label, lab)
             assert _relative_gap(P, Q) <= 1e-10
+
+
+# --- atoms given as matrices: the factor gate and the JSON layout -----------
+
+# The gate's keys are bounds and the oracle's values measured defects, each
+# with rounding of a few n eps: a key may fall short of its defect by this
+# much times n.
+_ROUNDING = 64 * np.finfo(float).eps
+
+
+def _unit(rng, n, hermitian):
+    X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    X = X + X.conj().T if hermitian else X
+    return X / frobenius(X)
+
+
+def _perturbed(atoms, how, eps, rng):
+    """The atoms moved by eps: each by a Hermitian or a general matrix of
+    unit Frobenius norm, or only the first, rotated by exp(i eps K) for a
+    Hermitian K of unit norm, which keeps it a projector."""
+    n = len(atoms[0][1])
+    if how == "rotate":
+        W = expm_oracle(1j * eps * _unit(rng, n, True))
+        return [(atoms[0][0], W @ atoms[0][1] @ W.conj().T)] + atoms[1:]
+    return [(label, P + eps * _unit(rng, n, how == "hermitian"))
+            for label, P in atoms]
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(_KINDS), n=st.integers(1, 12),
+       eps=st.one_of(st.just(0.0), st.floats(1e-14, 1e-6)),
+       how=st.sampled_from(["hermitian", "general", "rotate"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_given_atom_gate_bounds_the_dense_defects(kind, n, eps, how, seed):
+    """Given atoms are admitted on their factor: each reported key is at
+    least the defect the dense oracle measures, less _ROUNDING n, and every
+    draw the oracle puts over tol is refused."""
+    rng = np.random.default_rng(seed)
+    n = max(n, 3) if kind == "rank3_cluster" else n
+    pvm = spectral_decompose(_hermitian_with_spectrum(_spectrum(kind, n, rng), rng))
+    atoms = _perturbed(pvm.atoms, how, eps, rng)
+    want = _atom_residuals(n, atoms)
+    try:
+        _, got = oplattice.spectral._given_factor(np.stack([P for _, P in atoms]))
+    except ValueError:  # the weighted sum's clusters split: no bounds
+        assert max(want.values()) > oplattice.spectral.DEFAULT_TOL
+    else:
+        for key, value in want.items():
+            assert got[key] >= value - _ROUNDING * n, (key, got, want)
+    if max(want.values()) > oplattice.spectral.DEFAULT_TOL:
+        with pytest.raises(ValueError):
+            ProjectorValuedMeasure(n, atoms)
+
+
+def test_given_rank_one_atoms_are_admitted_fast():
+    """128 rank-one atoms at n = 128: one eigh and 128 outer products, where
+    the pairwise dense check took seconds."""
+    rng = np.random.default_rng(53)
+    atoms = spectral_decompose(random_hermitian(rng, 128)).atoms
+    t0 = time.perf_counter()
+    given = ProjectorValuedMeasure(128, atoms)
+    assert time.perf_counter() - t0 < 0.5
+    assert given.ranks == [1] * 128
+    assert max(pvm_residuals(given).values()) <= 1e-11
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(_KINDS), n=st.integers(1, 24),
+       joint=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_written_measure_reads_back_bit_for_bit(kind, n, joint, seed):
+    """A measure written by pvm_to_json, or a report of `oplattice
+    spectral`, reads back with the same labels, ranks and atoms to the bit,
+    and the same function of it to rounding; a second read repeats the
+    first bit for bit."""
+    rng = np.random.default_rng(seed)
+    n = max(n, 3) if kind == "rank3_cluster" else n
+    H = _hermitian_with_spectrum(_spectrum(kind, n, rng), rng)
+    pvm = (joint_pvm(_commuting_family(rng, n, 2)[0]) if joint
+           else spectral_decompose(H))
+    texts = [dumps(pvm_to_json(pvm))]
+    if not joint:
+        with tempfile.TemporaryDirectory() as tmp:
+            src, out = Path(tmp) / "h.json", Path(tmp) / "report.json"
+            src.write_text(dumps(H))
+            assert cli.run(["spectral", "--in", str(src), "--out", str(out)]) == 0
+            texts.append(out.read_text())
+    for text in texts:
+        back = pvm_from_json(json.loads(text))
+        assert back.labels == pvm.labels and back.ranks == pvm.ranks
+        for (_, P), (_, Q) in zip(back.atoms, pvm.atoms):
+            assert P.tobytes() == Q.tobytes()
+        f = (lambda lab: np.exp(-0.7j * sum(lab))) if joint else np.square
+        got = func_calculus(back, f)
+        assert _relative_gap(got, func_calculus(pvm, f)) <= 1e-10
+        again = pvm_from_json(json.loads(text))
+        assert got.tobytes() == func_calculus(again, f).tobytes()
+
+
+def test_projector_for_builds_only_its_own_atom():
+    rng = np.random.default_rng(47)
+    H = _hermitian_with_spectrum(np.array([-1.0, 0.5, 0.5, 2.0]), rng)
+    for a in range(3):  # ranks 1, 2, 1
+        pvm = spectral_decompose(H)
+        P = pvm.projector_for(pvm.labels[a])
+        assert pvm._atoms is None
+        assert P.tobytes() == pvm.atoms[a][1].tobytes()
+        with pytest.raises(ValueError):
+            P[0, 0] = 0.0
