@@ -4,10 +4,10 @@ Every subcommand reads JSON, emits exactly one JSON report and exits by a
 fixed taxonomy: 0 success, 2 validation error, 3 a `ToleranceFailure` (the
 computation ran but a numerical budget failed), 64 unknown subcommand, 65
 malformed input. The report layout is a fixed contract, so identical inputs
-give identical bytes. The package's one codec writes reports (`linalg.dumps`:
-2-space indent, sorted keys, ASCII only, NaN/Infinity, [re, im] for a complex
-scalar) and reads input matrices (`linalg.matrix_from_json`), also wrapped as
-{"matrix": M, ...}, as `projector_to_json` writes them. `spectral` writes the
+give identical bytes. One codec writes the reports (`linalg.dumps`: 2-space
+indent, sorted keys, ASCII only, NaN/Infinity, [re, im] for a complex
+scalar) and reads input matrices, bare or wrapped as `projector_to_json`
+writes them (`linalg.matrix_from_json`). `spectral` writes the
 `pvm_to_json` layout, which `pvm_from_json` reads back as a measure.
 
 COMMANDS declares each subcommand once, with its handler and its flags.
@@ -114,8 +114,6 @@ def _complex_array(data, what):
 
 
 def _matrix_of(obj, what):
-    if isinstance(obj, dict) and "matrix" in obj:
-        obj = obj["matrix"]
     try:
         return matrix_from_json(obj)
     except (KeyError, TypeError, ValueError) as exc:
@@ -420,7 +418,7 @@ def cmd_demo(args):
     if args.name not in _DEMOS:
         raise ValueError(f"unknown demo {args.name!r}; "
                          f"shipped: {', '.join(sorted(_DEMOS))}")
-    path = resources.files("oplattice") / f"data/{args.name}.json"
+    path = resources.files("oplattice") / "data" / f"{args.name}.json"
     report = _DEMOS[args.name](json.loads(path.read_text()), args.tol)
     return dict(report, demo=args.name)
 

@@ -179,11 +179,10 @@ def verify_gns(triple: GNSTriple, alg: AbstractStarAlgebra,
     """Re-check every property the construction promises, reporting the
     measured residuals and the first violated one.
 
-    Residuals are held to tol times their scale: s^2 for the homomorphism
-    and s for the involution, s = max(1, max ||pi(b_i)||_F), 1 for the
-    dimensionless unit, max(1, max |omega_i|) for the expectation. The
-    cyclic rank counts singular values of the orbit above RANK_RTOL times
-    the largest, with no floor.
+    Residuals are held to tol times s^2 (homomorphism), s (involution), 1
+    (the dimensionless unit) and max(1, max |omega_i|) (expectation), with
+    s = max(1, max ||pi(b_i)||_F). The cyclic rank counts the orbit's
+    singular values above RANK_RTOL times the largest, with no floor.
 
     Keys: ok, violation (None when ok), residuals, tol.
     """
@@ -209,7 +208,6 @@ def verify_gns(triple: GNSTriple, alg: AbstractStarAlgebra,
     s = max(1.0, float(np.linalg.norm(stack, axis=(1, 2)).max()))
     scale = {"homomorphism": s * s, "involution": s, "unit": 1.0,
              "expectation": max(1.0, float(np.abs(omega.values).max()))}
-
     residuals = {"homomorphism": hom, "involution": inv, "unit": unit,
                  "expectation": expect, "cyclic_rank_gap": triple.rep_dim - rank}
     violation = next((key for key in scale

@@ -243,13 +243,12 @@ def orthomodular_check(P: Projector, Q: Projector) -> bool:
 
 
 def projector_to_json(P: Projector) -> dict:
-    """{"matrix": P, "rank": r}, the matrix left as an array for linalg.dumps
-    to write; every matrix input of the command line reads this form."""
+    """{"matrix": P, "rank": r}, P an array; a valid command-line input."""
     return {"matrix": P.matrix, "rank": P.rank}
 
 
 def projector_from_json(obj) -> Projector:
-    P = Projector(matrix_from_json(obj["matrix"]))
+    P = Projector(matrix_from_json(obj))
     if "rank" in obj and int(obj["rank"]) != P.rank:
         raise ValueError(f"declared rank {obj['rank']} but trace says {P.rank}")
     return P

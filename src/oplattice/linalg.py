@@ -220,11 +220,9 @@ def eig_hermitian(A: HermitianOperator) -> EigenSystem:
 
 
 # ---------------------------------------------------------------------------
-# JSON matrix layout, the package's one codec: dumps writes it, matrix_from_json
-# reads it. A matrix is {"cols": n, "data": [[re, im], ...], "rows": m},
-# row-major; %r and json round-trip every double bit-exactly. Matrices stay
-# arrays until dumps, which writes each data block as one %-format over the
-# float64 view, not through json's pure-Python encoder pair by pair.
+# The one JSON codec: a matrix is {"cols": n, "data": [[re, im], ...], "rows":
+# m}, row-major, each double bit-exact. Matrices stay arrays until dumps writes
+# each data block as one %-format, not pair by pair through json's encoder.
 
 def _block(brackets, body, pad):
     """The JSON texts in body as an indented array or object at pad."""
@@ -235,11 +233,14 @@ def _block(brackets, body, pad):
             + f"\n{pad}{brackets[1]}")
 
 
-def dumps(obj, pad="") -> str:
+def dumps(obj) -> str:
     """obj as JSON text in the report layout (2-space indent, sorted keys,
-    ASCII only, NaN/Infinity for non-finite scalars), on a line indented by
-    pad. Keys become str; a 2-d array is a matrix, any other array a list,
-    a complex scalar [re, im]."""
+    ASCII only, NaN/Infinity for non-finite scalars). Keys become str; a 2-d
+    array is a matrix, any other array a list, a complex scalar [re, im]."""
+    return _dumps(obj, "")
+
+
+def _dumps(obj, pad):  # the lines after the first indented by pad
     if isinstance(obj, np.ndarray) and obj.ndim == 2:
         M, inner = as_matrix(obj), pad + "  "
         pair = _block("[]", ["%r", "%r"], inner + "  ")
@@ -253,10 +254,10 @@ def dumps(obj, pad="") -> str:
         obj = [obj.real, obj.imag]
     if isinstance(obj, dict):
         keyed = sorted({str(k): v for k, v in obj.items()}.items())
-        return _block("{}", [f"{json.dumps(k)}: {dumps(v, pad + '  ')}"
+        return _block("{}", [f"{json.dumps(k)}: {_dumps(v, pad + '  ')}"
                              for k, v in keyed], pad)
     if isinstance(obj, (list, tuple)):
-        return _block("[]", [dumps(v, pad + "  ") for v in obj], pad)
+        return _block("[]", [_dumps(v, pad + "  ") for v in obj], pad)
     return json.dumps(obj)
 
 
@@ -274,6 +275,9 @@ def _complex_pairs(data) -> np.ndarray:
 
 
 def matrix_from_json(obj) -> np.ndarray:
+    """The matrix, bare or wrapped as projector_to_json writes it."""
+    if isinstance(obj, dict) and "matrix" in obj:
+        obj = obj["matrix"]
     rows, cols = int(obj["rows"]), int(obj["cols"])
     data = obj["data"]
     if len(data) != rows * cols:

@@ -98,36 +98,41 @@ def _decompose(A, cluster_tol=SOLVER_TOL):
     return ProjectorValuedMeasure._from_factor(labels, es.eigenvectors, starts, ranks)
 
 
-def _atom(B):
-    """B B^* of a column block, read-only and Hermitian by construction: the
-    (i, j) and (j, i) entries of u u^* are conjugates made from the same two
-    real products, and those of (BB^* + (BB^*)^*)/2 add the same numbers."""
-    if B.shape[1] == 1:
-        P = np.einsum("ia,ja->aij", B, B.conj())[0]
-    else:
-        P = B @ B.conj().T
-        P = (P + P.conj().T) / 2
-    P.setflags(write=False)
-    return P
+def _atoms_of(factor, part=slice(None)):
+    """The read-only stack of atoms V_a V_a^* over the blocks [part] of
+    factor, Hermitian by construction: rank-1 ones by one einsum (u_i u_j^*
+    and u_j u_i^* are conjugates), the others as (BB^* + (BB^*)^*)/2."""
+    V, starts, ranks = factor[0], factor[1][part], factor[2][part]
+    one = ranks == 1
+    cols = V[:, starts[one]]
+    stack = np.einsum("ia,ja->aij", cols, cols.conj())
+    if not one.all():
+        outers, stack = stack, np.empty((len(ranks), len(V), len(V)), V.dtype)
+        stack[one] = outers
+        for a in np.flatnonzero(~one):
+            P = V[:, starts[a]:starts[a] + ranks[a]]
+            P = P @ P.conj().T
+            stack[a] = (P + P.conj().T) / 2
+    stack.setflags(write=False)
+    return stack
 
 
 def _given_factor(stack):
     """(factor, bounds) of the (k, n, n) stack of given atoms P_a: V from one
     eigh of sum_a a P_a, whose k clusters must have the atoms' traces as
-    ranks, and the factor gate's bounds widened by the fits E_a = P_a - Q_a,
-    Q_a = V_a V_a^*. With f = max ||E_a||_F and q = 1 + the idempotency
-    bound >= ||Q_a||_2, the defects of the P_a grow by at most 2f, (2q + 1 +
-    f) f, ||sum_a E_a||_F and (2q + f) f, in the order of the keys."""
+    ranks, and the factor's bounds widened by the fits E_a = P_a - Q_a, Q_a =
+    V_a V_a^*: with f = max ||E_a||_F and q = 1 + idempotency >= ||Q_a||_2,
+    by 2f, (2q + 1 + f) f, ||sum_a E_a||_F and (2q + f) f, in key order."""
     k, dim = stack.shape[:2]
     # its Hermitian part: how far the atoms are from it shows in the fits
     weighted = np.tensordot(np.arange(float(k)), stack, axes=1)
     factor = _decompose(HermitianOperator(weighted, tol=math.inf))[0]
-    V, starts, ranks = factor._factor
+    ranks = factor._factor[2]
     traces = np.rint(stack.trace(axis1=1, axis2=2).real)
     if len(ranks) != k or (ranks != traces).any():
         raise ValueError(f"atom traces {traces.tolist()} are not the "
                          f"ranks {ranks.tolist()} of a partition of {dim}")
-    E = stack - np.stack([_atom(V[:, a:a + r]) for a, r in zip(starts, ranks)])
+    E = stack - _atoms_of(factor._factor)
     bounds, f = factor._residuals, float(_fro_batch(E).max())
     q = 1.0 + bounds["idempotency"]
     return factor._factor, {
@@ -149,10 +154,9 @@ class ProjectorValuedMeasure:
 
     Every measure is checked on V: the Gram defect V^*V - I bounds
     idempotency and orthogonality, and VV^* - I is the completeness defect.
-    A measure the library builds has P_a built (see _atom) on first use of
-    `atoms`. Atoms given as matrices are kept, as read-only copies, as
-    `atoms`; V comes from one eigh of their weighted sum, and the bounds are
-    widened by each atom's fit ||P_a - V_a V_a^*||_F (see _given_factor).
+    A measure the library builds has its atoms built on first use of `atoms`
+    (see _atoms_of). Atoms given as matrices are kept as read-only copies,
+    and the bounds are widened by their fits to V (see _given_factor).
     """
 
     __slots__ = ("dim", "_labels", "_atoms", "_factor", "_residuals")
@@ -189,7 +193,7 @@ class ProjectorValuedMeasure:
     @property
     def atoms(self):
         if self._atoms is None:
-            self._atoms = [(label, _atom(B)) for label, B in self.blocks]
+            self._atoms = list(zip(self._labels, _atoms_of(self._factor)))
         return self._atoms
 
     @property
@@ -209,12 +213,12 @@ class ProjectorValuedMeasure:
         return list(self._labels)
 
     def projector_for(self, label):
-        """The atom labeled label; on a measure whose `atoms` are not built,
-        only that one is built."""
+        """The atom labeled label, built alone while `atoms` is not built."""
         target = _as_tuple(label)
         for a, lab in enumerate(self._labels):
             if _as_tuple(lab) == target:
-                return self._atoms[a][1] if self._atoms else _atom(self.blocks[a][1])
+                return (self._atoms[a][1] if self._atoms
+                        else _atoms_of(self._factor, slice(a, a + 1))[0])
         raise KeyError(f"no atom labeled {label!r}")
 
     def __len__(self):
@@ -391,12 +395,10 @@ def pvm_to_json(pvm) -> dict:
 def pvm_from_json(obj) -> ProjectorValuedMeasure:
     """The measure in that layout, parsed; other keys, such as a report's
     residuals, are ignored. A declared rank must be the admitted one."""
-    atoms = []
-    for atom in obj["atoms"]:
-        lab = [float(x) for x in atom["label"]]
-        atoms.append((lab[0] if len(lab) == 1 else tuple(lab),
-                      matrix_from_json(atom["projector"])))
-    pvm = ProjectorValuedMeasure(int(obj["dim"]), atoms)
+    labels = [tuple(float(x) for x in atom["label"]) for atom in obj["atoms"]]
+    pvm = ProjectorValuedMeasure(int(obj["dim"]), [
+        (lab[0] if len(lab) == 1 else lab, matrix_from_json(atom["projector"]))
+        for lab, atom in zip(labels, obj["atoms"])])
     for atom, rank in zip(obj["atoms"], pvm.ranks):
         if "rank" in atom and int(atom["rank"]) != rank:
             raise ValueError(f"declared rank {atom['rank']} but trace says {rank}")

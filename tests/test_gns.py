@@ -362,19 +362,30 @@ def test_gns_of_a_scaled_basis_verifies(scale):
     assert check["ok"], check
 
 
-@pytest.mark.parametrize("scale", [1e-11, 1e-9, 1.0, 1e6])
-def test_verify_gns_refuses_a_bent_image_at_every_scale(scale):
-    """One image moved by a relative 1e-6, in a fixed random direction, is
-    refused at every scale of the basis: from scale 1 up by the
-    homomorphism gate, held to tol s^2, and below it by the dimensionless
-    unit gate, since the unit has coordinate 1/scale on the bent image."""
+_FLOORED = pytest.mark.xfail(
+    strict=True, reason="s = max(1, max ||pi(b_i)||_F) is floored at 1, so "
+    "below scale 1 the homomorphism and involution gates, held to tol s^2 "
+    "and tol s, miss a relative 1e-6 bend (residuals near 1e-6 scale^2 and "
+    "1e-6 scale)")
+
+
+@pytest.mark.parametrize("bent, scale", [
+    (0, 1e-11), (0, 1e-9), (0, 1.0), (0, 1e6),
+    pytest.param(1, 1e-11, marks=_FLOORED),
+    pytest.param(1, 1e-9, marks=_FLOORED),
+    (1, 1.0), (1, 1e6)])
+def test_verify_gns_refuses_a_bent_image(bent, scale):
+    """pi(b_bent), moved by a relative 1e-6 in a fixed random direction, is
+    refused from scale 1 up by the homomorphism gate, held to tol s^2.
+    Below scale 1 only pi(b_0) is refused, by the dimensionless unit gate,
+    since the unit has coordinate 1/scale on it and next to none on pi(b_1)."""
     units = scaled_m2(scale)
     alg = algebra_from_matrices(units)
     omega = state_from_density(alg, units, np.diag([0.7, 0.3]))
     triple = gns_construct(alg, omega)
     images = [m.copy() for m in triple.pi_images]
     X = haar_unitary(np.random.default_rng(5), triple.rep_dim)
-    images[0] = images[0] + 1e-6 * frobenius(images[0]) * X / frobenius(X)
+    images[bent] += 1e-6 * frobenius(images[bent]) * X / frobenius(X)
     check = verify_gns(triple._replace(pi_images=images), alg, omega)
     assert not check["ok"], check
 

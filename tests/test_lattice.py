@@ -21,6 +21,7 @@ from oplattice import (
     is_below,
     jauch_meet,
     join,
+    matrix_from_json,
     meet,
     neg,
     operator_norm,
@@ -262,6 +263,7 @@ def test_json_roundtrip_and_declared_rank_check():
     P = random_projector(rng, 5, 3)
     obj = json.loads(dumps(projector_to_json(P)))
     assert obj["rank"] == 3
+    assert np.array_equal(matrix_from_json(obj), P.matrix)  # the wrapper reads
     back = projector_from_json(obj)
     assert frobenius(back.matrix - P.matrix) <= 1e-12
     obj["rank"] = 2

@@ -231,15 +231,20 @@ def test_only_linalg_raises_dimension_mismatch():
 
 
 def test_only_linalg_spells_the_matrix_layout():
-    """dumps and matrix_from_json are the one codec: the layout's keys as a
-    string literal anywhere else in the package would be a second one."""
+    """dumps and matrix_from_json are the one codec: the layout's keys used
+    as a key, a subscript or a dict literal's, anywhere else in the package
+    would be a second one."""
     stray = []
     for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
         if path.name != "linalg.py":
-            stray += [f"{path.name}:{node.lineno} {node.value!r}"
-                      for node in ast.walk(ast.parse(path.read_text()))
-                      if isinstance(node, ast.Constant)
-                      and node.value in ("rows", "cols", "data")]
+            tree = ast.parse(path.read_text())
+            keys = [node.slice for node in ast.walk(tree)
+                    if isinstance(node, ast.Subscript)]
+            keys += [key for node in ast.walk(tree)
+                     if isinstance(node, ast.Dict) for key in node.keys]
+            stray += [f"{path.name}:{key.lineno} {key.value!r}" for key in keys
+                      if isinstance(key, ast.Constant)
+                      and key.value in ("rows", "cols", "data")]
     assert not stray, stray
 
 
