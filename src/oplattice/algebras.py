@@ -8,14 +8,18 @@ from collections import namedtuple
 
 import numpy as np
 
-from .lattice import _CHECK_SLICE, _fro_rows
 from .linalg import (
     DEFAULT_TOL,
     NULLSPACE_RTOL,
     SOLVER_TOL,
     HermitianOperator,
+    _CHECK_SLICE,
     _fro_batch,
+    _matrix_units,
+    _products,
+    _read_only,
     as_matrix,
+    as_stack,
     frobenius,
     require_square,
     require_same_dim,
@@ -50,10 +54,6 @@ class NonCentralCharge(ValueError):
         self.defect = float(defect)
 
 
-def _matrix_units(n):
-    return list(np.eye(n * n, dtype=complex).reshape(n * n, n, n))
-
-
 def _kernel(L, certify=False):
     """Orthonormal rows x with L @ x = 0 (L at least as tall as wide): the
     conjugated rows of vh past the numerical rank of one SVD of L, or of its
@@ -75,9 +75,9 @@ def _kernel(L, certify=False):
                if certify else np.inf)
 
 
-def commutant(generators, dim=None) -> list:
-    """Orthonormal basis (Frobenius inner product) of everything commuting
-    with the generators and their adjoints.
+def commutant(generators, dim=None) -> np.ndarray:
+    """Orthonormal basis (Frobenius inner product), a read-only (k, n, n)
+    stack, of everything commuting with the generators and their adjoints.
 
     h = W + W^* for W = sum_i c_i G_i, fixed pseudo-random c_i, is in the
     generated *-algebra, so every X commuting with it is V (+)_a X_a V^* for
@@ -94,15 +94,11 @@ def _commutant(generators, dim, certify=False):
     defect: e = ||V^*V - I||_F off the factor gate's Gram, 2 n^2 eps for
     rounding; inf if not certify. h skips admission: its (i, j) and (j, i)
     entries add the same two numbers, so hermitian_part(h) is h."""
-    mats = list(generators)
-    dims = [len(M) for M in mats] + ([] if dim is None else [dim])
-    if not dims:
-        raise ValueError("no generators and no dimension given")
-    n = require_same_dim(*dims)
-    S = require_square(as_matrix(mats or np.zeros((0, n, n)), 3))
-    norms = _fro_rows(S)
-    keep = _fro_rows(S - (S.trace(axis1=1, axis2=2) / n)[:, None, None]
-                     * np.eye(n)) > NULLSPACE_RTOL * norms
+    S = as_stack(generators, *(() if dim is None else (dim,)))
+    n = S.shape[1]
+    norms = _fro_batch(S)
+    keep = _fro_batch(S - (S.trace(axis1=1, axis2=2) / n)[:, None, None]
+                      * np.eye(n)) > NULLSPACE_RTOL * norms
     G = S[keep] / norms[keep, None, None]
     if not len(G):
         return _matrix_units(n), 0.0
@@ -128,10 +124,10 @@ def _commutant(generators, dim, certify=False):
     Xt[:, cs, ds] = x
     e = frobenius(gram)
     beta = (1 + e) * (gap + e) + 2 * n * n * np.finfo(float).eps
-    return list(V @ Xt @ V.conj().T), beta
+    return _read_only(V @ Xt @ V.conj().T), beta
 
 
-def double_commutant(generators, dim=None) -> list:
+def double_commutant(generators, dim=None) -> np.ndarray:
     """Basis of the algebra the generators actually generate: the commutant
     of their commutant. This is the smallest *-algebra with unit containing
     them, so it doubles as a closure operation."""
@@ -144,39 +140,28 @@ def _span_residual(span, X, comp=None):
     of v - (v S^*) S, or of v comp when comp, the conjugate transpose of the
     complement's orthonormal rows, is given."""
     v = X.reshape(-1, span.shape[1])
-    return np.linalg.norm(v - (v @ span.conj().T) @ span if comp is None
-                          else v @ comp, axis=1)
-
-
-def _products(left, right):
-    """A_i B_j for every A_i of the (m, n, n) stack left and B_j of right, in
-    one GEMM, flattened as the rows i len(right) + j of an (m r, n^2) array."""
-    m, n, _ = left.shape
-    r = len(right)
-    P = left.reshape(m * n, n) @ right.transpose(1, 0, 2).reshape(n, r * n)
-    return P.reshape(m, n, r, n).transpose(0, 2, 1, 3).reshape(m * r, n * n)
+    return _fro_batch((v - (v @ span.conj().T) @ span if comp is None
+                       else v @ comp)[:, None])
 
 
 class MatrixStarAlgebra:
     """A concrete *-algebra: the span of a basis checked to contain the
     identity and to be closed under adjoints and, by the product gate or by
-    generated_by's certificate, products. _span is an orthonormal basis of it
-    (flattened rows), _prime its kept commutant. The gate forms A_i A_j one
-    GEMM per slice of m left by r right factors (r = k unless one left factor
-    passes _CHECK_SLICE entries), each residual on the span's smaller side:
-    the n^2 - k complement rows if 3k > n^2, else v - (v S^*) S (2k rows)."""
+    generated_by's certificate, products. basis is a read-only (k, n, n)
+    stack, _span an orthonormal basis of it (flattened rows), _prime its kept
+    commutant. The gate forms A_i A_j one GEMM per slice of m left by r right
+    factors (r = k unless one left factor passes _CHECK_SLICE entries), each
+    residual on the span's smaller side: the n^2 - k complement rows if
+    3k > n^2, else v - (v S^*) S (2k rows)."""
 
     __slots__ = ("dim", "basis", "_span", "_prime")
 
     def __init__(self, basis):
-        mats = [require_square(as_matrix(B)) for B in basis]
-        if not mats:
-            raise ValueError("empty basis")
-        require_same_dim(*(M.shape[0] for M in mats))
-        self._admit(np.array(mats))
+        self._admit(as_stack(basis))
 
     def _admit(self, stack, certified=False):
-        """The gates, less the product gate for a basis certified closed."""
+        """The gates on a read-only complex (k, n, n) stack, less the product
+        gate for a basis certified closed."""
         k, n, _ = stack.shape
         span, comp = stack.reshape(k, -1), None
         if not certified:
@@ -201,10 +186,7 @@ class MatrixStarAlgebra:
             if worst > DEFAULT_TOL * scale * scale:
                 raise NotClosedUnderProducts(worst)
 
-        self.dim = n
-        self.basis = list(stack)
-        self._span = span
-        self._prime = None
+        self.dim, self.basis, self._span, self._prime = n, stack, span, None
 
     @classmethod
     def generated_by(cls, generators, dim=None):
@@ -215,7 +197,7 @@ class MatrixStarAlgebra:
         prime = commutant(generators, dim)
         basis, beta = _commutant(prime, dim, certify=True)
         algebra = cls.__new__(cls)
-        algebra._admit(np.array(basis), certified=beta <= DEFAULT_TOL)
+        algebra._admit(basis, certified=beta <= DEFAULT_TOL)
         algebra._prime = prime
         return algebra
 
@@ -237,17 +219,18 @@ class MatrixStarAlgebra:
         )
 
 
-def center(algebra: MatrixStarAlgebra) -> list:
-    """Frobenius-orthonormal basis of the center A ∩ A': X = sum_j c_j C_j
-    over the orthonormal basis C_j of A' is central exactly when c is in the
-    kernel of c -> (X off A's span). A' is the one the algebra keeps, or the
-    commutant of A's basis, computed here once and kept."""
+def center(algebra: MatrixStarAlgebra) -> np.ndarray:
+    """Frobenius-orthonormal basis, a read-only (k, n, n) stack, of the
+    center A ∩ A': X = sum_j c_j C_j over the orthonormal basis C_j of A' is
+    central exactly when c is in the kernel of c -> (X off A's span). A' is
+    the one the algebra keeps, or the commutant of A's basis, computed here
+    once and kept."""
     n, span = algebra.dim, algebra._span
     if algebra._prime is None:
         algebra._prime = commutant(span.reshape(-1, n, n))
-    prime = np.array(algebra._prime).reshape(-1, n * n)
+    prime = algebra._prime.reshape(-1, n * n)
     x = _kernel((prime - (prime @ span.conj().T) @ span).T)[0]
-    return list((x @ prime).reshape(-1, n, n))
+    return _read_only((x @ prime).reshape(-1, n, n))
 
 
 def is_factor(algebra: MatrixStarAlgebra) -> bool:
@@ -278,12 +261,8 @@ def superselection_sectors(charges, observables,
     held to max(tol, SOLVER_TOL) * max(1, ||Q||_F): it keeps two products'
     rounding.
     """
-    charge_mats = [require_square(as_matrix(Q)) for Q in charges]
-    obs_mats = [require_square(as_matrix(G)) for G in observables]
-    if not charge_mats:
-        raise ValueError("no charges given")
-    n = require_same_dim(*(M.shape[0] for M in charge_mats + obs_mats))
-    obs = np.array(obs_mats).reshape(-1, n, n)
+    charge_mats = as_stack(charges)
+    obs = as_stack(observables, charge_mats.shape[1])
 
     try:
         joint = joint_pvm(charge_mats)

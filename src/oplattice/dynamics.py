@@ -20,9 +20,9 @@ from .linalg import (
     _fro_batch,
     _hermitian,
     as_matrix,
+    as_stack,
     frobenius,
     operator_norm,
-    require_square,
     require_same_dim,
     require_unitary,
 )
@@ -115,10 +115,6 @@ def _commutator_defect(Us, Vs):
     return float(_fro_batch(V @ U - U @ V).max(initial=0.0))
 
 
-def _unitary_matrix(U):
-    return U.matrix if isinstance(U, UnitaryOperator) else as_matrix(U)
-
-
 def generator_from_group(samples, hbar=1.0) -> HermitianOperator:
     """Recover H from samples (t, U_t) of U_t = exp(-i t H / hbar).
 
@@ -128,14 +124,13 @@ def generator_from_group(samples, hbar=1.0) -> HermitianOperator:
     reconstruction of the samples (within FIT_TOL) are verified before the
     result is returned.
     """
-    table = {}
-    for t, U in samples:
-        table[float(t)] = require_square(_unitary_matrix(U))
+    table = {float(t): U.matrix if isinstance(U, UnitaryOperator) else U
+             for t, U in samples}
     if not table:
         raise ValueError("no samples given")
-    require_same_dim(*(M.shape[0] for M in table.values()))
-    n = next(iter(table.values())).shape[0]
-    eye = np.eye(n)
+    stack = as_stack(table.values())
+    table = dict(zip(table, stack))
+    eye = np.eye(stack.shape[1])
 
     if 0.0 in table:
         defect = frobenius(table[0.0] - eye)
@@ -170,7 +165,7 @@ def generator_from_group(samples, hbar=1.0) -> HermitianOperator:
     H = HermitianOperator(D, tol=np.inf)
 
     recon = _evolve_grid(spectral_decompose(H), list(table), hbar)
-    worst = float(_fro_batch(recon - np.stack(list(table.values()))).max())
+    worst = float(_fro_batch(recon - stack).max())
     if worst > FIT_TOL:
         raise InconsistentGroup(worst)
     return H
@@ -251,7 +246,7 @@ def _prepare_grid(samples, t1, t2):
         raise ValueError(f"t1 {t1} exceeds t2 {t2}")
     if t1 < taus[0] - ABS_FLOOR or t2 > taus[-1] + ABS_FLOOR:
         raise ValueError("samples do not cover the requested interval")
-    stack = np.stack([H for _, H in pairs])
+    stack = as_stack(H for _, H in pairs)
 
     def at(t):
         j = int(np.clip(np.searchsorted(taus, t), 1, len(taus) - 1))
@@ -442,9 +437,8 @@ def multipliers_from_operators(elements, group_mult,
     """Read the multipliers off a concrete projective family:
     U_g U_h = omega(g,h) U_{gh}. Each pair is verified to actually satisfy
     the relation with the extracted phase."""
-    mats = {g: require_square(as_matrix(operators[g])) for g in elements}
-    require_same_dim(*(M.shape[0] for M in mats.values()))
-    dim = next(iter(mats.values())).shape[0]
+    stack = as_stack(operators[g] for g in elements)
+    mats, dim = dict(zip(elements, stack)), stack.shape[1]
     omega = {}
     for g in elements:
         for h in elements:

@@ -9,15 +9,18 @@ from collections import namedtuple
 
 import numpy as np
 
-from .algebras import _matrix_units, _products, commutant
+from .algebras import commutant
 from .linalg import (
     PRODUCT_TOL,
     RANK_RTOL,
     SOLVER_TOL,
-    as_matrix,
+    _fro_batch,
+    _matrix_units,
+    _products,
+    _read_only,
+    as_stack,
     frobenius,
     require_same_dim,
-    require_square,
 )
 from .states import _density, is_pure
 
@@ -155,8 +158,9 @@ def gns_construct(alg: AbstractStarAlgebra, omega: AlgebraicState) -> GNSTriple:
 
     The Gram matrix is diagonalized, its numerical null space quotiented
     away, and left multiplication by each basis element is conjugated into
-    the orthonormal quotient coordinates. The cyclic vector is the image of
-    the unit.
+    the orthonormal quotient coordinates, all in one product: pi_images is a
+    read-only (n_basis, r, r) stack. The cyclic vector is the image of the
+    unit.
     """
     if omega.algebra is not alg:
         omega = AlgebraicState(alg, omega.values)
@@ -169,7 +173,7 @@ def gns_construct(alg: AbstractStarAlgebra, omega: AlgebraicState) -> GNSTriple:
     vk = v[:, keep]
     into = np.sqrt(wk)[:, None] * vk.conj().T      # coefficients -> quotient
     back = vk * (1.0 / np.sqrt(wk))[None, :]       # right inverse of into
-    images = [into @ alg.mult[i].T @ back for i in range(alg.n_basis)]
+    images = _read_only(into @ alg.mult.transpose(0, 2, 1) @ back)
     cyclic = into @ alg.unit
     return GNSTriple(r, images, cyclic)
 
@@ -181,31 +185,29 @@ def verify_gns(triple: GNSTriple, alg: AbstractStarAlgebra,
 
     Residuals are held to tol times s^2 (homomorphism), s (involution), 1
     (the dimensionless unit) and max(1, max |omega_i|) (expectation), with
-    s = max(1, max ||pi(b_i)||_F). The cyclic rank counts the orbit's
-    singular values above RANK_RTOL times the largest, with no floor.
+    s = max ||pi(b_i)||_F, not floored, so the first two gates are relative
+    at every scale of the basis. The cyclic rank counts the orbit's singular
+    values above RANK_RTOL times the largest, with no floor.
 
     Keys: ok, violation (None when ok), residuals, tol.
     """
-    M = [as_matrix(m) for m in triple.pi_images]
-    stack = np.stack(M)
+    stack = as_stack(triple.pi_images, triple.rep_dim)
     psi = np.asarray(triple.cyclic_vector, dtype=complex).reshape(-1)
     n = alg.n_basis
 
     hom = max(  # pi(b_i) pi(b_j) - pi(b_i b_j), one batch per left factor i
-        float(np.linalg.norm(M[i] @ stack - np.tensordot(
-            alg.mult[i], stack, axes=1), axis=(1, 2)).max()) for i in range(n))
-    inv = float(np.linalg.norm(stack.conj().transpose(0, 2, 1) - np.tensordot(
-        alg.invol, stack, axes=1), axis=(1, 2)).max())
+        float(_fro_batch(stack[i] @ stack - np.tensordot(
+            alg.mult[i], stack, axes=1)).max()) for i in range(n))
+    inv = float(_fro_batch(stack.conj().transpose(0, 2, 1) - np.tensordot(
+        alg.invol, stack, axes=1)).max())
     unit = frobenius(np.tensordot(alg.unit, stack, axes=1)
                      - np.eye(triple.rep_dim))
-    expect = max(
-        abs(complex(psi.conj() @ (M[i] @ psi)) - complex(omega.values[i]))
-        for i in range(n)
-    )
-    orbit = np.stack([m @ psi for m in M], axis=1)
-    sing = np.linalg.svd(orbit, compute_uv=False)
+    orbit = stack @ psi  # row i: pi(b_i) psi
+    expect = max(abs(complex(psi.conj() @ v) - complex(w))
+                 for v, w in zip(orbit, omega.values))
+    sing = np.linalg.svd(orbit.T, compute_uv=False)
     rank = int(np.sum(sing > RANK_RTOL * sing[0]))
-    s = max(1.0, float(np.linalg.norm(stack, axis=(1, 2)).max()))
+    s = float(_fro_batch(stack).max())
     scale = {"homomorphism": s * s, "involution": s, "unit": 1.0,
              "expectation": max(1.0, float(np.abs(omega.values).max()))}
     residuals = {"homomorphism": hom, "involution": inv, "unit": unit,
@@ -222,21 +224,14 @@ def gns_intertwiner(first: GNSTriple, second: GNSTriple) -> np.ndarray:
     """Unitary carrying the first representation onto the second, fixed by
     matching the two orbits of the cyclic vectors. Certified before return;
     triples of different states have none and raise."""
-    if first.rep_dim != second.rep_dim:
-        raise ValueError(
-            f"representation dims differ: {first.rep_dim} vs {second.rep_dim}"
-        )
-    c1 = np.stack([as_matrix(m) @ first.cyclic_vector
-                   for m in first.pi_images], axis=1)
-    c2 = np.stack([as_matrix(m) @ second.cyclic_vector
-                   for m in second.pi_images], axis=1)
+    r = require_same_dim(first.rep_dim, second.rep_dim)
+    A, B = as_stack(first.pi_images, r), as_stack(second.pi_images, r)
+    c1, c2 = (A @ first.cyclic_vector).T, (B @ second.cyclic_vector).T
     W = c2 @ np.linalg.pinv(c1)
-    r = first.rep_dim
     defect = max(
         frobenius(W @ W.conj().T - np.eye(r)),
         frobenius(W @ c1 - c2),
-        max(frobenius(W @ as_matrix(a) - as_matrix(b) @ W)
-            for a, b in zip(first.pi_images, second.pi_images)),
+        float(_fro_batch(W @ A - B @ W).max()),
     )
     if defect > PRODUCT_TOL * max(1.0, frobenius(c1)):
         raise ValueError(
@@ -257,9 +252,8 @@ def folium_state(triple: GNSTriple, T, alg: AbstractStarAlgebra) -> AlgebraicSta
     """Pull a density operator on the representation space back to an
     algebraic state: values tr(T pi(b_i))."""
     Tm = _density(T).matrix
-    require_same_dim(Tm.shape[0], triple.rep_dim)
-    values = [complex(np.trace(Tm @ as_matrix(m))) for m in triple.pi_images]
-    return AlgebraicState(alg, values)
+    M = as_stack(triple.pi_images, triple.rep_dim, Tm.shape[0])
+    return AlgebraicState(alg, np.trace(Tm @ M, axis1=1, axis2=2))
 
 
 # --- concrete matrix algebras as abstract ones ------------------------------
@@ -270,10 +264,7 @@ def algebra_from_matrices(mats) -> AbstractStarAlgebra:
     cutoff RANK_RTOL), closed under products and adjoints (each expansion
     within SOLVER_TOL * max(1, its largest entry)), and contain the identity;
     failures surface as residuals."""
-    mats = [require_square(as_matrix(M)) for M in mats]
-    if not mats:
-        raise ValueError("empty basis")
-    stack = np.array(mats)
+    stack = as_stack(mats)
     k, n, _ = stack.shape
     V = stack.reshape(k, -1).T
     U, sv, Wh = np.linalg.svd(V, full_matrices=False)
@@ -301,7 +292,7 @@ def algebra_from_matrices(mats) -> AbstractStarAlgebra:
 def state_from_density(alg: AbstractStarAlgebra, mats, rho) -> AlgebraicState:
     """The algebraic state a density operator induces on a concrete basis."""
     rho = _density(rho)
-    stack = np.array([as_matrix(M) for M in mats])
+    stack = as_stack(mats, rho.dim)
     values = np.tensordot(stack, rho.matrix, axes=([1, 2], [1, 0]))
     return AlgebraicState(alg, values)
 

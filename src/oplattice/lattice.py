@@ -13,6 +13,8 @@ from .linalg import (
     DEFAULT_TOL,
     RANK_RTOL,
     ToleranceFailure,
+    _CHECK_SLICE,
+    _fro_batch,
     as_matrix,
     frobenius,
     matrix_from_json,
@@ -43,19 +45,6 @@ class MaxIterExceeded(ToleranceFailure, RuntimeError):
         self.residual = float(residual)
 
 
-# Entries per slice of a stack check: the temporaries stay a few MB at any
-# stack length, and a frame of n <= 16 is checked in one slice.
-_CHECK_SLICE = 1 << 16
-
-
-def _fro_rows(S):
-    """frobenius() of each C-ordered matrix of a (k, n, n) stack, bit for bit:
-    its dot products of the real and imaginary parts at stride 2, one matmul."""
-    x = S.reshape(len(S), S.shape[-1] ** 2, 1).view(float).transpose(0, 2, 1)
-    sq = x[:, :, None] @ x[..., None]
-    return np.sqrt(sq[:, 0, 0, 0] + sq[:, 1, 0, 0])
-
-
 def _ranks(stack, tol):
     """Ranks of a (k, n, n) stack of projectors. Raises NotProjector with the
     defect of the first matrix whose largest Hermiticity, idempotency or
@@ -67,7 +56,7 @@ def _ranks(stack, tol):
         tr = S.trace(axis1=1, axis2=2).real
         rounded = np.rint(tr)
         D = np.concatenate([S - S.conj().transpose(0, 2, 1), S @ S - S])
-        herm, idem = _fro_rows(D).reshape(2, -1)
+        herm, idem = _fro_batch(D).reshape(2, -1)
         defect = np.maximum(np.maximum(herm, idem), np.abs(tr - rounded))
         ok = defect <= tol
         if not ok.all():

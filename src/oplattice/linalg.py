@@ -2,7 +2,9 @@
 tolerance policy, and its one JSON codec.
 
 Conventions used across the package:
-  * operators are dense complex numpy arrays,
+  * operators are dense complex numpy arrays, and a family of them is one
+    read-only complex (k, n, n) stack, admitted by as_stack and measured by
+    _fro_batch,
   * every threshold is one of the names below (README lists their gates),
   * eigenvalues come out ascending with a deterministic eigenvector phase.
 """
@@ -67,11 +69,11 @@ class DimensionMismatch(ValueError):
     pass
 
 
-def as_matrix(data, ndim=2) -> np.ndarray:
-    """Coerce to a 2-d complex array (ndim=3: a stack), rejecting NaN/Inf."""
+def as_matrix(data) -> np.ndarray:
+    """Coerce to a 2-d complex array, rejecting NaN/Inf."""
     M = np.asarray(data, dtype=complex)
-    if M.ndim != ndim:
-        raise ValueError(f"expected a {ndim}-d array, got ndim={M.ndim}")
+    if M.ndim != 2:
+        raise ValueError(f"expected a 2-d array, got ndim={M.ndim}")
     if not np.isfinite(M).all():
         raise ValueError("matrix contains non-finite entries")
     return M
@@ -81,9 +83,38 @@ def frobenius(M) -> float:
     return float(np.linalg.norm(M, "fro"))
 
 
-def _fro_batch(stack):
-    """Frobenius norm of every matrix in a (..., n, n) stack."""
-    return np.sqrt((np.abs(stack) ** 2).sum(axis=(-2, -1)))
+def _fro_batch(S):
+    """frobenius() of each C-ordered matrix of a complex (..., m, n) stack,
+    bit for bit: the dot products of its real and imaginary parts at stride
+    2, one matmul."""
+    x = S.reshape(*S.shape[:-2], S.shape[-2] * S.shape[-1], 1).view(float)
+    x = np.swapaxes(x, -1, -2)
+    sq = x[..., None, :] @ x[..., None]
+    return np.sqrt(sq[..., 0, 0, 0] + sq[..., 1, 0, 0])
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+# Entries per slice of a stack check: the temporaries stay a few MB at any
+# stack length, and a frame of n <= 16 is checked in one slice.
+_CHECK_SLICE = 1 << 16
+
+
+def _matrix_units(n):
+    """The read-only (n^2, n, n) stack of the matrix units E_ij."""
+    return _read_only(np.eye(n * n, dtype=complex).reshape(n * n, n, n))
+
+
+def _products(left, right):
+    """A_i B_j for every A_i of the (m, n, n) stack left and B_j of right, in
+    one GEMM, flattened as the rows i len(right) + j of an (m r, n^2) array."""
+    m, n, _ = left.shape
+    r = len(right)
+    P = left.reshape(m * n, n) @ right.transpose(1, 0, 2).reshape(n, r * n)
+    return P.reshape(m, n, r, n).transpose(0, 2, 1, 3).reshape(m * r, n * n)
 
 
 def require_square(M: np.ndarray) -> np.ndarray:
@@ -98,6 +129,18 @@ def require_same_dim(*dims):
         if d != first:
             raise DimensionMismatch(f"dimensions differ: {dims}")
     return first
+
+
+def as_stack(mats, *dims) -> np.ndarray:
+    """A family of matrices as a new read-only complex (k, n, n) stack, so the
+    caller's arrays stay theirs: each matrix through as_matrix and
+    require_square, its one dimension n through require_same_dim, also
+    against each of dims. An empty family needs a dimension."""
+    mats = [require_square(as_matrix(M)) for M in mats]
+    if not mats and not dims:
+        raise ValueError("an empty family and no dimension given")
+    n = require_same_dim(*(len(M) for M in mats), *dims)
+    return _read_only(np.array(mats, dtype=complex).reshape(-1, n, n))
 
 
 def operator_norm(M) -> float:
@@ -194,16 +237,14 @@ class EigenSystem:
 
 
 def _phase_fix_columns(V: np.ndarray) -> np.ndarray:
-    V = V.copy()
     live = np.abs(V) > ABS_FLOOR
-    cols = np.flatnonzero(live.any(axis=0))
-    if cols.size:
-        a = V[live[:, cols].argmax(axis=0), cols]
-        # bit-equal to scaling each column alone by the scalar
-        # a.conj() / abs(a); np.abs on an array, or an in-place broadcast
-        # product, can differ from that in the last bit
-        V[:, cols] = (V.T[cols] * (a.conj() / np.hypot(a.real, a.imag))[:, None]).T
-    return V
+    a = V[live.argmax(axis=0), np.arange(V.shape[1])]
+    # a dead column is scaled by exactly 1; each live one is bit-equal to
+    # scaling it alone by the scalar a.conj() / abs(a), as long as the
+    # product runs row by row of V.T and comes back C-ordered
+    s = np.divide(a.conj(), np.hypot(a.real, a.imag), out=np.ones_like(a),
+                  where=live.any(axis=0))
+    return np.ascontiguousarray((V.T * s[:, None]).T)
 
 
 def eig_hermitian(A: HermitianOperator) -> EigenSystem:

@@ -18,14 +18,14 @@ from .linalg import (
     PRODUCT_TOL,
     SOLVER_TOL,
     HermitianOperator,
+    _CHECK_SLICE,
     _fro_batch,
     _hermitian,
-    as_matrix,
+    as_stack,
     eig_hermitian,
     frobenius,
     matrix_from_json,
     require_same_dim,
-    require_square,
 )
 
 
@@ -122,7 +122,9 @@ def _given_factor(stack):
     eigh of sum_a a P_a, whose k clusters must have the atoms' traces as
     ranks, and the factor's bounds widened by the fits E_a = P_a - Q_a, Q_a =
     V_a V_a^*: with f = max ||E_a||_F and q = 1 + idempotency >= ||Q_a||_2,
-    by 2f, (2q + 1 + f) f, ||sum_a E_a||_F and (2q + f) f, in key order."""
+    by 2f, (2q + 1 + f) f, ||sum_a E_a||_F and (2q + f) f, in key order. The
+    fits are taken _CHECK_SLICE entries at a time: no k x n x n array is
+    held beside the given stack."""
     k, dim = stack.shape[:2]
     # its Hermitian part: how far the atoms are from it shows in the fits
     weighted = np.tensordot(np.arange(float(k)), stack, axes=1)
@@ -132,13 +134,19 @@ def _given_factor(stack):
     if len(ranks) != k or (ranks != traces).any():
         raise ValueError(f"atom traces {traces.tolist()} are not the "
                          f"ranks {ranks.tolist()} of a partition of {dim}")
-    E = stack - _atoms_of(factor._factor)
-    bounds, f = factor._residuals, float(_fro_batch(E).max())
+    f, total = 0.0, np.zeros((dim, dim), dtype=complex)
+    step = max(1, _CHECK_SLICE // max(1, dim * dim))
+    for lo in range(0, k, step):
+        part = slice(lo, lo + step)
+        E = stack[part] - _atoms_of(factor._factor, part)
+        f = max(f, float(_fro_batch(E).max()))
+        total += E.sum(axis=0)
+    bounds = factor._residuals
     q = 1.0 + bounds["idempotency"]
     return factor._factor, {
         "hermiticity": bounds["hermiticity"] + 2.0 * f,
         "idempotency": bounds["idempotency"] + (2.0 * q + 1.0 + f) * f,
-        "completeness": bounds["completeness"] + frobenius(E.sum(axis=0)),
+        "completeness": bounds["completeness"] + frobenius(total),
         "orthogonality": bounds["orthogonality"] + (2.0 * q + f) * f,
     }
 
@@ -163,12 +171,9 @@ class ProjectorValuedMeasure:
 
     def __init__(self, dim, atoms):
         dim, atoms = int(dim), list(atoms)
-        mats = [require_square(as_matrix(P)) for _, P in atoms]
-        require_same_dim(dim, *(P.shape[0] for P in mats))
-        if not mats:
+        stack = as_stack((P for _, P in atoms), dim)
+        if not len(stack):
             raise ValueError("a PVM needs at least one atom")
-        stack = np.stack(mats)  # a copy: the caller's arrays stay theirs
-        stack.setflags(write=False)
         self._factor, report = _given_factor(stack)
         self._admit(dim, [label for label, _ in atoms], report, DEFAULT_TOL)
         self._atoms = list(zip(self._labels, stack))

@@ -663,7 +663,8 @@ def test_generated_by_falls_back_to_the_product_gate(monkeypatch):
     assert sum(calls) == len(want) ** 2
     np.testing.assert_array_equal(alg.basis, want)
     monkeypatch.setattr("oplattice.algebras._commutant",
-                        lambda g, dim, certify=False: ([I2, SX, SZ], 1.0))
+                        lambda g, dim, certify=False:
+                        (np.array([I2, SX, SZ]), 1.0))
     with pytest.raises(NotClosedUnderProducts) as info:
         MatrixStarAlgebra.generated_by([SZ])
     assert abs(info.value.defect - np.sqrt(2.0)) <= 1e-12

@@ -362,23 +362,13 @@ def test_gns_of_a_scaled_basis_verifies(scale):
     assert check["ok"], check
 
 
-_FLOORED = pytest.mark.xfail(
-    strict=True, reason="s = max(1, max ||pi(b_i)||_F) is floored at 1, so "
-    "below scale 1 the homomorphism and involution gates, held to tol s^2 "
-    "and tol s, miss a relative 1e-6 bend (residuals near 1e-6 scale^2 and "
-    "1e-6 scale)")
-
-
 @pytest.mark.parametrize("bent, scale", [
-    (0, 1e-11), (0, 1e-9), (0, 1.0), (0, 1e6),
-    pytest.param(1, 1e-11, marks=_FLOORED),
-    pytest.param(1, 1e-9, marks=_FLOORED),
-    (1, 1.0), (1, 1e6)])
+    (bent, scale) for bent in (0, 1) for scale in (1e-11, 1e-9, 1.0, 1e6)])
 def test_verify_gns_refuses_a_bent_image(bent, scale):
     """pi(b_bent), moved by a relative 1e-6 in a fixed random direction, is
-    refused from scale 1 up by the homomorphism gate, held to tol s^2.
-    Below scale 1 only pi(b_0) is refused, by the dimensionless unit gate,
-    since the unit has coordinate 1/scale on it and next to none on pi(b_1)."""
+    refused at every scale: the homomorphism gate is held to tol s^2 with s
+    the largest ||pi(b_i)||_F, not floored at 1, and pi(b_0), on which the
+    unit has coordinate 1/scale, also by the dimensionless unit gate."""
     units = scaled_m2(scale)
     alg = algebra_from_matrices(units)
     omega = state_from_density(alg, units, np.diag([0.7, 0.3]))

@@ -33,6 +33,7 @@ from oplattice import (
 )
 
 from oplattice.lattice import _projectors
+from oplattice.linalg import _fro_batch
 
 from oracles import span_projector_oracle
 
@@ -110,16 +111,24 @@ def test_stack_check_refuses_what_projector_refuses(kind, monkeypatch):
        seed=st.integers(0, 2**32 - 1))
 def test_stack_defects_are_frobenius_norms_bit_for_bit(n, k, fortran, noise,
                                                        seed):
-    """_fro_rows is frobenius() of each C-ordered matrix, bit for bit, and a
-    refused matrix reports max(||P - P^*||_F, ||P^2 - P||_F, trace gap) with
-    those norms, however its entries are laid out in memory."""
+    """_fro_batch is frobenius() of each C-ordered matrix, bit for bit, on a
+    3-d stack, a 4-d one (as dynamics._commutator_defect passes) and a
+    non-contiguous one, and a refused matrix reports
+    max(||P - P^*||_F, ||P^2 - P||_F, trace gap) with those norms, however
+    its entries are laid out in memory."""
     rng = np.random.default_rng(seed)
     stack = np.array([random_projector(rng, n, int(rng.integers(0, n + 1)))
                       .matrix for _ in range(k)])
     stack += noise * (rng.standard_normal(stack.shape)
                       + 1j * rng.standard_normal(stack.shape))
     want = [frobenius(M) for M in stack]
-    assert np.array_equal(lattice._fro_rows(stack), want)
+    assert np.array_equal(_fro_batch(stack), want)
+    pairs = stack[:, None] @ stack[None, :] - stack[None, :] @ stack[:, None]
+    assert np.array_equal(_fro_batch(pairs),
+                          [[frobenius(M) for M in row] for row in pairs])
+    strided = stack.transpose(0, 2, 1)[::-1]
+    assert np.array_equal(_fro_batch(strided), [
+        frobenius(np.ascontiguousarray(M)) for M in strided])
     P = np.asfortranarray(stack[0]) if fortran else stack[0]
     tr = np.trace(P).real
     parts = (P - P.conj().T, P @ P - P)

@@ -257,7 +257,10 @@ def test_every_dimension_check_raises_dimension_mismatch():
     V = op.SymmetryOperator(np.eye(3))
     units = list(np.eye(4).reshape(4, 2, 2))
     alg = op.algebra_from_matrices(units)
-    triple = op.gns_construct(alg, op.state_from_density(alg, units, rho))
+    omega = op.state_from_density(alg, units, rho)
+    triple = op.gns_construct(alg, omega)
+    pure = op.gns_construct(alg, op.state_from_density(
+        alg, units, np.diag([1.0, 0.0])))
     calls = [
         lambda: op.commutant([two], dim=3),
         lambda: op.commutant([two, three]),
@@ -281,7 +284,60 @@ def test_every_dimension_check_raises_dimension_mismatch():
                                           op.PureStateVector([1.0, 0, 0])),
         lambda: op.gleason_fit([(P2, 1.0), (P3, 1.0)]),
         lambda: op.svn_hypotheses_check([two], [three]),
+        lambda: op.MatrixStarAlgebra([np.eye(2), np.eye(3)]),
+        lambda: op.superselection_sectors([two], [three]),
+        lambda: op.superselection_sectors([two, three], []),
+        lambda: op.algebra_from_matrices([two, three]),
+        lambda: op.state_from_density(alg, [np.eye(3)] * 4, rho),
+        lambda: op.ProjectorValuedMeasure(
+            3, [(0.0, P2.matrix), (1.0, np.diag([0.0, 1.0, 1.0]))]),
+        lambda: op.verify_gns(triple._replace(
+            pi_images=[*triple.pi_images[:3], np.eye(3)]), alg, omega),
+        lambda: op.gns_intertwiner(triple, pure),
+        lambda: op.multipliers_from_operators(
+            [0, 1], lambda g, h: (g + h) % 2, {0: np.eye(2), 1: three}),
+        lambda: op.dyson_evolve([(0.0, two), (1.0, three)], 0.0, 1.0),
+        lambda: op.generator_from_group([(0.1, np.eye(2)), (-0.1, np.eye(3))]),
     ]
     for call in calls:
         with pytest.raises(op.DimensionMismatch):
             call()
+
+
+def test_every_family_is_a_read_only_complex_stack():
+    """Each family the library returns is one read-only complex (k, n, n)
+    array, and as_stack admits a family into a new one: the caller's arrays
+    stay theirs, and an empty family needs its dimension."""
+    import oplattice as op
+    sx, sz = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+    gens = [np.kron(sz, np.eye(2))]
+    alg = op.MatrixStarAlgebra.generated_by(gens)
+    units = list(np.eye(4).reshape(4, 2, 2))
+    gns_alg = op.algebra_from_matrices(units)
+    omega = op.state_from_density(gns_alg, units, np.diag([0.7, 0.3]))
+    report = op.superselection_sectors([np.kron(sz, np.eye(2))],
+                                       [np.kron(np.eye(2), sx)])
+    families = {
+        "commutant": (op.commutant(gens), 8, 4),
+        "double_commutant": (op.double_commutant(gens), 2, 4),
+        "center": (op.center(alg), 2, 4),
+        "basis": (alg.basis, 2, 4),
+        "_prime": (alg._prime, 8, 4),
+        "restricted_basis": (report.sectors[0].restricted_basis, 2, 2),
+        "pi_images": (op.gns_construct(gns_alg, omega).pi_images, 4, 4),
+    }
+    for name, (F, k, n) in families.items():
+        assert type(F) is np.ndarray and F.dtype == complex, name
+        assert F.shape == (k, n, n) and not F.flags.writeable, name
+    given = [np.eye(2), sx]
+    S = linalg.as_stack(given, 2)
+    assert S.shape == (2, 2, 2) and S.dtype == complex
+    assert not S.flags.writeable and given[0].flags.writeable
+    assert not np.shares_memory(S, given[1])
+    assert linalg.as_stack([], 3).shape == (0, 3, 3)
+    with pytest.raises(ValueError, match="no dimension"):
+        linalg.as_stack([])
+    with pytest.raises(ValueError, match="2-d"):
+        linalg.as_stack([np.eye(2)[0]])
+    with pytest.raises(NotSquare):
+        linalg.as_stack([np.zeros((2, 3))])
