@@ -10,6 +10,7 @@ Conventions used across the package:
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 
@@ -135,12 +136,21 @@ def as_stack(mats, *dims) -> np.ndarray:
     """A family of matrices as a new read-only complex (k, n, n) stack, so the
     caller's arrays stay theirs: each matrix through as_matrix and
     require_square, its one dimension n through require_same_dim, also
-    against each of dims. An empty family needs a dimension."""
-    mats = [require_square(as_matrix(M)) for M in mats]
-    if not mats and not dims:
-        raise ValueError("an empty family and no dimension given")
-    n = require_same_dim(*(len(M) for M in mats), *dims)
-    return _read_only(np.array(mats, dtype=complex).reshape(-1, n, n))
+    against each of dims. An empty family needs a dimension. A 3-d array is
+    checked whole: its matrices share one shape, so the first one's checks
+    and one finiteness test of the copy raise what the loop would."""
+    if isinstance(mats, np.ndarray) and mats.ndim == 3 and len(mats):
+        require_square(as_matrix(mats[0]))
+        mats = np.array(mats, dtype=complex)
+        as_matrix(mats.reshape(len(mats), -1))
+        sizes = [mats.shape[1]]
+    else:
+        mats = [require_square(as_matrix(M)) for M in mats]
+        if not mats and not dims:
+            raise ValueError("an empty family and no dimension given")
+        sizes = dict.fromkeys(len(M) for M in mats)  # each size once, in order
+    n = require_same_dim(*sizes, *dims)
+    return _read_only(np.asarray(mats, dtype=complex).reshape(-1, n, n))
 
 
 def operator_norm(M) -> float:
@@ -262,44 +272,103 @@ def eig_hermitian(A: HermitianOperator) -> EigenSystem:
 
 # ---------------------------------------------------------------------------
 # The one JSON codec: a matrix is {"cols": n, "data": [[re, im], ...], "rows":
-# m}, row-major, each double bit-exact. Matrices stay arrays until dumps writes
-# each data block as one %-format, not pair by pair through json's encoder.
+# m}, row-major, each double bit-exact. dumps writes the bytes json.dumps(...,
+# indent=2, sort_keys=True) writes for the plain data, by two rules:
+#   * one pass, one join: every piece of text goes on one list, joined once,
+#     and a matrix's "data" block is one %-format of a template built once per
+#     entry count and indent, so the atoms of a measure share one;
+#   * mirrored texts: in a square matrix whose entry (i, j), i > j, is the
+#     conjugate of (j, i) bit for bit, as spectral._atoms_of builds every
+#     atom, such an entry reuses (j, i)'s real text and its imaginary text
+#     with the sign flipped, since repr(-x) is '-' + repr(x) for finite
+#     x > 0. The diagonal, a signed zero, any entry failing the bitwise test
+#     and any matrix failing it at (1, 0) against (0, 1) keep repr.
 
-def _block(brackets, body, pad):
-    """The JSON texts in body as an indented array or object at pad."""
-    if not body:
-        return brackets
-    inner = pad + "  "
-    return (f"{brackets[0]}\n{inner}" + f",\n{inner}".join(body)
-            + f"\n{pad}{brackets[1]}")
+_SIGN = np.uint64(1 << 63)  # the sign bit of a double
+
+
+@functools.lru_cache(maxsize=4)
+def _data_template(count, nl):
+    """The "data" array of count [re, im] pairs with its lines after the first
+    at nl, a %s for each double."""
+    if not count:
+        return "[]"
+    inner, pad = nl + "  ", nl + "    "
+    pair = f"[{pad}%s,{pad}%s{inner}]"
+    return f"[{inner}" + f",{inner}".join([pair] * count) + f"{nl}]"
+
+
+@functools.lru_cache(maxsize=4)
+def _mirror_pairs(n):
+    """Row-major entry indices (i n + j, j n + i) of the pairs i < j."""
+    i, j = np.triu_indices(n, 1)
+    return i * n + j, j * n + i
+
+
+def _texts(M):
+    """The doubles of the finite C-ordered complex matrix M, row-major, for a
+    %s template: floats, and a str for each double of a mirrored pair."""
+    n, x, bits = len(M), M.view(np.float64), M.view(np.uint64)
+    if (M.shape != (n, n) or n < 2 or bits[1, 0] != bits[0, 2]
+            or bits[1, 1] != bits[0, 3] ^ _SIGN):
+        return x.ravel().tolist()
+    up, lo = _mirror_pairs(n)
+    x, bits = x.reshape(-1, 2), bits.reshape(-1, 2)
+    mirrored = ((bits[up, 0] == bits[lo, 0]) & (x[up, 1] != 0)
+                & (bits[up, 1] == bits[lo, 1] ^ _SIGN))
+    up, lo = up[mirrored], lo[mirrored]
+    im = x[up, 1]
+    size = np.array(list(map(repr, np.abs(im).tolist())), dtype=object)
+    minus = "-" + size
+    texts = x.astype(object)
+    texts[up, 0] = texts[lo, 0] = np.array(list(map(repr, x[up, 0].tolist())),
+                                           dtype=object)
+    texts[up, 1] = np.where(im < 0, minus, size)
+    texts[lo, 1] = np.where(im < 0, size, minus)
+    return texts.ravel().tolist()
 
 
 def dumps(obj) -> str:
     """obj as JSON text in the report layout (2-space indent, sorted keys,
-    ASCII only, NaN/Infinity for non-finite scalars). Keys become str; a 2-d
-    array is a matrix, any other array a list, a complex scalar [re, im]."""
-    return _dumps(obj, "")
-
-
-def _dumps(obj, pad):  # the lines after the first indented by pad
-    if isinstance(obj, np.ndarray) and obj.ndim == 2:
-        M, inner = as_matrix(obj), pad + "  "
-        pair = _block("[]", ["%r", "%r"], inner + "  ")
-        data = _block("[]", [pair] * M.size, inner) % tuple(
-            M.ravel().view(np.float64).tolist())
-        return _block("{}", [f'"cols": {M.shape[1]}', f'"data": {data}',
-                             f'"rows": {M.shape[0]}'], pad)
-    if isinstance(obj, (np.ndarray, np.generic)):
-        obj = obj.tolist()
-    if isinstance(obj, complex):
-        obj = [obj.real, obj.imag]
-    if isinstance(obj, dict):
-        keyed = sorted({str(k): v for k, v in obj.items()}.items())
-        return _block("{}", [f"{json.dumps(k)}: {_dumps(v, pad + '  ')}"
-                             for k, v in keyed], pad)
-    if isinstance(obj, (list, tuple)):
-        return _block("[]", [_dumps(v, pad + "  ") for v in obj], pad)
-    return json.dumps(obj)
+    ASCII only, NaN/Infinity for non-finite scalars), byte for byte what
+    json.dumps(..., indent=2, sort_keys=True) writes for the plain data. Keys
+    become str; a 2-d array is a matrix, any other array a list, a complex
+    scalar [re, im]. One pass over obj, one join; a matrix's data block is
+    one template %-format, and a mirrored pair's texts are formatted once."""
+    out, todo = [], [(obj, "\n")]  # a pending value and its newline + indent
+    while todo:
+        obj, nl = todo.pop()
+        if nl is None:  # text ready to go
+            out.append(obj)
+            continue
+        if isinstance(obj, np.ndarray) and obj.ndim == 2:
+            M, inner = np.ascontiguousarray(as_matrix(obj)), nl + "  "
+            out += (f'{{{inner}"cols": {M.shape[1]},{inner}"data": ',
+                    _data_template(M.size, inner) % tuple(_texts(M)),
+                    f',{inner}"rows": {M.shape[0]}{nl}}}')
+            continue
+        if isinstance(obj, (np.ndarray, np.generic)):
+            obj = obj.tolist()
+        if isinstance(obj, complex):
+            obj = [obj.real, obj.imag]
+        if isinstance(obj, dict):
+            keyed = sorted({str(k): v for k, v in obj.items()}.items())
+            brackets, items = "{}", [(json.dumps(k) + ": ", v)
+                                     for k, v in keyed]
+        elif isinstance(obj, (list, tuple)):
+            brackets, items = "[]", [("", v) for v in obj]
+        else:
+            out.append(json.dumps(obj))
+            continue
+        if not items:
+            out.append(brackets)
+            continue
+        inner = nl + "  "
+        todo.append((nl + brackets[1], None))
+        for k, (key, v) in reversed(list(enumerate(items))):
+            todo += [(v, inner), (("," if k else brackets[0]) + inner + key,
+                                  None)]
+    return "".join(out)
 
 
 def _complex_pairs(data) -> np.ndarray:

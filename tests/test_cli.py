@@ -513,16 +513,54 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [-0.0, 5e-324, 1e308, -1e-310])
 
 
+# moderate enough that an outer product of two stays finite; subnormal
+# products round to signed zeros
+_MODERATE = st.floats(-1e150, 1e150) | st.sampled_from(
+    [-0.0, 5e-324, -1e-310, 1e-160])
+
+
+def _complex(draw, shape, elements, fill=None):
+    M = np.empty(shape, dtype=complex)
+    M.real, M.imag = (draw(hnp.arrays(np.float64, shape, elements=elements,
+                                      fill=fill)) for _ in range(2))
+    return M
+
+
+@st.composite
+def _hermitian(draw):
+    """Hermitian to the last bit, as M/2 + M*/2 or as a rank-1 einsum outer
+    product, or that with one to three mirrored entries moved by an ulp or
+    with signed zeros put in mirrored pairs' imaginary parts: every branch of
+    the writer's mirrored texts and its fallbacks."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):  # every entry drawn, not a constant fill
+        M = _complex(draw, (n, n), _FINITE, fill=st.nothing())
+        H = M / 2 + M.conj().T / 2
+    else:
+        u = _complex(draw, n, _MODERATE, fill=st.nothing())
+        H = np.einsum("i,j->ij", u, u.conj())
+    change = draw(st.sampled_from(["none", "ulp", "zero"]))
+    if n == 1 or change == "none":
+        return H
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(1, n - 1))
+        j = draw(st.integers(0, i - 1))
+        if change == "ulp":
+            part = H.imag if draw(st.booleans()) else H.real
+            part[i, j] = np.nextafter(part[i, j], 0.0 if part[i, j] else 1.0)
+        else:
+            H.imag[i, j], H.imag[j, i] = draw(st.sampled_from(
+                [(0.0, -0.0), (-0.0, 0.0), (0.0, 0.0), (-0.0, -0.0)]))
+    return H
+
+
 @st.composite
 def _matrices(draw):
-    shape = draw(st.tuples(st.integers(1, 4), st.integers(1, 4)))
-    parts = [draw(hnp.arrays(np.float64, shape, elements=_FINITE))
-             for _ in range(2)]
     if draw(st.booleans()):
-        return parts[0]
-    M = np.empty(shape, dtype=complex)
-    M.real, M.imag = parts
-    return M
+        return draw(_hermitian())
+    shape = draw(st.tuples(st.integers(1, 4), st.integers(1, 4)))
+    M = _complex(draw, shape, _FINITE)
+    return M.real.copy() if draw(st.booleans()) else M
 
 
 _SCALARS = st.one_of(
@@ -548,7 +586,7 @@ _TREES = st.recursive(
 
 
 @settings(max_examples=300, deadline=None)
-@given(_TREES)
+@given(_TREES | _hermitian())
 def test_report_writer_matches_indented_json_encoder(tree):
     assert dumps(tree) + "\n" == report_json_reference(tree)
 
@@ -587,7 +625,20 @@ def test_matrix_reports_match_indented_json_encoder(tmp_path, monkeypatch):
              "probability": born_probability(rho, P)}
             for P in tomography_frame(3)]
     fit = write_json(tmp_path / "fit.json", {"assignments": rows})
+    # eight rank-2 atoms and eight rank-1 ones
+    Y = rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24))
+    U, _ = np.linalg.qr(Y)
+    levels = np.repeat(np.arange(16.0), [2] * 8 + [1] * 8)
+    mixed = write_json(tmp_path / "mixed.json",
+                       U @ np.diag(levels) @ U.conj().T)
+    P, R = Q[:, :2] @ Q[:, :2].conj().T, Q[:, 1:4] @ Q[:, 1:4].conj().T
+    pr = write_json(tmp_path / "pr.json", {"p": P, "q": R})
+    square = degenerate @ degenerate
+    collapse = write_json(tmp_path / "c.json", {
+        "state": square / np.trace(square).real, "projector": P})
     for argv in (["spectral", "--in", H], ["spectral", "--in", D],
+                 ["spectral", "--in", mixed], ["lattice", "--in", pr],
+                 ["collapse", "--in", collapse],
                  ["funcalc", "--in", H, "--f", "exp-it", "--t", "0.3"],
                  ["evolve", "--hamiltonian", D, "--t", "-1.5",
                   "--hbar", "0.5"],

@@ -341,3 +341,40 @@ def test_every_family_is_a_read_only_complex_stack():
         linalg.as_stack([np.eye(2)[0]])
     with pytest.raises(NotSquare):
         linalg.as_stack([np.zeros((2, 3))])
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:  # the exception itself is what is compared
+        return type(exc), str(exc)
+
+
+def test_stack_of_an_array_equals_the_stack_of_its_matrices():
+    """as_stack checks a 3-d array whole; the stack and every exception are
+    those of the list of its matrices: non-finite (in the first or a later
+    matrix, square or not), non-square, wrong dims, and the empty family."""
+    rng = np.random.default_rng(18)
+    S = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+    non_square = rng.standard_normal((4, 2, 3))
+    cases = [(S, ()), (S, (3,)), (S, (3, 3)), (S.real, ()),
+             (S.transpose(0, 2, 1), ()), (S[:, :2], ()), (non_square, ()),
+             (S, (2,)), (S, (3, 4)), (S[:0], ()), (S[:0], (3,))]
+    for at in [(0, 1, 2), (3, 0, 0)]:
+        for value in [np.nan, np.inf, -np.inf]:
+            for bad in (S, non_square):
+                bad = bad.copy()
+                bad[at] = value
+                cases.append((bad, ()))
+    raised = set()
+    for arr, dims in cases:
+        want = _outcome(lambda: linalg.as_stack(list(arr), *dims))
+        got = _outcome(lambda: linalg.as_stack(arr, *dims))
+        if isinstance(want, np.ndarray):
+            assert type(got) is np.ndarray and got.dtype == complex
+            assert np.array_equal(got, want) and got.shape == want.shape
+            assert not got.flags.writeable and not np.shares_memory(got, arr)
+        else:
+            assert got == want, (arr.shape, dims)
+            raised.add(got[0])
+    assert raised == {ValueError, NotSquare, linalg.DimensionMismatch}
