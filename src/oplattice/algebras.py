@@ -12,8 +12,8 @@ from .linalg import (
     DEFAULT_TOL,
     NULLSPACE_RTOL,
     SOLVER_TOL,
-    HermitianOperator,
     _CHECK_SLICE,
+    _admitted,
     _fro_batch,
     _matrix_units,
     _products,
@@ -104,9 +104,7 @@ def _commutant(generators, dim, certify=False):
         return _matrix_units(n), 0.0
     c = np.random.default_rng(_WEIGHT_SEED).uniform(0.5, 1.0, (len(G), 2))
     W = np.tensordot(c @ [1.0, 1.0j], G, axes=1)
-    h = HermitianOperator.__new__(HermitianOperator)
-    h.matrix = W + W.conj().T
-    pvm, gram = _decompose(h)
+    pvm, gram = _decompose(_admitted(W + W.conj().T))
     V = pvm._factor[0]
     owner = np.repeat(np.arange(len(pvm)), pvm.ranks)
     _, s, B = np.linalg.svd(np.concatenate([G, G.conj().transpose(0, 2, 1)])

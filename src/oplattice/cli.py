@@ -35,7 +35,7 @@ from .algebras import (
     superselection_sectors,
 )
 from .dynamics import (
-    _evolve_grid,
+    _evolve,
     dyson_evolve,
     dyson_series,
     noether_check,
@@ -61,9 +61,10 @@ from .linalg import (
     HermitianOperator,
     ToleranceFailure,
     _complex_pairs,
-    dumps,
+    _pieces,
     frobenius,
     matrix_from_json,
+    require_unitary,
 )
 from .oscillator import (
     build_truncated_pair,
@@ -270,8 +271,8 @@ def cmd_sectors(args):
 
 def cmd_evolve(args):
     H = _operator(args.hamiltonian, args.tol)
-    U, half = _evolve_grid(spectral_decompose(H), [args.t, args.t / 2.0],
-                           args.hbar)
+    U, half = require_unitary(
+        _evolve([H], [[args.t, args.t / 2.0]], args.hbar))
     return {
         "unitary": U,
         "unitarity_defect": frobenius(U.conj().T @ U - np.eye(len(U))),
@@ -525,7 +526,7 @@ def run(argv) -> int:
             raise ValueError(f"tol must be positive, got {args.tol}")
         if _finite("--hbar", getattr(args, "hbar", 1.0)) <= 0:
             raise ValueError(f"hbar must be positive, got {args.hbar}")
-        payload = dumps(HANDLERS[args.command](args)) + "\n"
+        pieces = _pieces(HANDLERS[args.command](args)) + ["\n"]
     except MalformedInput as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
@@ -536,11 +537,11 @@ def run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    if args.out:
+    if args.out:  # dumps' texts one by one: the report is never joined
         with open(args.out, "w") as fh:
-            fh.write(payload)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(pieces)
     return EXIT_OK
 
 

@@ -19,15 +19,15 @@ from .linalg import (
     UnitaryOperator,
     _fro_batch,
     _hermitian,
+    _hermitians,
     as_matrix,
     as_stack,
     frobenius,
-    operator_norm,
     require_same_dim,
     require_unitary,
 )
-from .spectral import atom_sum, spectral_decompose
-from .states import DensityState
+from .spectral import _decompose_stack
+from .states import DensityState, _density
 
 MAX_DYSON_ORDER = 12
 
@@ -91,28 +91,32 @@ class NotACocycle(ToleranceFailure, ValueError):
         self.defect = float(defect)
 
 
-def _evolve(pvm, t, hbar):
-    """exp(-i t H / hbar) for each time in the array t, on the spectral
-    measure of H: one n x n product V exp(-i t Lambda / hbar) V^* per time."""
-    phase = np.multiply.outer(-1j * np.asarray(t, dtype=float), pvm.labels)
-    return atom_sum(pvm, np.exp(phase / hbar))
+def _evolve(ops, times, hbar):
+    """exp(-i t H / hbar) for each operator H of a family and each t of its
+    entry of times, in order, as one stack: the family decomposed as one
+    stack (_decompose_stack), then V exp(-i t Lambda / hbar) V^* on each
+    eigenvector factor V, all by one batched product."""
+    V, d = [], []
+    for (pvm, _), t in zip(_decompose_stack(ops), times):
+        t = np.asarray(t, dtype=float).reshape(-1)
+        d.append(np.exp(np.multiply.outer(-1j * t, pvm._labels) / hbar))
+        if len(pvm) < pvm.dim:  # a block wider than one column
+            d[-1] = np.repeat(d[-1], pvm._factor[2], axis=-1)
+        V += [pvm._factor[0]] * len(t)
+    V, d = np.reshape(V, (-1, pvm.dim, pvm.dim)), np.concatenate(d)
+    return (V * d[:, None, :]) @ V.conj().mT
 
 
 def evolve_unitary(H, t, hbar=1.0) -> UnitaryOperator:
     """exp(-i t H / hbar), unitary to machine precision: one eigendecomposition
     of H and one n x n product on its eigenvector factor."""
-    return UnitaryOperator(_evolve(spectral_decompose(_hermitian(H)), t, hbar))
+    return UnitaryOperator(_evolve([H], [t], hbar)[0])
 
 
-def _evolve_grid(pvm, times, hbar):
-    """_evolve held to the unitarity gate of UnitaryOperator."""
-    return require_unitary(_evolve(pvm, times, hbar))
-
-
-def _commutator_defect(Us, Vs):
-    """Largest ||VU - UV||_F over every pair from two stacks."""
+def _commutators(Us, Vs):
+    """VU - UV for every pair from two stacks, as one stack."""
     U, V = Us[:, None], Vs[None, :]
-    return float(_fro_batch(V @ U - U @ V).max(initial=0.0))
+    return (V @ U - U @ V).reshape(-1, *Us.shape[1:])
 
 
 def generator_from_group(samples, hbar=1.0) -> HermitianOperator:
@@ -164,7 +168,7 @@ def generator_from_group(samples, hbar=1.0) -> HermitianOperator:
         raise NotHermitianResult(herm_defect)
     H = HermitianOperator(D, tol=np.inf)
 
-    recon = _evolve_grid(spectral_decompose(H), list(table), hbar)
+    recon = require_unitary(_evolve([H], [list(table)], hbar))
     worst = float(_fro_batch(recon - stack).max())
     if worst > FIT_TOL:
         raise InconsistentGroup(worst)
@@ -173,8 +177,7 @@ def generator_from_group(samples, hbar=1.0) -> HermitianOperator:
 
 def heisenberg_observable(A, H, t, hbar=1.0) -> HermitianOperator:
     """A_t = U_t^{-1} A U_t. The spectrum is untouched."""
-    A, H = _hermitian(A), _hermitian(H)
-    require_same_dim(A.dim, H.dim)
+    A, H = _hermitians([A, H])
     U = evolve_unitary(H, t, hbar).matrix
     return HermitianOperator(U.conj().T @ A.matrix @ U)
 
@@ -192,20 +195,18 @@ def noether_check(A, H, t_grid=None, s_grid=None, tol=PRODUCT_TOL,
     groups, and invariance of H under the A-evolution. The flags must agree;
     a split verdict raises, because the equivalence is a theorem and only
     the tolerance can fail."""
-    A, H = _hermitian(A), _hermitian(H)
-    require_same_dim(A.dim, H.dim)
+    A, H = _hermitians([A, H])
     t_grid = DEFAULT_NOETHER_GRID if t_grid is None else tuple(t_grid)
     s_grid = DEFAULT_NOETHER_GRID if s_grid is None else tuple(s_grid)
     if not t_grid or not s_grid:
         raise ValueError("grids must be nonempty")
 
-    Us = _evolve_grid(spectral_decompose(H), t_grid, hbar)
-    Vs = _evolve_grid(spectral_decompose(A), s_grid, hbar)
-    Uh, Vh = Us.conj().transpose(0, 2, 1), Vs.conj().transpose(0, 2, 1)
-
-    d_const = float(_fro_batch(Uh @ A.matrix @ Us - A.matrix).max())
-    d_comm = _commutator_defect(Us, Vs)
-    d_inv = float(_fro_batch(Vs @ H.matrix @ Vh - H.matrix).max())
+    U = require_unitary(_evolve([H, A], [t_grid, s_grid], hbar))
+    T, Uh = len(t_grid), U.conj().mT
+    Us, Vs = U[:T], U[T:]
+    d_const = float(_fro_batch(Uh[:T] @ A.matrix @ Us - A.matrix).max())
+    d_comm = float(_fro_batch(_commutators(Us, Vs)).max())
+    d_inv = float(_fro_batch(Vs @ H.matrix @ Uh[T:] - H.matrix).max())
 
     flags = (d_const <= tol, d_comm <= tol, d_inv <= tol)
     defects = {
@@ -222,21 +223,22 @@ def noether_check(A, H, t_grid=None, s_grid=None, tol=PRODUCT_TOL,
 def commuting_via_groups(A, B, grid=None, tol=PRODUCT_TOL, hbar=1.0) -> bool:
     """Group-level compatibility test: exp(-itA) and exp(-isB) commute for
     every (t, s) in the grid. Agrees with the spectral-measure test."""
-    A, B = _hermitian(A), _hermitian(B)
-    require_same_dim(A.dim, B.dim)
     grid = DEFAULT_NOETHER_GRID if grid is None else tuple(grid)
-    worst = _commutator_defect(_evolve_grid(spectral_decompose(A), grid, hbar),
-                               _evolve_grid(spectral_decompose(B), grid, hbar))
-    return worst <= tol
+    U = require_unitary(_evolve([A, B], [grid, grid], hbar))
+    worst = _fro_batch(_commutators(U[:len(grid)], U[len(grid):]))
+    return float(worst.max(initial=0.0)) <= tol
 
 
 # --- time-dependent generators --------------------------------------------
 
 def _prepare_grid(samples, t1, t2):
-    pairs = sorted(
-        ((float(t), _hermitian(H).matrix) for t, H in samples),
-        key=lambda p: p[0],
-    )
+    """(times, generators) from t1 to t2: the samples strictly inside, and
+    the samples' linear interpolant at each end. The samples are admitted
+    as one stack."""
+    samples = list(samples)
+    ops = _hermitians(H for _, H in samples)
+    pairs = sorted(zip((float(t) for t, _ in samples), ops),
+                   key=lambda p: p[0])
     if len(pairs) < 2:
         raise ValueError("need at least two time samples")
     taus = np.array([t for t, _ in pairs])
@@ -246,7 +248,7 @@ def _prepare_grid(samples, t1, t2):
         raise ValueError(f"t1 {t1} exceeds t2 {t2}")
     if t1 < taus[0] - ABS_FLOOR or t2 > taus[-1] + ABS_FLOOR:
         raise ValueError("samples do not cover the requested interval")
-    stack = as_stack(H for _, H in pairs)
+    stack = np.array([A.matrix for _, A in pairs])
 
     def at(t):
         j = int(np.clip(np.searchsorted(taus, t), 1, len(taus) - 1))
@@ -254,21 +256,21 @@ def _prepare_grid(samples, t1, t2):
         lam = 0.0 if hi == lo else (t - lo) / (hi - lo)
         return (1.0 - lam) * stack[j - 1] + lam * stack[j]
 
-    inner = [(t, Hm) for (t, Hm) in pairs
-             if t1 + ABS_FLOOR < t < t2 - ABS_FLOOR]
-    grid = [(float(t1), at(t1))] + inner + [(float(t2), at(t2))]
-    return grid
+    inner = (t1 + ABS_FLOOR < taus) & (taus < t2 - ABS_FLOOR)
+    return (np.concatenate([[t1], taus[inner], [t2]]),
+            np.concatenate([[at(t1)], stack[inner], [at(t2)]]))
 
 
-def _quadrature_gate(grid, order):
+def _quadrature_gate(times, stack, order):
+    """The node count against (order + 1) * max(1, the integral of ||H(t)||_2
+    by trapezoid), the norms from one batched SVD. order does nothing else."""
     if not (1 <= int(order) <= MAX_DYSON_ORDER):
         raise OrderTooLarge(order)
-    times = np.array([t for t, _ in grid])
-    norms = np.array([operator_norm(H) for _, H in grid])
-    budget = float(np.trapezoid(norms, times)) if len(grid) > 1 else 0.0
+    norms = np.linalg.svd(stack, compute_uv=False).max(axis=-1, initial=0.0)
+    budget = float(np.trapezoid(norms, times))
     needed = int(np.ceil((order + 1) * max(1.0, budget)))
-    if len(grid) < needed:
-        raise QuadratureTooCoarse(len(grid), needed)
+    if len(times) < needed:
+        raise QuadratureTooCoarse(len(times), needed)
 
 
 def dyson_evolve(H_samples, t1, t2, order=8, hbar=1.0) -> UnitaryOperator:
@@ -277,15 +279,17 @@ def dyson_evolve(H_samples, t1, t2, order=8, hbar=1.0) -> UnitaryOperator:
     Product integral over the sample subintervals: each step exponentiates
     the endpoint average of H exactly, later times composing on the left.
     Unitary by construction; the truncated series lives in dyson_series as
-    the independent cross-check.
+    the independent cross-check. The step generators are decomposed as one
+    stack and their exponentials formed by one batched product under one
+    unitarity gate; the product runs step by step. order only sets the
+    node-count gate (_quadrature_gate): two orders that both pass it give
+    the same U, bit for bit.
     """
-    t1, t2 = float(t1), float(t2)
-    grid = _prepare_grid(H_samples, t1, t2)
-    _quadrature_gate(grid, order)
-    n = grid[0][1].shape[0]
-    U = np.eye(n, dtype=complex)
-    for (ta, Ha), (tb, Hb) in zip(grid[:-1], grid[1:]):
-        step = evolve_unitary((Ha + Hb) / 2.0, tb - ta, hbar).matrix
+    times, stack = _prepare_grid(H_samples, float(t1), float(t2))
+    _quadrature_gate(times, stack, order)
+    steps = _evolve((stack[:-1] + stack[1:]) / 2.0, np.diff(times), hbar)
+    U = np.eye(stack.shape[1], dtype=complex)
+    for step in require_unitary(steps):
         U = step @ U
     return UnitaryOperator(U)
 
@@ -294,12 +298,9 @@ def dyson_series(H_samples, t1, t2, order=8, hbar=1.0) -> np.ndarray:
     """Truncated time-ordered series, nested integrals done by cumulative
     trapezoid on the sample grid. Not exactly unitary; that is the point of
     keeping it separate from the product integral."""
-    t1, t2 = float(t1), float(t2)
-    grid = _prepare_grid(H_samples, t1, t2)
-    _quadrature_gate(grid, order)
-    times = np.array([t for t, _ in grid])
-    stack = np.stack([H for _, H in grid])
-    m, n = len(grid), stack.shape[1]
+    times, stack = _prepare_grid(H_samples, float(t1), float(t2))
+    _quadrature_gate(times, stack, order)
+    m, n = stack.shape[:2]
 
     total = np.eye(n, dtype=complex)
     phi = np.broadcast_to(np.eye(n, dtype=complex), (m, n, n)).copy()
@@ -355,6 +356,7 @@ class SymmetryOperator:
 
 def wigner_apply(V: SymmetryOperator, rho: DensityState) -> DensityState:
     """State transport rho -> V rho V^{-1}."""
+    rho = _density(rho)
     require_same_dim(V.dim, rho.dim)
     R = rho.matrix.conj() if V.antiunitary else rho.matrix
     return DensityState(V.matrix @ R @ V.matrix.conj().T)
@@ -499,9 +501,9 @@ def su2_fixture(hbar=1.0):
     group_defect = 0.0
     thetas = np.array([0.3, 0.7, 1.1])
     for Sk in S:
-        pvm = spectral_decompose(Sk)
-        U = _evolve_grid(pvm, thetas, hbar)
-        W = _evolve_grid(pvm, np.add.outer(thetas, thetas), hbar)
+        U = require_unitary(_evolve([Sk], [thetas], hbar))
+        sums = np.add.outer(thetas, thetas)
+        W = require_unitary(_evolve([Sk], [sums], hbar)).reshape(3, 3, 2, 2)
         defect = _fro_batch(U[:, None] @ U[None, :] - W).max()
         group_defect = max(group_defect, float(defect))
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 
 import numpy as np
 
@@ -89,9 +88,9 @@ def _fro_batch(S):
     bit for bit: the dot products of its real and imaginary parts at stride
     2, one matmul."""
     x = S.reshape(*S.shape[:-2], S.shape[-2] * S.shape[-1], 1).view(float)
-    x = np.swapaxes(x, -1, -2)
-    sq = x[..., None, :] @ x[..., None]
-    return np.sqrt(sq[..., 0, 0, 0] + sq[..., 1, 0, 0])
+    x = x.mT[..., None, :]
+    sq = (x @ x.mT)[..., 0, 0]
+    return np.sqrt(sq[..., 0] + sq[..., 1])
 
 
 def _read_only(a):
@@ -102,6 +101,12 @@ def _read_only(a):
 # Entries per slice of a stack check: the temporaries stay a few MB at any
 # stack length, and a frame of n <= 16 is checked in one slice.
 _CHECK_SLICE = 1 << 16
+
+
+@functools.lru_cache(maxsize=16)
+def _eye(n):
+    """The read-only n x n identity of the gates' defects X - I."""
+    return _read_only(np.eye(n))
 
 
 def _matrix_units(n):
@@ -163,18 +168,27 @@ def operator_norm(M) -> float:
 
 def hermitian_part(matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
     """A/2 + A*/2 of a square A with ||A - A*||_F <= tol * max(1, ||A||_F),
-    else NotHermitian. The norms are taken on A over the power of two at its
-    largest real or imaginary part (at least 2^-1022): exactly, and clear of
-    the overflow that would make both sides inf. A is halved before the sum
-    so that near-overflow input stays finite."""
-    M = require_square(as_matrix(matrix))
-    top = max(np.abs(M.real).max(initial=0.0), np.abs(M.imag).max(initial=0.0))
-    scale = math.ldexp(1.0, max(math.frexp(top)[1] - 1, -1022))
-    S = M * (1.0 / scale)
-    defect = frobenius(S - S.conj().T)
-    if not (defect <= tol * frobenius(S) or defect * scale <= tol):
-        raise NotHermitian(defect * scale)
-    return M / 2.0 + M.conj().T / 2.0
+    else NotHermitian; of each matrix of a (k, n, n) array alike, raising
+    the NotHermitian its first failing matrix raises alone. The norms are
+    taken on A over the power of two at its largest real or imaginary part
+    (at least 2^-1022): exactly, and clear of the overflow that would make
+    both sides inf; ||A||_F only where the defect alone fails. A is halved
+    before the sum so that near-overflow input stays finite."""
+    if isinstance(matrix, np.ndarray) and matrix.ndim == 3:
+        return _hermitian_parts(as_stack(matrix), tol)
+    return _hermitian_parts(require_square(as_matrix(matrix))[None], tol)[0]
+
+
+def _hermitian_parts(M, tol):
+    """hermitian_part of each matrix of a stack that as_stack admitted."""
+    top = np.abs(M.reshape(len(M), -1).view(float)).max(axis=1, initial=0.0)
+    scale = np.ldexp(1.0, np.maximum(np.frexp(top)[1] - 1, -1022))
+    S = M * (1.0 / scale)[:, None, None]
+    defects = _fro_batch(S - S.conj().mT).tolist()
+    for a, (d, c) in enumerate(zip(defects, scale.tolist())):
+        if not (d * c <= tol or d <= tol * frobenius(S[a])):
+            raise NotHermitian(d * c)
+    return M / 2.0 + M.conj().mT / 2.0
 
 
 class HermitianOperator:
@@ -183,18 +197,17 @@ class HermitianOperator:
     The stored form is hermitian_part(A), the symmetrization A/2 + A*/2,
     halved before the sum so that finite input near overflow stays finite;
     inputs whose defect ||A - A*||_F exceeds tol * max(1, ||A||_F) are
-    rejected instead of being silently repaired. The first
-    spectral_decompose at the default cluster_tol keeps its factor here
-    (O(n^2), read-only) and later ones build their measure on it.
+    rejected instead of being silently repaired. The first decomposition
+    at the default cluster_tol, alone or in a family's stack, keeps its
+    factor here (O(n^2), read-only) and later ones build their measure on
+    it.
     """
 
     __slots__ = ("matrix", "dim", "_spectral")
 
     def __init__(self, matrix, tol: float = DEFAULT_TOL):
-        self.matrix = hermitian_part(matrix, tol)
-        self.matrix.setflags(write=False)
-        self.dim = self.matrix.shape[0]
-        self._spectral = None
+        self.matrix = _read_only(hermitian_part(matrix, tol))
+        self.dim, self._spectral = len(self.matrix), None
 
     def __repr__(self):
         return f"HermitianOperator(dim={self.dim})"
@@ -205,13 +218,38 @@ def _hermitian(A) -> HermitianOperator:
     return A if isinstance(A, HermitianOperator) else HermitianOperator(A)
 
 
+def _admitted(M) -> HermitianOperator:
+    """The operator of M, Hermitian to the last bit, without admitting it
+    again: hermitian_part would give M back."""
+    A = HermitianOperator.__new__(HermitianOperator)
+    A.matrix, A.dim, A._spectral = _read_only(M), len(M), None
+    return A
+
+
+def _hermitians(ops) -> list:
+    """The operators of a family of one dimension, in order: admitted ones as
+    they are, the others admitted at DEFAULT_TOL as one stack by one
+    hermitian_part."""
+    ops = list(ops)
+    raw = [a for a, A in enumerate(ops)
+           if not isinstance(A, HermitianOperator)]
+    if raw:
+        parts = _hermitian_parts(as_stack(ops[a] for a in raw), DEFAULT_TOL)
+        for a, M in zip(raw, parts):
+            ops[a] = _admitted(M)
+    if len(ops) > 1:
+        require_same_dim(*(A.dim for A in ops))
+    return ops
+
+
 def require_unitary(M: np.ndarray) -> np.ndarray:
     """Return M, a matrix or a (..., n, n) stack, once every matrix in it has
-    max(||M^*M - I||_F, ||MM^* - I||_F) <= DEFAULT_TOL * max(1, sqrt(n))."""
+    ||M^*M - I||_F <= DEFAULT_TOL * max(1, sqrt(n)). For square M this is
+    also ||MM^* - I||_F: with M = U S W^*, M^*M - I = W(S^2 - I)W^* and
+    MM^* - I = U(S^2 - I)U^* both have the norm ||S^2 - I||_F over M's
+    singular values, so the second product would decide nothing."""
     n = M.shape[-1]
-    eye = np.eye(n)
-    Mh = np.swapaxes(M, -1, -2).conj()
-    defect = np.maximum(_fro_batch(Mh @ M - eye), _fro_batch(M @ Mh - eye))
+    defect = _fro_batch(M.conj().mT @ M - _eye(n))
     worst = float(defect.max(initial=0.0))
     if not worst <= DEFAULT_TOL * max(1.0, float(np.sqrt(n))):  # NaN fails too
         raise NotUnitary(worst)
@@ -247,24 +285,30 @@ class EigenSystem:
 
 
 def _phase_fix_columns(V: np.ndarray) -> np.ndarray:
-    live = np.abs(V) > ABS_FLOOR
-    a = V[live.argmax(axis=0), np.arange(V.shape[1])]
-    # a dead column is scaled by exactly 1; each live one is bit-equal to
-    # scaling it alone by the scalar a.conj() / abs(a), as long as the
-    # product runs row by row of V.T and comes back C-ordered
-    s = np.divide(a.conj(), np.hypot(a.real, a.imag), out=np.ones_like(a),
-                  where=live.any(axis=0))
-    return np.ascontiguousarray((V.T * s[:, None]).T)
+    """V, a matrix or a (k, n, n) stack, with the first entry above
+    ABS_FLOOR in modulus of each column made real positive."""
+    S = V.reshape(-1, *V.shape[-2:])
+    k, _, n = S.shape
+    a = S[np.arange(k)[:, None], (np.abs(S) > ABS_FLOOR).argmax(axis=1),
+          np.arange(n)]
+    # a dead column (|a| at the floor) is scaled by exactly 1; each live one
+    # is bit-equal to scaling it alone by the scalar a.conj() / abs(a), as
+    # long as the product runs row by row of V.T and comes back C-ordered
+    # (np.abs of a complex array is not abs bit for bit; hypot is)
+    size = np.hypot(a.real, a.imag)
+    s = np.divide(a.conj(), size, out=np.ones_like(a), where=size > ABS_FLOOR)
+    return np.ascontiguousarray((S.mT * s[:, :, None]).mT).reshape(V.shape)
 
 
-def eig_hermitian(A: HermitianOperator) -> EigenSystem:
-    """Eigendecomposition of a validated Hermitian operator.
+def eig_hermitian(A) -> EigenSystem:
+    """Eigendecomposition of a validated Hermitian operator, or of each matrix
+    of a (k, n, n) stack of validated ones by one batched eigh.
 
     Eigenvalues ascending; each eigenvector's first nonzero component is made
     real positive so repeated runs agree entrywise.
     """
     try:
-        w, V = np.linalg.eigh(A.matrix)
+        w, V = np.linalg.eigh(getattr(A, "matrix", A))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
     return EigenSystem(w, _phase_fix_columns(V))
@@ -335,6 +379,12 @@ def dumps(obj) -> str:
     become str; a 2-d array is a matrix, any other array a list, a complex
     scalar [re, im]. One pass over obj, one join; a matrix's data block is
     one template %-format, and a mirrored pair's texts are formatted once."""
+    return "".join(_pieces(obj))
+
+
+def _pieces(obj) -> list:
+    """The texts dumps joins, in order: a writer can write them one by one
+    and never hold the whole report twice."""
     out, todo = [], [(obj, "\n")]  # a pending value and its newline + indent
     while todo:
         obj, nl = todo.pop()
@@ -368,7 +418,7 @@ def dumps(obj) -> str:
         for k, (key, v) in reversed(list(enumerate(items))):
             todo += [(v, inner), (("," if k else brackets[0]) + inner + key,
                                   None)]
-    return "".join(out)
+    return out
 
 
 def _complex_pairs(data) -> np.ndarray:

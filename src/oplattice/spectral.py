@@ -19,8 +19,9 @@ from .linalg import (
     SOLVER_TOL,
     HermitianOperator,
     _CHECK_SLICE,
+    _eye,
     _fro_batch,
-    _hermitian,
+    _hermitians,
     as_stack,
     eig_hermitian,
     frobenius,
@@ -51,31 +52,41 @@ def _as_tuple(label):
     return (float(label),)
 
 
-def _stack(blocks):
-    """The factor (V, starts, ranks) of a list of column blocks."""
+def _stack(labels, blocks, tol=DEFAULT_TOL):
+    """The measure over a list of column blocks, labeled in order, that
+    passes the factor gate at tol."""
     ranks = np.array([B.shape[1] for B in blocks])
-    return np.hstack(blocks), np.cumsum(ranks) - ranks, ranks
+    return ProjectorValuedMeasure._from_factors(np.hstack(blocks)[None], [(
+        labels, np.cumsum(ranks) - ranks, ranks)], tol)[0][0]
 
 
 def _factor_residuals(V, starts):
-    """Bounds for the atoms P_a = V_a V_a^* of the column blocks V_a of V, and
-    the Gram defect G = V^*V - I: with fd the largest ||V_a^* V_a - I||_F and
+    """Bounds for the atoms P_a = V_a V_a^* of the column blocks V_a of each
+    matrix V of a (k, n, m) stack, split at its own starts, and the stack of
+    Gram defects G = V^*V - I: with fd the largest ||V_a^* V_a - I||_F and
     off the mass of G outside the diagonal blocks, ||P_a P_b||_F <= off + 2 fd
     for every pair and ||P_a^2 - P_a||_F <= (1 + fd) fd for every atom. Atoms
-    are built Hermitian to the last bit (see ProjectorValuedMeasure)."""
-    eye = np.eye(V.shape[0])
-    gram = V.conj().T @ V - eye
+    are built Hermitian to the last bit (see ProjectorValuedMeasure). Each
+    tile is one entry, read off the whole stack at once, save in a matrix
+    with a wider block, which is tiled alone."""
+    eye, Vh = _eye(V.shape[-2]), V.conj().mT
+    gram = Vh @ V - eye
     tiles = np.abs(gram) ** 2
-    if len(starts) < V.shape[1]:  # else each tile is one entry
-        tiles = np.add.reduceat(np.add.reduceat(tiles, starts, axis=0), starts, axis=1)
-    fd = float(np.sqrt(np.diagonal(tiles).max()))
-    np.fill_diagonal(tiles, 0.0)
-    return {
-        "hermiticity": 0.0,
-        "idempotency": (1.0 + fd) * fd,
-        "completeness": frobenius(V @ V.conj().T - eye),
-        "orthogonality": float(np.sqrt(tiles.sum())) + 2.0 * fd,
-    }, gram
+    k, m = len(tiles), tiles.shape[-1]
+    wide = {a: np.add.reduceat(np.add.reduceat(tiles[a], s, axis=0), s, axis=1)
+            for a, s in enumerate(starts) if len(s) < m}
+    flat = tiles.reshape(k, m * m)
+    fd = np.sqrt(flat[:, ::m + 1].max(axis=1))
+    flat[:, ::m + 1] = 0.0
+    off = np.sqrt(flat.sum(axis=1))
+    for a, T in wide.items():
+        fd[a] = np.sqrt(np.diagonal(T).max())
+        np.fill_diagonal(T, 0.0)
+        off[a] = np.sqrt(T.sum())
+    return [{"hermiticity": 0.0, "idempotency": (1.0 + f) * f,
+             "completeness": c, "orthogonality": o + 2.0 * f}
+            for f, c, o in zip(fd.tolist(), _fro_batch(V @ Vh - eye).tolist(),
+                               off.tolist())], gram
 
 
 def _clusters(w, cluster_tol):
@@ -90,12 +101,37 @@ def _clusters(w, cluster_tol):
             for a, r in zip(starts.tolist(), ranks.tolist())], starts, ranks
 
 
+def _decompose_stack(ops, cluster_tol=SOLVER_TOL):
+    """[(measure, V^*V - I)] of a family of Hermitian operators of one
+    dimension, in order; those not admitted yet are admitted as one stack
+    (linalg._hermitians). The operators are decomposed together: one batched
+    eig_hermitian and one batched factor gate, only the cluster split per
+    operator, and at the default cluster_tol each keeps its factor (see
+    HermitianOperator). There, once any operator keeps one already, every
+    measure is read off the kept factors, with None for its Gram defect."""
+    ops, keep = _hermitians(ops), cluster_tol == SOLVER_TOL
+    todo = [A for A in ops if not (keep and A._spectral)]
+    if todo:
+        es = eig_hermitian(todo[0].matrix[None] if len(todo) == 1
+                           else np.array([A.matrix for A in todo]))
+        made = ProjectorValuedMeasure._from_factors(es.eigenvectors, [
+            _clusters(w, cluster_tol) for w in es.eigenvalues])
+        for A, (pvm, _) in zip(todo, made if keep else ()):
+            A._spectral = pvm._labels, pvm._factor, pvm._residuals
+        if len(todo) == len(ops):
+            return made
+    kept = []
+    for A in ops:
+        pvm = ProjectorValuedMeasure.__new__(ProjectorValuedMeasure)
+        pvm.dim, pvm._atoms = A.dim, None
+        pvm._labels, pvm._factor, pvm._residuals = A._spectral
+        kept.append((pvm, None))
+    return kept
+
+
 def _decompose(A, cluster_tol=SOLVER_TOL):
-    """(measure, V^*V - I) of a HermitianOperator A, through eig_hermitian,
-    _clusters and the factor gate; A is not admitted again here."""
-    es = eig_hermitian(A)
-    labels, starts, ranks = _clusters(es.eigenvalues, cluster_tol)
-    return ProjectorValuedMeasure._from_factor(labels, es.eigenvectors, starts, ranks)
+    """(measure, V^*V - I) of one operator: the stack of one."""
+    return _decompose_stack([A], cluster_tol)[0]
 
 
 def _atoms_of(factor, part=slice(None)):
@@ -175,23 +211,34 @@ class ProjectorValuedMeasure:
         if not len(stack):
             raise ValueError("a PVM needs at least one atom")
         self._factor, report = _given_factor(stack)
-        self._admit(dim, [label for label, _ in atoms], report, DEFAULT_TOL)
+        labels = [label for label, _ in atoms]
+        self._admit(dim, labels, map(_as_tuple, labels), report, DEFAULT_TOL)
         self._atoms = list(zip(self._labels, stack))
 
     @classmethod
-    def _from_factor(cls, labels, V, starts, ranks, tol=DEFAULT_TOL):
-        """The measure over a factor that passes the gate at tol, and V^*V - I."""
-        pvm, (report, gram) = cls.__new__(cls), _factor_residuals(V, starts)
-        pvm._admit(V.shape[0], labels, report, tol)
-        for part in (V, starts, ranks):
-            part.setflags(write=False)
-        pvm._atoms, pvm._factor = None, (V, starts, ranks)
-        return pvm, gram
+    def _from_factors(cls, V, splits, tol=DEFAULT_TOL):
+        """[(measure, V^*V - I)] over each factor of the stack V, split by its
+        (labels, starts, ranks), each measure passing the gate at tol. The
+        labels are floats or tuples of floats, their own keys."""
+        reports, grams = _factor_residuals(V, [s for _, s, _ in splits])
+        V.setflags(write=False)
+        made = []
+        for Va, (labels, starts, ranks), report, gram in zip(V, splits,
+                                                              reports, grams):
+            pvm = cls.__new__(cls)
+            pvm._admit(len(Va), labels, labels, report, tol)
+            starts.setflags(write=False)
+            ranks.setflags(write=False)
+            pvm._atoms, pvm._factor = None, (Va, starts, ranks)
+            made.append((pvm, gram))
+        return made
 
-    def _admit(self, dim, labels, report, tol):
+    def _admit(self, dim, labels, keys, report, tol):
+        """Keep dim, labels and report once the report passes tol and the
+        keys, one hashable per label, are pairwise distinct."""
         if not all(v <= tol for v in report.values()):  # NaN fails too
             raise ValueError(f"PVM invariants violated ({report})")
-        if len(set(map(_as_tuple, labels))) != len(labels):
+        if len(set(keys)) != len(labels):
             raise ValueError("PVM labels are not pairwise distinct")
         self.dim, self._labels, self._residuals = dim, labels, report
 
@@ -247,19 +294,11 @@ def spectral_decompose(A, cluster_tol=SOLVER_TOL) -> ProjectorValuedMeasure:
     the mean of the merged eigenvalues and whose projector is the sum of the
     corresponding rank-1 projectors. At the default cluster_tol an admitted
     operator is decomposed once (see HermitianOperator); each call returns a
-    new measure over its factor, so atoms built on one are not kept.
+    new measure over its factor, so atoms built on one are not kept. The
+    operator goes through the step a family shares, as a stack of one (see
+    _decompose_stack).
     """
-    A = _hermitian(A)
-    keep = cluster_tol == SOLVER_TOL
-    if keep and A._spectral is not None:
-        pvm = ProjectorValuedMeasure.__new__(ProjectorValuedMeasure)
-        pvm.dim, pvm._atoms = A.dim, None
-        pvm._labels, pvm._factor, pvm._residuals = A._spectral
-        return pvm
-    pvm = _decompose(A, cluster_tol)[0]
-    if keep:
-        A._spectral = pvm._labels, pvm._factor, pvm._residuals
-    return pvm
+    return _decompose(A, cluster_tol)[0]
 
 
 def _lookup_sample(mapping, label):
@@ -285,7 +324,9 @@ def atom_sum(pvm, values):
     """sum_a values[a] P_a = V diag(values) V^*, each atom's value repeated
     over its block; leading axes of values give a stack."""
     V, _, ranks = pvm._factor
-    return (V * np.repeat(values, ranks, axis=-1)[..., None, :]) @ V.conj().T
+    if len(ranks) < V.shape[1]:  # a block wider than one column
+        values = np.repeat(values, ranks, axis=-1)
+    return (V * values[..., None, :]) @ V.conj().T
 
 
 def func_calculus(pvm, f) -> np.ndarray:
@@ -301,9 +342,9 @@ def func_calculus(pvm, f) -> np.ndarray:
         pvm = spectral_decompose(pvm)
     sample = (lambda lab: _lookup_sample(f, lab)) if isinstance(f, Mapping) else f
     values = np.array([complex(sample(lab)) for lab in pvm._labels])
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise ValueError(f"f({pvm._labels[bad[0]]!r}) = {values[bad[0]]} is not finite")
+    if not np.isfinite(values).all():
+        bad = np.flatnonzero(~np.isfinite(values))[0]
+        raise ValueError(f"f({pvm._labels[bad]!r}) = {values[bad]} is not finite")
     return atom_sum(pvm, values)
 
 
@@ -344,8 +385,7 @@ def joint_pvm(ops) -> ProjectorValuedMeasure:
     ops = list(ops)
     if not ops:
         raise ValueError("joint_pvm needs at least one operator")
-    pvms = [spectral_decompose(op) for op in ops]
-    require_same_dim(*(p.dim for p in pvms))
+    pvms = [pvm for pvm, _ in _decompose_stack(ops)]
     grams = []
     for i in range(len(pvms)):
         for j in range(i + 1, len(pvms)):
@@ -371,10 +411,8 @@ def joint_pvm(ops) -> ProjectorValuedMeasure:
                 if s[0] > 0.5:
                     grown.append((label + (q._labels[b],), a, C @ u[:, s > 0.5]))
         blocks = grown
-    return ProjectorValuedMeasure._from_factor(
-        [label for label, _, _ in blocks],
-        *_stack([V[:, a:a + len(C)] @ C for _, a, C in blocks]),
-        tol=SOLVER_TOL)[0]
+    return _stack([label for label, _, _ in blocks],
+                  [V[:, a:a + len(C)] @ C for _, a, C in blocks], SOLVER_TOL)
 
 
 def marginal_pvm(joint, coordinate) -> ProjectorValuedMeasure:
@@ -384,8 +422,7 @@ def marginal_pvm(joint, coordinate) -> ProjectorValuedMeasure:
     for label, B in joint.blocks:
         groups.setdefault(float(label[coordinate]), []).append(B)
     keys = sorted(groups)
-    return ProjectorValuedMeasure._from_factor(
-        keys, *_stack([np.hstack(groups[key]) for key in keys]))[0]
+    return _stack(keys, [np.hstack(groups[key]) for key in keys])
 
 
 # --- JSON layout, that of `oplattice spectral`: {"dim": n, "atoms": [{"label":

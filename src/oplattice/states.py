@@ -135,32 +135,34 @@ def _density(rho) -> DensityState:
 
 
 def _matched(rho, admitted):
-    """The matrix of an admitted operator, once its dim is rho's."""
+    """The matrices of rho, admitted by _density, and of an admitted
+    operator, once their dims agree."""
+    rho = _density(rho)
     require_same_dim(rho.dim, admitted.dim)
-    return admitted.matrix
+    return rho.matrix, admitted.matrix
 
 
 def born_probability(rho: DensityState, P, tol=DEFAULT_TOL) -> float:
     """tr(rho P), clamped to [0, 1] after checking it is within tol of it;
     a raw P is admitted as a Projector at tol."""
-    M = _matched(rho, _projector(P, tol))
-    p = float((rho.matrix @ M).trace().real)
+    R, M = _matched(rho, _projector(P, tol))
+    p = float((R @ M).trace().real)
     if p < -tol or p > 1.0 + tol:
         raise ValueError(f"probability {p} outside [0,1] beyond tolerance")
     return min(max(p, 0.0), 1.0)
 
 
 def expectation(rho: DensityState, A) -> float:
-    M = _matched(rho, _hermitian(A))
-    return float((rho.matrix @ M).trace().real)
+    R, M = _matched(rho, _hermitian(A))
+    return float((R @ M).trace().real)
 
 
 def std_deviation(rho: DensityState, A) -> float:
     """sqrt(<A^2> - <A>^2); the radicand is clamped to 0 when within
     -DEFAULT_TOL."""
-    M = _matched(rho, _hermitian(A))
-    mean = float((rho.matrix @ M).trace().real)
-    second = float((rho.matrix @ M @ M).trace().real)
+    R, M = _matched(rho, _hermitian(A))
+    mean = float((R @ M).trace().real)
+    second = float((R @ M @ M).trace().real)
     radicand = second - mean * mean
     if radicand < -DEFAULT_TOL:
         raise ValueError(f"variance came out {radicand:.3e} < 0")
@@ -169,11 +171,11 @@ def std_deviation(rho: DensityState, A) -> float:
 
 def luders_collapse(rho: DensityState, P) -> DensityState:
     """Post-measurement state P rho P / tr(rho P)."""
-    M = _matched(rho, _projector(P))
-    p = float((rho.matrix @ M).trace().real)
+    R, M = _matched(rho, _projector(P))
+    p = float((R @ M).trace().real)
     if p <= ABS_FLOOR:
         raise ZeroProbability(p)
-    return DensityState(M @ rho.matrix @ M.conj().T / p)
+    return DensityState(M @ R @ M.conj().T / p)
 
 
 SequentialProbability = namedtuple(
@@ -193,7 +195,8 @@ def sequential_probability(rho: DensityState, chain) -> SequentialProbability:
     """Probability of a chain of outcomes measured first-to-last:
     tr(Pn ... P1 rho P1 ... Pn). The reversed-order value rides along, since
     for non-commuting chains the order matters."""
-    mats = [_matched(rho, _projector(P)) for P in chain]
+    rho = _density(rho)
+    mats = [_matched(rho, _projector(P))[1] for P in chain]
     if not mats:
         raise ValueError("empty measurement chain")
     return SequentialProbability(
@@ -205,7 +208,7 @@ def sequential_probability(rho: DensityState, chain) -> SequentialProbability:
 def conditional_probability(rho: DensityState, target, given) -> float:
     """Probability of target right after given succeeded: the two-step
     sequential probability divided by the probability of the condition."""
-    given, target = _projector(given), _projector(target)
+    rho, given, target = _density(rho), _projector(given), _projector(target)
     p_given = born_probability(rho, given)
     if p_given <= ABS_FLOOR:
         raise ZeroProbability(p_given)
@@ -220,11 +223,13 @@ def transition_probability(psi: PureStateVector, phi: PureStateVector) -> float:
 
 def is_pure(rho: DensityState) -> bool:
     """Extremality test rho^2 = rho."""
-    return frobenius(rho.matrix @ rho.matrix - rho.matrix) <= DEFAULT_TOL
+    R = _density(rho).matrix
+    return frobenius(R @ R - R) <= DEFAULT_TOL
 
 
 def purity(rho: DensityState) -> float:
-    return float((rho.matrix @ rho.matrix).trace().real)
+    R = _density(rho).matrix
+    return float((R @ R).trace().real)
 
 
 # --- tomography -----------------------------------------------------------
@@ -312,6 +317,7 @@ def kochen_specker_witness(rho: DensityState, delta=0.01, seed=42,
     Deterministic first candidate: the normalized sum of the top and bottom
     eigenvectors; falls back to a seeded random search over the eigenbasis.
     """
+    rho = _density(rho)
     if rho.dim < 3:
         raise ValueError("two-valuedness is only excluded from dimension 3 up")
     es = eig_hermitian(HermitianOperator(rho.matrix))

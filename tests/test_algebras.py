@@ -364,7 +364,7 @@ def test_commutant_refuses_bent_eigenvectors(monkeypatch):
     def bent(M):
         w, V = solve(M)
         V = V.copy()
-        V[:, 0] += 1e-6 * V[:, 1]
+        V[..., 0] += 1e-6 * V[..., 1]
         return w, V
 
     gens = random_mats(np.random.default_rng(43), 5, 2)

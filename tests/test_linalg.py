@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oplattice import linalg
 from oplattice.linalg import (
@@ -378,3 +380,33 @@ def test_stack_of_an_array_equals_the_stack_of_its_matrices():
             assert got == want, (arr.shape, dims)
             raised.add(got[0])
     assert raised == {ValueError, NotSquare, linalg.DimensionMismatch}
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 12), k=st.integers(1, 3), log_delta=st.floats(-14, -6),
+       seed=st.integers(0, 2**32 - 1))
+def test_unitarity_gate_takes_one_product(n, k, log_delta, seed):
+    """On square complex M = Q(I + delta E), ||E||_2 = 1, the gate's one
+    product M^*M - I measures within 4 n eps max(1, ||M||_2^2) of the larger
+    of both products, ||M^*M - I||_F = ||MM^* - I||_F in exact arithmetic;
+    the gate passes exactly when that one defect is within its threshold,
+    and otherwise reports it."""
+    rng = np.random.default_rng(seed)
+    Z = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+    Q = np.linalg.qr(Z)[0]
+    E = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+    E /= np.linalg.norm(E, 2, axis=(1, 2))[:, None, None]
+    M = Q @ (np.eye(n) + 10.0 ** log_delta * E)
+    one = np.array([linalg.frobenius(X.conj().T @ X - np.eye(n)) for X in M])
+    both = np.maximum(one, [linalg.frobenius(X @ X.conj().T - np.eye(n))
+                            for X in M])
+    bound = 4 * n * np.finfo(float).eps * np.maximum(
+        1.0, np.linalg.norm(M, 2, axis=(1, 2)) ** 2)
+    assert (np.abs(one - both) <= bound).all()
+    worst = float(one.max())
+    if worst <= linalg.DEFAULT_TOL * max(1.0, np.sqrt(n)):
+        assert require_unitary(M) is M
+    else:
+        with pytest.raises(NotUnitary) as exc:
+            require_unitary(M)
+        assert exc.value.defect == worst

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oplattice.spectral
@@ -17,6 +17,7 @@ from oplattice import (
     HermitianOperator,
     MissingSample,
     NonCommuting,
+    NotHermitian,
     ProjectorValuedMeasure,
     cli,
     dumps,
@@ -32,6 +33,7 @@ from oplattice import (
     pvm_to_json,
     spectral_decompose,
 )
+from oplattice.linalg import hermitian_part
 
 from oracles import (
     _atom_residuals,
@@ -198,7 +200,7 @@ def test_decompose_refuses_non_orthonormal_eigenvectors(monkeypatch):
     def skewed(A):
         es = solve(A)
         V = es.eigenvectors.copy()
-        V[:, 0] += 1e-6 * V[:, 1]
+        V[..., 0] += 1e-6 * V[..., 1]
         return EigenSystem(es.eigenvalues, V)
 
     monkeypatch.setattr(oplattice.spectral, "eig_hermitian", skewed)
@@ -343,9 +345,9 @@ def test_rank_one_factor_bounds_match_the_tiling(n, bend, seed):
     V = np.linalg.qr(z)[0]
     V[:, 0] += bend * V[:, -1]
     for starts in (np.arange(n), np.arange(n)[np.arange(n) != 1]):
-        report, gram = oplattice.spectral._factor_residuals(V, starts)
+        (report,), gram = oplattice.spectral._factor_residuals(V[None], [starts])
         assert report == _residuals_by_tiling(V, starts)
-        assert np.array_equal(gram, V.conj().T @ V - np.eye(n))
+        assert np.array_equal(gram[0], V.conj().T @ V - np.eye(n))
 
 
 def _relative_gap(got, want):
@@ -603,3 +605,93 @@ def test_projector_for_builds_only_its_own_atom():
         assert P.tobytes() == pvm.atoms[a][1].tobytes()
         with pytest.raises(ValueError):
             P[0, 0] = 0.0
+
+
+# --- a family decomposed as one stack ---------------------------------------
+
+_STACK_KINDS = ("generic", "rank3_cluster", "repeated", "gap_1e-10",
+                "gap_9.9e-9", "gap_1e-8", "gap_1.01e-8")
+
+
+def _stack_member(kind, n, rng):
+    """A complex Hermitian of one kind: generic, exactly degenerate (a
+    Kronecker product with I_2 or repeated diagonal levels), or clusters of
+    levels spaced near the SOLVER_TOL cut."""
+    if kind != "repeated":
+        return _hermitian_with_spectrum(_spectrum(kind, n, rng), rng)
+    if n % 2:
+        return np.diag(rng.integers(-2, 3, n).astype(float)).astype(complex)
+    return np.kron(np.eye(2), random_hermitian(rng, n // 2))
+
+
+def _factor_by_hand(M):
+    """The measure of M, one 2-d matrix at a time, by the general forms:
+    eigh, the column-loop phase fix, the np.diff split and the tiled
+    bounds."""
+    from oracles import phase_fix_columns_loop
+    w, V = np.linalg.eigh(M)
+    V = phase_fix_columns_loop(V)
+    labels, starts, ranks = _split_by_diff(w, oplattice.spectral.SOLVER_TOL)
+    return labels, ranks.tolist(), _residuals_by_tiling(V, starts), V
+
+
+@settings(max_examples=80, deadline=None)
+@given(kinds=st.lists(st.sampled_from(_STACK_KINDS), min_size=1, max_size=6),
+       n=st.integers(1, 12), admitted=st.integers(0, 63),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_decomposition_matches_each_operator_alone(kinds, n,
+                                                           admitted, seed):
+    """_decompose_stack on a complex family gives each operator's labels,
+    ranks, factor bits and residual report as decomposing it alone does,
+    and as the 2-d general forms give them; a member that comes admitted
+    passes through, and each keeps its factor."""
+    rng = np.random.default_rng(seed)
+    mats = [_stack_member(kind, n, rng) for kind in kinds]
+    ops = [HermitianOperator(M) if admitted >> a & 1 else M
+           for a, M in enumerate(mats)]
+    got = oplattice.spectral._decompose_stack(ops)
+    assert len(got) == len(mats)
+    assert np.array_equal(hermitian_part(np.array(mats)),
+                          [hermitian_part(M) for M in mats])
+    for op, M, (pvm, gram) in zip(ops, mats, got):
+        alone = spectral_decompose(HermitianOperator(M))
+        assert _bits(pvm) == _bits(alone)
+        labels, ranks, report, V = _factor_by_hand(HermitianOperator(M).matrix)
+        assert (pvm.labels, pvm.ranks, pvm_residuals(pvm)) == (labels, ranks,
+                                                                 report)
+        assert np.array_equal(pvm._factor[0], V)
+        assert np.array_equal(gram, V.conj().T @ V - np.eye(len(V)))
+        if isinstance(op, HermitianOperator):
+            assert op._spectral[1] is pvm._factor
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), k=st.integers(1, 6), bad=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def test_stack_with_a_non_hermitian_member_raises_its_first_error(n, k, bad,
+                                                                  seed):
+    """Admitting a family as one stack raises the NotHermitian that its first
+    failing member raises alone: the same defect, the same text."""
+    rng = np.random.default_rng(seed)
+    mats = [random_hermitian(rng, n) for _ in range(k)]
+    failing = bad.draw(st.sets(st.integers(0, k - 1), min_size=1))
+    for a in failing:
+        X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        mats[a] = mats[a] + 10.0 ** rng.uniform(-7, 1) * (X - X.conj().T)
+    first = next((a for a, M in enumerate(mats) if _refused(M)), None)
+    assume(first is not None)
+    alone = _refused(mats[first])
+    for call in (oplattice.spectral._decompose_stack,
+                 lambda mats: hermitian_part(np.array(mats))):
+        with pytest.raises(NotHermitian) as exc:
+            call(mats)
+        assert (exc.value.defect, str(exc.value)) == (alone.defect, str(alone))
+
+
+def _refused(M):
+    """The NotHermitian M raises alone, or None when it is admitted."""
+    try:
+        HermitianOperator(M)
+    except NotHermitian as exc:
+        return exc
+    return None

@@ -292,3 +292,38 @@ def test_band_witness_exists_for_random_states():
 def test_band_witness_rejects_dim_two():
     with pytest.raises(ValueError):
         kochen_specker_witness(Z_UP)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_density_arguments_may_be_raw_arrays(n):
+    """Every function that takes a density admits a raw array as
+    DensityState would: np.eye(n) / n gives what the admitted state gives,
+    and a raw array with a negative eigenvalue raises ValueError."""
+    from oplattice import SymmetryOperator, wigner_apply
+    rng = np.random.default_rng(n)
+    P = Projector(np.diag([1.0] + [0.0] * (n - 1)))
+    Q = Projector(np.full((n, n), 1.0 / n))
+    A = HermitianOperator(np.diag(np.arange(n, dtype=float)))
+    V = SymmetryOperator(np.linalg.qr(rng.standard_normal((n, n)))[0])
+    calls = {
+        "born_probability": lambda rho: born_probability(rho, P),
+        "expectation": lambda rho: expectation(rho, A),
+        "std_deviation": lambda rho: std_deviation(rho, A),
+        "luders_collapse": lambda rho: luders_collapse(rho, P).matrix,
+        "sequential_probability": lambda rho: sequential_probability(
+            rho, [P, Q]),
+        "conditional_probability": lambda rho: conditional_probability(
+            rho, Q, P),
+        "is_pure": is_pure,
+        "purity": purity,
+        "kochen_specker_witness": lambda rho: kochen_specker_witness(
+            rho).matrix,
+        "wigner_apply": lambda rho: wigner_apply(V, rho).matrix,
+    }
+    raw = np.eye(n) / n
+    bad = np.diag([1.5, -0.5] + [0.0] * (n - 2))
+    for name, call in calls.items():
+        want, got = call(DensityState(raw)), call(raw)
+        assert np.array_equal(got, want), name
+        with pytest.raises(ValueError):
+            call(bad)
