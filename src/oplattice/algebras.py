@@ -24,7 +24,7 @@ from .linalg import (
     require_square,
     require_same_dim,
 )
-from .spectral import NonCommuting, _decompose, joint_pvm
+from .spectral import NonCommuting, _decompose_stack, joint_pvm
 
 _WEIGHT_SEED = 1729  # commutant's generic element, fixed: bit-stable results
 _QR_ROWS = 1024  # chunk height of _kernel's blocked QR
@@ -104,7 +104,7 @@ def _commutant(generators, dim, certify=False):
         return _matrix_units(n), 0.0
     c = np.random.default_rng(_WEIGHT_SEED).uniform(0.5, 1.0, (len(G), 2))
     W = np.tensordot(c @ [1.0, 1.0j], G, axes=1)
-    pvm, gram = _decompose(_admitted(W + W.conj().T))
+    pvm, gram = _decompose_stack([_admitted(W + W.conj().T)])[0]
     V = pvm._factor[0]
     owner = np.repeat(np.arange(len(pvm)), pvm.ranks)
     _, s, B = np.linalg.svd(np.concatenate([G, G.conj().transpose(0, 2, 1)])

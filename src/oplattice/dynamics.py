@@ -26,7 +26,7 @@ from .linalg import (
     require_same_dim,
     require_unitary,
 )
-from .spectral import _decompose_stack
+from .spectral import _decompose_stack, atom_sum
 from .states import DensityState, _density
 
 MAX_DYSON_ORDER = 12
@@ -95,21 +95,21 @@ def _evolve(ops, times, hbar):
     """exp(-i t H / hbar) for each operator H of a family and each t of its
     entry of times, in order, as one stack: the family decomposed as one
     stack (_decompose_stack), then V exp(-i t Lambda / hbar) V^* on each
-    eigenvector factor V, all by one batched product."""
+    eigenvector factor V, all by one atom_sum."""
     V, d = [], []
     for (pvm, _), t in zip(_decompose_stack(ops), times):
         t = np.asarray(t, dtype=float).reshape(-1)
-        d.append(np.exp(np.multiply.outer(-1j * t, pvm._labels) / hbar))
-        if len(pvm) < pvm.dim:  # a block wider than one column
-            d[-1] = np.repeat(d[-1], pvm._factor[2], axis=-1)
+        phase = np.exp(np.multiply.outer(-1j * t, pvm._labels) / hbar)
+        d.append(np.repeat(phase, pvm._factor[2], axis=-1))
         V += [pvm._factor[0]] * len(t)
-    V, d = np.reshape(V, (-1, pvm.dim, pvm.dim)), np.concatenate(d)
-    return (V * d[:, None, :]) @ V.conj().mT
+    return atom_sum(np.reshape(V, (-1, pvm.dim, pvm.dim)), np.concatenate(d))
 
 
 def evolve_unitary(H, t, hbar=1.0) -> UnitaryOperator:
-    """exp(-i t H / hbar), unitary to machine precision: one eigendecomposition
-    of H and one n x n product on its eigenvector factor."""
+    """exp(-i t H / hbar) at one time t, unitary to machine precision: one
+    eigendecomposition of H and one n x n product on its eigenvector factor."""
+    if np.ndim(t):
+        raise ValueError(f"t must be one time, got shape {np.shape(t)}")
     return UnitaryOperator(_evolve([H], [t], hbar)[0])
 
 
@@ -204,9 +204,11 @@ def noether_check(A, H, t_grid=None, s_grid=None, tol=PRODUCT_TOL,
     U = require_unitary(_evolve([H, A], [t_grid, s_grid], hbar))
     T, Uh = len(t_grid), U.conj().mT
     Us, Vs = U[:T], U[T:]
-    d_const = float(_fro_batch(Uh[:T] @ A.matrix @ Us - A.matrix).max())
-    d_comm = float(_fro_batch(_commutators(Us, Vs)).max())
-    d_inv = float(_fro_batch(Vs @ H.matrix @ Uh[T:] - H.matrix).max())
+    d = _fro_batch(np.concatenate([Uh[:T] @ A.matrix @ Us - A.matrix,
+                                   _commutators(Us, Vs),
+                                   Vs @ H.matrix @ Uh[T:] - H.matrix]))
+    d_const, d_comm, d_inv = np.maximum.reduceat(
+        d, [0, T, T + T * len(Vs)]).tolist()
 
     flags = (d_const <= tol, d_comm <= tol, d_inv <= tol)
     defects = {

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 
 import numpy as np
 
@@ -88,9 +89,9 @@ def _fro_batch(S):
     bit for bit: the dot products of its real and imaginary parts at stride
     2, one matmul."""
     x = S.reshape(*S.shape[:-2], S.shape[-2] * S.shape[-1], 1).view(float)
-    x = x.mT[..., None, :]
-    sq = (x @ x.mT)[..., 0, 0]
-    return np.sqrt(sq[..., 0] + sq[..., 1])
+    x = np.swapaxes(x, -1, -2)
+    sq = x[..., None, :] @ x[..., None]
+    return np.sqrt(sq[..., 0, 0, 0] + sq[..., 1, 0, 0])
 
 
 def _read_only(a):
@@ -101,12 +102,6 @@ def _read_only(a):
 # Entries per slice of a stack check: the temporaries stay a few MB at any
 # stack length, and a frame of n <= 16 is checked in one slice.
 _CHECK_SLICE = 1 << 16
-
-
-@functools.lru_cache(maxsize=16)
-def _eye(n):
-    """The read-only n x n identity of the gates' defects X - I."""
-    return _read_only(np.eye(n))
 
 
 def _matrix_units(n):
@@ -168,26 +163,31 @@ def operator_norm(M) -> float:
 
 def hermitian_part(matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
     """A/2 + A*/2 of a square A with ||A - A*||_F <= tol * max(1, ||A||_F),
-    else NotHermitian; of each matrix of a (k, n, n) array alike, raising
-    the NotHermitian its first failing matrix raises alone. The norms are
-    taken on A over the power of two at its largest real or imaginary part
-    (at least 2^-1022): exactly, and clear of the overflow that would make
-    both sides inf; ||A||_F only where the defect alone fails. A is halved
-    before the sum so that near-overflow input stays finite."""
-    if isinstance(matrix, np.ndarray) and matrix.ndim == 3:
-        return _hermitian_parts(as_stack(matrix), tol)
-    return _hermitian_parts(require_square(as_matrix(matrix))[None], tol)[0]
+    else NotHermitian. The norms are taken on A over the power of two at its
+    largest real or imaginary part (at least 2^-1022): exactly, and clear of
+    the overflow that would make both sides inf; ||A||_F only where the
+    defect alone fails. A is halved before the sum so that near-overflow
+    input stays finite."""
+    M = require_square(as_matrix(matrix))
+    top = max(np.abs(M.real).max(initial=0.0), np.abs(M.imag).max(initial=0.0))
+    scale = math.ldexp(1.0, max(math.frexp(top)[1] - 1, -1022))
+    S = M * (1.0 / scale)
+    defect = frobenius(S - S.conj().T)
+    if not (defect * scale <= tol or defect <= tol * frobenius(S)):
+        raise NotHermitian(defect * scale)
+    return M / 2.0 + M.conj().T / 2.0
 
 
 def _hermitian_parts(M, tol):
-    """hermitian_part of each matrix of a stack that as_stack admitted."""
+    """hermitian_part of each matrix of a stack that as_stack admitted: the
+    defects on the same scales, all in one pass, and a matrix whose defect
+    alone fails decided by hermitian_part, so that the first one refused
+    raises the NotHermitian it raises alone."""
     top = np.abs(M.reshape(len(M), -1).view(float)).max(axis=1, initial=0.0)
     scale = np.ldexp(1.0, np.maximum(np.frexp(top)[1] - 1, -1022))
     S = M * (1.0 / scale)[:, None, None]
-    defects = _fro_batch(S - S.conj().mT).tolist()
-    for a, (d, c) in enumerate(zip(defects, scale.tolist())):
-        if not (d * c <= tol or d <= tol * frobenius(S[a])):
-            raise NotHermitian(d * c)
+    for a in np.flatnonzero(_fro_batch(S - S.conj().mT) * scale > tol):
+        hermitian_part(M[a], tol)
     return M / 2.0 + M.conj().mT / 2.0
 
 
@@ -249,7 +249,7 @@ def require_unitary(M: np.ndarray) -> np.ndarray:
     MM^* - I = U(S^2 - I)U^* both have the norm ||S^2 - I||_F over M's
     singular values, so the second product would decide nothing."""
     n = M.shape[-1]
-    defect = _fro_batch(M.conj().mT @ M - _eye(n))
+    defect = _fro_batch(M.conj().mT @ M - np.eye(n))
     worst = float(defect.max(initial=0.0))
     if not worst <= DEFAULT_TOL * max(1.0, float(np.sqrt(n))):  # NaN fails too
         raise NotUnitary(worst)
@@ -296,19 +296,23 @@ def _phase_fix_columns(V: np.ndarray) -> np.ndarray:
     # long as the product runs row by row of V.T and comes back C-ordered
     # (np.abs of a complex array is not abs bit for bit; hypot is)
     size = np.hypot(a.real, a.imag)
-    s = np.divide(a.conj(), size, out=np.ones_like(a), where=size > ABS_FLOOR)
+    s = a.conj() / np.maximum(size, ABS_FLOOR)
+    s[size <= ABS_FLOOR] = 1.0
     return np.ascontiguousarray((S.mT * s[:, :, None]).mT).reshape(V.shape)
 
 
 def eig_hermitian(A) -> EigenSystem:
-    """Eigendecomposition of a validated Hermitian operator, or of each matrix
-    of a (k, n, n) stack of validated ones by one batched eigh.
+    """Eigendecomposition of a validated Hermitian operator, or of each of a
+    list of validated ones of one dimension by one batched eigh: (k, n)
+    eigenvalues and (k, n, n) eigenvectors.
 
     Eigenvalues ascending; each eigenvector's first nonzero component is made
     real positive so repeated runs agree entrywise.
     """
+    M = (A.matrix if isinstance(A, HermitianOperator)
+         else np.array([B.matrix for B in A]))
     try:
-        w, V = np.linalg.eigh(getattr(A, "matrix", A))
+        w, V = np.linalg.eigh(M)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
     return EigenSystem(w, _phase_fix_columns(V))

@@ -19,7 +19,6 @@ from .linalg import (
     SOLVER_TOL,
     HermitianOperator,
     _CHECK_SLICE,
-    _eye,
     _fro_batch,
     _hermitians,
     as_stack,
@@ -66,27 +65,30 @@ def _factor_residuals(V, starts):
     Gram defects G = V^*V - I: with fd the largest ||V_a^* V_a - I||_F and
     off the mass of G outside the diagonal blocks, ||P_a P_b||_F <= off + 2 fd
     for every pair and ||P_a^2 - P_a||_F <= (1 + fd) fd for every atom. Atoms
-    are built Hermitian to the last bit (see ProjectorValuedMeasure). Each
-    tile is one entry, read off the whole stack at once, save in a matrix
-    with a wider block, which is tiled alone."""
-    eye, Vh = _eye(V.shape[-2]), V.conj().mT
+    are built Hermitian to the last bit (see ProjectorValuedMeasure). When
+    every block is one column each tile is one entry, read off the whole
+    stack at once; otherwise each matrix is tiled alone."""
+    eye, Vh = np.eye(V.shape[-2]), V.conj().mT
     gram = Vh @ V - eye
     tiles = np.abs(gram) ** 2
     k, m = len(tiles), tiles.shape[-1]
-    wide = {a: np.add.reduceat(np.add.reduceat(tiles[a], s, axis=0), s, axis=1)
-            for a, s in enumerate(starts) if len(s) < m}
-    flat = tiles.reshape(k, m * m)
-    fd = np.sqrt(flat[:, ::m + 1].max(axis=1))
-    flat[:, ::m + 1] = 0.0
-    off = np.sqrt(flat.sum(axis=1))
-    for a, T in wide.items():
-        fd[a] = np.sqrt(np.diagonal(T).max())
-        np.fill_diagonal(T, 0.0)
-        off[a] = np.sqrt(T.sum())
+    if all(len(s) == m for s in starts):
+        flat = tiles.reshape(k, m * m)
+        fd = flat[:, ::m + 1].max(axis=1)
+        flat[:, ::m + 1] = 0.0
+        off = flat.sum(axis=1)
+    else:
+        fd, off = np.empty(k), np.empty(k)
+        for a, s in enumerate(starts):
+            T = np.add.reduceat(np.add.reduceat(tiles[a], s, axis=0), s, axis=1)
+            fd[a] = np.diagonal(T).max()
+            np.fill_diagonal(T, 0.0)
+            off[a] = T.sum()
+    fd = np.sqrt(fd)
     return [{"hermiticity": 0.0, "idempotency": (1.0 + f) * f,
              "completeness": c, "orthogonality": o + 2.0 * f}
             for f, c, o in zip(fd.tolist(), _fro_batch(V @ Vh - eye).tolist(),
-                               off.tolist())], gram
+                               np.sqrt(off).tolist())], gram
 
 
 def _clusters(w, cluster_tol):
@@ -112,8 +114,7 @@ def _decompose_stack(ops, cluster_tol=SOLVER_TOL):
     ops, keep = _hermitians(ops), cluster_tol == SOLVER_TOL
     todo = [A for A in ops if not (keep and A._spectral)]
     if todo:
-        es = eig_hermitian(todo[0].matrix[None] if len(todo) == 1
-                           else np.array([A.matrix for A in todo]))
+        es = eig_hermitian(todo)
         made = ProjectorValuedMeasure._from_factors(es.eigenvectors, [
             _clusters(w, cluster_tol) for w in es.eigenvalues])
         for A, (pvm, _) in zip(todo, made if keep else ()):
@@ -127,11 +128,6 @@ def _decompose_stack(ops, cluster_tol=SOLVER_TOL):
         pvm._labels, pvm._factor, pvm._residuals = A._spectral
         kept.append((pvm, None))
     return kept
-
-
-def _decompose(A, cluster_tol=SOLVER_TOL):
-    """(measure, V^*V - I) of one operator: the stack of one."""
-    return _decompose_stack([A], cluster_tol)[0]
 
 
 def _atoms_of(factor, part=slice(None)):
@@ -164,7 +160,7 @@ def _given_factor(stack):
     k, dim = stack.shape[:2]
     # its Hermitian part: how far the atoms are from it shows in the fits
     weighted = np.tensordot(np.arange(float(k)), stack, axes=1)
-    factor = _decompose(HermitianOperator(weighted, tol=math.inf))[0]
+    factor = _decompose_stack([HermitianOperator(weighted, tol=math.inf)])[0][0]
     ranks = factor._factor[2]
     traces = np.rint(stack.trace(axis1=1, axis2=2).real)
     if len(ranks) != k or (ranks != traces).any():
@@ -298,7 +294,7 @@ def spectral_decompose(A, cluster_tol=SOLVER_TOL) -> ProjectorValuedMeasure:
     operator goes through the step a family shares, as a stack of one (see
     _decompose_stack).
     """
-    return _decompose(A, cluster_tol)[0]
+    return _decompose_stack([A], cluster_tol)[0][0]
 
 
 def _lookup_sample(mapping, label):
@@ -320,13 +316,11 @@ def _lookup_sample(mapping, label):
     raise MissingSample(label)
 
 
-def atom_sum(pvm, values):
-    """sum_a values[a] P_a = V diag(values) V^*, each atom's value repeated
-    over its block; leading axes of values give a stack."""
-    V, _, ranks = pvm._factor
-    if len(ranks) < V.shape[1]:  # a block wider than one column
-        values = np.repeat(values, ranks, axis=-1)
-    return (V * values[..., None, :]) @ V.conj().T
+def atom_sum(V, values):
+    """V diag(values) V^*: sum_a values[a] P_a over a factor V whose block
+    values are repeated over their columns; leading axes of V or values
+    give a stack."""
+    return (V * values[..., None, :]) @ V.conj().mT
 
 
 def func_calculus(pvm, f) -> np.ndarray:
@@ -342,10 +336,11 @@ def func_calculus(pvm, f) -> np.ndarray:
         pvm = spectral_decompose(pvm)
     sample = (lambda lab: _lookup_sample(f, lab)) if isinstance(f, Mapping) else f
     values = np.array([complex(sample(lab)) for lab in pvm._labels])
-    if not np.isfinite(values).all():
-        bad = np.flatnonzero(~np.isfinite(values))[0]
-        raise ValueError(f"f({pvm._labels[bad]!r}) = {values[bad]} is not finite")
-    return atom_sum(pvm, values)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"f({pvm._labels[bad[0]]!r}) = {values[bad[0]]} is not finite")
+    V, _, ranks = pvm._factor
+    return atom_sum(V, np.repeat(values, ranks))
 
 
 def _commute_defect(p, q):

@@ -290,15 +290,16 @@ def test_algebra_of_one_complex_hermitian_is_abelian(n, seed, clustered):
 
 def _generic_element(gens):
     """h = W + W^* of one commutant call and _commutant's decomposition of
-    it, caught on their way into spectral._decompose."""
-    seen, decompose = [], algebras._decompose
+    it, caught on their way into spectral._decompose_stack."""
+    seen, decompose = [], algebras._decompose_stack
 
-    def spy(h, *args):
-        seen.append((h.matrix, decompose(h, *args)))
-        return seen[-1][1]
+    def spy(ops, *args):
+        (h,) = ops
+        seen.append((h.matrix, decompose(ops, *args)[0]))
+        return [seen[-1][1]]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(algebras, "_decompose", spy)
+        mp.setattr(algebras, "_decompose_stack", spy)
         commutant(gens)
     assert len(seen) == 1
     return seen[0]

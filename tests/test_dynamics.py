@@ -156,9 +156,8 @@ def _count_decompositions(monkeypatch):
     calls = []
     solve = oplattice.spectral.eig_hermitian
 
-    def counted(A):  # one entry per operator, a stack counting each
-        M = getattr(A, "matrix", A)
-        calls.extend(M.reshape(-1, *M.shape[-2:]))
+    def counted(A):  # one entry per operator, a list counting each
+        calls.extend(A if isinstance(A, list) else [A])
         return solve(A)
 
     monkeypatch.setattr(oplattice.spectral, "eig_hermitian", counted)
@@ -420,3 +419,19 @@ def test_dyson_order_only_gates_the_node_count(orders):
     assert np.array_equal(lo, hi)
     with pytest.raises(QuadratureTooCoarse):
         dyson_evolve(samples[::13], 0.1, 0.9, order=12)
+
+
+def test_evolution_takes_one_time():
+    """evolve_unitary and heisenberg_observable evolve to one time: an array
+    of times, empty or not, is refused, never read as its first entry."""
+    for t in ([0.1, 0.2], [], np.array([[0.3]])):
+        with pytest.raises(ValueError, match="one time"):
+            evolve_unitary(SZ, t)
+        with pytest.raises(ValueError, match="one time"):
+            heisenberg_observable(SX, SZ, t)
+    assert np.array_equal(evolve_unitary(SZ, np.array(0.3)).matrix,
+                          evolve_unitary(SZ, 0.3).matrix)
+
+
+def test_group_commutation_on_an_empty_grid_is_vacuous():
+    assert commuting_via_groups(SX, SZ, grid=())

@@ -410,3 +410,40 @@ def test_unitarity_gate_takes_one_product(n, k, log_delta, seed):
         with pytest.raises(NotUnitary) as exc:
             require_unitary(M)
         assert exc.value.defect == worst
+
+
+def test_a_stack_is_not_one_operator():
+    """A (k, n, n) array is a family, not an operator: each single-operator
+    admission refuses it as not 2-d, and the eigensolver takes only admitted
+    operators."""
+    import oplattice as op
+    stack = np.stack([np.eye(3), np.diag([1.0, 2.0, 3.0])]).astype(complex)
+    for admit in (HermitianOperator, op.DensityState, linalg.hermitian_part,
+                  op.spectral_decompose,
+                  lambda M: op.expectation(op.DensityState(np.eye(3) / 3), M)):
+        with pytest.raises(ValueError, match="2-d"):
+            admit(stack)
+    with pytest.raises(AttributeError):
+        eig_hermitian(stack)
+
+
+def test_stack_admission_decides_as_each_matrix_alone():
+    """The stacked admission takes every defect in one pass and leaves a
+    matrix whose defect alone fails to hermitian_part: large matrices that
+    pass only relative to ||A||_F are admitted with the bits they get
+    alone, and the first one refused raises its own NotHermitian."""
+    rng = np.random.default_rng(61)
+    H = [random_hermitian(4, rng) for _ in range(3)]
+    X = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    skew = X - X.conj().T
+    family = [1e6 * H[0] + 1e-6 * skew, H[1], 1e-30 * H[2], np.zeros((4, 4))]
+    got = linalg._hermitian_parts(linalg.as_stack(family), 1e-10)
+    for G, M in zip(got, family):
+        assert np.array_equal(G, HermitianOperator(M).matrix)
+    family[1] = H[1] + 1e-3 * skew
+    family[2] = 1e6 * H[0] + 1e-3 * skew
+    with pytest.raises(NotHermitian) as exc:
+        linalg._hermitian_parts(linalg.as_stack(family), 1e-10)
+    with pytest.raises(NotHermitian) as alone:
+        HermitianOperator(family[1])
+    assert str(exc.value) == str(alone.value)

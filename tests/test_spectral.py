@@ -33,7 +33,7 @@ from oplattice import (
     pvm_to_json,
     spectral_decompose,
 )
-from oplattice.linalg import hermitian_part
+from oplattice.linalg import DEFAULT_TOL, _hermitian_parts, as_stack
 
 from oracles import (
     _atom_residuals,
@@ -651,8 +651,8 @@ def test_stacked_decomposition_matches_each_operator_alone(kinds, n,
            for a, M in enumerate(mats)]
     got = oplattice.spectral._decompose_stack(ops)
     assert len(got) == len(mats)
-    assert np.array_equal(hermitian_part(np.array(mats)),
-                          [hermitian_part(M) for M in mats])
+    assert np.array_equal(_hermitian_parts(as_stack(mats), DEFAULT_TOL),
+                          [HermitianOperator(M).matrix for M in mats])
     for op, M, (pvm, gram) in zip(ops, mats, got):
         alone = spectral_decompose(HermitianOperator(M))
         assert _bits(pvm) == _bits(alone)
@@ -682,7 +682,7 @@ def test_stack_with_a_non_hermitian_member_raises_its_first_error(n, k, bad,
     assume(first is not None)
     alone = _refused(mats[first])
     for call in (oplattice.spectral._decompose_stack,
-                 lambda mats: hermitian_part(np.array(mats))):
+                 lambda mats: _hermitian_parts(as_stack(mats), DEFAULT_TOL)):
         with pytest.raises(NotHermitian) as exc:
             call(mats)
         assert (exc.value.defect, str(exc.value)) == (alone.defect, str(alone))
