@@ -91,7 +91,7 @@ def commutant(generators, dim=None) -> np.ndarray:
 
 def _commutant(generators, dim, certify=False):
     """commutant's basis, and beta = (1 + e)(c + e) + 2 n^2 eps >= its product
-    defect: e = ||V^*V - I||_F off the factor gate's Gram, 2 n^2 eps for
+    defect: e = ||V^*V - I||_F, h's completeness report, 2 n^2 eps for
     rounding; inf if not certify. h skips admission: its (i, j) and (j, i)
     entries add the same two numbers, so hermitian_part(h) is h."""
     S = as_stack(generators, *(() if dim is None else (dim,)))
@@ -104,7 +104,7 @@ def _commutant(generators, dim, certify=False):
         return _matrix_units(n), 0.0
     c = np.random.default_rng(_WEIGHT_SEED).uniform(0.5, 1.0, (len(G), 2))
     W = np.tensordot(c @ [1.0, 1.0j], G, axes=1)
-    pvm, gram = _decompose_stack([_admitted(W + W.conj().T)])[0]
+    pvm = _decompose_stack([_admitted(W + W.conj().T)])[0]
     V = pvm._factor[0]
     owner = np.repeat(np.arange(len(pvm)), pvm.ranks)
     _, s, B = np.linalg.svd(np.concatenate([G, G.conj().transpose(0, 2, 1)])
@@ -120,7 +120,7 @@ def _commutant(generators, dim, certify=False):
     x, gap = _kernel(L.reshape(-1, len(u)), certify)
     Xt = np.zeros((len(x), n, n), dtype=complex)
     Xt[:, cs, ds] = x
-    e = frobenius(gram)
+    e = pvm._residuals["completeness"]
     beta = (1 + e) * (gap + e) + 2 * n * n * np.finfo(float).eps
     return _read_only(V @ Xt @ V.conj().T), beta
 

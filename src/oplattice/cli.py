@@ -121,11 +121,15 @@ def _matrix_of(obj, what):
         raise MalformedInput(f"{what}: {exc}")
 
 
-def _field(obj, key):
+def _field(obj, key, kind=object):
+    """obj[key], of the JSON type kind: list, or (int, float) for a number."""
     try:
-        return obj[key]
+        value = obj[key]
     except (KeyError, TypeError):
         raise MalformedInput(f"missing field {key!r}")
+    if not isinstance(value, kind):
+        raise MalformedInput(f"field {key!r} has type {type(value).__name__}")
+    return value
 
 
 def _admit(kind, obj, key, tol):
@@ -194,7 +198,7 @@ def cmd_measure(args):
     rho = _admit(DensityState, obj, "state", args.tol)
     if "chain" in obj:
         chain = [Projector(_matrix_of(m, "chain"), tol=args.tol)
-                 for m in obj["chain"]]
+                 for m in _field(obj, "chain", list)]
         seq = sequential_probability(rho, chain)
         return {
             "value": seq.value,
@@ -219,9 +223,9 @@ def cmd_collapse(args):
 
 
 def cmd_gleason_fit(args):
-    rows = _field(_load_json(args.infile), "assignments")
+    rows = _field(_load_json(args.infile), "assignments", list)
     pairs = [(_admit(Projector, row, "projector", args.tol),
-              float(_field(row, "probability"))) for row in rows]
+              float(_field(row, "probability", (int, float)))) for row in rows]
     fit = gleason_fit(pairs)
     return {
         "state": fit.state.matrix,
@@ -234,7 +238,8 @@ def cmd_gleason_fit(args):
 
 def cmd_commutant(args):
     obj = _load_json(args.infile)
-    gens = [_matrix_of(m, "generators") for m in _field(obj, "generators")]
+    gens = [_matrix_of(m, "generators")
+            for m in _field(obj, "generators", list)]
     alg = MatrixStarAlgebra.generated_by(gens, obj.get("dim"))
     centre = center(alg)
     return {
@@ -246,9 +251,9 @@ def cmd_commutant(args):
 
 
 def _sectors_report(obj, tol):
-    charges = [_matrix_of(m, "charges") for m in _field(obj, "charges")]
+    charges = [_matrix_of(m, "charges") for m in _field(obj, "charges", list)]
     observables = [_matrix_of(m, "observables")
-                   for m in _field(obj, "observables")]
+                   for m in _field(obj, "observables", list)]
     rep = superselection_sectors(charges, observables, tol=tol)
     return {
         "sectors": [
@@ -295,14 +300,13 @@ def cmd_noether(args):
 
 def cmd_dyson(args):
     obj = _load_json(args.samples)
-    times = _field(obj, "times")
-    mats = _field(obj, "matrices")
+    times = _field(obj, "times", list)
+    mats = _field(obj, "matrices", list)
     if len(times) != len(mats):
         raise MalformedInput(f"{len(times)} times for {len(mats)} matrices")
-    samples = [
-        (float(t), HermitianOperator(_matrix_of(m, "samples"), tol=args.tol))
-        for t, m in zip(times, mats)
-    ]
+    samples = [(float(_field(times, a, (int, float))),
+                HermitianOperator(_matrix_of(m, "samples"), tol=args.tol))
+               for a, m in enumerate(mats)]
     U = dyson_evolve(samples, args.t1, args.t2, args.order, args.hbar)
     series = dyson_series(samples, args.t1, args.t2, args.order, args.hbar)
     return {
@@ -494,7 +498,7 @@ def _finite(name, value):
 
 def _resolve_tol(args):
     if args.tol is not None:
-        return _finite("--tol", float(args.tol))
+        return args.tol
     env = os.environ.get("OPLATTICE_TOL")
     if not env:
         return DEFAULT_TOL
@@ -522,10 +526,11 @@ def run(argv) -> int:
 
     try:
         args.tol = _resolve_tol(args)
-        if args.tol <= 0:
-            raise ValueError(f"tol must be positive, got {args.tol}")
-        if _finite("--hbar", getattr(args, "hbar", 1.0)) <= 0:
-            raise ValueError(f"hbar must be positive, got {args.hbar}")
+        for dest, value in vars(args).items():  # every float flag
+            if isinstance(value, float):
+                _finite(f"--{dest}", value)
+            if dest in ("tol", "hbar") and value <= 0:
+                raise ValueError(f"{dest} must be positive, got {value}")
         pieces = _pieces(HANDLERS[args.command](args)) + ["\n"]
     except MalformedInput as exc:
         print(f"malformed input: {exc}", file=sys.stderr)

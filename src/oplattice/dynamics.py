@@ -97,7 +97,7 @@ def _evolve(ops, times, hbar):
     stack (_decompose_stack), then V exp(-i t Lambda / hbar) V^* on each
     eigenvector factor V, all by one atom_sum."""
     V, d = [], []
-    for (pvm, _), t in zip(_decompose_stack(ops), times):
+    for pvm, t in zip(_decompose_stack(ops), times):
         t = np.asarray(t, dtype=float).reshape(-1)
         phase = np.exp(np.multiply.outer(-1j * t, pvm._labels) / hbar)
         d.append(np.repeat(phase, pvm._factor[2], axis=-1))

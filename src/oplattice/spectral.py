@@ -56,24 +56,23 @@ def _stack(labels, blocks, tol=DEFAULT_TOL):
     passes the factor gate at tol."""
     ranks = np.array([B.shape[1] for B in blocks])
     return ProjectorValuedMeasure._from_factors(np.hstack(blocks)[None], [(
-        labels, np.cumsum(ranks) - ranks, ranks)], tol)[0][0]
+        labels, np.cumsum(ranks) - ranks, ranks)], tol)[0]
 
 
 def _factor_residuals(V, starts):
     """Bounds for the atoms P_a = V_a V_a^* of the column blocks V_a of each
-    matrix V of a (k, n, m) stack, split at its own starts, and the stack of
-    Gram defects G = V^*V - I: with fd the largest ||V_a^* V_a - I||_F and
-    off the mass of G outside the diagonal blocks, ||P_a P_b||_F <= off + 2 fd
-    for every pair and ||P_a^2 - P_a||_F <= (1 + fd) fd for every atom. Atoms
-    are built Hermitian to the last bit (see ProjectorValuedMeasure). When
-    every block is one column each tile is one entry, read off the whole
-    stack at once; otherwise each matrix is tiled alone."""
-    eye, Vh = np.eye(V.shape[-2]), V.conj().mT
-    gram = Vh @ V - eye
-    tiles = np.abs(gram) ** 2
-    k, m = len(tiles), tiles.shape[-1]
+    square V of a (k, m, m) stack, split at its own starts, all read off G =
+    V^*V - I: with fd the largest ||V_a^* V_a - I||_F and off the mass of G
+    outside the diagonal blocks, ||P_a P_b||_F <= off + 2 fd for each pair,
+    ||P_a^2 - P_a||_F <= (1 + fd) fd for each atom, and ||sum_a P_a - I||_F =
+    ||VV^* - I||_F = ||G||_F, both ||S^2 - I||_F over V's singular values S.
+    Atoms are Hermitian to the last bit (see ProjectorValuedMeasure). With
+    one column per block, all tiles are read at once; else V is tiled alone."""
+    k, m = V.shape[:2]
+    tiles = np.abs(V.conj().mT @ V - np.eye(m)) ** 2
+    flat = tiles.reshape(k, m * m)
+    complete = np.sqrt(flat.sum(axis=1))
     if all(len(s) == m for s in starts):
-        flat = tiles.reshape(k, m * m)
         fd = flat[:, ::m + 1].max(axis=1)
         flat[:, ::m + 1] = 0.0
         off = flat.sum(axis=1)
@@ -87,8 +86,8 @@ def _factor_residuals(V, starts):
     fd = np.sqrt(fd)
     return [{"hermiticity": 0.0, "idempotency": (1.0 + f) * f,
              "completeness": c, "orthogonality": o + 2.0 * f}
-            for f, c, o in zip(fd.tolist(), _fro_batch(V @ Vh - eye).tolist(),
-                               np.sqrt(off).tolist())], gram
+            for f, c, o in zip(fd.tolist(), complete.tolist(),
+                               np.sqrt(off).tolist())]
 
 
 def _clusters(w, cluster_tol):
@@ -104,20 +103,19 @@ def _clusters(w, cluster_tol):
 
 
 def _decompose_stack(ops, cluster_tol=SOLVER_TOL):
-    """[(measure, V^*V - I)] of a family of Hermitian operators of one
-    dimension, in order; those not admitted yet are admitted as one stack
-    (linalg._hermitians). The operators are decomposed together: one batched
-    eig_hermitian and one batched factor gate, only the cluster split per
-    operator, and at the default cluster_tol each keeps its factor (see
-    HermitianOperator). There, once any operator keeps one already, every
-    measure is read off the kept factors, with None for its Gram defect."""
+    """The measures of a family of Hermitian operators of one dimension, in
+    order, the ones not admitted yet admitted as one stack (_hermitians), all
+    decomposed together: one batched eig_hermitian and factor gate, only the
+    cluster split per operator. At the default cluster_tol each keeps its
+    factor (see HermitianOperator), and once any operator keeps one already,
+    every measure is read off the kept factors."""
     ops, keep = _hermitians(ops), cluster_tol == SOLVER_TOL
     todo = [A for A in ops if not (keep and A._spectral)]
     if todo:
         es = eig_hermitian(todo)
         made = ProjectorValuedMeasure._from_factors(es.eigenvectors, [
             _clusters(w, cluster_tol) for w in es.eigenvalues])
-        for A, (pvm, _) in zip(todo, made if keep else ()):
+        for A, pvm in zip(todo, made if keep else ()):
             A._spectral = pvm._labels, pvm._factor, pvm._residuals
         if len(todo) == len(ops):
             return made
@@ -126,7 +124,7 @@ def _decompose_stack(ops, cluster_tol=SOLVER_TOL):
         pvm = ProjectorValuedMeasure.__new__(ProjectorValuedMeasure)
         pvm.dim, pvm._atoms = A.dim, None
         pvm._labels, pvm._factor, pvm._residuals = A._spectral
-        kept.append((pvm, None))
+        kept.append(pvm)
     return kept
 
 
@@ -160,7 +158,7 @@ def _given_factor(stack):
     k, dim = stack.shape[:2]
     # its Hermitian part: how far the atoms are from it shows in the fits
     weighted = np.tensordot(np.arange(float(k)), stack, axes=1)
-    factor = _decompose_stack([HermitianOperator(weighted, tol=math.inf)])[0][0]
+    factor = _decompose_stack([HermitianOperator(weighted, tol=math.inf)])[0]
     ranks = factor._factor[2]
     traces = np.rint(stack.trace(axis1=1, axis2=2).real)
     if len(ranks) != k or (ranks != traces).any():
@@ -192,8 +190,8 @@ class ProjectorValuedMeasure:
     and idempotent, atoms pairwise orthogonal, the sum equal to the
     identity, labels pairwise distinct.
 
-    Every measure is checked on V: the Gram defect V^*V - I bounds
-    idempotency and orthogonality, and VV^* - I is the completeness defect.
+    Every measure is checked on V by one product, the Gram defect V^*V - I:
+    it bounds idempotency, orthogonality and completeness.
     A measure the library builds has its atoms built on first use of `atoms`
     (see _atoms_of). Atoms given as matrices are kept as read-only copies,
     and the bounds are widened by their fits to V (see _given_factor).
@@ -213,20 +211,19 @@ class ProjectorValuedMeasure:
 
     @classmethod
     def _from_factors(cls, V, splits, tol=DEFAULT_TOL):
-        """[(measure, V^*V - I)] over each factor of the stack V, split by its
-        (labels, starts, ranks), each measure passing the gate at tol. The
-        labels are floats or tuples of floats, their own keys."""
-        reports, grams = _factor_residuals(V, [s for _, s, _ in splits])
+        """The measure over each factor of the stack V, split by its
+        (labels, starts, ranks), each passing the gate at tol. The labels are
+        floats or tuples of floats, their own keys."""
+        reports = _factor_residuals(V, [s for _, s, _ in splits])
         V.setflags(write=False)
         made = []
-        for Va, (labels, starts, ranks), report, gram in zip(V, splits,
-                                                              reports, grams):
+        for Va, (labels, starts, ranks), report in zip(V, splits, reports):
             pvm = cls.__new__(cls)
             pvm._admit(len(Va), labels, labels, report, tol)
             starts.setflags(write=False)
             ranks.setflags(write=False)
             pvm._atoms, pvm._factor = None, (Va, starts, ranks)
-            made.append((pvm, gram))
+            made.append(pvm)
         return made
 
     def _admit(self, dim, labels, keys, report, tol):
@@ -294,7 +291,7 @@ def spectral_decompose(A, cluster_tol=SOLVER_TOL) -> ProjectorValuedMeasure:
     operator goes through the step a family shares, as a stack of one (see
     _decompose_stack).
     """
-    return _decompose_stack([A], cluster_tol)[0][0]
+    return _decompose_stack([A], cluster_tol)[0]
 
 
 def _lookup_sample(mapping, label):
@@ -380,7 +377,7 @@ def joint_pvm(ops) -> ProjectorValuedMeasure:
     ops = list(ops)
     if not ops:
         raise ValueError("joint_pvm needs at least one operator")
-    pvms = [pvm for pvm, _ in _decompose_stack(ops)]
+    pvms = _decompose_stack(ops)
     grams = []
     for i in range(len(pvms)):
         for j in range(i + 1, len(pvms)):

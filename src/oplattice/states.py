@@ -18,6 +18,7 @@ from .linalg import (
     HermitianOperator,
     ToleranceFailure,
     _hermitian,
+    _phase_fix_columns,
     eig_hermitian,
     frobenius,
     hermitian_part,
@@ -63,9 +64,9 @@ class WitnessNotFound(ToleranceFailure, RuntimeError):
 
 
 class PureStateVector:
-    """Unit vector with the global phase fixed: the first component larger
-    than ABS_FLOOR in modulus is made real positive, so ray equality is plain
-    vector equality."""
+    """Unit vector with the global phase fixed as an eigenvector's is (see
+    linalg._phase_fix_columns), its first entry above ABS_FLOOR in modulus
+    real positive, so ray equality is plain vector equality."""
 
     __slots__ = ("dim", "amplitudes")
 
@@ -77,11 +78,7 @@ class PureStateVector:
         if abs(norm - 1.0) > DEFAULT_TOL:
             raise ValueError(
                 f"vector norm {norm} is not 1 within {DEFAULT_TOL}")
-        v = v / norm
-        idx = np.flatnonzero(np.abs(v) > ABS_FLOOR)
-        lead = v[idx[0]]
-        v = v * (lead.conj() / abs(lead))
-        self.amplitudes = v
+        self.amplitudes = _phase_fix_columns((v / norm)[:, None])[:, 0]
         self.amplitudes.setflags(write=False)
         self.dim = v.size
 

@@ -265,6 +265,12 @@ def _atom_residuals(dim, atoms):
     }
 
 
+def completeness_two_products(V):
+    """||VV^* - I||_F of a spectral factor V, by a product of its own: the
+    completeness defect as the factor gate formed it beside V^*V - I."""
+    return float(np.linalg.norm(V @ V.conj().T - np.eye(len(V))))
+
+
 def func_calculus_dense(atoms, f):
     """sum_a f(a) P_a, one dense projector at a time."""
     out = np.zeros_like(np.asarray(atoms[0][1], dtype=complex))

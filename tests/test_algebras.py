@@ -326,7 +326,7 @@ def test_generic_element_skips_admission_and_decomposes_as_admitted(
         gens = complex_family(name, rng, n)
     if scalars:
         gens = [np.zeros((n, n)), 3.0 * np.eye(n)] + gens + [0.7j * np.eye(n)]
-    h, (got, _) = _generic_element(gens)
+    h, got = _generic_element(gens)
     assert np.array_equal(h, h.conj().T)
     assert np.array_equal(hermitian_part(h), h)
     want = spectral_decompose(h)

@@ -181,6 +181,57 @@ def test_non_finite_tolerance_or_hbar_exits_2_naming_it(tmp_path, monkeypatch,
         f"error: {source} must be finite, got {float(value)}\n")
 
 
+# each command's input flag, an input whose fields have the right JSON types,
+# and its required flags; a flag given again later overrides them
+_VALID_RUN = {
+    "measure": ("--in", {"state": np.diag([1.0, 0.0]),
+                         "projector": np.diag([1.0, 0.0])}, []),
+    "gleason-fit": ("--in", {"assignments": [
+        {"projector": np.diag([1.0, 0.0]), "probability": 1.0}]}, []),
+    "commutant": ("--in", {"generators": [SZ]}, []),
+    "sectors": ("--in", {"charges": [SZ], "observables": [SZ]}, []),
+    "dyson": ("--samples", {"times": list(np.linspace(0.0, 1.0, 9)),
+                            "matrices": [SZ] * 9},
+              ["--t1", "0.0", "--t2", "1.0"]),
+    "evolve": ("--hamiltonian", SZ, ["--t", "1.0"]),
+    "funcalc": ("--in", SZ, ["--f", "square"]),
+    "ccr": (None, None, []),
+}
+
+
+@pytest.mark.parametrize("command, fields, flags, code, said", [
+    ("measure", {"chain": 5}, [], 65, "malformed input: "),
+    ("gleason-fit", {"assignments": 3}, [], 65, "malformed input: "),
+    ("gleason-fit", {"assignments": [{"projector": np.diag([1.0, 0.0]),
+                                      "probability": [1]}]},
+     [], 65, "malformed input: "),
+    ("commutant", {"generators": 3}, [], 65, "malformed input: "),
+    ("sectors", {"charges": 1}, [], 65, "malformed input: "),
+    ("dyson", {"times": 1}, [], 65, "malformed input: "),
+    ("dyson", {"times": [0.0] * 8 + [[1.0]]}, [], 65, "malformed input: "),
+    ("evolve", None, ["--t", "nan"], 2, "--t must be finite"),
+    ("evolve", None, ["--t", "inf"], 2, "--t must be finite"),
+    ("dyson", None, ["--t1", "nan"], 2, "--t1 must be finite"),
+    ("dyson", None, ["--t2=-inf"], 2, "--t2 must be finite"),
+    ("funcalc", None, ["--t", "nan"], 2, "--t must be finite"),
+    ("ccr", None, ["--m", "nan"], 2, "--m must be finite"),
+    ("ccr", None, ["--omega", "inf"], 2, "--omega must be finite"),
+])
+def test_wrong_json_types_and_non_finite_flags_exit_by_the_taxonomy(
+        tmp_path, capsys, command, fields, flags, code, said):
+    """A JSON field of the wrong type is malformed input (65), not a
+    TypeError out of run(); a float flag that is not finite is refused
+    naming it (2), before any computation warns or fails on it."""
+    flag, valid, required = _VALID_RUN[command]
+    argv = [command, *required, *flags]
+    if flag:
+        obj = {**valid, **fields} if fields else valid
+        argv += [flag, write_json(tmp_path / "in.json", obj)]
+    assert run(argv) == code
+    err = capsys.readouterr().err
+    assert said in err and "Traceback" not in err
+
+
 def test_spectral_report_on_sigma_z(tmp_path):
     infile = write_json(tmp_path / "sz.json", SZ)
     rep = run_json(tmp_path, ["spectral", "--in", infile])

@@ -39,6 +39,7 @@ from oracles import (
     _atom_residuals,
     char_poly_roots,
     commute_defect_dense,
+    completeness_two_products,
     diag_joint_atoms,
     expm_oracle,
     func_calculus_dense,
@@ -298,9 +299,10 @@ def _split_by_diff(w, cluster_tol):
 
 def _residuals_by_tiling(V, starts):
     """The factor bounds with the Gram tiled by reduceat, whatever the
-    ranks: the general form of _factor_residuals."""
-    eye = np.eye(V.shape[0])
-    tiles = np.abs(V.conj().T @ V - eye) ** 2
+    ranks: the general form of _factor_residuals. Completeness is the mass
+    of the whole Gram defect, ||V^*V - I||_F."""
+    tiles = np.abs(V.conj().T @ V - np.eye(V.shape[0])) ** 2
+    completeness = float(np.sqrt(tiles.sum()))
     tiles = np.add.reduceat(np.add.reduceat(tiles, starts, axis=0), starts,
                             axis=1)
     fd = float(np.sqrt(np.diagonal(tiles).max()))
@@ -308,7 +310,7 @@ def _residuals_by_tiling(V, starts):
     return {
         "hermiticity": 0.0,
         "idempotency": (1.0 + fd) * fd,
-        "completeness": frobenius(V @ V.conj().T - eye),
+        "completeness": completeness,
         "orthogonality": float(np.sqrt(tiles.sum())) + 2.0 * fd,
     }
 
@@ -338,16 +340,37 @@ def test_cluster_split_matches_the_diff_split(start, gaps, scale,
        seed=st.integers(0, 2**32 - 1))
 def test_rank_one_factor_bounds_match_the_tiling(n, bend, seed):
     """With every atom of rank 1, _factor_residuals skips both reduceat
-    tilings: its bounds are the tiled ones bit for bit, and the Gram defect
-    it returns is V^*V - I. A spectrum with a merged pair takes the tiling."""
+    tilings: its bounds are the tiled ones bit for bit. A spectrum with a
+    merged pair takes the tiling."""
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     V = np.linalg.qr(z)[0]
     V[:, 0] += bend * V[:, -1]
     for starts in (np.arange(n), np.arange(n)[np.arange(n) != 1]):
-        (report,), gram = oplattice.spectral._factor_residuals(V[None], [starts])
+        (report,) = oplattice.spectral._factor_residuals(V[None], [starts])
         assert report == _residuals_by_tiling(V, starts)
-        assert np.array_equal(gram[0], V.conj().T @ V - np.eye(n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 24), k=st.integers(1, 3),
+       bend=st.just(0.0) | st.floats(-12.0, -6.0).map(lambda e: 10.0 ** e),
+       merged=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_one_product_completeness_matches_the_two_product_reference(
+        n, k, bend, merged, seed):
+    """Completeness read off the Gram defect alone, ||V^*V - I||_F, is the
+    two-product ||VV^* - I||_F within 2 n^2 eps, on a stack of k complex
+    factors, unitary or bent by 1e-12 to 1e-6, split into rank-1 blocks or
+    with some merged."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+    V = np.linalg.qr(z)[0] + bend * z / np.sqrt(n)
+    cut = rng.random(n) < 0.5 if merged else np.ones(n, dtype=bool)
+    cut[0] = True
+    reports = oplattice.spectral._factor_residuals(
+        V, [np.flatnonzero(cut)] * k)
+    for report, W in zip(reports, V):
+        assert (abs(report["completeness"] - completeness_two_products(W))
+                <= 2 * n * n * np.finfo(float).eps)
 
 
 def _relative_gap(got, want):
@@ -653,14 +676,13 @@ def test_stacked_decomposition_matches_each_operator_alone(kinds, n,
     assert len(got) == len(mats)
     assert np.array_equal(_hermitian_parts(as_stack(mats), DEFAULT_TOL),
                           [HermitianOperator(M).matrix for M in mats])
-    for op, M, (pvm, gram) in zip(ops, mats, got):
+    for op, M, pvm in zip(ops, mats, got):
         alone = spectral_decompose(HermitianOperator(M))
         assert _bits(pvm) == _bits(alone)
         labels, ranks, report, V = _factor_by_hand(HermitianOperator(M).matrix)
         assert (pvm.labels, pvm.ranks, pvm_residuals(pvm)) == (labels, ranks,
                                                                  report)
         assert np.array_equal(pvm._factor[0], V)
-        assert np.array_equal(gram, V.conj().T @ V - np.eye(len(V)))
         if isinstance(op, HermitianOperator):
             assert op._spectral[1] is pvm._factor
 

@@ -37,6 +37,7 @@ from oplattice.states import _herm_coordinates, _herm_from_coordinates
 from oracles import (
     herm_coordinate_row_loop,
     herm_from_coordinates_loop,
+    phase_fix_columns_loop,
     tomography_frame_loop,
 )
 
@@ -60,6 +61,25 @@ def test_pure_state_normalizes_and_fixes_phase():
     assert psi.amplitudes[0].real > 0 and abs(psi.amplitudes[0].imag) <= 1e-12
     with pytest.raises(ValueError):
         PureStateVector([1.0, 1.0])  # not unit norm
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 8), lead=st.integers(0, 7),
+       floor=st.sampled_from([0.0, 1e-13, 1e-12]), real=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_pure_state_phase_is_the_eigenvector_phase_rule(n, lead, floor, real,
+                                                         seed):
+    """The amplitudes are those of one column through the loop phase fix,
+    bit for bit: complex or real vectors whose leading entries are zero or
+    at the ABS_FLOOR anchor cut."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(n) + (0.0 if real else 1j) * rng.standard_normal(n)
+    v = v.astype(complex)
+    v[:min(lead, n - 1)] = floor
+    v = v / np.linalg.norm(v)
+    got = PureStateVector(v).amplitudes
+    want = phase_fix_columns_loop((v / np.linalg.norm(v))[:, None])[:, 0]
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_density_validation():
