@@ -4,12 +4,14 @@ superselection sectors ruled by a family of commuting central charges.
 """
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 
 import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    INTERTWINER_RTOL,
     NULLSPACE_RTOL,
     SOLVER_TOL,
     _CHECK_SLICE,
@@ -61,7 +63,10 @@ def _kernel(L, certify=False):
     as tall as wide). Callers scale L's columns to O(1), so genuine constraints
     sit well above the eps-level noise of a commuting pair. With certify, also
     c = 3 ||L x^T||_F / s_keep (0 if no s is kept; else inf): ||L xy|| <=
-    ||Lx|| ||y||_2 + ||x||_2 ||Ly|| puts xy, if in L's domain, within c of x."""
+    ||Lx|| ||y||_2 + ||x||_2 ||Ly|| puts xy, if in L's domain, within c of x.
+    ||L||_F <= NULLSPACE_RTOL keeps no s, with no QR or SVD: x = I."""
+    if frobenius(L) <= NULLSPACE_RTOL:
+        return np.eye(L.shape[1], dtype=complex), 0.0 if certify else np.inf
     R = L
     if L.shape[0] > 2 * L.shape[1]:
         if L.shape[0] >= 2 * _QR_ROWS >= 8 * L.shape[1]:
@@ -75,25 +80,58 @@ def _kernel(L, certify=False):
                if certify else np.inf)
 
 
+@functools.lru_cache(maxsize=32)
+def _weights(k):  # commutant's c_i for k generators, drawn once per k
+    c = np.random.default_rng(_WEIGHT_SEED).uniform(0.5, 1.0, (k, 2))
+    return _read_only(c @ [1.0, 1.0j])
+
+
 def commutant(generators, dim=None) -> np.ndarray:
     """Orthonormal basis (Frobenius inner product), a read-only (k, n, n)
     stack, of everything commuting with the generators and their adjoints.
 
     h = W + W^* for W = sum_i c_i G_i, fixed pseudo-random c_i, is in the
     generated *-algebra, so every X commuting with it is V (+)_a X_a V^* for
-    h's eigenblocks V_a (merged eigenvalues only enlarge a block). _kernel
-    solves [G~, X~] = 0, G~ = V^* B V over an orthonormal basis B of
-    span{G, G^*} (one SVD, NULLSPACE_RTOL cutoff), for the block entries.
-    Generators within NULLSPACE_RTOL of a multiple of I constrain nothing;
-    with none left the commutant is M_n, as the matrix-unit basis."""
+    h's eigenblocks V_a (merged eigenvalues only enlarge a block), blocks tied
+    by W sharing one X_a (_forest). _kernel solves [G~, X~] = 0, G~ = V^* B V
+    over an orthonormal basis B of span{G, G^*} (one SVD, NULLSPACE_RTOL
+    cutoff). Generators within NULLSPACE_RTOL of a multiple of I constrain
+    nothing; with none left the commutant is M_n, as the matrix-unit basis."""
     return _commutant(generators, dim)[0]
+
+
+def _forest(W, V, starts, ranks):
+    """(pos, owner, V'): each untied block r of h's factor V (starts, ranks)
+    ties each later untied block b of its size s for which ||M_rb||_F, M =
+    V^*WV, passes INTERTWINER_RTOL times the largest block norm and U = M_rb
+    sqrt(s) / ||M_rb||_F is unitary within DEFAULT_TOL: M_rb X_b = X_r M_rb,
+    so V'_b = V_b U^* shares X_r; a missed tie only adds unknowns. Index i is
+    in block owner[i], at pos[i] of its root's."""
+    M = V.conj().T @ W @ V
+    N2 = np.add.reduceat(np.add.reduceat(np.abs(M) ** 2, starts, 0), starts, 1)
+    near = (N2 > INTERTWINER_RTOL ** 2 * N2.max()) & (ranks[:, None] == ranks)
+    root, V = np.arange(len(ranks)), V.copy()
+    for r in np.flatnonzero(np.triu(near, 1).any(axis=1)).tolist():
+        if root[r] != r:
+            continue
+        b = r + 1 + np.flatnonzero(near[r, r + 1:] & (root[r + 1:] > r))
+        s, cols = ranks[r], starts[b, None] + np.arange(ranks[r])
+        U = M[starts[r]:starts[r] + s, cols].transpose(1, 0, 2)
+        U /= np.sqrt(N2[r, b] / s)[:, None, None]
+        clean = _fro_batch(U.conj().mT @ U - np.eye(s)) <= DEFAULT_TOL
+        b, cols, U = b[clean], cols[clean], U[clean]
+        V[:, cols] = (V[:, cols].transpose(1, 0, 2)
+                      @ U.conj().mT).transpose(1, 0, 2)
+        root[b] = r
+    owner = np.repeat(np.arange(len(ranks)), ranks)
+    return starts[root[owner]] + np.arange(len(V)) - starts[owner], owner, V
 
 
 def _commutant(generators, dim, certify=False):
     """commutant's basis, and beta = (1 + e)(c + e) + 2 n^2 eps >= its product
-    defect: e = ||V^*V - I||_F, h's completeness report, 2 n^2 eps for
-    rounding; inf if not certify. h skips admission: its (i, j) and (j, i)
-    entries add the same two numbers, so hermitian_part(h) is h."""
+    defect (inf if not certify): c is _kernel's (tied X~ have tied products),
+    e = ||V'^*V' - I||_F (h's completeness and the U's unitarity defects).
+    h skips admission: hermitian_part(W + W^*) is W + W^* bit for bit."""
     S = as_stack(generators, *(() if dim is None else (dim,)))
     n = S.shape[1]
     norms = _fro_batch(S)
@@ -102,25 +140,25 @@ def _commutant(generators, dim, certify=False):
     G = S[keep] / norms[keep, None, None]
     if not len(G):
         return _matrix_units(n), 0.0
-    c = np.random.default_rng(_WEIGHT_SEED).uniform(0.5, 1.0, (len(G), 2))
-    W = np.tensordot(c @ [1.0, 1.0j], G, axes=1)
+    W = np.tensordot(_weights(len(G)), G, axes=1)
     pvm = _decompose_stack([_admitted(W + W.conj().T)])[0]
-    V = pvm._factor[0]
-    owner = np.repeat(np.arange(len(pvm)), pvm.ranks)
+    pos, owner, V = _forest(W, *pvm._factor)
     _, s, B = np.linalg.svd(np.concatenate([G, G.conj().transpose(0, 2, 1)])
                             .reshape(2 * len(G), -1), full_matrices=False)
     B = B[:np.sum(s > NULLSPACE_RTOL * s[0])].reshape(-1, n, n)
     Gt = V.conj().T @ B @ V
-    # unknown u is X~[cs_u, ds_u]; column u of L holds [G~, E_u]
+    # X~[cs, ds] = w Y[u], Y a tree's shared block: L[:, u] = [G~, sum w E]
     cs, ds = np.nonzero(owner[:, None] == owner)
-    u = np.arange(len(cs))
-    L = np.zeros((len(Gt), n, n, len(u)), dtype=complex)
-    L[:, :, ds, u] = Gt[:, :, cs]
-    L[:, cs, :, u] -= Gt[:, ds, :].transpose(1, 0, 2)
-    x, gap = _kernel(L.reshape(-1, len(u)), certify)
+    _, u, size = np.unique(pos[cs] * n + pos[ds], return_inverse=True,
+                           return_counts=True)
+    w = 1.0 / np.sqrt(size[u])
+    L = np.zeros((len(Gt), n, n, len(size)), dtype=complex)
+    L[:, :, ds, u] = Gt[:, :, cs] * w
+    L[:, cs, :, u] -= Gt[:, ds, :].transpose(1, 0, 2) * w[:, None, None]
+    x, gap = _kernel(L.reshape(-1, len(size)), certify)
     Xt = np.zeros((len(x), n, n), dtype=complex)
-    Xt[:, cs, ds] = x
-    e = pvm._residuals["completeness"]
+    Xt[:, cs, ds] = x[:, u] * w
+    e = frobenius(V.conj().T @ V - np.eye(n)) if certify else 0.0
     beta = (1 + e) * (gap + e) + 2 * n * n * np.finfo(float).eps
     return _read_only(V @ Xt @ V.conj().T), beta
 

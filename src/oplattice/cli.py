@@ -122,12 +122,12 @@ def _matrix_of(obj, what):
 
 
 def _field(obj, key, kind=object):
-    """obj[key], of the JSON type kind: list, or (int, float) for a number."""
+    """obj[key] of the JSON type kind: list, int or (int, float); no bool."""
     try:
         value = obj[key]
     except (KeyError, TypeError):
         raise MalformedInput(f"missing field {key!r}")
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or kind != object and type(value) is bool:
         raise MalformedInput(f"field {key!r} has type {type(value).__name__}")
     return value
 
@@ -240,7 +240,8 @@ def cmd_commutant(args):
     obj = _load_json(args.infile)
     gens = [_matrix_of(m, "generators")
             for m in _field(obj, "generators", list)]
-    alg = MatrixStarAlgebra.generated_by(gens, obj.get("dim"))
+    dim = _field(obj, "dim", int) if "dim" in obj else None
+    alg = MatrixStarAlgebra.generated_by(gens, dim)
     centre = center(alg)
     return {
         "commutant_dimension": len(alg._prime),

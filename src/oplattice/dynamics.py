@@ -192,9 +192,9 @@ def noether_check(A, H, t_grid=None, s_grid=None, tol=PRODUCT_TOL,
                   hbar=1.0) -> NoetherReport:
     """Evaluate the three equivalent faces of conservation on finite grids:
     invariance of A under the H-evolution, commutation of the two unitary
-    groups, and invariance of H under the A-evolution. The flags must agree;
-    a split verdict raises, because the equivalence is a theorem and only
-    the tolerance can fail."""
+    groups, and invariance of H under the A-evolution, held to tol times
+    max(1, ||A||_F), 1 and max(1, ||H||_F). The flags must agree; a split
+    verdict raises: the equivalence is a theorem, only the tolerance fails."""
     A, H = _hermitians([A, H])
     t_grid = DEFAULT_NOETHER_GRID if t_grid is None else tuple(t_grid)
     s_grid = DEFAULT_NOETHER_GRID if s_grid is None else tuple(s_grid)
@@ -210,7 +210,8 @@ def noether_check(A, H, t_grid=None, s_grid=None, tol=PRODUCT_TOL,
     d_const, d_comm, d_inv = np.maximum.reduceat(
         d, [0, T, T + T * len(Vs)]).tolist()
 
-    flags = (d_const <= tol, d_comm <= tol, d_inv <= tol)
+    flags = (d_const <= tol * max(1.0, frobenius(A.matrix)), d_comm <= tol,
+             d_inv <= tol * max(1.0, frobenius(H.matrix)))
     defects = {
         "constant_of_motion": d_const,
         "dynamical_symmetry": d_comm,

@@ -35,6 +35,9 @@ FIT_TOL = 1e-6
 RANK_RTOL = 1e-10
 # the same for the commutant solver's kernels and generator spans
 NULLSPACE_RTOL = 1e-9
+# commutant ties two eigenblocks by a block of its W above this times the
+# largest: clear of the mixing of blocks SOLVER_TOL apart, ~n eps / SOLVER_TOL
+INTERTWINER_RTOL = 1e-4
 # absolute: an order-one quantity (probability, unit-vector component,
 # sample time, uncertainty product) within this of a bound is at it
 ABS_FLOOR = 1e-12

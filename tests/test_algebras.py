@@ -26,8 +26,8 @@ from oplattice import (
     superselection_sectors,
 )
 from oplattice import algebras, cli
-from oplattice.algebras import _commutant, _kernel
-from oplattice.linalg import hermitian_part
+from oplattice.algebras import _commutant, _kernel, _weights
+from oplattice.linalg import NULLSPACE_RTOL, hermitian_part
 
 from oracles import (
     center_oracle,
@@ -688,6 +688,110 @@ def test_blocked_qr_kernel_matches_one_qr(monkeypatch):
     assert span_gap(list(x), list(x1)) <= 1e-12
     assert max(gap, gap1) <= 1e-12
     assert _kernel(L)[1] == np.inf
+
+
+def _kernel_domains(patch):
+    """Patch algebras._kernel, through the MonkeyPatch patch, to record
+    (columns, ||L||_F, kernel rows) of every call; returns the record."""
+    calls, kernel = [], algebras._kernel
+
+    def recorded(L, certify=False):
+        x, gap = kernel(L, certify)
+        calls.append((L.shape[1], frobenius(L), len(x)))
+        return x, gap
+    patch.setattr("oplattice.algebras._kernel", recorded)
+    return calls
+
+
+def test_a_zero_constraint_map_keeps_the_whole_domain(monkeypatch):
+    """||L||_F at NULLSPACE_RTOL: every unknown is free, with no QR or SVD,
+    and the certificate is 0. Twice that keeps one singular value, through
+    the SVD, as before."""
+    L = np.zeros((40, 4), dtype=complex)
+    L[3, 1] = 2 * NULLSPACE_RTOL
+    assert len(_kernel(L)[0]) == 3
+    L[3, 1] = NULLSPACE_RTOL
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a zero map needs no factorization")
+    monkeypatch.setattr(np.linalg, "svd", refused)
+    monkeypatch.setattr(np.linalg, "qr", refused)
+    x, gap = _kernel(L, certify=True)
+    np.testing.assert_array_equal(x, np.eye(4))
+    assert gap == 0.0 and _kernel(L)[1] == np.inf
+
+
+def test_weights_are_drawn_once_per_count():
+    for k in (1, 2, 3, 64):
+        fresh = np.random.default_rng(algebras._WEIGHT_SEED).uniform(
+            0.5, 1.0, (k, 2)) @ [1.0, 1.0j]
+        np.testing.assert_array_equal(_weights(k), fresh)
+        assert _weights(k) is _weights(k)
+        assert not _weights(k).flags.writeable
+
+
+@settings(max_examples=30, deadline=None)
+@given(blocks=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)),
+                       min_size=1, max_size=3).filter(
+                           lambda b: sum(d * m for d, m in b) <= 24),
+       near=st.one_of(st.none(), st.floats(1.0, 3.0)),
+       seed=st.integers(0, 2**32 - 1))
+def test_commutant_of_a_block_algebra_ties_its_eigenblocks(
+        blocks, near, seed):
+    """Two random elements of U ((+)_i M_d_i (x) I_m_i) U^*, complex Haar U,
+    1-3 components: the commutant has dimension sum m_i^2 and the oracle's
+    span. With near, both share 10^near times one Hermitian basis element,
+    so h's eigenvalues come in clusters 10^-near of the spread wide; without
+    it, W ties the d_i eigenblocks of each component, so the kernel solves
+    for sum m_i^2 unknowns. Left out: k = 1, the scalars."""
+    n = sum(d * m for d, m in blocks)
+    k = sum(d * d for d, _ in blocks)
+    assume(k > 1)
+    rng = np.random.default_rng(seed)
+    stack, h = block_algebra_basis(rng, blocks)
+    weights = rng.standard_normal((2, k)) + 1j * rng.standard_normal((2, k))
+    dominant = 0.0 if near is None else 10.0 ** near
+    gens = list(np.tensordot(weights, stack, axes=1) + dominant * stack[h])
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _kernel_domains(patch)
+        prime = commutant(gens)
+    want = commutant_oracle(gens, n)
+    assert len(prime) == len(want) == sum(m * m for _, m in blocks)
+    assert span_gap(prime, want) <= 1e-8
+    if near is None:
+        assert [c[0] for c in calls] in ([], [len(want)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 12), k=st.integers(1, 3), levels=st.integers(1, 4),
+       log_delta=st.one_of(st.none(), st.floats(-5.0, -4.0)),
+       seed=st.integers(0, 2**32 - 1))
+def test_commutant_of_a_commuting_family_matches_oracle(
+        n, k, levels, log_delta, seed):
+    """k commuting normal matrices, each with at most levels distinct complex
+    eigenvalues in one Haar basis: the constraint map is zero, so every
+    block-diagonal unknown is kept. Each plus delta times a random
+    Hermitian, delta from 1e-5 to 1e-4, no longer commutes: its constraints
+    lie below 1e-3 in norm and must still be kept. (Much smaller delta
+    splits a repeated eigenvalue of h by less than its eigenvectors'
+    accuracy allows at the NULLSPACE_RTOL cutoff.)"""
+    rng = np.random.default_rng(seed)
+    U = haar_unitary(rng, n)
+    values = rng.standard_normal((k, levels)) + 1j * rng.standard_normal(
+        (k, levels))
+    gens = [(U * v[rng.integers(0, levels, n)]) @ U.conj().T for v in values]
+    if log_delta is not None:
+        gens = [G + 10.0 ** log_delta * (H + H.conj().T)
+                for G, H in zip(gens, random_mats(rng, n, k))]
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _kernel_domains(patch)
+        prime = commutant(gens)
+    want = commutant_oracle(gens, n)
+    assert len(prime) == len(want)
+    assert span_gap(prime, want) <= 1e-8
+    if log_delta is None:
+        assert all(norm <= NULLSPACE_RTOL and rows == cols
+                   for cols, norm, rows in calls)
 
 
 def test_word_closure_spans_eigenprojectors_of_spread_spectrum():

@@ -216,6 +216,14 @@ _VALID_RUN = {
     ("funcalc", None, ["--t", "nan"], 2, "--t must be finite"),
     ("ccr", None, ["--m", "nan"], 2, "--m must be finite"),
     ("ccr", None, ["--omega", "inf"], 2, "--omega must be finite"),
+    ("commutant", {"dim": "x"}, [], 65, "malformed input: "),
+    ("commutant", {"dim": [2]}, [], 65, "malformed input: "),
+    ("commutant", {"dim": 2.5}, [], 65, "malformed input: "),
+    ("commutant", {"dim": True}, [], 65, "malformed input: "),
+    ("commutant", {"dim": 3}, [], 2, "dimensions differ"),
+    ("gleason-fit", {"assignments": [{"projector": np.diag([1.0, 0.0]),
+                                      "probability": True}]},
+     [], 65, "malformed input: "),
 ])
 def test_wrong_json_types_and_non_finite_flags_exit_by_the_taxonomy(
         tmp_path, capsys, command, fields, flags, code, said):
@@ -351,6 +359,9 @@ def test_commutant_dimensions_for_pauli_generators(tmp_path):
     assert rep["double_commutant_dimension"] == 4
     assert rep["center_dimension"] == 1
     assert rep["is_factor"] is True
+    obj["dim"] = 2
+    infile = write_json(tmp_path / "gens.json", obj)
+    assert run_json(tmp_path, ["commutant", "--in", infile]) == rep
 
 
 def test_sectors_through_input_file(tmp_path):

@@ -132,15 +132,38 @@ def test_conservation_flags_all_false_for_pauli_pair():
 
 
 def test_split_verdict_raises():
-    # a tolerance placed inside the spread of the three defects forces a split
+    # a tolerance placed inside the spread of the three defects, each over
+    # the scale it is held to, forces a split
     rng = np.random.default_rng(59)
     H = random_hermitian(rng, 4)
     A = H @ H + 1e-7 * random_hermitian(rng, 4)
     rep_defects = noether_check(A, H, tol=np.inf).defects
-    vals = sorted(rep_defects.values())
+    vals = sorted([
+        rep_defects["constant_of_motion"] / max(1.0, frobenius(A)),
+        rep_defects["dynamical_symmetry"],
+        rep_defects["h_invariance"] / max(1.0, frobenius(H))])
     if vals[0] < vals[-1]:  # generic; split the flags between the extremes
         with pytest.raises(EquivalenceViolation):
             noether_check(A, H, tol=(vals[0] + vals[-1]) / 2.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(0, 60), scale_h=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_noether_verdict_does_not_depend_on_units(k, scale_h, seed):
+    """A or H times s = 2^k (exact): a conserved pair passes all three faces
+    and a non-conserved A fails all three, at every scale. The constant of
+    motion and H-invariance defects grow with ||A|| and ||H||; held to an
+    absolute tol, 1e6 H^2 and H split the verdict."""
+    rng = np.random.default_rng(seed)
+    H = random_hermitian(rng, 4)
+    s = 2.0 ** k
+    for A, conserved in ((H @ H, True), (random_hermitian(rng, 4), False)):
+        rep = (noether_check(A, s * H) if scale_h
+               else noether_check(s * A, H))
+        flags = (rep.constant_of_motion, rep.dynamical_symmetry,
+                 rep.h_invariance)
+        assert flags == (conserved,) * 3, rep.defects
 
 
 def test_group_commutation_matches_spectral_test():
