@@ -128,9 +128,10 @@ def _forest(W, V, starts, ranks):
 
 
 def _commutant(generators, dim, certify=False):
-    """commutant's basis, and beta = (1 + e)(c + e) + 2 n^2 eps >= its product
+    """commutant's basis; beta = (1 + e)(c + e) + 2 n^2 eps >= its product
     defect (inf if not certify): c is _kernel's (tied X~ have tied products),
-    e = ||V'^*V' - I||_F (h's completeness and the U's unitarity defects).
+    e = ||V'^*V' - I||_F (h's completeness and the U's unitarity defects);
+    and (V', pos, owner) if the kernel kept every tied unknown, else None.
     h skips admission: hermitian_part(W + W^*) is W + W^* bit for bit."""
     S = as_stack(generators, *(() if dim is None else (dim,)))
     n = S.shape[1]
@@ -138,8 +139,9 @@ def _commutant(generators, dim, certify=False):
     keep = _fro_batch(S - (S.trace(axis1=1, axis2=2) / n)[:, None, None]
                       * np.eye(n)) > NULLSPACE_RTOL * norms
     G = S[keep] / norms[keep, None, None]
-    if not len(G):
-        return _matrix_units(n), 0.0
+    if not len(G):  # M_n: one tree of one block, all n columns
+        tied = (np.eye(n, dtype=complex), np.arange(n), np.zeros(n, int))
+        return _matrix_units(n), 0.0, tied
     W = np.tensordot(_weights(len(G)), G, axes=1)
     pvm = _decompose_stack([_admitted(W + W.conj().T)])[0]
     pos, owner, V = _forest(W, *pvm._factor)
@@ -160,14 +162,40 @@ def _commutant(generators, dim, certify=False):
     Xt[:, cs, ds] = x[:, u] * w
     e = frobenius(V.conj().T @ V - np.eye(n)) if certify else 0.0
     beta = (1 + e) * (gap + e) + 2 * n * n * np.finfo(float).eps
-    return _read_only(V @ Xt @ V.conj().T), beta
+    return (_read_only(V @ Xt @ V.conj().T), beta,
+            (V, pos, owner) if len(x) == len(size) else None)
+
+
+def _bicommutant(generators, dim):
+    """(A', A'', beta >= the product defect of A''). If _commutant's kernel
+    kept every tied unknown, A' = V'((+)_trees I_t (x) M_s)V'^* and A'' =
+    V'((+)_trees M_t (x) I_s)V'^*, with no second solve: X_ab = C_a C_b^* /
+    sqrt(s) for blocks a, b of a tree, C_a block a's s columns of V'; M_n
+    (one tree, s = 1) is the matrix units. With E = V'^*V' - I, X_ab X_cd =
+    delta_bc X_ad / sqrt(s) + C_a E_bc C_d^* / s, and ||C_a||_2^2 = ||I +
+    E_aa||_2 <= 1 + e bounds the last term by (1 + e) e: the first solve's
+    beta, whose c is 0. Otherwise A'' is _commutant's of A'."""
+    prime, beta, tied = _commutant(generators, dim, certify=True)
+    if tied is None:
+        return (prime, *_commutant(prime, dim, certify=True)[:2])
+    V, pos, owner = tied
+    n, t, s = len(V), np.bincount(pos)[pos], np.bincount(owner)[owner]
+    if t[0] == n:
+        return prime, _matrix_units(n), beta
+    order, parts = np.lexsort((owner, pos, s, t)), []
+    for tt, ss in sorted(set(zip(t.tolist(), s.tolist()))):
+        cols = order[(t[order] == tt) & (s[order] == ss)].reshape(-1, ss, tt)
+        C = V[:, cols].transpose(1, 3, 0, 2)  # [tree, block, row, offset]
+        parts.append((C[:, :, None] @ C[:, None].conj().mT / np.sqrt(ss))
+                     .reshape(-1, n, n))
+    return prime, _read_only(np.concatenate(parts)), beta
 
 
 def double_commutant(generators, dim=None) -> np.ndarray:
     """Basis of the algebra the generators actually generate: the commutant
-    of their commutant. This is the smallest *-algebra with unit containing
-    them, so it doubles as a closure operation."""
-    return commutant(commutant(generators, dim), dim)
+    of their commutant (_bicommutant). This is the smallest *-algebra with
+    unit containing them, so it doubles as a closure operation."""
+    return _bicommutant(generators, dim)[1]
 
 
 def _span_residual(span, X, comp=None):
@@ -227,11 +255,10 @@ class MatrixStarAlgebra:
     @classmethod
     def generated_by(cls, generators, dim=None):
         """The algebra A the generators generate, the commutant of their
-        commutant A', which it keeps for center and is_factor. A's basis is
-        orthonormal, so it is its own span; it skips the product gate when
-        _commutant's beta bounds the defect within DEFAULT_TOL (scale 1)."""
-        prime = commutant(generators, dim)
-        basis, beta = _commutant(prime, dim, certify=True)
+        commutant A', which it keeps for center and is_factor (_bicommutant).
+        A's basis is orthonormal, so it is its own span; it skips the product
+        gate when beta bounds the defect within DEFAULT_TOL (scale 1)."""
+        prime, basis, beta = _bicommutant(generators, dim)
         algebra = cls.__new__(cls)
         algebra._admit(basis, certified=beta <= DEFAULT_TOL)
         algebra._prime = prime
@@ -318,14 +345,14 @@ def superselection_sectors(charges, observables,
         # ||P G (I - P)||_F for P = B B^*
         leak = _fro_batch(BG - compressed @ B.conj().T).max(initial=0.0)
         offdiag = max(offdiag, float(leak))
-        prime = commutant(compressed, rank)
+        prime, algebra, _ = _bicommutant(compressed, rank)
         values = tuple(float((B.conj().T @ Q @ B).trace().real) / rank
                        for Q in charge_mats)
         sectors.append(Sector(
             label=label,
             projector=P,
             rank=rank,
-            restricted_basis=commutant(prime, rank),
+            restricted_basis=algebra,
             irreducible=(len(prime) == 1),
             charge_values=values,
         ))

@@ -84,17 +84,33 @@ def as_matrix(data) -> np.ndarray:
 
 
 def frobenius(M) -> float:
-    return float(np.linalg.norm(M, "fro"))
+    """np.linalg.norm(M, "fro") bit for bit, by vdot, which warns of no
+    overflow; a sum that overflows is taken again on M over the power of two
+    at its largest part, which is exact."""
+    x = np.asarray(M).ravel(order="K")
+    re, im = ((x.real, x.imag) if x.dtype.kind == "c"
+              else (x.astype(float, copy=False), x[:0]))
+    r = math.sqrt(float(np.vdot(re, re)) + float(np.vdot(im, im)))
+    if r == math.inf and np.isfinite(x).all():
+        top = max(np.abs(re).max(), np.abs(im).max(initial=0.0))
+        s = math.ldexp(1.0, math.frexp(top)[1] - 1)
+        r = frobenius(x / s) * s
+    return r
 
 
+@np.errstate(over="raise")
 def _fro_batch(S):
     """frobenius() of each C-ordered matrix of a complex (..., m, n) stack,
     bit for bit: the dot products of its real and imaginary parts at stride
-    2, one matmul."""
-    x = S.reshape(*S.shape[:-2], S.shape[-2] * S.shape[-1], 1).view(float)
-    x = np.swapaxes(x, -1, -2)
-    sq = x[..., None, :] @ x[..., None]
-    return np.sqrt(sq[..., 0, 0, 0] + sq[..., 1, 0, 0])
+    2, one matmul; if a sum overflows, frobenius() of each matrix."""
+    x = S.reshape(S.shape[:-2] + (S.shape[-2] * S.shape[-1], 1))
+    x = x.view(float).mT
+    try:
+        sq = x[..., None, :] @ x[..., None]
+        return np.sqrt(sq[..., 0, 0, 0] + sq[..., 1, 0, 0])
+    except FloatingPointError:
+        return np.reshape([frobenius(M) for M in S.reshape(-1, *S.shape[-2:])],
+                          S.shape[:-2])
 
 
 def _read_only(a):

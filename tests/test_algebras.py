@@ -26,7 +26,7 @@ from oplattice import (
     superselection_sectors,
 )
 from oplattice import algebras, cli
-from oplattice.algebras import _commutant, _kernel, _weights
+from oplattice.algebras import _bicommutant, _kernel, _weights
 from oplattice.linalg import NULLSPACE_RTOL, hermitian_part
 
 from oracles import (
@@ -605,10 +605,12 @@ def _count_products(monkeypatch):
 def test_generated_algebra_certificate_bounds_the_closure_defect(
         side, data, seed):
     """Two random elements of U ((+)_i M_d_i (x) I_m_i) U^*, complex Haar U,
-    generate it, on each side of 3k = n^2. The certificate beta of its
-    double commutant bounds the pairwise oracle's defect and admits it; the
-    certified span is orthonormal, and contains and center agree with the
-    algebra the constructor admits from the same basis."""
+    generate it, on each side of 3k = n^2. Its double commutant is read off
+    the tied eigenblocks, with one kernel solve, and spans what the second
+    solve finds; the certificate beta bounds the pairwise oracle's defect
+    and admits it; the certified span is orthonormal, and contains and
+    center agree with the algebra the constructor admits from the same
+    basis."""
     blocks = data.draw(_CLOSURE_BLOCKS[side])
     n = sum(d * m for d, m in blocks)
     k = sum(d * d for d, _ in blocks)
@@ -617,7 +619,11 @@ def test_generated_algebra_certificate_bounds_the_closure_defect(
     stack, _ = block_algebra_basis(rng, blocks)
     weights = rng.standard_normal((5, k)) + 1j * rng.standard_normal((5, k))
     gens = list(np.tensordot(weights[:2], stack, axes=1))
-    basis, beta = _commutant(commutant(gens), None, certify=True)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _kernel_domains(patch)
+        _, basis, beta = _bicommutant(gens, None)
+    assert len(calls) == 1 and len(basis) == k
+    assert span_gap(basis, commutant(commutant(gens))) <= 1e-8
     assert closure_defect_oracle(np.array(basis)) <= beta <= DEFAULT_TOL
     alg = MatrixStarAlgebra.generated_by(gens)
     assert alg.linear_dimension() == k
@@ -657,18 +663,97 @@ def test_generated_by_falls_back_to_the_product_gate(monkeypatch):
     gens = two_block_pair(np.random.default_rng(3), 6, 2)
     want = MatrixStarAlgebra.generated_by(gens).basis
     calls = _count_products(monkeypatch)
-    monkeypatch.setattr("oplattice.algebras._commutant",
-                        lambda g, dim, certify=False:
-                        (_commutant(g, dim)[0], 2 * DEFAULT_TOL))
+    monkeypatch.setattr("oplattice.algebras._bicommutant",
+                        lambda g, dim: (*_bicommutant(g, dim)[:2],
+                                        2 * DEFAULT_TOL))
     alg = MatrixStarAlgebra.generated_by(gens)
     assert sum(calls) == len(want) ** 2
     np.testing.assert_array_equal(alg.basis, want)
-    monkeypatch.setattr("oplattice.algebras._commutant",
-                        lambda g, dim, certify=False:
-                        (np.array([I2, SX, SZ]), 1.0))
+    monkeypatch.setattr("oplattice.algebras._bicommutant",
+                        lambda g, dim: (np.array([I2]),
+                                        np.array([I2, SX, SZ]), 1.0))
     with pytest.raises(NotClosedUnderProducts) as info:
         MatrixStarAlgebra.generated_by([SZ])
     assert abs(info.value.defect - np.sqrt(2.0)) <= 1e-12
+
+
+def _untied_forest(W, V, starts, ranks):
+    """_forest that ties no two eigenblocks."""
+    owner = np.repeat(np.arange(len(ranks)), ranks)
+    return np.arange(len(V)), owner, V.copy()
+
+
+@settings(max_examples=25, deadline=None)
+@given(blocks=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                       min_size=1, max_size=3).filter(
+                           lambda b: sum(d * m for d, m in b) <= 12),
+       untied=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_generated_algebra_is_read_off_the_tied_eigenblocks(
+        blocks, untied, seed):
+    """Two random elements G of U ((+)_i M_d_i (x) I_m_i) U^*, complex Haar
+    U: generated_by, double_commutant and the restricted basis of the one
+    sector of the charge I span commutant(commutant(G)) and the word
+    closure, of dimension sum d_i^2, with one commutant solve each. With no
+    eigenblocks tied, the constraint map of a component with d_i > 1 does
+    not vanish, and each falls back to a second solve. Left out: k = 1, the
+    scalars."""
+    n = sum(d * m for d, m in blocks)
+    k = sum(d * d for d, _ in blocks)
+    assume(k > 1)
+    rng = np.random.default_rng(seed)
+    stack, _ = block_algebra_basis(rng, blocks)
+    weights = rng.standard_normal((2, k)) + 1j * rng.standard_normal((2, k))
+    gens = list(np.tensordot(weights, stack, axes=1))
+    solved, words = commutant(commutant(gens)), word_closure_basis(gens, n)
+    assert len(solved) == len(words) == k
+    calls, solve = [], algebras._commutant
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+    with pytest.MonkeyPatch.context() as patch:
+        if untied:
+            patch.setattr(algebras, "_forest", _untied_forest)
+        patch.setattr(algebras, "_commutant", counted)
+        alg = MatrixStarAlgebra.generated_by(gens)
+        report = superselection_sectors([np.eye(n)], gens)
+        bases = [alg.basis, double_commutant(gens)]
+    (sector,) = report.sectors
+    B = report.joint.blocks[0][1]  # the sector's isometry onto C^n
+    bases.append(B @ sector.restricted_basis @ B.conj().T)
+    solves = 2 if untied and max(d for d, _ in blocks) > 1 else 1
+    assert len(calls) == 3 * solves
+    for basis in bases:
+        assert len(basis) == k
+        assert span_gap(basis, solved) <= 1e-8
+        assert span_gap(basis, words) <= 1e-8
+
+
+def test_generated_by_sends_a_bent_basis_through_the_product_gate(
+        monkeypatch):
+    """A mutant _forest whose turned eigenbasis V' is 1 + 1e-6 times the
+    true one: the constraint map still vanishes, so A'' is read off V', but
+    e = ||V'^*V' - I||_F puts beta past DEFAULT_TOL, so generated_by runs
+    the product gate. The span is that of the true algebra, so the gate
+    admits it, and beta still bounds the pairwise oracle's defect."""
+    rng = np.random.default_rng(5)
+    stack, _ = block_algebra_basis(rng, [(2, 3), (1, 4)])
+    weights = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
+    gens = list(np.tensordot(weights, stack, axes=1))
+    want = MatrixStarAlgebra.generated_by(gens).basis
+    forest = algebras._forest
+
+    def bent(*args):
+        pos, owner, V = forest(*args)
+        return pos, owner, V * (1 + 1e-6)
+    monkeypatch.setattr(algebras, "_forest", bent)
+    _, basis, beta = _bicommutant(gens, None)
+    assert DEFAULT_TOL < beta and closure_defect_oracle(basis) <= beta
+    calls = _count_products(monkeypatch)
+    alg = MatrixStarAlgebra.generated_by(gens)
+    assert sum(calls) == 25
+    np.testing.assert_array_equal(alg.basis, basis)
+    assert span_gap(basis, want) <= 1e-8
 
 
 def test_blocked_qr_kernel_matches_one_qr(monkeypatch):

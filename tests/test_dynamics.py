@@ -166,6 +166,26 @@ def test_noether_verdict_does_not_depend_on_units(k, scale_h, seed):
         assert flags == (conserved,) * 3, rep.defects
 
 
+@pytest.mark.parametrize("k", [200, 530, 600, 1000])
+@pytest.mark.parametrize("scale_h", [False, True])
+def test_noether_verdict_holds_where_squared_entries_overflow(k, scale_h):
+    """A or H times 2^k, where the squares of the entries pass the largest
+    double: each defect is a finite norm, taken again on its matrix over
+    a power of two, with no warning. A conserved pair passes every face
+    and a non-conserved A fails every face; before, the inf defect of a
+    non-conserved 2^530 A passed its inf threshold and split the verdict."""
+    rng = np.random.default_rng(k)
+    H = random_hermitian(rng, 4)
+    s = 2.0 ** k
+    for A, conserved in ((H @ H, True), (random_hermitian(rng, 4), False)):
+        rep = (noether_check(A, s * H) if scale_h
+               else noether_check(s * A, H))
+        flags = (rep.constant_of_motion, rep.dynamical_symmetry,
+                 rep.h_invariance)
+        assert flags == (conserved,) * 3, rep.defects
+        assert all(np.isfinite(d) for d in rep.defects.values())
+
+
 def test_group_commutation_matches_spectral_test():
     rng = np.random.default_rng(61)
     A = random_hermitian(rng, 4)

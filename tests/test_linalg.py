@@ -67,13 +67,30 @@ def test_symmetrization_below_tol():
     assert np.allclose(H.matrix, H.matrix.conj().T)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # ||A||_F
 def test_symmetrization_of_finite_input_near_overflow_stays_finite():
     # exactly Hermitian, but A + A* overflows on the diagonal
     A = np.array([[-0.0, 1e-300], [1e-300, 1e308]])
     H = HermitianOperator(A)
     assert np.all(np.isfinite(H.matrix))
     assert np.array_equal(H.matrix, A)
+
+
+def test_norms_keep_their_bits_and_rescale_only_an_overflowed_sum():
+    """frobenius is np.linalg.norm bit for bit on complex, real and strided
+    input. A matrix whose squares overflow is taken again over a power of
+    two, exactly and with no warning, and _fro_batch gives each matrix of a
+    stack frobenius' bits, an overflowed one's and an inf one's too."""
+    X = np.random.default_rng(3).standard_normal((6, 10)).view(complex)
+    for M in (X, X.T, X[::2], X.real, np.asfortranarray(X)):
+        assert linalg.frobenius(M) == float(np.linalg.norm(M, "fro"))
+    big = 2.0 ** 600 * X
+    assert linalg.frobenius(big) == 2.0 ** 600 * linalg.frobenius(X)
+    assert linalg.frobenius(2.0 ** 600 * X.real) == 2.0 ** 600 * float(
+        np.linalg.norm(X.real, "fro"))
+    stack = np.stack([X, big, np.full((6, 5), np.inf + 0j)])
+    np.testing.assert_array_equal(
+        linalg._fro_batch(stack),
+        [linalg.frobenius(X), linalg.frobenius(big), np.inf])
 
 
 def test_unitary_validation():
