@@ -29,7 +29,6 @@ from .linalg import (
 from .spectral import NonCommuting, _decompose_stack, joint_pvm
 
 _WEIGHT_SEED = 1729  # commutant's generic element, fixed: bit-stable results
-_QR_ROWS = 1024  # chunk height of _kernel's blocked QR
 
 
 class NotClosedUnderProducts(ValueError):
@@ -56,28 +55,17 @@ class NonCentralCharge(ValueError):
         self.defect = float(defect)
 
 
-def _kernel(L, certify=False):
+def _kernel(L):
     """Orthonormal rows x with L @ x = 0 (L at least as tall as wide): the
     conjugated rows of vh past the numerical rank of one SVD of L, or of its
-    QR factor R if L is tall (blocked, from two _QR_ROWS-row chunks each 4x
-    as tall as wide). Callers scale L's columns to O(1), so genuine constraints
-    sit well above the eps-level noise of a commuting pair. With certify, also
-    c = 3 ||L x^T||_F / s_keep (0 if no s is kept; else inf): ||L xy|| <=
-    ||Lx|| ||y||_2 + ||x||_2 ||Ly|| puts xy, if in L's domain, within c of x.
-    ||L||_F <= NULLSPACE_RTOL keeps no s, with no QR or SVD: x = I."""
+    QR factor R if L is tall. Callers scale L's columns to O(1), so genuine
+    constraints sit well above the eps-level noise of a commuting pair.
+    ||L||_F <= NULLSPACE_RTOL keeps every unknown, with no QR or SVD: x = I."""
     if frobenius(L) <= NULLSPACE_RTOL:
-        return np.eye(L.shape[1], dtype=complex), 0.0 if certify else np.inf
-    R = L
-    if L.shape[0] > 2 * L.shape[1]:
-        if L.shape[0] >= 2 * _QR_ROWS >= 8 * L.shape[1]:
-            R = np.concatenate([np.linalg.qr(L[i:i + _QR_ROWS], mode="r")
-                                for i in range(0, len(L), _QR_ROWS)])
-        R = np.linalg.qr(R, mode="r")
+        return np.eye(L.shape[1], dtype=complex)
+    R = np.linalg.qr(L, mode="r") if L.shape[0] > 2 * L.shape[1] else L
     _, s, vh = np.linalg.svd(R, full_matrices=False)
-    r = np.sum(s > NULLSPACE_RTOL * max(1.0, *s[:1]))
-    x = vh[r:].conj()
-    return x, ((3 * frobenius(L @ x.T) / s[r - 1] if r else 0.0)
-               if certify else np.inf)
+    return vh[np.sum(s > NULLSPACE_RTOL * max(1.0, *s[:1])):].conj()
 
 
 @functools.lru_cache(maxsize=32)
@@ -127,12 +115,10 @@ def _forest(W, V, starts, ranks):
     return starts[root[owner]] + np.arange(len(V)) - starts[owner], owner, V
 
 
-def _commutant(generators, dim, certify=False):
-    """commutant's basis; beta = (1 + e)(c + e) + 2 n^2 eps >= its product
-    defect (inf if not certify): c is _kernel's (tied X~ have tied products),
-    e = ||V'^*V' - I||_F (h's completeness and the U's unitarity defects);
-    and (V', pos, owner) if the kernel kept every tied unknown, else None.
-    h skips admission: hermitian_part(W + W^*) is W + W^* bit for bit."""
+def _commutant(generators, dim):
+    """commutant's basis, and its tied form (V', pos, owner) if the kernel
+    kept every tied unknown, else None. h skips admission:
+    hermitian_part(W + W^*) is W + W^* bit for bit."""
     S = as_stack(generators, *(() if dim is None else (dim,)))
     n = S.shape[1]
     norms = _fro_batch(S)
@@ -141,7 +127,7 @@ def _commutant(generators, dim, certify=False):
     G = S[keep] / norms[keep, None, None]
     if not len(G):  # M_n: one tree of one block, all n columns
         tied = (np.eye(n, dtype=complex), np.arange(n), np.zeros(n, int))
-        return _matrix_units(n), 0.0, tied
+        return _matrix_units(n), tied
     W = np.tensordot(_weights(len(G)), G, axes=1)
     pvm = _decompose_stack([_admitted(W + W.conj().T)])[0]
     pos, owner, V = _forest(W, *pvm._factor)
@@ -157,38 +143,45 @@ def _commutant(generators, dim, certify=False):
     L = np.zeros((len(Gt), n, n, len(size)), dtype=complex)
     L[:, :, ds, u] = Gt[:, :, cs] * w
     L[:, cs, :, u] -= Gt[:, ds, :].transpose(1, 0, 2) * w[:, None, None]
-    x, gap = _kernel(L.reshape(-1, len(size)), certify)
+    x = _kernel(L.reshape(-1, len(size)))
     Xt = np.zeros((len(x), n, n), dtype=complex)
     Xt[:, cs, ds] = x[:, u] * w
-    e = frobenius(V.conj().T @ V - np.eye(n)) if certify else 0.0
-    beta = (1 + e) * (gap + e) + 2 * n * n * np.finfo(float).eps
-    return (_read_only(V @ Xt @ V.conj().T), beta,
+    return (_read_only(V @ Xt @ V.conj().T),
             (V, pos, owner) if len(x) == len(size) else None)
 
 
 def _bicommutant(generators, dim):
-    """(A', A'', beta >= the product defect of A''). If _commutant's kernel
-    kept every tied unknown, A' = V'((+)_trees I_t (x) M_s)V'^* and A'' =
-    V'((+)_trees M_t (x) I_s)V'^*, with no second solve: X_ab = C_a C_b^* /
-    sqrt(s) for blocks a, b of a tree, C_a block a's s columns of V'; M_n
-    (one tree, s = 1) is the matrix units. With E = V'^*V' - I, X_ab X_cd =
-    delta_bc X_ad / sqrt(s) + C_a E_bc C_d^* / s, and ||C_a||_2^2 = ||I +
-    E_aa||_2 <= 1 + e bounds the last term by (1 + e) e: the first solve's
-    beta, whose c is 0. Otherwise A'' is _commutant's of A'."""
-    prime, beta, tied = _commutant(generators, dim, certify=True)
+    """(A', A'', beta >= the product defect of A''). A'' is read off the first
+    solve's tied form (V', pos, owner), A' = V'((+)_trees I_t (x) M_s)V'^*
+    (_tied_algebra), or is the second solve's, on A', with that solve's tied
+    form. With E = V'^*V' - I, X_ab X_cd = delta_bc X_ad / sqrt(s) + C_a E_bc
+    C_d^* / s, ||C_a||_2^2 = ||I + E_aa||_2 <= 1 + e and e = ||E||_F give beta
+    = (1 + e) e + 2 n^2 eps. With no tied form, beta is inf: A'' goes to the
+    product gate."""
+    prime, tied = _commutant(generators, dim)
+    basis, tied = ((_tied_algebra(*tied), tied) if tied is not None
+                   else _commutant(prime, dim))
     if tied is None:
-        return (prime, *_commutant(prime, dim, certify=True)[:2])
-    V, pos, owner = tied
+        return prime, basis, np.inf
+    V, n = tied[0], len(tied[0])
+    e = frobenius(V.conj().T @ V - np.eye(n))
+    return prime, basis, (1 + e) * e + 2 * n * n * np.finfo(float).eps
+
+
+def _tied_algebra(V, pos, owner):
+    """A'' = V'((+)_trees M_t (x) I_s)V'^*: X_ab = C_a C_b^* / sqrt(s) for
+    blocks a, b of a tree, C_a block a's s columns of V', one batched product
+    per (t, s) group; M_n (one tree, s = 1) is the matrix units."""
     n, t, s = len(V), np.bincount(pos)[pos], np.bincount(owner)[owner]
     if t[0] == n:
-        return prime, _matrix_units(n), beta
+        return _matrix_units(n)
     order, parts = np.lexsort((owner, pos, s, t)), []
     for tt, ss in sorted(set(zip(t.tolist(), s.tolist()))):
         cols = order[(t[order] == tt) & (s[order] == ss)].reshape(-1, ss, tt)
         C = V[:, cols].transpose(1, 3, 0, 2)  # [tree, block, row, offset]
         parts.append((C[:, :, None] @ C[:, None].conj().mT / np.sqrt(ss))
                      .reshape(-1, n, n))
-    return prime, _read_only(np.concatenate(parts)), beta
+    return _read_only(np.concatenate(parts))
 
 
 def double_commutant(generators, dim=None) -> np.ndarray:
@@ -257,7 +250,7 @@ class MatrixStarAlgebra:
         """The algebra A the generators generate, the commutant of their
         commutant A', which it keeps for center and is_factor (_bicommutant).
         A's basis is orthonormal, so it is its own span; it skips the product
-        gate when beta bounds the defect within DEFAULT_TOL (scale 1)."""
+        gate when the tied form's beta is within DEFAULT_TOL (scale 1)."""
         prime, basis, beta = _bicommutant(generators, dim)
         algebra = cls.__new__(cls)
         algebra._admit(basis, certified=beta <= DEFAULT_TOL)
@@ -292,7 +285,7 @@ def center(algebra: MatrixStarAlgebra) -> np.ndarray:
     if algebra._prime is None:
         algebra._prime = commutant(span.reshape(-1, n, n))
     prime = algebra._prime.reshape(-1, n * n)
-    x = _kernel((prime - (prime @ span.conj().T) @ span).T)[0]
+    x = _kernel((prime - (prime @ span.conj().T) @ span).T)
     return _read_only((x @ prime).reshape(-1, n, n))
 
 

@@ -85,32 +85,38 @@ def as_matrix(data) -> np.ndarray:
 
 def frobenius(M) -> float:
     """np.linalg.norm(M, "fro") bit for bit, by vdot, which warns of no
-    overflow; a sum that overflows is taken again on M over the power of two
-    at its largest part, which is exact."""
+    overflow; a sum that overflows on finite entries, or is below 2^-500 with
+    an entry nonzero, is taken again over the power of two at its largest
+    part, which is exact."""
     x = np.asarray(M).ravel(order="K")
     re, im = ((x.real, x.imag) if x.dtype.kind == "c"
               else (x.astype(float, copy=False), x[:0]))
     r = math.sqrt(float(np.vdot(re, re)) + float(np.vdot(im, im)))
-    if r == math.inf and np.isfinite(x).all():
+    if r == math.inf and np.isfinite(x).all() or r < 2.0 ** -500 and x.any():
         top = max(np.abs(re).max(), np.abs(im).max(initial=0.0))
         s = math.ldexp(1.0, math.frexp(top)[1] - 1)
         r = frobenius(x / s) * s
     return r
 
 
-@np.errstate(over="raise")
+@np.errstate(over="raise", under="raise")
 def _fro_batch(S):
     """frobenius() of each C-ordered matrix of a complex (..., m, n) stack,
     bit for bit: the dot products of its real and imaginary parts at stride
-    2, one matmul; if a sum overflows, frobenius() of each matrix."""
+    2, one matmul; if a square or a sum over- or underflows, frobenius() of
+    each matrix whose norm came out inf or below 2^-500."""
     x = S.reshape(S.shape[:-2] + (S.shape[-2] * S.shape[-1], 1))
     x = x.view(float).mT
     try:
         sq = x[..., None, :] @ x[..., None]
         return np.sqrt(sq[..., 0, 0, 0] + sq[..., 1, 0, 0])
     except FloatingPointError:
-        return np.reshape([frobenius(M) for M in S.reshape(-1, *S.shape[-2:])],
-                          S.shape[:-2])
+        with np.errstate(over="ignore", under="ignore"):
+            sq = x[..., None, :] @ x[..., None]
+            r = np.sqrt(sq[..., 0, 0, 0] + sq[..., 1, 0, 0])
+            M = S.reshape(-1, *S.shape[-2:])  # frobenius() keeps a zero M at 0
+            return np.reshape([v if 2.0 ** -500 <= v < np.inf else frobenius(X)
+                               for X, v in zip(M, r.flat)], r.shape)
 
 
 def _read_only(a):

@@ -27,7 +27,7 @@ from oplattice import (
 )
 from oplattice import algebras, cli
 from oplattice.algebras import _bicommutant, _kernel, _weights
-from oplattice.linalg import NULLSPACE_RTOL, hermitian_part
+from oplattice.linalg import NULLSPACE_RTOL, _fro_batch, hermitian_part
 
 from oracles import (
     center_oracle,
@@ -695,7 +695,9 @@ def test_generated_algebra_is_read_off_the_tied_eigenblocks(
     sector of the charge I span commutant(commutant(G)) and the word
     closure, of dimension sum d_i^2, with one commutant solve each. With no
     eigenblocks tied, the constraint map of a component with d_i > 1 does
-    not vanish, and each falls back to a second solve. Left out: k = 1, the
+    not vanish, and each falls back to a second solve; when a component also
+    has m_i > 1, so does the second solve's, and generated_by admits the
+    second solve's basis through the product gate. Left out: k = 1, the
     scalars."""
     n = sum(d * m for d, m in blocks)
     k = sum(d * d for d, _ in blocks)
@@ -715,6 +717,7 @@ def test_generated_algebra_is_read_off_the_tied_eigenblocks(
         if untied:
             patch.setattr(algebras, "_forest", _untied_forest)
         patch.setattr(algebras, "_commutant", counted)
+        products = _count_products(patch)
         alg = MatrixStarAlgebra.generated_by(gens)
         report = superselection_sectors([np.eye(n)], gens)
         bases = [alg.basis, double_commutant(gens)]
@@ -723,6 +726,8 @@ def test_generated_algebra_is_read_off_the_tied_eigenblocks(
     bases.append(B @ sector.restricted_basis @ B.conj().T)
     solves = 2 if untied and max(d for d, _ in blocks) > 1 else 1
     assert len(calls) == 3 * solves
+    gated = solves == 2 and max(m for _, m in blocks) > 1
+    assert sum(products) == (k * k if gated else 0)
     for basis in bases:
         assert len(basis) == k
         assert span_gap(basis, solved) <= 1e-8
@@ -756,23 +761,24 @@ def test_generated_by_sends_a_bent_basis_through_the_product_gate(
     assert span_gap(basis, want) <= 1e-8
 
 
-def test_blocked_qr_kernel_matches_one_qr(monkeypatch):
-    """A 4196 x 16 complex L: four 1024-row chunks and a 100-row rest, each
-    adding two independent constraints. Its kernel through the blocked QR
-    is the one through one QR, both certified to eps level; a chunk left
-    out would leave two more kernel rows."""
+def test_a_tall_kernel_goes_through_one_qr(monkeypatch):
+    """A 4196 x 16 complex L: five row groups, each adding two independent
+    constraints. Its kernel comes from one QR, then the SVD of R: 6 rows,
+    each within 1e-12 of L's null space; a group left out would leave two
+    more kernel rows."""
     rng = np.random.default_rng(7)
     L = np.concatenate([rng.standard_normal((rows, 2))
                         @ random_mats(rng, 16, 1)[0][:2]
                         for rows in (1024, 1024, 1024, 1024, 100)])
-    assert len(L) >= 2 * algebras._QR_ROWS >= 8 * L.shape[1]
-    x, gap = _kernel(L, certify=True)
-    monkeypatch.setattr("oplattice.algebras._QR_ROWS", len(L))
-    x1, gap1 = _kernel(L, certify=True)
-    assert len(x) == len(x1) == 6
-    assert span_gap(list(x), list(x1)) <= 1e-12
-    assert max(gap, gap1) <= 1e-12
-    assert _kernel(L)[1] == np.inf
+    calls, qr = [], np.linalg.qr
+
+    def counted(A, *args, **kwargs):
+        calls.append(A.shape)
+        return qr(A, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    x = _kernel(L)
+    assert calls == [L.shape] and len(x) == 6
+    assert max(frobenius(L @ row) for row in x) <= 1e-12
 
 
 def _kernel_domains(patch):
@@ -780,30 +786,44 @@ def _kernel_domains(patch):
     (columns, ||L||_F, kernel rows) of every call; returns the record."""
     calls, kernel = [], algebras._kernel
 
-    def recorded(L, certify=False):
-        x, gap = kernel(L, certify)
+    def recorded(L):
+        x = kernel(L)
         calls.append((L.shape[1], frobenius(L), len(x)))
-        return x, gap
+        return x
     patch.setattr("oplattice.algebras._kernel", recorded)
     return calls
 
 
 def test_a_zero_constraint_map_keeps_the_whole_domain(monkeypatch):
-    """||L||_F at NULLSPACE_RTOL: every unknown is free, with no QR or SVD,
-    and the certificate is 0. Twice that keeps one singular value, through
-    the SVD, as before."""
+    """||L||_F at NULLSPACE_RTOL: every unknown is free, with no QR or SVD.
+    Twice that keeps one singular value, through the SVD, as before."""
     L = np.zeros((40, 4), dtype=complex)
     L[3, 1] = 2 * NULLSPACE_RTOL
-    assert len(_kernel(L)[0]) == 3
+    assert len(_kernel(L)) == 3
     L[3, 1] = NULLSPACE_RTOL
 
     def refused(*args, **kwargs):
         raise AssertionError("a zero map needs no factorization")
     monkeypatch.setattr(np.linalg, "svd", refused)
     monkeypatch.setattr(np.linalg, "qr", refused)
-    x, gap = _kernel(L, certify=True)
-    np.testing.assert_array_equal(x, np.eye(4))
-    assert gap == 0.0 and _kernel(L)[1] == np.inf
+    np.testing.assert_array_equal(_kernel(L), np.eye(4))
+
+
+@pytest.mark.parametrize("k", [520, 600, 1000])
+def test_generators_whose_squares_underflow_keep_their_algebra(k):
+    """Two random complex 4 x 4 generators times 2^-k, whose squared entries
+    underflow: the commutant is the scalars and the generated algebra is all
+    of M_4, as unscaled. frobenius is exactly 2^-k times the unscaled norm,
+    _fro_batch gives each matrix of a stack those bits, and a zero matrix
+    in the stack reads 0."""
+    G = random_mats(np.random.default_rng(11), 4, 2)
+    small = [2.0 ** -k * M for M in G]
+    assert len(commutant(small)) == 1
+    assert MatrixStarAlgebra.generated_by(small).linear_dimension() == 16
+    want = [2.0 ** -k * frobenius(M) for M in G]
+    assert [frobenius(M) for M in small] == want
+    stack = np.stack([small[0], np.zeros((4, 4), dtype=complex), small[1]])
+    np.testing.assert_array_equal(_fro_batch(stack), [want[0], 0.0, want[1]])
 
 
 def test_weights_are_drawn_once_per_count():
