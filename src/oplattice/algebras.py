@@ -124,7 +124,9 @@ def _commutant(generators, dim):
     norms = _fro_batch(S)
     keep = _fro_batch(S - (S.trace(axis1=1, axis2=2) / n)[:, None, None]
                       * np.eye(n)) > NULLSPACE_RTOL * norms
-    G = S[keep] / norms[keep, None, None]
+    _, e = np.frexp(norms[keep])  # over 2^e first: 1/norm may overflow
+    G = (np.ldexp(S[keep].view(float), -e[:, None, None]).view(complex)
+         / np.ldexp(norms[keep], -e)[:, None, None])
     if not len(G):  # M_n: one tree of one block, all n columns
         tied = (np.eye(n, dtype=complex), np.arange(n), np.zeros(n, int))
         return _matrix_units(n), tied
@@ -228,10 +230,10 @@ class MatrixStarAlgebra:
                 raise ValueError("basis matrices are linearly dependent")
             span, comp = vh[:k].copy(), vh[k:].conj().T if full else None
         scale = max(1.0, _fro_batch(stack).max())
-        if _span_residual(span, np.eye(n), comp)[0] > DEFAULT_TOL * np.sqrt(n):
+        if not _span_residual(span, np.eye(n), comp)[0] <= DEFAULT_TOL * np.sqrt(n):
             raise ValueError("algebra does not contain the identity")
         worst = _span_residual(span, stack.conj().transpose(0, 2, 1), comp).max()
-        if worst > DEFAULT_TOL * scale:
+        if not worst <= DEFAULT_TOL * scale:
             raise NotClosedUnderProducts(worst)
         if not certified and k < n * n:
             # k = n^2 means the span is everything, products included
@@ -240,7 +242,7 @@ class MatrixStarAlgebra:
             worst = max(_span_residual(
                 span, _products(stack[lo:lo + m], stack[j:j + r]), comp).max()
                 for lo in range(0, k, m) for j in range(0, k, r))
-            if worst > DEFAULT_TOL * scale * scale:
+            if not worst <= DEFAULT_TOL * scale * scale:
                 raise NotClosedUnderProducts(worst)
 
         self.dim, self.basis, self._span, self._prime = n, stack, span, None
@@ -326,7 +328,7 @@ def superselection_sectors(charges, observables,
         raise NonCommutingCharges(*exc.pair) from exc
     for idx, Q in enumerate(charge_mats):
         defect = float(_fro_batch(Q @ obs - obs @ Q).max(initial=0.0))
-        if defect > max(tol, SOLVER_TOL) * max(1.0, frobenius(Q)):
+        if not defect <= max(tol, SOLVER_TOL) * max(1.0, frobenius(Q)):
             raise NonCentralCharge(idx, defect)
 
     offdiag = 0.0

@@ -95,7 +95,7 @@ class AbstractStarAlgebra:
             )
         for what, resid, scale in _axiom_residuals(c, s, u):
             defect = float(np.abs(resid).max())
-            if defect > SOLVER_TOL * scale:
+            if not defect <= SOLVER_TOL * scale:
                 raise DegenerateAlgebra(what, defect)
 
         self.n_basis = n
@@ -213,7 +213,7 @@ def verify_gns(triple: GNSTriple, alg: AbstractStarAlgebra,
     residuals = {"homomorphism": hom, "involution": inv, "unit": unit,
                  "expectation": expect, "cyclic_rank_gap": triple.rep_dim - rank}
     violation = next((key for key in scale
-                      if residuals[key] > tol * scale[key]), None)
+                      if not residuals[key] <= tol * scale[key]), None)
     if violation is None and rank != triple.rep_dim:
         violation = "cyclicity"
     return {"ok": violation is None, "violation": violation,
@@ -277,7 +277,7 @@ def algebra_from_matrices(mats) -> AbstractStarAlgebra:
         sol = Wh.conj().T @ (coef.real / sv[:, None]
                              + 1j * (coef.imag / sv[:, None]))
         resid = float(np.abs(V @ sol - rhs).max())
-        if resid > SOLVER_TOL * max(1.0, float(np.abs(rhs).max())):
+        if not resid <= SOLVER_TOL * max(1.0, float(np.abs(rhs).max())):
             raise ValueError(f"{what} does not stay in the span "
                              f"(residual {resid:.3e})")
         return sol

@@ -19,7 +19,6 @@ from .linalg import (
     frobenius,
     matrix_from_json,
     operator_norm,
-    range_basis,
     require_same_dim,
     require_square,
 )
@@ -67,8 +66,8 @@ def _ranks(stack, tol):
 
 class Projector:
     """Validated orthogonal projector: P = P* = P^2, integer trace. It keeps
-    the bases of range(P) and range(I - P) that meet and join take, computed
-    on first use (O(n^2), read-only)."""
+    the orthonormal bases of range(P) and range(I - P) that meet and join
+    take, both from one eigh of P on first use (read-only)."""
 
     __slots__ = ("dim", "matrix", "rank", "_bases")
 
@@ -79,7 +78,7 @@ class Projector:
     def _admit(self, P, rank):
         P.setflags(write=False)
         self.matrix, self.dim, self.rank = P, P.shape[0], rank
-        self._bases = [None, None]
+        self._bases = None
         return self
 
     def __repr__(self):
@@ -124,18 +123,19 @@ def neg(P: Projector) -> Projector:
 
 
 def _basis(P: Projector, complement: bool) -> np.ndarray:
-    """range_basis of I - P if complement, else of P; kept with P."""
-    if P._bases[complement] is None:
-        B = range_basis(np.eye(P.dim) - P.matrix if complement else P.matrix)
-        B.setflags(write=False)
-        P._bases[complement] = B
+    """Orthonormal basis of range(P), or of range(I - P) if complement: the
+    eigenvectors of one eigh of P with eigenvalue above 1/2, or the rest.
+    Both are kept with P; neg(P) takes the eigh of its own matrix."""
+    if P._bases is None:
+        w, v = np.linalg.eigh(P.matrix)
+        P._bases = v[:, w > 0.5], v[:, w <= 0.5]
+        for B in P._bases:
+            B.setflags(write=False)
     return P._bases[complement]
 
 
 def _union_span_projector(bases, dim):
-    cols = np.hstack([b for b in bases if b.size]) if any(
-        b.size for b in bases
-    ) else np.zeros((dim, 0))
+    cols = np.hstack(bases)
     if cols.shape[1] == 0:
         return np.zeros((dim, dim), dtype=complex)
     u, s, _ = np.linalg.svd(cols, full_matrices=False)

@@ -86,16 +86,18 @@ def as_matrix(data) -> np.ndarray:
 def frobenius(M) -> float:
     """np.linalg.norm(M, "fro") bit for bit, by vdot, which warns of no
     overflow; a sum that overflows on finite entries, or is below 2^-500 with
-    an entry nonzero, is taken again over the power of two at its largest
-    part, which is exact."""
+    an entry nonzero, is taken again over the power of two 2^e at its largest
+    part, subnormal too: np.ldexp by -e on the float view is exact, and the
+    norm is multiplied back by 2^e."""
     x = np.asarray(M).ravel(order="K")
-    re, im = ((x.real, x.imag) if x.dtype.kind == "c"
-              else (x.astype(float, copy=False), x[:0]))
+    c = x.dtype.kind == "c"
+    re, im = (x.real, x.imag) if c else (x.astype(float, copy=False), x[:0])
     r = math.sqrt(float(np.vdot(re, re)) + float(np.vdot(im, im)))
     if r == math.inf and np.isfinite(x).all() or r < 2.0 ** -500 and x.any():
         top = max(np.abs(re).max(), np.abs(im).max(initial=0.0))
-        s = math.ldexp(1.0, math.frexp(top)[1] - 1)
-        r = frobenius(x / s) * s
+        e = math.frexp(top)[1] - 1
+        y = np.ldexp(x.astype(complex, copy=False).view(float) if c else re, -e)
+        r = frobenius(y.view(complex) if c else y) * 2.0 ** e
     return r
 
 
@@ -291,12 +293,6 @@ class UnitaryOperator:
 
     def __repr__(self):
         return f"UnitaryOperator(dim={self.dim})"
-
-
-def range_basis(P: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning range(P), from the 0/1 eigensplit."""
-    w, v = np.linalg.eigh(P)
-    return v[:, w > 0.5]
 
 
 class EigenSystem:

@@ -66,14 +66,6 @@ def span_projector_oracle(cols):
     return q @ q.conj().T
 
 
-def max_principal_angle_sin(basis_a, basis_b):
-    """sin of the largest principal angle between two spans of vectors
-    (columns), measured through the projector difference."""
-    Pa = span_projector_oracle(basis_a)
-    Pb = span_projector_oracle(basis_b)
-    return float(np.linalg.norm(Pa - Pb, 2))
-
-
 def fock_moments(level, m=1.0, omega=1.0, hbar=1.0):
     """Closed-form position/momentum moments of the number eigenstate |n>.
 

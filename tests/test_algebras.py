@@ -15,6 +15,7 @@ from oplattice import (
     NonCentralCharge,
     NonCommutingCharges,
     NotClosedUnderProducts,
+    algebra_from_matrices,
     center,
     commutant,
     decohere_across_sectors,
@@ -809,21 +810,44 @@ def test_a_zero_constraint_map_keeps_the_whole_domain(monkeypatch):
     np.testing.assert_array_equal(_kernel(L), np.eye(4))
 
 
-@pytest.mark.parametrize("k", [520, 600, 1000])
+@pytest.mark.parametrize("k", [520, 600, 1000, 1030, 1060])
 def test_generators_whose_squares_underflow_keep_their_algebra(k):
     """Two random complex 4 x 4 generators times 2^-k, whose squared entries
     underflow: the commutant is the scalars and the generated algebra is all
-    of M_4, as unscaled. frobenius is exactly 2^-k times the unscaled norm,
-    _fro_batch gives each matrix of a stack those bits, and a zero matrix
-    in the stack reads 0."""
+    of M_4, as unscaled, also where the entries and norms are subnormal
+    (k > 1022), so that 1 / norm overflows. While the entries are normal,
+    frobenius is exactly 2^-k times the unscaled norm, _fro_batch gives each
+    matrix of a stack those bits, and a zero matrix in the stack reads 0."""
     G = random_mats(np.random.default_rng(11), 4, 2)
     small = [2.0 ** -k * M for M in G]
     assert len(commutant(small)) == 1
     assert MatrixStarAlgebra.generated_by(small).linear_dimension() == 16
+    if np.abs(np.stack(small).view(float)).min() < np.finfo(float).tiny:
+        return
     want = [2.0 ** -k * frobenius(M) for M in G]
     assert [frobenius(M) for M in small] == want
     stack = np.stack([small[0], np.zeros((4, 4), dtype=complex), small[1]])
     np.testing.assert_array_equal(_fro_batch(stack), [want[0], 0.0, want[1]])
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # products
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("k", [0, 300, 520, 600])
+def test_a_gate_refuses_a_defect_lost_to_overflow(k):
+    """span{I, sx, sz} is not closed (sz sx = i sy), and G, which mixes the
+    eigenspaces of the charge diag(1, 1, -1, -1), is not sector-diagonal.
+    From 2^520 the products overflow and the defects are NaN; each gate
+    refuses a NaN as it refuses a finite defect over its bound."""
+    s = 2.0 ** k
+    span = [s * I2, s * SX, s * SZ]
+    with pytest.raises(NotClosedUnderProducts):
+        MatrixStarAlgebra(span)
+    with pytest.raises(ValueError, match="does not stay in the span"):
+        algebra_from_matrices(span)
+    G = np.zeros((4, 4))
+    G[0, 2] = G[2, 0] = 1.0
+    with pytest.raises(NonCentralCharge):
+        superselection_sectors([s * np.diag([1.0, 1, -1, -1])], [s * G])
 
 
 def test_weights_are_drawn_once_per_count():

@@ -186,6 +186,18 @@ def test_noether_verdict_holds_where_squared_entries_overflow(k, scale_h):
         assert all(np.isfinite(d) for d in rep.defects.values())
 
 
+def test_noether_passes_a_conserved_pair_whose_residuals_are_subnormal():
+    """A = H^2 and H, both times 2^-1000: the inputs are normal, but the
+    defects are norms of subnormal residuals, taken over a subnormal power
+    of two. Every face passes with a finite defect and no warning."""
+    H = random_hermitian(np.random.default_rng(7), 4)
+    s = 2.0 ** -1000
+    rep = noether_check(s * H @ H, s * H)
+    assert (rep.constant_of_motion, rep.dynamical_symmetry,
+            rep.h_invariance) == (True,) * 3, rep.defects
+    assert all(np.isfinite(d) for d in rep.defects.values())
+
+
 def test_group_commutation_matches_spectral_test():
     rng = np.random.default_rng(61)
     A = random_hermitian(rng, 4)

@@ -304,24 +304,25 @@ def test_orthocomplement_keeps_the_admission_of_its_projector():
     assert frobenius(both.matrix - np.outer(U[:, 0], U[:, 0].conj())) <= 1e-12
 
 
-def test_meet_join_and_jauch_meet_take_each_range_basis_once(monkeypatch):
+def test_meet_join_and_jauch_meet_take_one_eigh_per_projector(monkeypatch):
     calls = []
-    basis = lattice.range_basis
-    monkeypatch.setattr(lattice, "range_basis",
-                        lambda M: calls.append(M) or basis(M))
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda M: calls.append(M) or eigh(M))
     rng = np.random.default_rng(43)
     q, _ = np.linalg.qr(rng.standard_normal((6, 6))
                         + 1j * rng.standard_normal((6, 6)))
     P = span_projector(q[:, :3].T)
     Q = span_projector([q[:, 0], (q[:, 1] + q[:, 3]) / np.sqrt(2), q[:, 4]])
     first = meet(P, Q), join(P, Q), jauch_meet(P, Q)
-    # range(P), range(Q), range(I - P), range(I - Q): not 6 as before
-    assert len(calls) == 4
+    # one eigh of P and one of Q give range(P), range(I - P) and Q's two
+    assert len(calls) == 2
+    assert calls[0] is P.matrix and calls[1] is Q.matrix
     for B in P._bases + Q._bases:
         with pytest.raises(ValueError):
             B[0, 0] = 0.0
     again = meet(P, Q), join(P, Q), jauch_meet(P, Q)
-    assert len(calls) == 4
+    assert len(calls) == 2
     fresh = [Projector(R.matrix.copy()) for R in (P, Q)]
     for got, want in zip(again, (meet(*fresh), join(*fresh), jauch_meet(*fresh))):
         assert np.array_equal(got.matrix, want.matrix)

@@ -93,6 +93,20 @@ def test_norms_keep_their_bits_and_rescale_only_an_overflowed_sum():
         [linalg.frobenius(X), linalg.frobenius(big), np.inf])
 
 
+@pytest.mark.parametrize("k", [1030, 1060, 1070])
+def test_norms_of_subnormal_complex_matrices_are_exact(k):
+    """Entries times 2^-k, subnormal, so that 1 / (the power of two at the
+    largest part) overflows: frobenius rescales by ldexp, exactly, and
+    matches the unscaled norm of the same subnormal data times 2^-k, with no
+    warning; _fro_batch gives each matrix of a stack the same bits."""
+    X = np.random.default_rng(5).standard_normal((3, 4, 8)).view(complex)
+    tiny = np.ldexp(X.view(float), -k).view(complex)
+    want = [np.ldexp(np.linalg.norm(np.ldexp(M.view(float), k).view(complex)),
+                     -k) for M in tiny]
+    assert [linalg.frobenius(M) for M in tiny] == want
+    np.testing.assert_array_equal(linalg._fro_batch(tiny), want)
+
+
 def test_unitary_validation():
     theta = 0.37
     U = np.array(
