@@ -15,8 +15,10 @@ from .linalg import (
     NULLSPACE_RTOL,
     SOLVER_TOL,
     _CHECK_SLICE,
+    Refusal,
     _admitted,
     _fro_batch,
+    _gate,
     _matrix_units,
     _products,
     _read_only,
@@ -31,28 +33,22 @@ from .spectral import NonCommuting, _decompose_stack, joint_pvm
 _WEIGHT_SEED = 1729  # commutant's generic element, fixed: bit-stable results
 
 
-class NotClosedUnderProducts(ValueError):
-    def __init__(self, defect):
-        super().__init__(
-            f"span is not closed under multiplication (defect {defect:.3e})"
-        )
-        self.defect = float(defect)
+class NotClosedUnderProducts(Refusal, ValueError):
+    template = "span is not closed under multiplication (defect {defect:.3e})"
 
 
-class NonCommutingCharges(ValueError):
-    def __init__(self, i, j):
-        super().__init__(f"charges {i} and {j} do not commute")
-        self.indices = (int(i), int(j))
+class MissingIdentity(Refusal, ValueError):
+    template = "algebra does not contain the identity"
 
 
-class NonCentralCharge(ValueError):
-    def __init__(self, index, defect):
-        super().__init__(
-            f"charge {index} fails to commute with the observables "
-            f"(defect {defect:.3e})"
-        )
-        self.index = int(index)
-        self.defect = float(defect)
+class NonCommutingCharges(Refusal, ValueError):
+    template, fields = "charges {0[0]} and {0[1]} do not commute", ("indices",)
+
+
+class NonCentralCharge(Refusal, ValueError):
+    template = ("charge {0} fails to commute with the observables "
+                "(defect {defect:.3e})")
+    fields = ("index",)
 
 
 def _kernel(L):
@@ -230,20 +226,18 @@ class MatrixStarAlgebra:
                 raise ValueError("basis matrices are linearly dependent")
             span, comp = vh[:k].copy(), vh[k:].conj().T if full else None
         scale = max(1.0, _fro_batch(stack).max())
-        if not _span_residual(span, np.eye(n), comp)[0] <= DEFAULT_TOL * np.sqrt(n):
-            raise ValueError("algebra does not contain the identity")
-        worst = _span_residual(span, stack.conj().transpose(0, 2, 1), comp).max()
-        if not worst <= DEFAULT_TOL * scale:
-            raise NotClosedUnderProducts(worst)
+        _gate(_span_residual(span, np.eye(n), comp)[0],
+              DEFAULT_TOL * np.sqrt(n), MissingIdentity)
+        _gate(_span_residual(span, stack.conj().transpose(0, 2, 1), comp).max(),
+              DEFAULT_TOL * scale, NotClosedUnderProducts)
         if not certified and k < n * n:
             # k = n^2 means the span is everything, products included
             r = min(k, max(1, _CHECK_SLICE // (n * n)))
             m = max(1, _CHECK_SLICE // (r * n * n))
-            worst = max(_span_residual(
+            worst = np.max([_span_residual(
                 span, _products(stack[lo:lo + m], stack[j:j + r]), comp).max()
-                for lo in range(0, k, m) for j in range(0, k, r))
-            if not worst <= DEFAULT_TOL * scale * scale:
-                raise NotClosedUnderProducts(worst)
+                for lo in range(0, k, m) for j in range(0, k, r)])
+            _gate(worst, DEFAULT_TOL * scale * scale, NotClosedUnderProducts)
 
         self.dim, self.basis, self._span, self._prime = n, stack, span, None
 
@@ -325,11 +319,12 @@ def superselection_sectors(charges, observables,
     try:
         joint = joint_pvm(charge_mats)
     except NonCommuting as exc:
-        raise NonCommutingCharges(*exc.pair) from exc
+        raise NonCommutingCharges(exc.pair, defect=exc.defect,
+                                  bound=exc.bound) from exc
     for idx, Q in enumerate(charge_mats):
-        defect = float(_fro_batch(Q @ obs - obs @ Q).max(initial=0.0))
-        if not defect <= max(tol, SOLVER_TOL) * max(1.0, frobenius(Q)):
-            raise NonCentralCharge(idx, defect)
+        _gate(float(_fro_batch(Q @ obs - obs @ Q).max(initial=0.0)),
+              max(tol, SOLVER_TOL) * max(1.0, frobenius(Q)), NonCentralCharge,
+              idx)
 
     offdiag = 0.0
     sectors = []

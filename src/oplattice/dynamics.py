@@ -15,9 +15,11 @@ from .linalg import (
     PRODUCT_TOL,
     SOLVER_TOL,
     HermitianOperator,
+    Refusal,
     ToleranceFailure,
     UnitaryOperator,
     _fro_batch,
+    _gate,
     _hermitian,
     _hermitians,
     as_matrix,
@@ -36,21 +38,13 @@ MAX_DYSON_ORDER = 12
 DEFAULT_NOETHER_GRID = (0.1, 0.37, 1.0)
 
 
-class InconsistentGroup(ToleranceFailure, ValueError):
-    def __init__(self, defect):
-        super().__init__(
-            f"samples are not consistent with a one-parameter group "
-            f"(defect {defect:.3e})"
-        )
-        self.defect = float(defect)
+class InconsistentGroup(Refusal, ToleranceFailure, ValueError):
+    template = ("samples are not consistent with a one-parameter group "
+                "(defect {defect:.3e})")
 
 
-class NotHermitianResult(ToleranceFailure, ValueError):
-    def __init__(self, defect):
-        super().__init__(
-            f"recovered generator is not Hermitian (defect {defect:.3e})"
-        )
-        self.defect = float(defect)
+class NotHermitianResult(Refusal, ToleranceFailure, ValueError):
+    template = "recovered generator is not Hermitian (defect {defect:.3e})"
 
 
 class EquivalenceViolation(ToleranceFailure, RuntimeError):
@@ -81,14 +75,19 @@ class QuadratureTooCoarse(ValueError):
         self.needed = int(needed)
 
 
-class NotACocycle(ToleranceFailure, ValueError):
-    def __init__(self, g1, g2, g3, defect):
-        super().__init__(
-            f"multiplier identity fails on ({g1!r}, {g2!r}, {g3!r}) "
-            f"with defect {defect:.3e}"
-        )
-        self.triple = (g1, g2, g3)
-        self.defect = float(defect)
+class NotACocycle(Refusal, ToleranceFailure, ValueError):
+    template = ("multiplier identity fails on ({0[0]!r}, {0[1]!r}, {0[2]!r}) "
+                "with defect {defect:.3e}")
+    fields = ("triple",)
+
+
+class NotUnitModulus(Refusal, ValueError):
+    template = "multiplier for ({0!r}, {1!r}) has modulus {2}"
+
+
+class NotProjective(Refusal, ValueError):
+    template = ("operators are not projective on ({0!r}, {1!r}): "
+                "defect {defect:.3e}")
 
 
 def _evolve(ops, times, hbar):
@@ -137,9 +136,7 @@ def generator_from_group(samples, hbar=1.0) -> HermitianOperator:
     eye = np.eye(stack.shape[1])
 
     if 0.0 in table:
-        defect = frobenius(table[0.0] - eye)
-        if defect > SOLVER_TOL:
-            raise InconsistentGroup(defect)
+        _gate(frobenius(table[0.0] - eye), SOLVER_TOL, InconsistentGroup)
 
     pos = sorted(t for t in table if t > 0 and -t in table)
     if not pos:
@@ -156,22 +153,18 @@ def generator_from_group(samples, hbar=1.0) -> HermitianOperator:
     if t_full is not None:
         # group-law consistency of the stencil itself
         half = table[t_full / 2.0]
-        defect = frobenius(half @ half - table[t_full])
-        if defect > SOLVER_TOL:
-            raise InconsistentGroup(defect)
+        _gate(frobenius(half @ half - table[t_full]), SOLVER_TOL,
+              InconsistentGroup)
         D = (4.0 * central(t_full / 2.0) - central(t_full)) / 3.0
     else:
         D = central(pos[0])
 
-    herm_defect = frobenius(D - D.conj().T)
-    if herm_defect > SOLVER_TOL * max(1.0, frobenius(D)):
-        raise NotHermitianResult(herm_defect)
+    _gate(frobenius(D - D.conj().T), SOLVER_TOL * max(1.0, frobenius(D)),
+          NotHermitianResult)
     H = HermitianOperator(D, tol=np.inf)
 
     recon = require_unitary(_evolve([H], [list(table)], hbar))
-    worst = float(_fro_batch(recon - stack).max())
-    if worst > FIT_TOL:
-        raise InconsistentGroup(worst)
+    _gate(float(_fro_batch(recon - stack).max()), FIT_TOL, InconsistentGroup)
     return H
 
 
@@ -399,10 +392,8 @@ class MultiplierTable:
                     z = complex(omega[(g, h)])
                 except KeyError:
                     raise ValueError(f"multiplier missing for ({g!r}, {h!r})")
-                if abs(abs(z) - 1.0) > PRODUCT_TOL:
-                    raise ValueError(
-                        f"multiplier for ({g!r}, {h!r}) has modulus {abs(z)}"
-                    )
+                _gate(abs(abs(z) - 1.0), PRODUCT_TOL, NotUnitModulus, g, h,
+                      abs(z))
                 table[(g, h)] = z
         self.omega = table
 
@@ -421,19 +412,13 @@ def cocycle_check(table: MultiplierTable, group_mult) -> bool:
             for g3 in els:
                 lhs = table(g1, g2) * table(group_mult(g1, g2), g3)
                 rhs = table(g1, group_mult(g2, g3)) * table(g2, g3)
-                defect = abs(lhs - rhs)
-                if defect > PRODUCT_TOL:
-                    raise NotACocycle(g1, g2, g3, defect)
-    identity = None
-    for e in els:
-        if all(group_mult(g, e) == g and group_mult(e, g) == g for g in els):
-            identity = e
-            break
+                _gate(abs(lhs - rhs), PRODUCT_TOL, NotACocycle, (g1, g2, g3))
+    identity = next((e for e in els if all(
+        group_mult(g, e) == g and group_mult(e, g) == g for g in els)), None)
     if identity is not None:
         for g in els:
-            defect = abs(table(g, identity) - table(identity, g))
-            if defect > PRODUCT_TOL:
-                raise NotACocycle(g, identity, identity, defect)
+            _gate(abs(table(g, identity) - table(identity, g)), PRODUCT_TOL,
+                  NotACocycle, (g, identity, identity))
     return True
 
 
@@ -451,12 +436,8 @@ def multipliers_from_operators(elements, group_mult,
             target = mats[group_mult(g, h)]
             z = complex(np.trace(prod @ np.linalg.inv(target))) / dim
             z = z / abs(z)
-            defect = frobenius(prod - z * target)
-            if defect > SOLVER_TOL * max(1.0, frobenius(target)):
-                raise ValueError(
-                    f"operators are not projective on ({g!r}, {h!r}): "
-                    f"defect {defect:.3e}"
-                )
+            _gate(frobenius(prod - z * target),
+                  SOLVER_TOL * max(1.0, frobenius(target)), NotProjective, g, h)
             omega[(g, h)] = z
     return MultiplierTable(elements, omega)
 

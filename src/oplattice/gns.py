@@ -14,7 +14,9 @@ from .linalg import (
     PRODUCT_TOL,
     RANK_RTOL,
     SOLVER_TOL,
+    Refusal,
     _fro_batch,
+    _gate,
     _matrix_units,
     _products,
     _read_only,
@@ -25,20 +27,21 @@ from .linalg import (
 from .states import _density, is_pure
 
 
-class DegenerateAlgebra(ValueError):
-    def __init__(self, what, defect):
-        super().__init__(
-            f"structure constants violate {what} (defect {defect:.3e})"
-        )
-        self.what = what
-        self.defect = float(defect)
+class DegenerateAlgebra(Refusal, ValueError):
+    template = "structure constants violate {0} (defect {defect:.3e})"
+    fields = ("what",)
 
 
-class NotAState(ValueError):
-    def __init__(self, reason, defect):
-        super().__init__(f"not a state: {reason} (defect {defect:.3e})")
-        self.reason = reason
-        self.defect = float(defect)
+class NotAState(Refusal, ValueError):
+    template, fields = "not a state: {0} (defect {defect:.3e})", ("reason",)
+
+
+class NoIntertwiner(Refusal, ValueError):
+    template = "no unitary intertwiner within tolerance (defect {defect:.3e})"
+
+
+class OutsideSpan(Refusal, ValueError):
+    template = "{0} does not stay in the span (residual {defect:.3e})"
 
 
 class InputIsPure(ValueError):
@@ -94,9 +97,8 @@ class AbstractStarAlgebra:
                 f"shape mismatch: mult {c.shape}, invol {s.shape}, unit {n}"
             )
         for what, resid, scale in _axiom_residuals(c, s, u):
-            defect = float(np.abs(resid).max())
-            if not defect <= SOLVER_TOL * scale:
-                raise DegenerateAlgebra(what, defect)
+            _gate(float(np.abs(resid).max()), SOLVER_TOL * scale,
+                  DegenerateAlgebra, what)
 
         self.n_basis = n
         self.mult = c
@@ -129,19 +131,16 @@ class AlgebraicState:
             raise ValueError(
                 f"{w.size} values for {algebra.n_basis} basis elements"
             )
-        unit_value = complex(np.dot(algebra.unit, w))
-        if abs(unit_value - 1.0) > SOLVER_TOL * max(
-                1.0, float(np.abs(algebra.unit * w).sum())):
-            raise NotAState("the unit is not sent to 1",
-                            abs(unit_value - 1.0))
+        _gate(abs(complex(np.dot(algebra.unit, w)) - 1.0), SOLVER_TOL * max(
+            1.0, float(np.abs(algebra.unit * w).sum())), NotAState,
+            "the unit is not sent to 1")
         G = algebra.invol @ (algebra.mult @ w)
-        herm = float(np.abs(G - G.conj().T).max())
-        if herm > SOLVER_TOL * max(1.0, float(np.abs(G).max())):
-            raise NotAState("Gram matrix is not Hermitian", herm)
+        _gate(float(np.abs(G - G.conj().T).max()),
+              SOLVER_TOL * max(1.0, float(np.abs(G).max())), NotAState,
+              "Gram matrix is not Hermitian")
         G = (G + G.conj().T) / 2.0
-        eigmin = float(np.linalg.eigvalsh(G)[0])
-        if eigmin < -SOLVER_TOL:
-            raise NotAState("Gram matrix is not positive", -eigmin)
+        _gate(-float(np.linalg.eigvalsh(G)[0]), SOLVER_TOL, NotAState,
+              "Gram matrix is not positive")
         self.algebra = algebra
         self.values = w
         self.gram = G
@@ -168,7 +167,8 @@ def gns_construct(alg: AbstractStarAlgebra, omega: AlgebraicState) -> GNSTriple:
     keep = w > RANK_RTOL * max(float(w[-1]), 0.0)
     r = int(np.count_nonzero(keep))
     if r == 0:
-        raise NotAState("Gram matrix vanishes", float(np.abs(w).max()))
+        raise NotAState("Gram matrix vanishes", defect=np.abs(w).max(),
+                        bound=0.0)
     wk = w[keep]
     vk = v[:, keep]
     into = np.sqrt(wk)[:, None] * vk.conj().T      # coefficients -> quotient
@@ -228,15 +228,9 @@ def gns_intertwiner(first: GNSTriple, second: GNSTriple) -> np.ndarray:
     A, B = as_stack(first.pi_images, r), as_stack(second.pi_images, r)
     c1, c2 = (A @ first.cyclic_vector).T, (B @ second.cyclic_vector).T
     W = c2 @ np.linalg.pinv(c1)
-    defect = max(
-        frobenius(W @ W.conj().T - np.eye(r)),
-        frobenius(W @ c1 - c2),
-        float(_fro_batch(W @ A - B @ W).max()),
-    )
-    if defect > PRODUCT_TOL * max(1.0, frobenius(c1)):
-        raise ValueError(
-            f"no unitary intertwiner within tolerance (defect {defect:.3e})"
-        )
+    defect = np.max([frobenius(W @ W.conj().T - np.eye(r)),
+                     frobenius(W @ c1 - c2), _fro_batch(W @ A - B @ W).max()])
+    _gate(defect, PRODUCT_TOL * max(1.0, frobenius(c1)), NoIntertwiner)
     return W
 
 
@@ -276,10 +270,8 @@ def algebra_from_matrices(mats) -> AbstractStarAlgebra:
         coef = U.conj().T @ rhs
         sol = Wh.conj().T @ (coef.real / sv[:, None]
                              + 1j * (coef.imag / sv[:, None]))
-        resid = float(np.abs(V @ sol - rhs).max())
-        if not resid <= SOLVER_TOL * max(1.0, float(np.abs(rhs).max())):
-            raise ValueError(f"{what} does not stay in the span "
-                             f"(residual {resid:.3e})")
+        _gate(float(np.abs(V @ sol - rhs).max()),
+              SOLVER_TOL * max(1.0, float(np.abs(rhs).max())), OutsideSpan, what)
         return sol
 
     u = expand(np.eye(n, dtype=complex).reshape(-1, 1), "the identity")[:, 0]

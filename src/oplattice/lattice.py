@@ -12,9 +12,11 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     RANK_RTOL,
+    Refusal,
     ToleranceFailure,
     _CHECK_SLICE,
     _fro_batch,
+    _gate,
     as_matrix,
     frobenius,
     matrix_from_json,
@@ -24,10 +26,12 @@ from .linalg import (
 )
 
 
-class NotProjector(ValueError):
-    def __init__(self, defect):
-        super().__init__(f"projector invariants violated (defect {defect:.3e})")
-        self.defect = float(defect)
+class NotProjector(Refusal, ValueError):
+    template = "projector invariants violated (defect {defect:.3e})"
+
+
+class LostOrthogonality(Refusal, ArithmeticError):
+    template = "commuting decomposition lost orthogonality (defect {defect:.3e})"
 
 
 class NotComparable(ValueError):
@@ -59,7 +63,7 @@ def _ranks(stack, tol):
         defect = np.maximum(np.maximum(herm, idem), np.abs(tr - rounded))
         ok = defect <= tol
         if not ok.all():
-            raise NotProjector(defect[ok.argmin()])
+            raise NotProjector(defect=defect[ok.argmin()], bound=tol)
         ranks += rounded.astype(int).tolist()
     return ranks
 
@@ -209,17 +213,13 @@ def commutes(P: Projector, Q: Projector, tol=DEFAULT_TOL) -> bool:
     """PQ = QP within tol. A true result is certified by producing the
     three-part decomposition and checking its pairwise orthogonality."""
     require_same_dim(P.dim, Q.dim)
-    if frobenius(P.matrix @ Q.matrix - Q.matrix @ P.matrix) > tol:
+    if not frobenius(P.matrix @ Q.matrix - Q.matrix @ P.matrix) <= tol:
         return False
     parts = commuting_decomposition(P, Q, tol)
     for a in range(3):
         for b in range(a + 1, 3):
-            cross = operator_norm(parts[a].matrix @ parts[b].matrix)
-            if cross > 100 * tol:
-                raise ArithmeticError(
-                    "commuting decomposition lost orthogonality "
-                    f"(defect {cross:.3e})"
-                )
+            _gate(operator_norm(parts[a].matrix @ parts[b].matrix), 100 * tol,
+                  LostOrthogonality)
     return True
 
 

@@ -20,6 +20,8 @@ import numpy as np
 # A gate holds a defect of X against tol * max(1, s) for the scale s of X it
 # names (a norm, the spread, the largest entry), or against tol itself on a
 # unit-scale object: a projector, state, unitary or unit-modulus number.
+# A gate admits defect <= bound, so a NaN defect is refused: each tolerance
+# refusal calls _gate, except lattice._ranks, which decides a stack at once.
 
 # identities of input as given; the default of every tol keyword and --tol
 DEFAULT_TOL = 1e-10
@@ -43,20 +45,37 @@ INTERTWINER_RTOL = 1e-4
 ABS_FLOOR = 1e-12
 
 
+class Refusal:
+    """Mixin, before the exception base: the one constructor of a refusal.
+    Its message is template formatted with the values, defect and bound; the
+    values are kept under the names in fields, defect and bound as floats."""
+
+    template, fields = "", ()
+
+    def __init__(self, *values, defect, bound):
+        super().__init__(self.template.format(*values, defect=defect,
+                                              bound=bound))
+        self.__dict__.update(zip(self.fields, values))
+        self.defect, self.bound = float(defect), float(bound)
+
+
+def _gate(defect, bound, refuse, *values):
+    """Admit defect <= bound, else raise refuse(*values, defect=defect,
+    bound=bound): a NaN defect or bound refuses; admission formats nothing."""
+    if not defect <= bound:
+        raise refuse(*values, defect=defect, bound=bound)
+
+
 class NotSquare(ValueError):
     pass
 
 
-class NotHermitian(ValueError):
-    def __init__(self, defect):
-        super().__init__(f"Hermiticity defect {defect:.3e} exceeds tolerance")
-        self.defect = float(defect)
+class NotHermitian(Refusal, ValueError):
+    template = "Hermiticity defect {defect:.3e} exceeds tolerance"
 
 
-class NotUnitary(ValueError):
-    def __init__(self, defect):
-        super().__init__(f"unitarity defect {defect:.3e} exceeds tolerance")
-        self.defect = float(defect)
+class NotUnitary(Refusal, ValueError):
+    template = "unitarity defect {defect:.3e} exceeds tolerance"
 
 
 class ToleranceFailure(Exception):
@@ -199,9 +218,9 @@ def hermitian_part(matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
     top = max(np.abs(M.real).max(initial=0.0), np.abs(M.imag).max(initial=0.0))
     scale = math.ldexp(1.0, max(math.frexp(top)[1] - 1, -1022))
     S = M * (1.0 / scale)
-    defect = frobenius(S - S.conj().T)
-    if not (defect * scale <= tol or defect <= tol * frobenius(S)):
-        raise NotHermitian(defect * scale)
+    defect = frobenius(S - S.conj().T) * scale
+    if not defect <= tol:  # then tol * max(1, ||A||_F) decides
+        _gate(defect, max(tol, tol * frobenius(S) * scale), NotHermitian)
     return M / 2.0 + M.conj().T / 2.0
 
 
@@ -277,9 +296,8 @@ def require_unitary(M: np.ndarray) -> np.ndarray:
     singular values, so the second product would decide nothing."""
     n = M.shape[-1]
     defect = _fro_batch(M.conj().mT @ M - np.eye(n))
-    worst = float(defect.max(initial=0.0))
-    if not worst <= DEFAULT_TOL * max(1.0, float(np.sqrt(n))):  # NaN fails too
-        raise NotUnitary(worst)
+    _gate(float(defect.max(initial=0.0)),
+          DEFAULT_TOL * max(1.0, float(np.sqrt(n))), NotUnitary)
     return M
 
 

@@ -6,6 +6,7 @@ closed-form defect that tests can target instead of treating as noise.
 """
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -15,7 +16,9 @@ from .linalg import (
     ABS_FLOOR,
     SOLVER_TOL,
     HermitianOperator,
+    Refusal,
     ToleranceFailure,
+    _gate,
     _hermitian,
     frobenius,
     operator_norm,
@@ -30,13 +33,10 @@ class BadDimension(ValueError):
         self.n = int(n)
 
 
-class TailTooLarge(ToleranceFailure, ValueError):
-    def __init__(self, weight):
-        super().__init__(
-            f"state carries weight {weight:.3e} on the top truncation "
-            "levels; moments there are artifacts"
-        )
-        self.weight = float(weight)
+class TailTooLarge(Refusal, ToleranceFailure, ValueError):
+    template = ("state carries weight {defect:.3e} on the top truncation "
+                "levels; moments there are artifacts")
+    weight = property(lambda self: self.defect)
 
 
 class TruncatedCanonicalPair:
@@ -54,8 +54,9 @@ class TruncatedCanonicalPair:
         if n < 2:
             raise BadDimension(n)
         for name, value in (("m", m), ("omega", omega), ("hbar", hbar)):
-            if float(value) <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+            if not 0.0 < float(value) < math.inf:
+                raise ValueError(
+                    f"{name} must be positive and finite, got {value}")
         self.n = n
         self.m = float(m)
         self.omega = float(omega)
@@ -129,8 +130,7 @@ def heisenberg_uncertainty(pair: TruncatedCanonicalPair,
         raise ValueError(f"state dim {psi.dim} vs truncation {pair.n}")
     weights = np.abs(psi.amplitudes) ** 2
     tail = float(weights[-2:].sum())
-    if tail > SOLVER_TOL:
-        raise TailTooLarge(tail)
+    _gate(tail, SOLVER_TOL, TailTooLarge)
     rho = DensityState.from_vector(psi)
     dx = std_deviation(rho, pair.X)
     dp = std_deviation(rho, pair.P)

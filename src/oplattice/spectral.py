@@ -18,8 +18,10 @@ from .linalg import (
     PRODUCT_TOL,
     SOLVER_TOL,
     HermitianOperator,
+    Refusal,
     _CHECK_SLICE,
     _fro_batch,
+    _gate,
     _hermitians,
     as_stack,
     eig_hermitian,
@@ -29,14 +31,14 @@ from .linalg import (
 )
 
 
-class NonCommuting(ValueError):
-    def __init__(self, i, j, defect):
-        super().__init__(
-            f"spectral measures of operators {i} and {j} do not commute "
-            f"(defect {defect:.3e})"
-        )
-        self.pair = (i, j)
-        self.defect = float(defect)
+class NonCommuting(Refusal, ValueError):
+    template = ("spectral measures of operators {0[0]} and {0[1]} do not "
+                "commute (defect {defect:.3e})")
+    fields = ("pair",)
+
+
+class NotAPVM(Refusal, ValueError):
+    template = "PVM invariants violated ({0})"
 
 
 class MissingSample(KeyError):
@@ -229,8 +231,8 @@ class ProjectorValuedMeasure:
     def _admit(self, dim, labels, keys, report, tol):
         """Keep dim, labels and report once the report passes tol and the
         keys, one hashable per label, are pairwise distinct."""
-        if not all(v <= tol for v in report.values()):  # NaN fails too
-            raise ValueError(f"PVM invariants violated ({report})")
+        for v in report.values():
+            _gate(v, tol, NotAPVM, report)
         if len(set(keys)) != len(labels):
             raise ValueError("PVM labels are not pairwise distinct")
         self.dim, self._labels, self._residuals = dim, labels, report
@@ -289,8 +291,10 @@ def spectral_decompose(A, cluster_tol=SOLVER_TOL) -> ProjectorValuedMeasure:
     operator is decomposed once (see HermitianOperator); each call returns a
     new measure over its factor, so atoms built on one are not kept. The
     operator goes through the step a family shares, as a stack of one (see
-    _decompose_stack).
+    _decompose_stack). A NaN or negative cluster_tol raises ValueError.
     """
+    if not cluster_tol >= 0.0:  # a NaN width would merge every gap
+        raise ValueError(f"cluster_tol must be non-negative, got {cluster_tol}")
     return _decompose_stack([A], cluster_tol)[0]
 
 
@@ -382,8 +386,7 @@ def joint_pvm(ops) -> ProjectorValuedMeasure:
     for i in range(len(pvms)):
         for j in range(i + 1, len(pvms)):
             defect, M = _commute_defect(pvms[i], pvms[j])
-            if defect > SOLVER_TOL:
-                raise NonCommuting(i, j, defect)
+            _gate(defect, SOLVER_TOL, NonCommuting, (i, j))
             if i == 0:
                 grams.append(M)
 

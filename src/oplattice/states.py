@@ -16,9 +16,12 @@ from .linalg import (
     FIT_TOL,
     RANK_RTOL,
     HermitianOperator,
+    Refusal,
     ToleranceFailure,
+    _gate,
     _hermitian,
     _phase_fix_columns,
+    _read_only,
     eig_hermitian,
     frobenius,
     hermitian_part,
@@ -26,13 +29,10 @@ from .linalg import (
 )
 
 
-class ZeroProbability(ToleranceFailure, ValueError):
-    def __init__(self, probability):
-        super().__init__(
-            f"event probability {probability:.3e} is below the floor; "
-            "conditioning on it is undefined"
-        )
-        self.probability = float(probability)
+class ZeroProbability(Refusal, ToleranceFailure, ValueError):
+    template = ("event probability {defect:.3e} is below the floor; "
+                "conditioning on it is undefined")
+    probability = property(lambda self: self.defect)
 
 
 class UnderdeterminedFrame(ValueError):
@@ -45,13 +45,30 @@ class UnderdeterminedFrame(ValueError):
         self.needed = int(needed)
 
 
-class InconsistentAssignments(ToleranceFailure, ValueError):
-    def __init__(self, residual):
-        super().__init__(
-            f"no density operator reproduces the assignments "
-            f"(residual {residual:.3e})"
-        )
-        self.residual = float(residual)
+class InconsistentAssignments(Refusal, ToleranceFailure, ValueError):
+    template = ("no density operator reproduces the assignments "
+                "(residual {defect:.3e})")
+    residual = property(lambda self: self.defect)
+
+
+class NotUnitVector(Refusal, ValueError):
+    template = "vector norm {0} is not 1 within {bound}"
+
+
+class NegativeEigenvalue(Refusal, ValueError):
+    template = "density matrix has eigenvalue {0:.3e} < 0"
+
+
+class NotUnitTrace(Refusal, ValueError):
+    template = "density matrix trace {0} is not 1"
+
+
+class ProbabilityOutOfRange(Refusal, ValueError):
+    template = "probability {0} outside [0,1] beyond tolerance"
+
+
+class NegativeVariance(Refusal, ValueError):
+    template = "variance came out {0:.3e} < 0"
 
 
 class WitnessNotFound(ToleranceFailure, RuntimeError):
@@ -75,11 +92,8 @@ class PureStateVector:
         if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
             raise ValueError("amplitudes contain non-finite entries")
         norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > DEFAULT_TOL:
-            raise ValueError(
-                f"vector norm {norm} is not 1 within {DEFAULT_TOL}")
-        self.amplitudes = _phase_fix_columns((v / norm)[:, None])[:, 0]
-        self.amplitudes.setflags(write=False)
+        _gate(abs(norm - 1.0), DEFAULT_TOL, NotUnitVector, norm)
+        self.amplitudes = _read_only(_phase_fix_columns((v / norm)[:, None])[:, 0])
         self.dim = v.size
 
     @classmethod
@@ -102,13 +116,10 @@ class DensityState:
     def __init__(self, matrix, tol=DEFAULT_TOL):
         M = hermitian_part(matrix, tol)
         eigmin = float(np.linalg.eigvalsh(M)[0])
-        if eigmin < -tol:
-            raise ValueError(f"density matrix has eigenvalue {eigmin:.3e} < 0")
+        _gate(-eigmin, tol, NegativeEigenvalue, eigmin)
         tr = float(M.trace().real)
-        if abs(tr - 1.0) > tol:
-            raise ValueError(f"density matrix trace {tr} is not 1")
-        self.matrix = M
-        self.matrix.setflags(write=False)
+        _gate(abs(tr - 1.0), tol, NotUnitTrace, tr)
+        self.matrix = _read_only(M)
         self.dim = M.shape[0]
 
     @classmethod
@@ -144,8 +155,8 @@ def born_probability(rho: DensityState, P, tol=DEFAULT_TOL) -> float:
     a raw P is admitted as a Projector at tol."""
     R, M = _matched(rho, _projector(P, tol))
     p = float((R @ M).trace().real)
-    if p < -tol or p > 1.0 + tol:
-        raise ValueError(f"probability {p} outside [0,1] beyond tolerance")
+    _gate(-p, tol, ProbabilityOutOfRange, p)
+    _gate(p, 1.0 + tol, ProbabilityOutOfRange, p)
     return min(max(p, 0.0), 1.0)
 
 
@@ -161,8 +172,7 @@ def std_deviation(rho: DensityState, A) -> float:
     mean = float((R @ M).trace().real)
     second = float((R @ M @ M).trace().real)
     radicand = second - mean * mean
-    if radicand < -DEFAULT_TOL:
-        raise ValueError(f"variance came out {radicand:.3e} < 0")
+    _gate(-radicand, DEFAULT_TOL, NegativeVariance, radicand)
     return float(np.sqrt(max(radicand, 0.0)))
 
 
@@ -171,7 +181,7 @@ def luders_collapse(rho: DensityState, P) -> DensityState:
     R, M = _matched(rho, _projector(P))
     p = float((R @ M).trace().real)
     if p <= ABS_FLOOR:
-        raise ZeroProbability(p)
+        raise ZeroProbability(defect=p, bound=ABS_FLOOR)
     return DensityState(M @ R @ M.conj().T / p)
 
 
@@ -208,7 +218,7 @@ def conditional_probability(rho: DensityState, target, given) -> float:
     rho, given, target = _density(rho), _projector(given), _projector(target)
     p_given = born_probability(rho, given)
     if p_given <= ABS_FLOOR:
-        raise ZeroProbability(p_given)
+        raise ZeroProbability(defect=p_given, bound=ABS_FLOOR)
     joint = sequential_probability(rho, [given, target]).value
     return joint / p_given
 
@@ -296,13 +306,12 @@ def gleason_fit(assignments) -> GleasonFit:
     w = np.clip(w, 0.0, None)
     total = float(w.sum())
     if total <= ABS_FLOOR:
-        raise InconsistentAssignments(1.0)
+        raise InconsistentAssignments(defect=1.0, bound=FIT_TOL)
     T = (v * (w / total)) @ v.conj().T
 
     residual = float(np.abs(
         np.trace(T @ stack, axis1=1, axis2=2).real - probs).max())
-    if residual > FIT_TOL:
-        raise InconsistentAssignments(residual)
+    _gate(residual, FIT_TOL, InconsistentAssignments)
     return GleasonFit(DensityState(T), residual, rank, n == 2)
 
 

@@ -1,6 +1,7 @@
 import ast
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -47,6 +48,7 @@ def test_hermitian_defect_frozen_value():
     with pytest.raises(NotHermitian) as exc:
         HermitianOperator(A)
     assert exc.value.defect == pytest.approx(1.4142135623730951, abs=1e-15)
+    assert exc.value.bound == 1e-10
 
 
 def test_accepts_pauli_x():
@@ -478,3 +480,142 @@ def test_stack_admission_decides_as_each_matrix_alone():
     with pytest.raises(NotHermitian) as alone:
         HermitianOperator(family[1])
     assert str(exc.value) == str(alone.value)
+
+
+def test_gate_refuses_a_nan_defect_and_a_nan_bound():
+    assert linalg._gate(1.0, 1.0, NotHermitian) is None
+    for defect, bound in ((np.nan, 1.0), (0.0, np.nan), (2.0, 1.0)):
+        with pytest.raises(NotHermitian) as exc:
+            linalg._gate(defect, bound, NotHermitian)
+        assert (np.isnan(exc.value.defect), np.isnan(exc.value.bound)) == (
+            np.isnan(defect), np.isnan(bound))
+        assert str(exc.value) == f"Hermiticity defect {defect:.3e} exceeds tolerance"
+
+
+def _compares_with_a_tolerance(test):
+    """Whether an if test compares with a *_TOL name or a tol parameter;
+    the *_RTOL rank cutoffs and ABS_FLOOR are not tolerances of a gate."""
+    def named(node):
+        name = getattr(node, "id", getattr(node, "attr", ""))
+        return name == "tol" or name.endswith("_TOL") and not name.endswith(
+            "_RTOL")
+    return any(isinstance(cmp, ast.Compare) and any(
+        named(node) for node in ast.walk(cmp)) for cmp in ast.walk(test))
+
+
+def test_every_tolerance_refusal_goes_through_the_gate():
+    """An if that compares with a tolerance and raises is a gate written by
+    hand, whose `defect > bound` lets a NaN through: each goes through
+    linalg._gate, which decides `defect <= bound`."""
+    stray = []
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        gate = next((node for node in tree.body
+                     if getattr(node, "name", None) == "_gate"), None)
+        skip = {id(node) for node in ast.walk(gate)} if gate else set()
+        stray += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.If) and id(node) not in skip
+                  and _compares_with_a_tolerance(node.test)
+                  and any(isinstance(inner, ast.Raise)
+                          for stmt in node.body for inner in ast.walk(stmt))]
+    assert not stray, stray
+
+
+def _refusal_cases():
+    """(class name, a public call it refuses, its defect, its bound)."""
+    import oplattice as op
+    from oplattice import gns, lattice
+    I2, SX, SZ = np.eye(2), np.array([[0, 1], [1, 0.0]]), np.diag([1.0, -1.0])
+    E1, E2, r2 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.sqrt(2.0)
+    one = op.AbstractStarAlgebra([[[1.0]]], [[1.0]], [1.0])
+    diagonal = op.algebra_from_matrices([E1, E2])
+
+    def triple(rho):
+        state = op.state_from_density(diagonal, [E1, E2], rho)
+        return op.gns_construct(diagonal, state)
+
+    def lost_orthogonality():
+        # parts that overlap: no commuting pair's decomposition reaches here
+        with mock.patch.object(lattice, "commuting_decomposition",
+                               lambda P, Q, tol: (P, P, P)):
+            op.commutes(op.Projector(E1), op.Projector(E1))
+
+    pair = op.build_truncated_pair(4)
+    return [
+        ("NotHermitian", lambda: op.HermitianOperator([[0, 1], [0, 0]]),
+         r2, 1e-10),
+        ("NotUnitary", lambda: op.UnitaryOperator(np.diag([1.0, 2.0])),
+         3.0, 1e-10 * r2),
+        ("NotClosedUnderProducts", lambda: op.MatrixStarAlgebra([I2, SX, SZ]),
+         r2, 2e-10),
+        ("MissingIdentity", lambda: op.MatrixStarAlgebra([E1]), 1.0, 1e-10 * r2),
+        ("NonCommutingCharges", lambda: op.superselection_sectors([SZ, SX], [I2]),
+         np.sqrt(0.5), 1e-8),
+        ("NonCentralCharge", lambda: op.superselection_sectors([SZ], [SX]),
+         2.0 * r2, 1e-8 * r2),
+        ("NonCommuting", lambda: op.joint_pvm([SZ, SX]), np.sqrt(0.5), 1e-8),
+        ("NotAPVM", lambda: op.ProjectorValuedMeasure(2, [(0.0, E1), (1.0, E1)]),
+         2.0 * r2, 1e-10),
+        ("InconsistentGroup", lambda: op.generator_from_group(
+            [(0.0, SZ), (1.0, I2), (-1.0, I2)]), 2.0, 1e-8),
+        ("NotHermitianResult", lambda: op.generator_from_group(
+            [(1.0, [[1, 1], [0, 1]]), (-1.0, I2)]), np.sqrt(0.5), 1e-8),
+        ("NotACocycle", lambda: op.cocycle_check(op.MultiplierTable(
+            [0, 1], {(0, 0): 1, (0, 1): 1j, (1, 0): 1, (1, 1): 1}),
+            lambda g, h: (g + h) % 2), r2, 1e-9),
+        ("NotUnitModulus", lambda: op.MultiplierTable([0], {(0, 0): 2.0}),
+         1.0, 1e-9),
+        ("NotProjective", lambda: op.multipliers_from_operators(
+            [0, 1], lambda g, h: (g + h) % 2, {0: I2, 1: np.diag([1.0, 2.0])}),
+         3.0, 1e-8 * r2),
+        ("DegenerateAlgebra", lambda: op.AbstractStarAlgebra(
+            [[[2.0]]], [[1.0]], [1.0]), 1.0, 1e-8),
+        ("NotAState", lambda: op.AlgebraicState(one, [2.0]), 1.0, 2e-8),
+        ("NoIntertwiner", lambda: op.gns_intertwiner(triple(E1), triple(E2)),
+         1.0, 1e-9),
+        ("OutsideSpan", lambda: op.algebra_from_matrices([E1]), 1.0, 1e-8),
+        ("NotProjector", lambda: op.Projector(np.diag([1.0, 0.3])), 0.3, 1e-10),
+        ("LostOrthogonality", lost_orthogonality, 1.0, 1e-8),
+        ("TailTooLarge", lambda: op.heisenberg_uncertainty(
+            pair, pair.fock_state(3)), 1.0, 1e-8),
+        ("ZeroProbability", lambda: op.luders_collapse(E1, E2), 0.0, 1e-12),
+        ("InconsistentAssignments", lambda: op.gleason_fit(
+            [(P, 1.0) for P in op.tomography_frame(2)]), 0.5, 1e-6),
+        ("NotUnitVector", lambda: op.PureStateVector([1.0, 1.0]),
+         r2 - 1.0, 1e-10),
+        ("NegativeEigenvalue", lambda: op.DensityState(np.diag([1.5, -0.5])),
+         0.5, 1e-10),
+        ("NotUnitTrace", lambda: op.DensityState(np.diag([0.5, 0.25])),
+         0.25, 1e-10),
+        # a negative tol moves the bound below a probability of 1
+        ("ProbabilityOutOfRange", lambda: op.born_probability(
+            op.DensityState(E1), op.Projector(E1), tol=-0.5), 1.0, 0.5),
+        # a state admitted at tol 1 has eigenvalue -0.5, and so <A^2> < <A>^2
+        ("NegativeVariance", lambda: op.std_deviation(
+            op.DensityState(np.diag([1.5, -0.5]), tol=1.0), SZ), 3.0, 1e-10),
+    ]
+
+
+def _refusal_classes():
+    import oplattice
+    from oplattice import (algebras, dynamics, gns, lattice, oscillator,
+                           spectral, states)
+    return {name: cls for module in (linalg, spectral, lattice, states,
+                                     algebras, dynamics, oscillator, gns,
+                                     oplattice)
+            for name, cls in vars(module).items() if isinstance(cls, type)
+            and issubclass(cls, linalg.Refusal) and cls is not linalg.Refusal}
+
+
+def test_every_refusal_class_has_a_case():
+    assert sorted(name for name, *_ in _refusal_cases()) == sorted(
+        _refusal_classes())
+
+
+@pytest.mark.parametrize("case", _refusal_cases(), ids=lambda case: case[0])
+def test_each_refusal_reports_its_defect_and_bound(case):
+    name, call, defect, bound = case
+    with pytest.raises(_refusal_classes()[name]) as exc:
+        call()
+    assert exc.value.defect == pytest.approx(defect, rel=1e-12)
+    assert exc.value.bound == pytest.approx(bound, rel=1e-12)

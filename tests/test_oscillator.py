@@ -101,6 +101,17 @@ def test_dimension_and_parameter_gates():
         TruncatedCanonicalPair(4, hbar=0.0)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("m", float("nan")), ("omega", float("inf")), ("hbar", -0.0)])
+def test_non_finite_or_non_positive_parameters_are_refused_by_name(name,
+                                                                   value):
+    """NaN and inf pass a check of value <= 0; they used to surface later as
+    non-finite matrix entries or an invalid-value warning."""
+    with pytest.raises(ValueError, match=f"^{name} must be positive and "
+                                         "finite"):
+        TruncatedCanonicalPair(4, **{name: value})
+
+
 def test_hypothesis_audit_for_truncated_pair():
     pair = build_truncated_pair(12)
     rep = svn_hypotheses_check([pair.X], [pair.P])

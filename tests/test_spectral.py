@@ -717,3 +717,11 @@ def _refused(M):
     except NotHermitian as exc:
         return exc
     return None
+
+
+@pytest.mark.parametrize("cluster_tol", [float("nan"), -1e-6])
+def test_nan_or_negative_cluster_width_is_refused(cluster_tol):
+    """gap > NaN is False at every gap, so a NaN width merged the whole
+    spectrum into one atom labeled by its mean."""
+    with pytest.raises(ValueError, match="cluster_tol"):
+        spectral_decompose(np.diag([0.0, 1.0, 2.0, 3.0]), cluster_tol=cluster_tol)
