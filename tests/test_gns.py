@@ -1,5 +1,8 @@
 """Reconstruction of a cyclic representation from an algebraic state."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,8 +28,14 @@ from oplattice import (
     verify_gns,
 )
 
-from oplattice.gns import _axiom_residuals
-from oplattice.linalg import SOLVER_TOL
+from oplattice import gns
+from oplattice.gns import (
+    OutsideSpan,
+    _associativity,
+    _associativity_bound,
+    _axiom_residuals,
+)
+from oplattice.linalg import SOLVER_TOL, _matrix_units, _products
 
 from oracles import (
     axiom_residuals_loop,
@@ -334,8 +343,8 @@ def test_unit_gates_are_relative_at_every_scale(scale):
     with pytest.raises(NotAState, match="unit is not sent to 1"):
         AlgebraicState(alg, omega.values * (1.0 + 1e-6))
     bent = alg.unit * (1.0 + 1e-6j)
-    what, resid, scale_of_bound = _axiom_residuals(alg.mult, alg.invol,
-                                                   bent)[-1]
+    what, resid, scale_of_bound = list(_axiom_residuals(alg.mult, alg.invol,
+                                                        bent))[-1]
     assert what == "self-adjointness of the unit"
     assert np.abs(resid).max() > SOLVER_TOL * scale_of_bound
     with pytest.raises(DegenerateAlgebra):
@@ -426,9 +435,226 @@ def test_gns_of_random_rank_r_states(n, data, seed):
                (alg.mult, np.eye(n * n, dtype=complex), alg.unit),
                (alg.mult, alg.invol, e0)]
     for c, s, u in [(alg.mult, alg.invol, alg.unit)] + mutants:
-        loops = axiom_residuals_loop(c, s, u)
-        for what, resid, _ in _axiom_residuals(c, s, u):
+        loops, got = axiom_residuals_loop(c, s, u), {}
+        for what, resid, _ in _axiom_residuals(c, s, u):  # associativity
+            got.setdefault(what, []).append(resid)        # in slices
+        assert got.keys() == loops.keys()
+        for what, parts in got.items():
+            resid = np.concatenate(parts)
             assert np.abs(resid - loops[what]).max() <= 1e-12, what
     for c, s, u in mutants:
         with pytest.raises(DegenerateAlgebra):
             AbstractStarAlgebra(c, s, u)
+
+
+# --- the expansion certificate of algebra_from_matrices ---------------------
+
+def conditioned_basis(rng, dims, kappa, scale):
+    """A basis of (+)_i M_{d_i}, n = sum d_i: the matrix units mixed by a
+    k x k matrix with singular values geometric from 1 to 1 / kappa between
+    Haar unitaries, conjugated by a Haar unitary, times scale."""
+    n = sum(dims)
+    starts = np.cumsum((0,) + tuple(dims))[:-1]
+    pairs = [(a + p, a + q) for a, d in zip(starts, dims)
+             for p in range(d) for q in range(d)]
+    units = np.zeros((len(pairs), n, n), dtype=complex)
+    for i, pq in enumerate(pairs):
+        units[(i,) + pq] = 1.0
+    k = len(pairs)
+    weights = (haar_unitary(rng, k) * np.geomspace(1.0, 1.0 / kappa, k)
+               ) @ haar_unitary(rng, k)
+    U = haar_unitary(rng, n)
+    return scale * (U @ np.tensordot(weights, units, axes=1) @ U.conj().T)
+
+
+def expansion(mats):
+    """algebra_from_matrices' least-squares expansion written out: the
+    stack, its singular values, the products' coefficients (one column per
+    pair) with their largest residual entry, and c, s, u."""
+    stack = np.array(mats, dtype=complex)
+    k, n, _ = stack.shape
+    V = stack.reshape(k, -1).T
+    U, sv, Wh = np.linalg.svd(V, full_matrices=False)
+
+    def solve(rhs):
+        coef = U.conj().T @ rhs
+        return Wh.conj().T @ (coef.real / sv[:, None]
+                              + 1j * (coef.imag / sv[:, None]))
+
+    rhs = _products(stack, stack).T
+    sol = solve(rhs)
+    worst = float(np.abs(V @ sol - rhs).max())
+    u = solve(np.eye(n, dtype=complex).reshape(-1, 1))[:, 0]
+    s = solve(stack.conj().transpose(0, 2, 1).reshape(k, -1).T).T
+    return stack, sv, sol, worst, (sol.T.reshape(k, k, k), s, u)
+
+
+def admission(build, *args):
+    try:
+        build(*args)
+    except DegenerateAlgebra as exc:
+        return exc.what
+    return None
+
+
+@settings(max_examples=30, deadline=None)
+@given(dims=st.sampled_from([(1,), (2,), (3,), (4,), (5,), (1, 1), (2, 1),
+                             (2, 2), (3, 1), (3, 2), (1, 1, 1), (2, 1, 1)]),
+       log_kappa=st.floats(0.0, 4.0),
+       exponent=st.sampled_from([-200, -37, 0, 41, 200]),
+       noise=st.sampled_from([0.0, 1e-12, 1e-9]),
+       seed=st.integers(0, 2**32 - 1))
+def test_the_expansion_certificate_bounds_the_dense_residual(
+        dims, log_kappa, exponent, noise, seed):
+    """Complex bases of M_n and of block sums, n <= 5, condition 1 to 1e4,
+    scales 2^-200 to 2^200, each matrix moved off the algebra by noise times
+    its norm, so that the expansion residual, not rounding alone, drives the
+    bound: the certificate is at least the dense associativity residual of
+    the batched route and of the einsum loop. Unless the expansion itself is
+    refused, algebra_from_matrices admits or refuses as the dense
+    constructor does on the same constants, which it returns bit for bit."""
+    rng = np.random.default_rng(seed)
+    mats = conditioned_basis(rng, dims, 10.0 ** log_kappa, 2.0 ** exponent)
+    X = rng.standard_normal(mats.shape) + 1j * rng.standard_normal(mats.shape)
+    size = np.linalg.norm(mats, axis=(1, 2)) / np.linalg.norm(X, axis=(1, 2))
+    mats = mats + noise * size[:, None, None] * X
+    stack, sv, sol, worst, (c, s, u) = expansion(mats)
+    bound = _associativity_bound(stack, sv, sol, worst)
+    assert np.max([np.abs(a).max() for a in _associativity(c)]) <= bound
+    assert np.abs(axiom_residuals_loop(c, s, u)["associativity"]).max() \
+        <= bound
+
+    try:
+        refused = admission(algebra_from_matrices, mats)
+    except OutsideSpan:  # a product, an adjoint or the identity is off the
+        return           # span: there are no constants to admit
+    assert refused == admission(AbstractStarAlgebra, c, s, u)
+    if refused is None:
+        alg = algebra_from_matrices(mats)
+        for got, want in ((alg.mult, c), (alg.invol, s), (alg.unit, u)):
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize("delta", [1e-9, 1e-6, 1e-3])
+def test_the_certificate_carries_the_expansion_residual(delta):
+    """Near a *-algebra the associativity defect of the least-squares
+    constants is second order in the distance, so rounding alone would
+    bound it. The upper-triangular 3 x 3 algebra is not adjoint-closed: moved
+    by delta, its defect is first order, and the bound holds only through
+    the measured residual. algebra_from_matrices refuses it (OutsideSpan)."""
+    rng = np.random.default_rng(29)
+    U = haar_unitary(rng, 3)
+    upper = np.array([U @ E @ U.conj().T for E in _matrix_units(3)
+                      [[0, 1, 2, 4, 5, 8]]])
+    X = rng.standard_normal(upper.shape) + 1j * rng.standard_normal(
+        upper.shape)
+    mats = upper + delta * X / np.linalg.norm(X, axis=(1, 2))[:, None, None]
+    stack, sv, sol, worst, (c, s, u) = expansion(mats)
+    dense = np.abs(axiom_residuals_loop(c, s, u)["associativity"]).max()
+    assert delta / 10 <= dense <= _associativity_bound(stack, sv, sol, worst)
+    assert _associativity_bound(stack, sv, sol, 0.0) < dense
+    with pytest.raises(OutsideSpan):
+        algebra_from_matrices(mats)
+
+
+def test_an_ill_conditioned_basis_falls_back_to_the_dense_check(monkeypatch):
+    """M_5 in a basis of condition 1 is certified with no dense check; at
+    condition 3e4 the bound fails its gate (by about 3x), the dense check
+    runs once and admits, and the constants equal the expansion's."""
+    calls, dense = [], gns._associativity  # k of each dense check
+    monkeypatch.setattr("oplattice.gns._associativity",
+                        lambda c: calls.append(len(c)) or dense(c))
+    rng = np.random.default_rng(23)
+    algebra_from_matrices(conditioned_basis(rng, (5,), 1.0, 1.0))
+    assert calls == []
+    mats = conditioned_basis(rng, (5,), 3e4, 1.0)
+    stack, sv, sol, worst, (c, _, _) = expansion(mats)
+    assert _associativity_bound(stack, sv, sol, worst) \
+        > SOLVER_TOL * max(1.0, np.abs(c).max()) ** 2
+    alg = algebra_from_matrices(mats)
+    assert calls == [25]
+    assert alg.mult.tobytes() == np.ascontiguousarray(c).tobytes()
+
+
+def test_the_certificate_is_inf_outside_its_range():
+    """Below 2^-300 and above 2^300 in ||B||_F the rounding model does not
+    cover underflow and overflow: no certificate, the dense check decides."""
+    units = np.array(matrix_units(2))
+    for scale in (2.0 ** -320, 2.0 ** 320):
+        stack, sv, sol, worst, _ = expansion(scale * units)
+        assert _associativity_bound(stack, sv, sol, worst) == np.inf
+    stack, sv, sol, worst, _ = expansion(units)
+    assert _associativity_bound(stack, sv, sol, worst) < SOLVER_TOL
+
+
+def test_algebra_from_matrices_on_m7_holds_no_k4_array():
+    """M_7 (k = 49) in a Haar basis: a traced peak of at most 32 MB, where a
+    k^4 associativity residual alone is 92 MB."""
+    B = haar_unitary(np.random.default_rng(7), 7)
+    mats = B @ _matrix_units(7) @ B.conj().T
+    tracemalloc.start()
+    try:
+        alg = algebra_from_matrices(mats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert alg.n_basis == 49
+    assert peak <= 32 * 2 ** 20, peak
+
+
+def test_the_dense_check_holds_one_slice_at_a_time():
+    """Raw constants of M_5 (k = 25) go through the dense check in slices
+    of at most _CHECK_SLICE entries, and a defect in the last left factor
+    is refused with its own size."""
+    alg = algebra_from_matrices(matrix_units(5))
+    sizes = [a.size for a in _associativity(alg.mult)]
+    assert sum(sizes) == 25 ** 4 and max(sizes) <= gns._CHECK_SLICE
+    assert len(sizes) > 1
+    bad = alg.mult.copy()
+    bad[24, 24, 0] += 1e-3
+    with pytest.raises(DegenerateAlgebra, match="associativity") as info:
+        AbstractStarAlgebra(bad, alg.invol, alg.unit)
+    assert info.value.defect == np.max(
+        np.abs(axiom_residuals_loop(bad, alg.invol, alg.unit)
+               ["associativity"]))
+    assert alg.mult.flags.c_contiguous
+
+
+@pytest.mark.parametrize("n, r", [(n, r) for n in range(2, 6)
+                                  for r in range(2, n + 1)])
+def test_paradox_commutant_from_the_step_units(n, r):
+    """The demo's commutant, taken on pi(E_{i,i+1}), i < n - 1, has
+    dimension r^2, as does the commutant of all n^2 images."""
+    rng = np.random.default_rng(100 * n + r)
+    U = haar_unitary(rng, n)
+    p = rng.uniform(0.1, 1.0, r)
+    rho = (U[:, :r] * (p / p.sum())) @ U[:, :r].conj().T
+    rep = mixed_to_vector_paradox_demo(rho)
+    units = _matrix_units(n)
+    alg = algebra_from_matrices(units)
+    triple = gns_construct(alg, state_from_density(alg, units, rho))
+    assert rep["commutant_dimension"] == r * r \
+        == len(commutant(triple.pi_images, triple.rep_dim))
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "short"])
+def test_a_bad_cyclic_vector_is_refused(bad):
+    """verify_gns and gns_intertwiner refuse a cyclic vector with a NaN or
+    inf entry, or one shorter than rep_dim, with a ValueError naming it,
+    and no warning."""
+    units, alg = m2_setup()
+    omega = AlgebraicState(alg, [0.5, 0, 0, 0.5])
+    triple = gns_construct(alg, omega)
+    psi = triple.cyclic_vector.copy()
+    if bad == "short":
+        psi, match = psi[:-1], "dimensions differ"
+    else:
+        psi[1], match = float(bad), "non-finite"
+    broken = triple._replace(cyclic_vector=psi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            verify_gns(broken, alg, omega)
+        for pair in ((broken, triple), (triple, broken)):
+            with pytest.raises(ValueError, match=match):
+                gns_intertwiner(*pair)
