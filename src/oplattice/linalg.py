@@ -11,10 +11,12 @@ Conventions used across the package:
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 
 import numpy as np
+import orjson
 
 # --- tolerance policy -------------------------------------------------------
 # A gate holds a defect of X against tol * max(1, s) for the scale s of X it
@@ -364,14 +366,15 @@ def eig_hermitian(A) -> EigenSystem:
 #   * one pass, one join: every piece of text goes on one list, joined once,
 #     and a matrix's "data" block is one %-format of a template built once per
 #     entry count and indent, so the atoms of a measure share one;
-#   * mirrored texts: in a square matrix whose entry (i, j), i > j, is the
-#     conjugate of (j, i) bit for bit, as spectral._atoms_of builds every
-#     atom, such an entry reuses (j, i)'s real text and its imaginary text
-#     with the sign flipped, since repr(-x) is '-' + repr(x) for finite
-#     x > 0. The diagonal, a signed zero, any entry failing the bitwise test
-#     and any matrix failing it at (1, 0) against (0, 1) keep repr.
+#   * one encoder call per matrix: orjson writes its doubles, split on commas.
+#     orjson (Ryu) and repr (Gay's dtoa) both write the shortest correctly
+#     rounded digits, so their texts differ only in notation: repr switches
+#     to an exponent, written e-05 and e+16 where orjson writes 0.00001 and
+#     1e16, below |x| = 1e-4 and from 1e16 on. Those entries, zeros aside,
+#     are written again by repr.
 
-_SIGN = np.uint64(1 << 63)  # the sign bit of a double
+# [lo, hi): the |x| whose orjson text is repr's
+_REPR_NOTATION = (1e-4, 1e16)
 
 
 @functools.lru_cache(maxsize=4)
@@ -385,34 +388,20 @@ def _data_template(count, nl):
     return f"[{inner}" + f",{inner}".join([pair] * count) + f"{nl}]"
 
 
-@functools.lru_cache(maxsize=4)
-def _mirror_pairs(n):
-    """Row-major entry indices (i n + j, j n + i) of the pairs i < j."""
-    i, j = np.triu_indices(n, 1)
-    return i * n + j, j * n + i
-
-
 def _texts(M):
-    """The doubles of the finite C-ordered complex matrix M, row-major, for a
-    %s template: floats, and a str for each double of a mirrored pair."""
-    n, x, bits = len(M), M.view(np.float64), M.view(np.uint64)
-    if (M.shape != (n, n) or n < 2 or bits[1, 0] != bits[0, 2]
-            or bits[1, 1] != bits[0, 3] ^ _SIGN):
-        return x.ravel().tolist()
-    up, lo = _mirror_pairs(n)
-    x, bits = x.reshape(-1, 2), bits.reshape(-1, 2)
-    mirrored = ((bits[up, 0] == bits[lo, 0]) & (x[up, 1] != 0)
-                & (bits[up, 1] == bits[lo, 1] ^ _SIGN))
-    up, lo = up[mirrored], lo[mirrored]
-    im = x[up, 1]
-    size = np.array(list(map(repr, np.abs(im).tolist())), dtype=object)
-    minus = "-" + size
-    texts = x.astype(object)
-    texts[up, 0] = texts[lo, 0] = np.array(list(map(repr, x[up, 0].tolist())),
-                                           dtype=object)
-    texts[up, 1] = np.where(im < 0, minus, size)
-    texts[lo, 1] = np.where(im < 0, size, minus)
-    return texts.ravel().tolist()
+    """repr of each double of the finite C-ordered complex matrix M,
+    row-major: orjson's texts, and repr's where the notations differ."""
+    x = M.view(np.float64).ravel()
+    if not x.size:
+        return []
+    body = orjson.dumps(x, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+    texts = body.decode().split(",")
+    lo, hi = _REPR_NOTATION
+    size = np.abs(x)
+    redo = np.flatnonzero(((size < lo) | ~(size < hi)) & (x != 0))
+    for k, v in zip(redo.tolist(), x[redo].tolist()):
+        texts[k] = repr(v)
+    return texts
 
 
 def dumps(obj) -> str:
@@ -421,7 +410,7 @@ def dumps(obj) -> str:
     json.dumps(..., indent=2, sort_keys=True) writes for the plain data. Keys
     become str; a 2-d array is a matrix, any other array a list, a complex
     scalar [re, im]. One pass over obj, one join; a matrix's data block is
-    one template %-format, and a mirrored pair's texts are formatted once."""
+    one template %-format of the texts of one orjson call."""
     return "".join(_pieces(obj))
 
 
@@ -465,26 +454,32 @@ def _pieces(obj) -> list:
 
 
 def _complex_pairs(data) -> np.ndarray:
-    """Nested [re, im] number pairs as a complex array of one axis fewer. The
-    pairs are viewed as complex, not added up, so every bit is kept, the
-    sign of a zero included. An integer beyond 64 bits is read as a float."""
+    """Nested [re, im] JSON number pairs as a complex array of one axis fewer.
+    The pairs are viewed as complex, not added up, so every bit is kept, the
+    sign of a zero included. An integer beyond 64 bits is read as a float.
+    Each entry must be an int or a float: numpy would read a boolean among
+    numbers as 0 or 1, and a numeric string as a number."""
     arr = np.asarray(data)
-    if arr.dtype.kind == "O" and all(isinstance(x, (int, float))
-                                     for x in arr.flat):
-        arr = arr.astype(float)
-    if arr.dtype.kind not in "biuf" or arr.ndim < 1 or arr.shape[-1] != 2:
+    leaves = data
+    for _ in range(arr.ndim - 1):
+        leaves = itertools.chain.from_iterable(leaves)
+    if (arr.ndim < 1 or arr.shape[-1] != 2
+            or not set(map(type, leaves)) <= {int, float}):
         raise ValueError("expected nested [re, im] pairs of numbers")
     return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    """The matrix, bare or wrapped as projector_to_json writes it."""
+    """The matrix, bare or wrapped as projector_to_json writes it; rows and
+    cols must be JSON integers, not booleans, floats or strings."""
     if isinstance(obj, dict) and "matrix" in obj:
         obj = obj["matrix"]
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    rows, cols = obj["rows"], obj["cols"]
+    if not all(type(v) is int and v >= 0 for v in (rows, cols)):
+        raise ValueError(f"rows {rows!r} and cols {cols!r} must be "
+                         "non-negative integers")
     data = obj["data"]
     if len(data) != rows * cols:
         raise ValueError(f"data length {len(data)} != rows*cols {rows * cols}")
     flat = _complex_pairs(data) if rows * cols else np.zeros(0, dtype=complex)
     return as_matrix(flat.reshape(rows, cols))
-

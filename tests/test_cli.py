@@ -240,6 +240,26 @@ def test_wrong_json_types_and_non_finite_flags_exit_by_the_taxonomy(
     assert said in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("matrix", [
+    '{"rows": 2, "cols": 2, "data": [[true, false], [false, false], '
+    '[false, false], [true, false]]}',
+    '{"rows": 1, "cols": 1, "data": [[true, 0.5]]}',
+    '{"rows": 1, "cols": 1, "data": [[100000000000000000000, true]]}',
+    '{"rows": true, "cols": 1, "data": [[1.0, 0.0]]}',
+    '{"rows": 1.5, "cols": 1, "data": [[1.0, 0.0]]}',
+    '{"rows": 1, "cols": "1", "data": [[1.0, 0.0]]}',
+], ids=["booleans", "boolean-among-floats", "boolean-beside-a-big-integer",
+        "rows-true", "rows-float", "cols-string"])
+def test_matrix_of_the_wrong_json_types_exits_65(tmp_path, capsys, matrix):
+    """numpy reads a JSON boolean as a number and int() a float or a string
+    as a dimension: the decoder refuses each as malformed input."""
+    infile = tmp_path / "h.json"
+    infile.write_text(matrix)
+    assert run(["spectral", "--in", str(infile)]) == 65
+    err = capsys.readouterr().err
+    assert err.startswith("malformed input: ") and "Traceback" not in err
+
+
 def test_spectral_report_on_sigma_z(tmp_path):
     infile = write_json(tmp_path / "sz.json", SZ)
     rep = run_json(tmp_path, ["spectral", "--in", infile])
@@ -571,8 +591,12 @@ def test_evolve_decomposes_the_hamiltonian_once(tmp_path, monkeypatch):
 _FLOATS = st.floats() | st.sampled_from(
     [0.0, -0.0, 5e-324, -2.2e-308, 1e308, -1.7976931348623157e308,
      float("nan"), float("inf"), float("-inf")])
+# the writer switches from orjson's text to repr's below 1e-4 and from 1e16
+# on: each switch point and the double before it, of both signs
 _FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
-    [-0.0, 5e-324, 1e308, -1e-310])
+    [-0.0, 5e-324, 1e308, -1e-310, 1e-4, -1e-4, 9.999999999999999e-05,
+     -9.999999999999999e-05, 1e16, -1e16, 9999999999999998.0,
+     -9999999999999998.0])
 
 
 # moderate enough that an outer product of two stays finite; subnormal
@@ -591,9 +615,9 @@ def _complex(draw, shape, elements, fill=None):
 @st.composite
 def _hermitian(draw):
     """Hermitian to the last bit, as M/2 + M*/2 or as a rank-1 einsum outer
-    product, or that with one to three mirrored entries moved by an ulp or
-    with signed zeros put in mirrored pairs' imaginary parts: every branch of
-    the writer's mirrored texts and its fallbacks."""
+    product, or that with one to three entries below the diagonal moved by an
+    ulp or with signed zeros put in the imaginary parts of an entry and its
+    mirror: the matrices a spectral report writes, and near misses."""
     n = draw(st.integers(1, 6))
     if draw(st.booleans()):  # every entry drawn, not a constant fill
         M = _complex(draw, (n, n), _FINITE, fill=st.nothing())

@@ -227,6 +227,34 @@ def test_json_reads_integers_beyond_64_bits_as_floats():
                           "data": [[100000000000000000000, "1.0"]]})
 
 
+def test_json_refuses_booleans_and_non_integer_dimensions():
+    ok = {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]}
+    for bad in ({"data": [[True, False]]}, {"data": [[True, 0.5]]},
+                {"data": [[100000000000000000000, False]]},
+                {"data": np.array([[True, False]])},
+                {"rows": True}, {"rows": 1.0}, {"cols": "1"}, {"cols": -1}):
+        with pytest.raises(ValueError):
+            matrix_from_json({**ok, **bad})
+    assert np.array_equal(matrix_from_json(ok), [[1.0]])
+
+
+def test_matrix_texts_are_repr_over_the_whole_exponent_range():
+    """The writer's texts are repr's for 2^17 random bit patterns, each
+    finite double equally likely, and at the points where orjson's notation
+    and repr's part: 1e-4 and 1e16, the doubles before them, the subnormals'
+    ends and the largest double. A later orjson whose float text changed
+    fails here."""
+    edges = [0.0, 5e-324, np.nextafter(2.0 ** -1022, 0.0), 2.0 ** -1022,
+             1e-4, np.nextafter(1e-4, 0.0), 1e16, np.nextafter(1e16, 0.0),
+             np.finfo(float).max]
+    bits = np.random.default_rng(41).integers(0, 2 ** 64, 1 << 17,
+                                              dtype=np.uint64)
+    x = bits.view(float)
+    x = np.concatenate([edges, np.negative(edges), x[np.isfinite(x)]])
+    M = x[: len(x) // 2 * 2].view(complex).reshape(1, -1)
+    assert linalg._texts(M) == list(map(repr, M.view(float).ravel().tolist()))
+
+
 def test_json_rejects_bad_length():
     with pytest.raises(ValueError):
         matrix_from_json({"rows": 2, "cols": 2, "data": [[0.0, 0.0]]})
