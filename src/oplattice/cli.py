@@ -7,7 +7,8 @@ malformed input. The report layout is a fixed contract, so identical inputs
 give identical bytes. One codec writes the reports (`linalg.dumps`: 2-space
 indent, sorted keys, ASCII only, NaN/Infinity, [re, im] for a complex
 scalar) and reads input matrices, bare or wrapped as `projector_to_json`
-writes them (`linalg.matrix_from_json`). `spectral` writes the
+writes them (`linalg.matrix_from_json`). `_load_json` reads every input file,
+the demo fixtures included, as `json.load` would. `spectral` writes the
 `pvm_to_json` layout, which `pvm_from_json` reads back as a measure.
 
 COMMANDS declares each subcommand once, with its handler and its flags.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import math
 import os
@@ -27,6 +29,7 @@ import sys
 from importlib import resources
 
 import numpy as np
+import orjson
 
 from .algebras import (
     MatrixStarAlgebra,
@@ -97,10 +100,44 @@ class MalformedInput(ValueError):
     pass
 
 
+# digits as 0, the decimal point kept, any other byte a space
+_NUMERALS = bytes(48 if 48 <= c < 58 else c if c == 46 else 32
+                  for c in range(256))
+_BRACKETS = bytes.maketrans(b"{}", b"[]")
+# the ASCII bytes but brackets, quotes and backslash
+_PLAIN = bytes(set(range(128)).difference(b'[]{}"\\'))
+
+
+def _orjson_reads_as_json(raw):
+    """Whether orjson.loads(raw), where it succeeds, is json.load's reading
+    of the file in text mode: ASCII (no locale decoding), no escape, no run
+    of 19 or more digits but after a decimal point (orjson reads an integer
+    beyond 64 bits as a float) and at most 63 levels of nesting (json
+    recurses once per level up to the recursion limit, orjson without one)."""
+    numerals = raw.translate(_NUMERALS)
+    if numerals.startswith(b"0" * 19) or b" " + b"0" * 19 in numerals:
+        return False
+    marks = raw.translate(_BRACKETS, _PLAIN)
+    if not marks.isascii() or b"\\" in marks:
+        return False
+    marks = b"".join(marks.split(b'"')[::2])  # the brackets outside strings
+    for _ in range(63):  # each round takes off one level
+        marks = marks.replace(b"[]", b"")
+    return not marks
+
+
 def _load_json(path):
+    """The JSON document at path as json.load reads the file in text mode,
+    decoded by orjson where it reads it alike, by json (NaN, 1e999) else."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        if _orjson_reads_as_json(raw):
+            try:
+                return orjson.loads(raw)
+            except orjson.JSONDecodeError:
+                pass
+        return json.loads(io.TextIOWrapper(io.BytesIO(raw)).read())
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"{path}: invalid JSON ({exc})")
     except OSError as exc:
@@ -425,7 +462,7 @@ def cmd_demo(args):
         raise ValueError(f"unknown demo {args.name!r}; "
                          f"shipped: {', '.join(sorted(_DEMOS))}")
     path = resources.files("oplattice") / "data" / f"{args.name}.json"
-    report = _DEMOS[args.name](json.loads(path.read_text()), args.tol)
+    report = _DEMOS[args.name](_load_json(path), args.tol)
     return dict(report, demo=args.name)
 
 

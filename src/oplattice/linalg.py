@@ -458,7 +458,18 @@ def _complex_pairs(data) -> np.ndarray:
     The pairs are viewed as complex, not added up, so every bit is kept, the
     sign of a zero included. An integer beyond 64 bits is read as a float.
     Each entry must be an int or a float: numpy would read a boolean among
-    numbers as 0 or 1, and a numeric string as a number."""
+    numbers as 0 or 1, and a numeric string as a number. A flat list of
+    pairs, a matrix's data, is flattened once and converted in one call."""
+    if (type(data) is list and set(map(type, data)) == {list}
+            and set(map(len, data)) == {2}):
+        leaves = list(itertools.chain.from_iterable(data))
+        if set(map(type, leaves)) <= {int, float}:
+            return np.array(leaves, dtype=float).view(complex)
+    return _nested_pairs(data)
+
+
+def _nested_pairs(data) -> np.ndarray:
+    """_complex_pairs of any nesting, its shape found by numpy."""
     arr = np.asarray(data)
     leaves = data
     for _ in range(arr.ndim - 1):

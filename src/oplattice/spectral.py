@@ -431,12 +431,22 @@ def pvm_to_json(pvm) -> dict:
 
 def pvm_from_json(obj) -> ProjectorValuedMeasure:
     """The measure in that layout, parsed; other keys, such as a report's
-    residuals, are ignored. A declared rank must be the admitted one."""
-    labels = [tuple(float(x) for x in atom["label"]) for atom in obj["atoms"]]
-    pvm = ProjectorValuedMeasure(int(obj["dim"]), [
+    residuals, are ignored. dim and ranks are JSON integers, labels hold ints
+    and floats, none a boolean. A declared rank must be the admitted one."""
+    atoms, dim = obj["atoms"], obj["dim"]
+    ranks = [atom["rank"] for atom in atoms if "rank" in atom]
+    if not all(type(v) is int and v >= 0 for v in (dim, *ranks)):
+        raise ValueError(f"dim {dim!r} and ranks {ranks!r} must be "
+                         "non-negative integers")
+    labels = [atom["label"] for atom in atoms]
+    for label in labels:
+        if not all(type(x) in (int, float) for x in label):
+            raise ValueError(f"label {label!r} must hold numbers")
+    labels = [tuple(map(float, label)) for label in labels]
+    pvm = ProjectorValuedMeasure(dim, [
         (lab[0] if len(lab) == 1 else lab, matrix_from_json(atom["projector"]))
-        for lab, atom in zip(labels, obj["atoms"])])
-    for atom, rank in zip(obj["atoms"], pvm.ranks):
-        if "rank" in atom and int(atom["rank"]) != rank:
+        for lab, atom in zip(labels, atoms)])
+    for atom, rank in zip(atoms, pvm.ranks):
+        if "rank" in atom and atom["rank"] != rank:
             raise ValueError(f"declared rank {atom['rank']} but trace says {rank}")
     return pvm

@@ -1,7 +1,12 @@
 """Command-line surface: JSON in, JSON out, exit-code taxonomy."""
 
+import contextlib
+import io
 import json
+import math
+import struct
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -731,3 +736,159 @@ def test_matrix_reports_match_indented_json_encoder(tmp_path, monkeypatch):
                  ["gleason-fit", "--in", fit]):
         got, want = _report_through_both_routes(tmp_path, argv)
         assert got == want, argv
+
+
+# --- input text: the reader against json's text-mode reader -----------------
+
+def _json_load(path):
+    """cli._load_json through json alone, as every input was read before
+    orjson: the file in text mode, then json.load."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise cli.MalformedInput(f"{path}: invalid JSON ({exc})")
+    except OSError as exc:
+        raise cli.MalformedInput(f"{path}: {exc}")
+
+
+def _outcome(f, *args):
+    try:
+        return "returned", f(*args)
+    except Exception as exc:  # RecursionError and warnings included
+        return type(exc).__name__, str(exc)
+
+
+def _same_tree(a, b):
+    """Equal at every node and of exactly the same type; floats bit for
+    bit, dict keys in the same order."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is float:
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if type(a) is list:
+        return len(a) == len(b) and all(map(_same_tree, a, b))
+    if type(a) is dict:
+        return list(a) == list(b) and all(map(_same_tree, a.values(),
+                                              b.values()))
+    return a == b
+
+
+def _spectral(path):
+    """What `oplattice spectral --in path` returns or raises, and prints."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = _outcome(run, ["spectral", "--in", path])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_reads_as_json(path):
+    """_load_json and _json_load agree on the file at path, and so does
+    spectral run on it with each: exit code or exception, stdout, stderr."""
+    got, want = _outcome(cli._load_json, path), _outcome(_json_load, path)
+    assert got[0] == want[0] and _same_tree(got[1], want[1]), (got, want)
+    with mock.patch.object(cli, "_load_json", _json_load):
+        reference = _spectral(path)
+    assert _spectral(path) == reference
+
+
+_BITS = st.integers(0, 2 ** 64 - 1).map(
+    lambda b: struct.unpack("<d", struct.pack("<Q", b))[0])
+_INTS = st.integers(-2 ** 70, 2 ** 70) | st.sampled_from(
+    [0, 2 ** 63 - 1, 2 ** 63, -2 ** 63, -2 ** 63 - 1, 2 ** 64 - 1, 2 ** 64])
+
+
+@st.composite
+def _matrix_texts(draw):
+    """A matrix document of random-bit-pattern doubles (NaN and infinities
+    included) and some integers, Hermitian or not, bare or wrapped, written
+    by json.dumps, by dumps or with %.Ng, %.Ne or %.Nf for N from 1 to 40."""
+    n = draw(st.integers(1, 3))
+    entry = _BITS | _INTS if draw(st.booleans()) else _BITS
+    if draw(st.booleans()):  # mirrored: entries i > j conjugate those i < j
+        upper = {(i, j): [draw(entry), draw(entry) if i < j else 0.0]
+                 for i in range(n) for j in range(i, n)}
+        data = [upper[i, j] if i <= j else [upper[j, i][0], -upper[j, i][1]]
+                for i in range(n) for j in range(n)]
+        rows = n
+    else:
+        rows = draw(st.integers(0, 2))
+        data = [[draw(entry), draw(entry)] for _ in range(rows * n)]
+    doc = {"rows": rows, "cols": n, "data": data}
+    if draw(st.booleans()):
+        doc = {"matrix": doc, "rank": draw(_INTS)}
+    style = draw(st.sampled_from(["json", "indented", "dumps", "g", "e", "f"]))
+    if len(style) == 1:
+        digits = draw(st.integers(1, 40))
+        text = lambda x: (f"%.{digits}{style}" % x if type(x) is float
+                          and math.isfinite(x) else json.dumps(x))
+        return json.dumps(doc).replace(json.dumps(data), "[" + ", ".join(
+            f"[{text(a)}, {text(b)}]" for a, b in data) + "]")
+    return {"json": json.dumps, "dumps": dumps,
+            "indented": lambda d: json.dumps(d, indent=2)}[style](doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_matrix_texts())
+def test_input_reader_matches_json_on_random_bit_patterns(tmp_path_factory,
+                                                          text):
+    path = tmp_path_factory.mktemp("doc") / "m.json"
+    path.write_text(text)
+    _assert_reads_as_json(str(path))
+
+
+def _matrix(rows=1, entry="1.0", key=""):
+    return f'{{{key}"rows": {rows}, "cols": 1, "data": [[{entry}, 0.0]]}}'
+
+
+_EDGE_INTS = [s * (2 ** k + d) for s in (1, -1) for k in (63, 64)
+              for d in (-1, 0, 1)] + [10 ** 18, -10 ** 18, 10 ** 19, -10 ** 19]
+_NAMED_TEXTS = {
+    **{f"rows {v}": _matrix(rows=v).encode() for v in _EDGE_INTS},
+    **{f"entry {v}": _matrix(entry=v).encode() for v in _EDGE_INTS + [
+        "NaN", "-Infinity", "1e999", "-0", "1e-400", "0.0018298840605237062",
+        "12345678901234567890.5",
+        "0.1000000000000000055511151231257827021181583404541015625",
+        "1e0000000000000000000001", "-1.5e-0000000000000000000001"]},
+    "BOM": b"\xef\xbb\xbf" + _matrix().encode(),
+    "invalid UTF-8": _matrix(key='"\xff": 0, ').encode("latin-1"),
+    "lone surrogate": _matrix(key='"\\ud800": 0, ').encode(),
+    "escape": _matrix(key='"\\u0072": 0, ').encode(),
+    "UTF-8 string": _matrix(key='"\u00e9": 0, ').encode(),
+    "brackets in a string": _matrix(key='"]]}[": 0, ').encode(),
+    "duplicate keys": _matrix(key='"rows": 2, ').encode(),
+    "CR LF": _matrix().replace(", ", ",\r\n").encode() + b"\r",
+    "control character": _matrix(key='"a\rb": 0, ').encode(),
+    "trailing comma": _matrix(entry="1.0, 0.0],[1.0").encode()[:-2] + b",]}",
+    "empty": b"",
+    **{f"{d} deep": _matrix(entry="[" * d + "1.0").replace(
+        "0.0]]", "0.0]]" + "]" * d).encode() for d in (60, 61, 2000)},
+}
+
+
+@pytest.mark.parametrize("name", list(_NAMED_TEXTS))
+def test_input_reader_matches_json_where_orjson_reads_otherwise(tmp_path,
+                                                                name):
+    path = tmp_path / "m.json"
+    path.write_bytes(_NAMED_TEXTS[name])
+    _assert_reads_as_json(str(path))
+
+
+def test_input_reader_takes_json_only_where_orjson_cannot(tmp_path,
+                                                          monkeypatch):
+    loads = []
+    monkeypatch.setattr(cli, "json", mock.Mock(
+        wraps=json, JSONDecodeError=json.JSONDecodeError,
+        loads=lambda text: loads.append(text) or json.loads(text)))
+    path = tmp_path / "m.json"
+    for name, fallback in (("entry -0", False), ("60 deep", False),
+                           ("brackets in a string", False),
+                           ("entry 0.0018298840605237062", False),
+                           ("entry 1e0000000000000000000001", True),
+                           ("rows 1000000000000000000", True),
+                           ("61 deep", True), ("entry NaN", True),
+                           ("escape", True), ("UTF-8 string", True)):
+        path.write_bytes(_NAMED_TEXTS[name])
+        cli._load_json(str(path))
+        assert len(loads) == fallback, name
+        loads.clear()

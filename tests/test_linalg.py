@@ -1,5 +1,6 @@
 import ast
 import json
+import struct
 from pathlib import Path
 from unittest import mock
 
@@ -258,6 +259,48 @@ def test_matrix_texts_are_repr_over_the_whole_exponent_range():
 def test_json_rejects_bad_length():
     with pytest.raises(ValueError):
         matrix_from_json({"rows": 2, "cols": 2, "data": [[0.0, 0.0]]})
+
+
+_PAIR_ENTRIES = st.integers(0, 2 ** 64 - 1).map(
+    lambda b: struct.unpack("<d", struct.pack("<Q", b))[0]) | st.integers(
+    -2 ** 80, 2 ** 80) | st.sampled_from(
+    [-0.0, 0, 2 ** 53 + 1, 2 ** 63, -2 ** 63 - 1, 2 ** 64 + 1, 2 ** 1023])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_PAIR_ENTRIES, min_size=2, max_size=2), min_size=1,
+                max_size=12))
+def test_flat_pairs_take_one_conversion_bit_for_bit(data):
+    """A flat [[re, im], ...] list of random bit patterns and integers, also
+    beyond 64 bits, converts without numpy's shape discovery to the bits the
+    general route gives."""
+    huge = data + [[10 ** 400, 0.0]]  # beyond a double: both refuse alike
+    with mock.patch.object(linalg, "_nested_pairs",
+                           side_effect=AssertionError):
+        fast = linalg._complex_pairs(data)
+        with pytest.raises(OverflowError) as fast_error:
+            linalg._complex_pairs(huge)
+    assert fast.tobytes() == linalg._nested_pairs(data).tobytes()
+    with pytest.raises(OverflowError) as general_error:
+        linalg._nested_pairs(huge)
+    assert str(fast_error.value) == str(general_error.value)
+
+
+def test_a_table_of_pair_rows_takes_the_general_route():
+    """A 2 x 2 table whose rows have length 2 but hold pairs, not numbers,
+    is not a flat list of pairs, and is read, not refused; lists that are
+    not pairs of numbers are refused."""
+    invol = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+    with mock.patch.object(linalg, "_nested_pairs",
+                           wraps=linalg._nested_pairs) as general:
+        got = linalg._complex_pairs(invol)
+    general.assert_called_once_with(invol)
+    assert got.dtype == complex and got.tolist() == [[1, 0], [0, 1]]
+    for bad in ([[1.0, True]], [["1.0", 0.0]], [[1.0, [0.0]]],
+                [[1.0], [2.0]], [[1.0, 2.0, 3.0], [4.0]], [[1.0, 2.0], [3.0]],
+                [{"a": 1, "b": 2}], 3):
+        with pytest.raises(ValueError):
+            linalg._complex_pairs(bad)
 
 
 def test_thresholds_are_named_only_in_the_linalg_policy_block():

@@ -223,6 +223,29 @@ def test_json_roundtrip_preserves_atoms_exactly():
         pvm_from_json(obj)
 
 
+@pytest.mark.parametrize("where, key, value, said", [
+    ((), "dim", 2.9, r"dim 2.9 and ranks \[1, 1\] must be non-negative"),
+    ((), "dim", True, "dim True and"),
+    ((), "dim", "2", "dim '2' and"),
+    ((), "dim", -2, "dim -2 and"),
+    (("atoms", 0), "rank", True, r"ranks \[True, 1\] must be"),
+    (("atoms", 0), "rank", 1.0, r"ranks \[1.0, 1\] must be"),
+    (("atoms", 0), "label", [True], r"label \[True\] must hold numbers"),
+    (("atoms", 0), "label", ["1.0"], r"label \['1.0'\] must hold"),
+])
+def test_json_fields_of_the_wrong_type_are_refused(where, key, value, said):
+    """dim and rank are JSON integers and labels hold numbers: a wrong type
+    is refused, not coerced by int() or float()."""
+    obj = json.loads(dumps(pvm_to_json(spectral_decompose(np.diag(
+        [1.0, -1.0])))))
+    node = obj
+    for step in where:
+        node = node[step]
+    node[key] = value
+    with pytest.raises(ValueError, match=said):
+        pvm_from_json(obj)
+
+
 def test_given_atoms_are_copied_and_read_only():
     """A later write to the caller's arrays leaves the measure as admitted,
     and its atoms, like those the library builds, refuse writes."""
