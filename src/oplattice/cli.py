@@ -67,7 +67,6 @@ from .linalg import (
     _pieces,
     frobenius,
     matrix_from_json,
-    require_unitary,
 )
 from .oscillator import (
     build_truncated_pair,
@@ -128,7 +127,9 @@ def _orjson_reads_as_json(raw):
 
 def _load_json(path):
     """The JSON document at path as json.load reads the file in text mode,
-    decoded by orjson where it reads it alike, by json (NaN, 1e999) else."""
+    decoded by orjson where it reads it alike, by json (NaN, 1e999) else.
+    Text that does not decode, or nests past json's recursion limit, is
+    malformed input."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -140,7 +141,7 @@ def _load_json(path):
         return json.loads(io.TextIOWrapper(io.BytesIO(raw)).read())
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"{path}: invalid JSON ({exc})")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
         raise MalformedInput(f"{path}: {exc}")
 
 
@@ -314,8 +315,7 @@ def cmd_sectors(args):
 
 def cmd_evolve(args):
     H = _operator(args.hamiltonian, args.tol)
-    U, half = require_unitary(
-        _evolve([H], [[args.t, args.t / 2.0]], args.hbar))
+    U, half = _evolve([H], [[args.t, args.t / 2.0]], args.hbar)
     return {
         "unitary": U,
         "unitarity_defect": frobenius(U.conj().T @ U - np.eye(len(U))),

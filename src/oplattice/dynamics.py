@@ -5,6 +5,7 @@ projective-representation multipliers.
 """
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -19,9 +20,11 @@ from .linalg import (
     ToleranceFailure,
     UnitaryOperator,
     _fro_batch,
+    _gamma,
     _gate,
     _hermitian,
     _hermitians,
+    _unitarity_tol,
     as_matrix,
     as_stack,
     frobenius,
@@ -90,26 +93,64 @@ class NotProjective(Refusal, ValueError):
                 "defect {defect:.3e}")
 
 
-def _evolve(ops, times, hbar):
+def _unitarity_bound(e, f, n):
+    """A bound on ||U^*U - I||_F as require_unitary computes it, for U =
+    fl(fl(V D) V^*) of an n x n factor V whose measured completeness
+    ||fl(V^*V) - I||_F is e, and phases D = diag(d) with max | |d_a| - 1 |
+    at most f as measured: NaN if f is. With r = sqrt(2) gamma_{n+2} for a
+    complex inner product of length n and h = gamma_{2n^2+4} for a norm's
+    own arithmetic (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., sections 3.5-3.6):
+        E = V^*V - I has ||E||_F <= eps = (e (1 + h) + r n) / (1 - r n),
+        ||V||_2^2 <= v = 1 + eps, ||V||_F^2 <= n v, |d_a| <= q = (1 + f)(1 + h)
+        and | |d_a|^2 - 1 | <= q^2 - 1;
+        for W = V D V^*, W^*W - I = (VV^* - I) + V(D^*D - I)V^* + VD^*EDV^*,
+            ||W^*W - I||_F <= eps + v (q^2 eps + sqrt(n) (q^2 - 1));
+        ||U - W||_F <= delta = 2 q v (sqrt(2n) gamma_2 + r (1 + sqrt(2)
+            gamma_2) n), doubled to cover underflow's absolute errors;
+        ||U^*U - I||_F <= ||W^*W - I||_F + 2 q v delta + delta^2, and the
+            check's product adds r ||U||_F^2 <= r (sqrt(n) q v + delta)^2,
+    the sum taken up by 1 + h. inf where r n >= 1/2."""
+    r, h, g2 = math.sqrt(2.0) * _gamma(n + 2), _gamma(2 * n * n + 4), _gamma(2)
+    eps = (e * (1.0 + h) + r * n) / (1.0 - r * n)
+    v, q = 1.0 + eps, (1.0 + f) * (1.0 + h)
+    delta = 2.0 * q * v * (math.sqrt(2.0 * n) * g2
+                           + r * (1.0 + math.sqrt(2.0) * g2) * n)
+    exact = eps + v * (q * q * eps + math.sqrt(n) * (q * q - 1.0))
+    bound = (exact + 2.0 * q * v * delta + delta * delta
+             + r * (math.sqrt(n) * q * v + delta) ** 2) * (1.0 + h)
+    return bound if r * n < 0.5 else math.inf
+
+
+def _evolve(ops, times, hbar, dense=None):
     """exp(-i t H / hbar) for each operator H of a family and each t of its
     entry of times, in order, as one stack: the family decomposed as one
     stack (_decompose_stack), then V exp(-i t Lambda / hbar) V^* on each
-    eigenvector factor V, all by one atom_sum."""
-    V, d = [], []
+    eigenvector factor V. Certified unitary by _unitarity_bound at the
+    largest completeness e and f summed over the operators (a NaN carries),
+    else checked by dense(U), require_unitary(U) by default."""
+    parts, e, f = [], 0.0, 0.0
     for pvm, t in zip(_decompose_stack(ops), times):
+        V, _, ranks = pvm._factor
         t = np.asarray(t, dtype=float).reshape(-1)
         phase = np.exp(np.multiply.outer(-1j * t, pvm._labels) / hbar)
-        d.append(np.repeat(phase, pvm._factor[2], axis=-1))
-        V += [pvm._factor[0]] * len(t)
-    return atom_sum(np.reshape(V, (-1, pvm.dim, pvm.dim)), np.concatenate(d))
+        f += float(np.abs(np.abs(phase) - 1.0).max(initial=0.0))
+        e = max(e, pvm._residuals["completeness"])
+        parts.append(atom_sum(V, phase, ranks))
+    U = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    if _unitarity_bound(e, f, pvm.dim) <= _unitarity_tol(pvm.dim):
+        return U
+    return (dense or require_unitary)(U)
 
 
 def evolve_unitary(H, t, hbar=1.0) -> UnitaryOperator:
     """exp(-i t H / hbar) at one time t, unitary to machine precision: one
-    eigendecomposition of H and one n x n product on its eigenvector factor."""
+    eigendecomposition of H and one n x n product on its eigenvector factor,
+    certified by _evolve, or else checked as UnitaryOperator checks."""
     if np.ndim(t):
         raise ValueError(f"t must be one time, got shape {np.shape(t)}")
-    return UnitaryOperator(_evolve([H], [t], hbar)[0])
+    U = _evolve([H], [t], hbar, lambda U: UnitaryOperator(U[0]).matrix[None])
+    return UnitaryOperator._certified(U[0])
 
 
 def _commutators(Us, Vs):
@@ -163,7 +204,7 @@ def generator_from_group(samples, hbar=1.0) -> HermitianOperator:
           NotHermitianResult)
     H = HermitianOperator(D, tol=np.inf)
 
-    recon = require_unitary(_evolve([H], [list(table)], hbar))
+    recon = _evolve([H], [list(table)], hbar)
     _gate(float(_fro_batch(recon - stack).max()), FIT_TOL, InconsistentGroup)
     return H
 
@@ -194,7 +235,7 @@ def noether_check(A, H, t_grid=None, s_grid=None, tol=PRODUCT_TOL,
     if not t_grid or not s_grid:
         raise ValueError("grids must be nonempty")
 
-    U = require_unitary(_evolve([H, A], [t_grid, s_grid], hbar))
+    U = _evolve([H, A], [t_grid, s_grid], hbar)
     T, Uh = len(t_grid), U.conj().mT
     Us, Vs = U[:T], U[T:]
     d = _fro_batch(np.concatenate([Uh[:T] @ A.matrix @ Us - A.matrix,
@@ -220,7 +261,7 @@ def commuting_via_groups(A, B, grid=None, tol=PRODUCT_TOL, hbar=1.0) -> bool:
     """Group-level compatibility test: exp(-itA) and exp(-isB) commute for
     every (t, s) in the grid. Agrees with the spectral-measure test."""
     grid = DEFAULT_NOETHER_GRID if grid is None else tuple(grid)
-    U = require_unitary(_evolve([A, B], [grid, grid], hbar))
+    U = _evolve([A, B], [grid, grid], hbar)
     worst = _fro_batch(_commutators(U[:len(grid)], U[len(grid):]))
     return float(worst.max(initial=0.0)) <= tol
 
@@ -276,8 +317,8 @@ def dyson_evolve(H_samples, t1, t2, order=8, hbar=1.0) -> UnitaryOperator:
     the endpoint average of H exactly, later times composing on the left.
     Unitary by construction; the truncated series lives in dyson_series as
     the independent cross-check. The step generators are decomposed as one
-    stack and their exponentials formed by one batched product under one
-    unitarity gate; the product runs step by step. order only sets the
+    stack and their exponentials certified unitary (_evolve); the product
+    runs step by step and has the dense check. order only sets the
     node-count gate (_quadrature_gate): two orders that both pass it give
     the same U, bit for bit.
     """
@@ -285,7 +326,7 @@ def dyson_evolve(H_samples, t1, t2, order=8, hbar=1.0) -> UnitaryOperator:
     _quadrature_gate(times, stack, order)
     steps = _evolve((stack[:-1] + stack[1:]) / 2.0, np.diff(times), hbar)
     U = np.eye(stack.shape[1], dtype=complex)
-    for step in require_unitary(steps):
+    for step in steps:
         U = step @ U
     return UnitaryOperator(U)
 
@@ -482,14 +523,11 @@ def su2_fixture(hbar=1.0):
 
     spectra = [sorted(np.linalg.eigvalsh(Sk.matrix).tolist()) for Sk in S]
 
-    group_defect = 0.0
-    thetas = np.array([0.3, 0.7, 1.1])
-    for Sk in S:
-        U = require_unitary(_evolve([Sk], [thetas], hbar))
-        sums = np.add.outer(thetas, thetas)
-        W = require_unitary(_evolve([Sk], [sums], hbar)).reshape(3, 3, 2, 2)
-        defect = _fro_batch(U[:, None] @ U[None, :] - W).max()
-        group_defect = max(group_defect, float(defect))
+    thetas = np.array([0.3, 0.7, 1.1])  # U at each theta, W at each sum
+    times = np.concatenate([thetas, np.add.outer(thetas, thetas).ravel()])
+    U = _evolve(S, [times] * 3, hbar).reshape(3, 12, 2, 2)
+    W = U[:, 3:].reshape(3, 3, 3, 2, 2)
+    group_defect = float(_fro_batch(U[:, :3, None] @ U[:, None, :3] - W).max())
 
     quad = sum(Sk.matrix @ Sk.matrix for Sk in S)
     w, V = np.linalg.eigh(quad)

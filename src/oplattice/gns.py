@@ -17,6 +17,7 @@ from .linalg import (
     _CHECK_SLICE,
     Refusal,
     _fro_batch,
+    _gamma,
     _gate,
     _matrix_units,
     _products,
@@ -90,11 +91,6 @@ def _axiom_residuals(c, s, u, certified=False):
     yield "the unit acting as identity", units - np.eye(n), 1.0
     yield "self-adjointness of the unit", u.conj() @ s - u, \
         float(np.abs(u).max())
-
-
-def _gamma(m):
-    """Higham's gamma_m = m u / (1 - m u), u the unit roundoff 2^-53."""
-    return m * 2.0 ** -53 / (1.0 - m * 2.0 ** -53)
 
 
 def _associativity_bound(stack, sv, sol, worst):

@@ -217,7 +217,7 @@ def hermitian_part(matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
     defect alone fails. A is halved before the sum so that near-overflow
     input stays finite."""
     M = require_square(as_matrix(matrix))
-    top = max(np.abs(M.real).max(initial=0.0), np.abs(M.imag).max(initial=0.0))
+    top = np.abs(M.ravel().view(float)).max(initial=0.0)
     scale = math.ldexp(1.0, max(math.frexp(top)[1] - 1, -1022))
     S = M * (1.0 / scale)
     defect = frobenius(S - S.conj().T) * scale
@@ -276,18 +276,30 @@ def _admitted(M) -> HermitianOperator:
 
 def _hermitians(ops) -> list:
     """The operators of a family of one dimension, in order: admitted ones as
-    they are, the others admitted at DEFAULT_TOL as one stack by one
-    hermitian_part."""
+    they are, the others admitted at DEFAULT_TOL, one alone by
+    hermitian_part, more as one stack by _hermitian_parts."""
     ops = list(ops)
     raw = [a for a, A in enumerate(ops)
            if not isinstance(A, HermitianOperator)]
-    if raw:
+    if len(raw) == 1:
+        ops[raw[0]] = HermitianOperator(ops[raw[0]])
+    elif raw:
         parts = _hermitian_parts(as_stack(ops[a] for a in raw), DEFAULT_TOL)
         for a, M in zip(raw, parts):
             ops[a] = _admitted(M)
     if len(ops) > 1:
         require_same_dim(*(A.dim for A in ops))
     return ops
+
+
+def _gamma(m):
+    """Higham's gamma_m = m u / (1 - m u), u the unit roundoff 2^-53."""
+    return m * 2.0 ** -53 / (1.0 - m * 2.0 ** -53)
+
+
+def _unitarity_tol(n):
+    """require_unitary's threshold on ||M^*M - I||_F at dimension n."""
+    return DEFAULT_TOL * max(1.0, math.sqrt(n))
 
 
 def require_unitary(M: np.ndarray) -> np.ndarray:
@@ -298,8 +310,7 @@ def require_unitary(M: np.ndarray) -> np.ndarray:
     singular values, so the second product would decide nothing."""
     n = M.shape[-1]
     defect = _fro_batch(M.conj().mT @ M - np.eye(n))
-    _gate(float(defect.max(initial=0.0)),
-          DEFAULT_TOL * max(1.0, float(np.sqrt(n))), NotUnitary)
+    _gate(float(defect.max(initial=0.0)), _unitarity_tol(n), NotUnitary)
     return M
 
 
@@ -310,6 +321,12 @@ class UnitaryOperator:
         self.matrix = require_unitary(require_square(as_matrix(matrix)))
         self.matrix.setflags(write=False)
         self.dim = self.matrix.shape[0]
+
+    @classmethod
+    def _certified(cls, U):  # a square U certified unitary, not checked again
+        op = cls.__new__(cls)
+        op.matrix, op.dim = _read_only(U), len(U)
+        return op
 
     def __repr__(self):
         return f"UnitaryOperator(dim={self.dim})"
@@ -330,8 +347,10 @@ def _phase_fix_columns(V: np.ndarray) -> np.ndarray:
     ABS_FLOOR in modulus of each column made real positive."""
     S = V.reshape(-1, *V.shape[-2:])
     k, _, n = S.shape
-    a = S[np.arange(k)[:, None], (np.abs(S) > ABS_FLOOR).argmax(axis=1),
-          np.arange(n)]
+    a = S[:, 0]  # each column's first entry, if all are above the floor
+    if not (np.abs(a) > ABS_FLOOR).all():
+        a = S[np.arange(k)[:, None], (np.abs(S) > ABS_FLOOR).argmax(axis=1),
+              np.arange(n)]
     # a dead column (|a| at the floor) is scaled by exactly 1; each live one
     # is bit-equal to scaling it alone by the scalar a.conj() / abs(a), as
     # long as the product runs row by row of V.T and comes back C-ordered

@@ -72,24 +72,22 @@ def _factor_residuals(V, starts):
     one column per block, all tiles are read at once; else V is tiled alone."""
     k, m = V.shape[:2]
     tiles = np.abs(V.conj().mT @ V - np.eye(m)) ** 2
-    flat = tiles.reshape(k, m * m)
-    complete = np.sqrt(flat.sum(axis=1))
+    flat, sums = tiles.reshape(k, m * m), np.empty((3, k))
+    np.add.reduce(flat, axis=1, out=sums[0])
     if all(len(s) == m for s in starts):
-        fd = flat[:, ::m + 1].max(axis=1)
+        np.maximum.reduce(flat[:, ::m + 1], axis=1, out=sums[1])
         flat[:, ::m + 1] = 0.0
-        off = flat.sum(axis=1)
+        np.add.reduce(flat, axis=1, out=sums[2])
     else:
-        fd, off = np.empty(k), np.empty(k)
         for a, s in enumerate(starts):
             T = np.add.reduceat(np.add.reduceat(tiles[a], s, axis=0), s, axis=1)
-            fd[a] = np.diagonal(T).max()
+            sums[1, a] = np.diagonal(T).max()
             np.fill_diagonal(T, 0.0)
-            off[a] = T.sum()
-    fd = np.sqrt(fd)
+            sums[2, a] = T.sum()
+    complete, fd, off = np.sqrt(sums).tolist()
     return [{"hermiticity": 0.0, "idempotency": (1.0 + f) * f,
              "completeness": c, "orthogonality": o + 2.0 * f}
-            for f, c, o in zip(fd.tolist(), complete.tolist(),
-                               np.sqrt(off).tolist())]
+            for f, c, o in zip(fd, complete, off)]
 
 
 def _clusters(w, cluster_tol):
@@ -317,10 +315,12 @@ def _lookup_sample(mapping, label):
     raise MissingSample(label)
 
 
-def atom_sum(V, values):
-    """V diag(values) V^*: sum_a values[a] P_a over a factor V whose block
-    values are repeated over their columns; leading axes of V or values
+def atom_sum(V, values, ranks):
+    """V diag(values) V^*: sum_a values[a] P_a over a factor V, each value
+    repeated over its block's rank of columns; leading axes of V or values
     give a stack."""
+    if len(ranks) < V.shape[-1]:
+        values = np.repeat(values, ranks, axis=-1)
     return (V * values[..., None, :]) @ V.conj().mT
 
 
@@ -341,7 +341,7 @@ def func_calculus(pvm, f) -> np.ndarray:
     if bad.size:
         raise ValueError(f"f({pvm._labels[bad[0]]!r}) = {values[bad[0]]} is not finite")
     V, _, ranks = pvm._factor
-    return atom_sum(V, np.repeat(values, ranks))
+    return atom_sum(V, values, ranks)
 
 
 def _commute_defect(p, q):

@@ -67,6 +67,26 @@ def test_malformed_json_exits_65(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_input_nested_past_json_recursion_limit_exits_65(tmp_path, capsys):
+    """json gives up about 1,000 levels down with a RecursionError: that is
+    malformed input, not a traceback."""
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"rows": 1, "cols": 1, "data": '
+                    + "[" * 2000 + "]" * 2000 + "}")
+    assert run(["spectral", "--in", str(deep)]) == 65
+    err = capsys.readouterr().err
+    assert err.startswith("malformed input: ") and "Traceback" not in err
+
+
+def test_input_that_does_not_decode_exits_65(tmp_path, capsys):
+    """A byte that is not UTF-8 is malformed input, not a validation error."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"\xff": 1}')
+    assert run(["spectral", "--in", str(bad)]) == 65
+    err = capsys.readouterr().err
+    assert err.startswith("malformed input: ") and "Traceback" not in err
+
+
 def test_validation_failures_exit_2(tmp_path, capsys):
     skew = write_json(tmp_path / "h.json", SZ + 1j * SX)
     assert run(["spectral", "--in",skew]) == 2
@@ -742,13 +762,14 @@ def test_matrix_reports_match_indented_json_encoder(tmp_path, monkeypatch):
 
 def _json_load(path):
     """cli._load_json through json alone, as every input was read before
-    orjson: the file in text mode, then json.load."""
+    orjson: the file in text mode, then json.load; text that does not
+    decode or nests too deeply is malformed input."""
     try:
         with open(path) as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise cli.MalformedInput(f"{path}: invalid JSON ({exc})")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
         raise cli.MalformedInput(f"{path}: {exc}")
 
 

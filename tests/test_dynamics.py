@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oplattice.cli
+import oplattice.dynamics
+import oplattice.linalg
 import oplattice.spectral
 from oplattice import (
     DensityState,
@@ -42,6 +45,15 @@ from oplattice import (
     wigner_apply,
     wigner_apply_observable,
 )
+from oplattice.dynamics import _evolve, _unitarity_bound
+from oplattice.linalg import (
+    DEFAULT_TOL,
+    SOLVER_TOL,
+    _fro_batch,
+    _unitarity_tol,
+    dumps,
+)
+from oplattice.spectral import _decompose_stack, _factor_residuals
 
 from oracles import expm_oracle, spin_precession_x
 
@@ -289,6 +301,150 @@ def test_group_grids_keep_the_unitarity_gate():
         noether_check(SX, H, t_grid=(0.1, 1e308))
     with pytest.raises(NotUnitary):
         commuting_via_groups(SX, H, grid=(1e308,))
+
+
+def _evolve_as_before(ops, times, hbar):
+    """(stack, phases): _evolve's stack as it was formed before its
+    certificate, each factor repeated per time and one product over the
+    whole stack, and each operator's phases."""
+    V, d, phases = [], [], []
+    for pvm, t in zip(_decompose_stack(ops), times):
+        t = np.asarray(t, dtype=float).reshape(-1)
+        phases.append(np.exp(np.multiply.outer(-1j * t, pvm._labels) / hbar))
+        d.append(np.repeat(phases[-1], pvm._factor[2], axis=-1))
+        V += [pvm._factor[0]] * len(t)
+    V, d = np.reshape(V, (-1, pvm.dim, pvm.dim)), np.concatenate(d)
+    return (V * d[..., None, :]) @ V.conj().mT, phases
+
+
+@st.composite
+def _families(draw):
+    """(ops, times, hbar): one or two complex Hermitian 2^k U diag(w) U^* of
+    one dimension n <= 64, |k| <= 200, with generic levels in [-1, 1] or
+    levels clustered within SOLVER_TOL times the spread; one to three times
+    of modulus 1e-6 to 1e6 per operator, and hbar != 1."""
+    n = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ops, times = [], []
+    for _ in range(draw(st.integers(1, 2))):
+        w = rng.uniform(-1.0, 1.0, n)
+        if draw(st.booleans()):
+            w = rng.choice(w[:max(1, n // 3)], n) + rng.uniform(
+                -0.4, 0.4, n) * SOLVER_TOL * np.ptp(w)
+        U = np.linalg.qr(rng.standard_normal((n, 2 * n)).view(complex))[0]
+        k = draw(st.integers(-200, 200))
+        ops.append(HermitianOperator(2.0 ** k * (U * w) @ U.conj().T))
+        times.append([s * 10.0 ** x for s, x in draw(st.lists(st.tuples(
+            st.sampled_from([-1.0, 1.0]), st.floats(-6.0, 6.0)),
+            min_size=1, max_size=3))])
+    hbar = draw(st.floats(1e-3, 1e3).filter(lambda h: h != 1.0))
+    return ops, times, hbar
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=_families())
+def test_certificate_bounds_every_evolved_unitary(family):
+    """_evolve's certificate, read off the factors' completeness and the
+    phases, bounds the dense ||U^*U - I||_F of every U it returns and admits
+    each within require_unitary's threshold; U keeps its bits."""
+    ops, times, hbar = family
+    U = _evolve(ops, times, hbar)
+    before, phases = _evolve_as_before(ops, times, hbar)
+    assert U.tobytes() == before.tobytes()
+    n = U.shape[-1]
+    e = max(pvm._residuals["completeness"] for pvm in _decompose_stack(ops))
+    f = sum(float(np.abs(np.abs(d) - 1.0).max()) for d in phases)
+    bound = _unitarity_bound(e, f, n)
+    dense = _fro_batch(U.conj().mT @ U - np.eye(n))
+    assert dense.max() <= bound <= _unitarity_tol(n)
+
+
+_PHASES_NOT_FINITE = [(np.inf, 1.0), (-np.inf, 1.0), (np.nan, 1.0),
+                      (1e308, 1.0), (-1e308, 1.0), (1e300, 1e-10),
+                      (1.0, np.nan), (1.0, 1e-308), (1.0, 0.0)]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("t, hbar", _PHASES_NOT_FINITE)
+def test_a_phase_that_is_not_finite_is_refused_as_before(t, hbar):
+    """A t or hbar that is not finite, or that overflows the phase, makes
+    the phases NaN; the certificate then vouches for nothing, and each call
+    refuses with the exception and text of the dense check it made before."""
+    H = 2.0 * SZ
+    with pytest.raises(ValueError) as exc:
+        evolve_unitary(H, t, hbar)
+    assert (type(exc.value), str(exc.value)) == (
+        ValueError, "matrix contains non-finite entries")
+    for call in (lambda: noether_check(SX, H, t_grid=(0.1, t), hbar=hbar),
+                 lambda: commuting_via_groups(SX, H, grid=(t,), hbar=hbar)):
+        with pytest.raises(NotUnitary) as exc:
+            call()
+        assert str(exc.value) == "unitarity defect nan exceeds tolerance"
+
+
+@pytest.mark.parametrize("hbar", [np.inf, -np.inf])
+def test_an_infinite_hbar_is_admitted_as_before(hbar):
+    """-i t lambda / hbar is 0 at an infinite hbar: every phase is 1."""
+    assert np.allclose(evolve_unitary(SX, 0.5, hbar).matrix, I2, atol=1e-15)
+    assert all(noether_check(SX, SZ, hbar=hbar)[:3])
+    assert commuting_via_groups(SX, SZ, hbar=hbar)
+
+
+def test_a_factor_past_the_certificate_goes_to_the_dense_check():
+    """A kept factor scaled by 1 + 3e-11 passes the factor gate (||V^*V -
+    I||_F = 8.5e-11) while its unitaries miss require_unitary's threshold
+    (||U^*U - I||_F = 1.7e-10 > 1.41e-10): the certificate does not admit
+    them, and the dense check refuses them."""
+    H = HermitianOperator(random_hermitian(np.random.default_rng(89), 2))
+    spectral_decompose(H)  # H keeps its factor
+    labels, (V, starts, ranks), _ = H._spectral
+    V = V * (1.0 + 3e-11)
+    report = _factor_residuals(V[None].copy(), [starts])[0]
+    assert report["completeness"] <= DEFAULT_TOL
+    H._spectral = labels, (V, starts, ranks), report
+    for call in (lambda: evolve_unitary(H, 0.3),
+                 lambda: noether_check(SX, H),
+                 lambda: commuting_via_groups(SX, H)):
+        with pytest.raises(NotUnitary):
+            call()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_certified_unitaries_do_not_reach_the_dense_check(monkeypatch,
+                                                          tmp_path):
+    """require_unitary, recorded wherever it is called, is not reached by
+    the group computations on generic input, the CLI's evolve included;
+    dyson_evolve checks its final product alone, and an overflowing phase
+    still goes to the dense check."""
+    reached, check = [], oplattice.linalg.require_unitary
+
+    def recorded(M):
+        reached.append(M.shape)
+        return check(M)
+
+    for module in (oplattice.linalg, oplattice.dynamics):
+        monkeypatch.setattr(module, "require_unitary", recorded)
+    rng = np.random.default_rng(97)
+    H = random_hermitian(rng, 5)
+    A = H @ H
+    samples = [(t, evolve_unitary(H, t))
+               for t in (1e-3, 5e-4, 0.0, -5e-4, -1e-3)]
+    heisenberg_observable(A, H, 0.3)
+    assert all(noether_check(A, H)[:3]) and commuting_via_groups(A, H)
+    generator_from_group(samples)
+    su2_fixture()
+    path = tmp_path / "h.json"
+    path.write_text(dumps(H))
+    assert oplattice.cli.run(["evolve", "--hamiltonian", str(path), "--t",
+                              "0.4", "--out", str(tmp_path / "u.json")]) == 0
+    assert reached == []
+    taus = np.linspace(0.0, 1.0, 40)
+    dyson_evolve([(t, 0.3 * SZ + np.sin(2.0 * t) * SX) for t in taus],
+                 0.1, 0.9)
+    assert reached == [(2, 2)]
+    with pytest.raises(NotUnitary):
+        noether_check(SX, 2.0 * SZ, t_grid=(0.1, 1e308))
+    assert reached == [(2, 2), (5, 2, 2)]
 
 
 def test_time_ordered_commuting_family_closed_form():
