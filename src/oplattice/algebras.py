@@ -203,20 +203,23 @@ class MatrixStarAlgebra:
     """A concrete *-algebra: the span of a basis checked to contain the
     identity and to be closed under adjoints and, by the product gate or by
     generated_by's certificate, products. basis is a read-only (k, n, n)
-    stack, _span an orthonormal basis of it (flattened rows), _prime its kept
-    commutant. The gate forms A_i A_j one GEMM per slice of m left by r right
-    factors (r = k unless one left factor passes _CHECK_SLICE entries), each
-    residual on the span's smaller side: the n^2 - k complement rows if
-    3k > n^2, else v - (v S^*) S (2k rows)."""
+    stack, _span an orthonormal basis of it (flattened rows), _prime and
+    _center its kept commutant and center. The gate forms A_i A_j one GEMM
+    per slice of m left by r right factors (r = k unless one left factor
+    passes _CHECK_SLICE entries), each residual on the span's smaller side:
+    the n^2 - k complement rows if 3k > n^2, else v - (v S^*) S (2k
+    rows)."""
 
-    __slots__ = ("dim", "basis", "_span", "_prime")
+    __slots__ = ("dim", "basis", "_span", "_prime", "_center")
 
     def __init__(self, basis):
         self._admit(as_stack(basis))
 
     def _admit(self, stack, certified=False):
         """The gates on a read-only complex (k, n, n) stack, less the product
-        gate for a basis certified closed."""
+        gate for a basis certified closed. The identity, adjoint and product
+        gates run only while k < n^2: a span of n^2 independent matrices is
+        M_n, which holds I, every adjoint and every product."""
         k, n, _ = stack.shape
         span, comp = stack.reshape(k, -1), None
         if not certified:
@@ -225,13 +228,13 @@ class MatrixStarAlgebra:
             if np.sum(s > NULLSPACE_RTOL * s[0]) < k:
                 raise ValueError("basis matrices are linearly dependent")
             span, comp = vh[:k].copy(), vh[k:].conj().T if full else None
-        scale = max(1.0, _fro_batch(stack).max())
-        _gate(_span_residual(span, np.eye(n), comp)[0],
-              DEFAULT_TOL * np.sqrt(n), MissingIdentity)
-        _gate(_span_residual(span, stack.conj().transpose(0, 2, 1), comp).max(),
-              DEFAULT_TOL * scale, NotClosedUnderProducts)
+        if k < n * n:  # k = n^2 means the span is everything
+            scale = max(1.0, _fro_batch(stack).max())
+            _gate(_span_residual(span, np.eye(n), comp)[0],
+                  DEFAULT_TOL * np.sqrt(n), MissingIdentity)
+            _gate(_span_residual(span, stack.conj().mT, comp).max(),
+                  DEFAULT_TOL * scale, NotClosedUnderProducts)
         if not certified and k < n * n:
-            # k = n^2 means the span is everything, products included
             r = min(k, max(1, _CHECK_SLICE // (n * n)))
             m = max(1, _CHECK_SLICE // (r * n * n))
             worst = np.max([_span_residual(
@@ -239,7 +242,8 @@ class MatrixStarAlgebra:
                 for lo in range(0, k, m) for j in range(0, k, r)])
             _gate(worst, DEFAULT_TOL * scale * scale, NotClosedUnderProducts)
 
-        self.dim, self.basis, self._span, self._prime = n, stack, span, None
+        self.dim, self.basis, self._span = n, stack, span
+        self._prime = self._center = None
 
     @classmethod
     def generated_by(cls, generators, dim=None):
@@ -276,18 +280,21 @@ def center(algebra: MatrixStarAlgebra) -> np.ndarray:
     center A ∩ A': X = sum_j c_j C_j over the orthonormal basis C_j of A' is
     central exactly when c is in the kernel of c -> (X off A's span). A' is
     the one the algebra keeps, or the commutant of A's basis, computed here
-    once and kept."""
-    n, span = algebra.dim, algebra._span
-    if algebra._prime is None:
-        algebra._prime = commutant(span.reshape(-1, n, n))
-    prime = algebra._prime.reshape(-1, n * n)
-    x = _kernel((prime - (prime @ span.conj().T) @ span).T)
-    return _read_only((x @ prime).reshape(-1, n, n))
+    once and kept; the center is computed once and kept too, and a later
+    call returns the same array."""
+    if algebra._center is None:
+        n, span = algebra.dim, algebra._span
+        if algebra._prime is None:
+            algebra._prime = commutant(span.reshape(-1, n, n))
+        prime = algebra._prime.reshape(-1, n * n)
+        x = _kernel((prime - (prime @ span.conj().T) @ span).T)
+        algebra._center = _read_only((x @ prime).reshape(-1, n, n))
+    return algebra._center
 
 
 def is_factor(algebra: MatrixStarAlgebra) -> bool:
-    """Trivial center, i.e. multiples of the identity only; center's kernel
-    step on the commutant the algebra keeps."""
+    """Trivial center, i.e. multiples of the identity only: the center the
+    algebra keeps, computed first if no call to center has."""
     return len(center(algebra)) == 1
 
 

@@ -369,18 +369,25 @@ def density_values_loop(mats, rho):
     return np.array([np.trace(rho @ M) for M in mats])
 
 
+def gns_homomorphism_loop(images, mult):
+    """The largest Frobenius norm of pi(b_i) pi(b_j) - pi(b_i b_j), one pair
+    (i, j) at a time, pi(b_i b_j) = sum_l c_ijl pi(b_l) by einsum."""
+    stack = np.stack(images)
+    k = len(images)
+    return max(np.linalg.norm(images[i] @ images[j]
+                              - np.einsum("k,kab->ab", mult[i, j], stack))
+               for i in range(k) for j in range(k))
+
+
 def gns_residuals_loop(images, mult, invol, unit, psi, values):
     """The residuals verify_gns reports, one pair of images at a time: the
-    largest Frobenius norm of pi(b_i) pi(b_j) - pi(b_i b_j) and of
-    pi(b_i)^* - pi(b_i^*), that of pi(1) - I, and the largest
-    |<psi, pi(b_i) psi> - omega(b_i)|."""
+    largest Frobenius norm of pi(b_i) pi(b_j) - pi(b_i b_j)
+    (gns_homomorphism_loop) and of pi(b_i)^* - pi(b_i^*), that of pi(1) - I,
+    and the largest |<psi, pi(b_i) psi> - omega(b_i)|."""
     stack = np.stack(images)
     k = len(images)
     return {
-        "homomorphism": max(
-            np.linalg.norm(images[i] @ images[j]
-                           - np.einsum("k,kab->ab", mult[i, j], stack))
-            for i in range(k) for j in range(k)),
+        "homomorphism": gns_homomorphism_loop(images, mult),
         "involution": max(
             np.linalg.norm(images[i].conj().T
                            - np.einsum("k,kab->ab", invol[i], stack))

@@ -27,7 +27,12 @@ from oplattice import (
     superselection_sectors,
 )
 from oplattice import algebras, cli
-from oplattice.algebras import _bicommutant, _kernel, _weights
+from oplattice.algebras import (
+    MissingIdentity,
+    _bicommutant,
+    _kernel,
+    _weights,
+)
 from oplattice.linalg import NULLSPACE_RTOL, _fro_batch, hermitian_part
 
 from oracles import (
@@ -171,14 +176,32 @@ def test_generated_algebra_membership():
     assert not alg.contains(SX)
 
 
-def test_star_algebra_validation():
+def test_star_algebra_validation(monkeypatch):
+    """Below k = n^2 every gate runs, on C^2 and in a Haar basis of C^3: a
+    dependent spanning set, a basis without I (MissingIdentity), one whose
+    adjoint escapes its span (refused before any product is formed) and
+    one with a product outside it (refused by the product gate)."""
     with pytest.raises(ValueError):
         MatrixStarAlgebra([I2, 2.0 * I2])  # dependent spanning set
-    with pytest.raises(ValueError):
-        MatrixStarAlgebra([SX])  # identity missing
     E01 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    with pytest.raises(NotClosedUnderProducts):
-        MatrixStarAlgebra([I2, E01])  # adjoint escapes the span
+    U = haar_unitary(np.random.default_rng(37), 3)
+    units = U @ np.eye(9, dtype=complex).reshape(9, 3, 3) @ U.conj().T
+    eye = units[[0, 4, 8]].sum(axis=0)
+    cases = [  # basis, refusal, whether products are formed before it
+        ([SX], MissingIdentity, False),
+        (units[[0, 4]], MissingIdentity, False),
+        ([I2, E01], NotClosedUnderProducts, False),
+        ([eye, units[1]], NotClosedUnderProducts, False),
+        ([I2, SX, SZ], NotClosedUnderProducts, True),
+        ([eye, units[1] + units[3], units[5] + units[7]],
+         NotClosedUnderProducts, True),
+    ]
+    calls = _count_products(monkeypatch)
+    for basis, refusal, products in cases:
+        with pytest.raises(refusal):
+            MatrixStarAlgebra(basis)
+        assert bool(calls) == products, basis
+        calls.clear()
 
 
 def test_center_separates_factor_from_block_sum():
@@ -676,6 +699,47 @@ def test_generated_by_falls_back_to_the_product_gate(monkeypatch):
     with pytest.raises(NotClosedUnderProducts) as info:
         MatrixStarAlgebra.generated_by([SZ])
     assert abs(info.value.defect - np.sqrt(2.0)) <= 1e-12
+
+
+def test_a_full_basis_runs_no_span_gate(monkeypatch):
+    """k = n^2 independent matrices span M_n, which holds I, every adjoint
+    and every product: generated_by of two random complex 8 x 8 generators
+    (the certified matrix units) and the constructor on a Haar-rotated
+    full basis admit M_n with no _span_residual call; a dependent n^2 basis
+    is still refused."""
+    rng = np.random.default_rng(31)
+    gens = random_mats(rng, 8, 2)
+    U = haar_unitary(rng, 3)
+    rotated = U @ np.eye(9, dtype=complex).reshape(9, 3, 3) @ U.conj().T
+    dependent = [I2, SX, SZ, SX + 2.0 * SZ]
+
+    def refused(*args):
+        raise AssertionError("_span_residual called")
+    monkeypatch.setattr("oplattice.algebras._span_residual", refused)
+    assert MatrixStarAlgebra.generated_by(gens).linear_dimension() == 64
+    assert MatrixStarAlgebra(rotated).linear_dimension() == 9
+    with pytest.raises(ValueError, match="linearly dependent"):
+        MatrixStarAlgebra(dependent)
+
+
+def test_center_is_computed_once_and_kept():
+    """center keeps its result: a second call and is_factor run no further
+    _kernel and return or read the same read-only array, for the algebra
+    generated_by builds and for the same basis admitted by the constructor,
+    whichever of center and is_factor comes first."""
+    gens = pauli_and_hermitian_blocks()
+    for first in (center, is_factor):
+        built = MatrixStarAlgebra.generated_by(gens)
+        for alg in (built, MatrixStarAlgebra(built.basis)):
+            factor = first(alg)
+            with pytest.MonkeyPatch.context() as patch:
+                calls = _kernel_domains(patch)
+                centre = center(alg)
+                assert center(alg) is centre and is_factor(alg) is False
+            assert calls == [] and len(centre) == 2
+            assert not centre.flags.writeable
+            if first is center:
+                assert factor is centre
 
 
 def _untied_forest(W, V, starts, ranks):

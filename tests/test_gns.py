@@ -35,11 +35,12 @@ from oplattice.gns import (
     _associativity_bound,
     _axiom_residuals,
 )
-from oplattice.linalg import SOLVER_TOL, _matrix_units, _products
+from oplattice.linalg import SOLVER_TOL, _gamma, _matrix_units, _products
 
 from oracles import (
     axiom_residuals_loop,
     density_values_loop,
+    gns_homomorphism_loop,
     gns_residuals_loop,
     gram_loop,
     gram_rank_bruteforce,
@@ -624,17 +625,66 @@ def test_the_dense_check_holds_one_slice_at_a_time():
                                   for r in range(2, n + 1)])
 def test_paradox_commutant_from_the_step_units(n, r):
     """The demo's commutant, taken on pi(E_{i,i+1}), i < n - 1, has
-    dimension r^2, as does the commutant of all n^2 images."""
+    dimension r^2, as does the commutant of all n^2 images. The demo makes
+    no verify_gns call, and its expectation residual is verify_gns's bit
+    for bit."""
     rng = np.random.default_rng(100 * n + r)
     U = haar_unitary(rng, n)
     p = rng.uniform(0.1, 1.0, r)
     rho = (U[:, :r] * (p / p.sum())) @ U[:, :r].conj().T
-    rep = mixed_to_vector_paradox_demo(rho)
+    def refused(*args):
+        raise AssertionError("verify_gns called")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("oplattice.gns.verify_gns", refused)
+        rep = mixed_to_vector_paradox_demo(rho)
     units = _matrix_units(n)
     alg = algebra_from_matrices(units)
-    triple = gns_construct(alg, state_from_density(alg, units, rho))
+    omega = state_from_density(alg, units, rho)
+    triple = gns_construct(alg, omega)
     assert rep["commutant_dimension"] == r * r \
         == len(commutant(triple.pi_images, triple.rep_dim))
+    want = verify_gns(triple, alg, omega)["residuals"]["expectation"]
+    assert type(rep["expectation_residual"]) is float
+    assert rep["expectation_residual"].hex() == want.hex()
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 4), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_homomorphism_residual_matches_the_pairwise_loop(n, data, seed):
+    """verify_gns's homomorphism residual, one GEMM per left factor, against
+    gns_homomorphism_loop, on a complex basis of M_n (Haar-rotated matrix
+    units mixed by a complex k x k matrix of condition number at most 4,
+    k = n^2) and a state of rank r <= n, for the triple and a tampered one.
+    Both take max_ij ||D_ij||_F, D_ij = pi_i pi_j - sum_l c_ijl pi_l with
+    d x d images, d = n r. Each route's D_ij lies within sqrt(2)
+    (gamma_{d+2} s^2 + gamma_{k+2} g s) + u (s^2 + g s) of the exact one
+    (Higham, sections 3.5-3.6; s = max ||pi_l||_F, g = max ||c_ij||_1), and
+    each norm within gamma_{2d^2+2} of the computed D_ij's, so the two
+    residuals differ by at most twice the first bound plus gamma_{2d^2+2}
+    times their sum."""
+    r = data.draw(st.integers(1, n), label="r")
+    rng = np.random.default_rng(seed)
+    k, B = n * n, haar_unitary(rng, n)
+    T = haar_unitary(rng, k) * rng.uniform(0.5, 2.0, k)
+    mats = np.tensordot(T, B @ _matrix_units(n) @ B.conj().T, axes=1)
+    alg = algebra_from_matrices(mats)
+    U = haar_unitary(rng, n)
+    p = rng.uniform(0.1, 1.0, r)
+    rho = (U[:, :r] * (p / p.sum())) @ U[:, :r].conj().T
+    omega = state_from_density(alg, mats, rho)
+    triple = gns_construct(alg, omega)
+    d = triple.rep_dim
+    g = float(np.abs(alg.mult).sum(axis=2).max())
+    noise = 1e-2 * rng.standard_normal((k, d, d))
+    for images in (triple.pi_images, triple.pi_images + noise):
+        got = verify_gns(triple._replace(pi_images=images), alg,
+                         omega)["residuals"]["homomorphism"]
+        want = gns_homomorphism_loop(list(images), alg.mult)
+        s = max(np.linalg.norm(M) for M in images)
+        one = np.sqrt(2.0) * (_gamma(d + 2) * s * s + _gamma(k + 2) * g * s) \
+            + 2.0 ** -53 * (s * s + g * s)
+        assert abs(got - want) <= 2.0 * one + _gamma(2 * d * d + 2) * (
+            got + want), (got, want)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "short"])
