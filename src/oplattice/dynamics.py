@@ -12,7 +12,6 @@ import numpy as np
 
 from .linalg import (
     ABS_FLOOR,
-    FIT_TOL,
     PRODUCT_TOL,
     SOLVER_TOL,
     HermitianOperator,
@@ -44,6 +43,12 @@ DEFAULT_NOETHER_GRID = (0.1, 0.37, 1.0)
 class InconsistentGroup(Refusal, ToleranceFailure, ValueError):
     template = ("samples are not consistent with a one-parameter group "
                 "(defect {defect:.3e})")
+
+
+class BranchCut(InconsistentGroup):
+    template = ("sample at t = {0!r} has an eigenvalue at -1: its logarithm is "
+                "not unique (||(I + U)^-1||_2 = {defect:.3e} > {bound:.3e})")
+    fields = ("t",)
 
 
 class NotHermitianResult(Refusal, ToleranceFailure, ValueError):
@@ -160,53 +165,46 @@ def _commutators(Us, Vs):
 
 
 def generator_from_group(samples, hbar=1.0) -> HermitianOperator:
-    """Recover H from samples (t, U_t) of U_t = exp(-i t H / hbar).
-
-    Uses the central difference i*hbar*(U_t - U_{-t})/(2t) at the smallest
-    sampled pair, Richardson-extrapolated against the half-step pair when
-    the stencil contains one. The group law (within SOLVER_TOL) and a full
-    reconstruction of the samples (within FIT_TOL) are verified before the
-    result is returned.
-    """
-    table = {float(t): U.matrix if isinstance(U, UnitaryOperator) else U
-             for t, U in samples}
-    if not table:
+    """Recover H from samples (t, U_t) of U_t = exp(-i t H / hbar) by Stone's
+    theorem: H = -(2 hbar / t) arctan(C) for the Cayley transform C = i (I -
+    U)(I + U)^{-1} of U = U_t at the +t of the smallest sampled +/-t pair, by
+    one solve and one decomposition at cluster_tol 0 (C is O(t ||H|| / hbar),
+    and the default floor would merge its eigenvalues). H is the principal
+    branch, eigenvalues in (-pi hbar / t, pi hbar / t): no samples tell it
+    from an H shifted by a multiple of 2 pi hbar / t on an eigenspace.
+    Refused: ||(I + U)^{-1}||_2 above 1 / SOLVER_TOL, an eigenvalue of U at -1
+    (BranchCut); C off Hermitian by more than SOLVER_TOL * max(1, ||C||_F)
+    (NotHermitianResult); a sample (s, U_s) as given, s = 0 and repeated times
+    included, further than SOLVER_TOL from V exp(-i s Lambda / hbar) V^* on
+    C's factor V (InconsistentGroup). From samples exact to working precision
+    at n <= 32 and phi = t ||H||_2 / hbar in [1e-6, 3], ||H_returned - H||_F
+    <= 2^-48 n (hbar / t) / cos(phi / 2)^2."""
+    samples = list(samples)
+    if not samples:
         raise ValueError("no samples given")
-    stack = as_stack(table.values())
-    table = dict(zip(table, stack))
-    eye = np.eye(stack.shape[1])
-
-    if 0.0 in table:
-        _gate(frobenius(table[0.0] - eye), SOLVER_TOL, InconsistentGroup)
-
-    pos = sorted(t for t in table if t > 0 and -t in table)
-    if not pos:
+    times = [float(t) for t, _ in samples]
+    stack = as_stack(U.matrix if isinstance(U, UnitaryOperator) else U
+                     for _, U in samples)
+    t = min((s for s in times if s > 0 and -s in times), default=None)
+    if t is None:
         raise ValueError("samples must bracket 0 with at least one +/-t pair")
-
-    def central(t):
-        return 1j * hbar * (table[t] - table[-t]) / (2.0 * t)
-
-    t_full = None
-    for t in pos:
-        if t / 2.0 in table and -t / 2.0 in table:
-            t_full = t
-            break
-    if t_full is not None:
-        # group-law consistency of the stencil itself
-        half = table[t_full / 2.0]
-        _gate(frobenius(half @ half - table[t_full]), SOLVER_TOL,
-              InconsistentGroup)
-        D = (4.0 * central(t_full / 2.0) - central(t_full)) / 3.0
-    else:
-        D = central(pos[0])
-
-    _gate(frobenius(D - D.conj().T), SOLVER_TOL * max(1.0, frobenius(D)),
+    U, eye = stack[times.index(t)], np.eye(stack.shape[1])
+    try:  # I + U singular, or the solve overflowing: an eigenvalue at -1
+        C = 1j * as_matrix(np.linalg.solve(eye + U, eye - U))
+    except ValueError:
+        raise BranchCut(t, defect=math.inf, bound=1.0 / SOLVER_TOL) from None
+    pvm = _decompose_stack([HermitianOperator(C, tol=np.inf)], 0.0)[0]
+    (V, _, ranks), labels = pvm._factor, np.array(pvm._labels)
+    # 1 / |1 + e^{i theta}| = sqrt(1 + tan(theta / 2)^2) / 2
+    _gate(math.hypot(1.0, float(np.abs(labels).max(initial=0.0))) / 2.0,
+          1.0 / SOLVER_TOL, BranchCut, t)
+    _gate(frobenius(C - C.conj().T), SOLVER_TOL * max(1.0, frobenius(C)),
           NotHermitianResult)
-    H = HermitianOperator(D, tol=np.inf)
-
-    recon = _evolve([H], [list(table)], hbar)
-    _gate(float(_fro_batch(recon - stack).max()), FIT_TOL, InconsistentGroup)
-    return H
+    rate = 2.0 * np.arctan(labels) / t  # -E / hbar for H's eigenvalues E
+    recon = atom_sum(V, np.exp(1j * np.multiply.outer(times, rate)), ranks)
+    _gate(float(_fro_batch(recon - stack).max()), SOLVER_TOL,
+          InconsistentGroup)
+    return HermitianOperator(atom_sum(V, -hbar * rate, ranks), tol=np.inf)
 
 
 def heisenberg_observable(A, H, t, hbar=1.0) -> HermitianOperator:
@@ -271,8 +269,12 @@ def commuting_via_groups(A, B, grid=None, tol=PRODUCT_TOL, hbar=1.0) -> bool:
 def _prepare_grid(samples, t1, t2):
     """(times, generators) from t1 to t2: the samples strictly inside, and
     the samples' linear interpolant at each end. The samples are admitted
-    as one stack."""
+    as one stack; t1, t2 and every sample time must be finite."""
     samples = list(samples)
+    named = [("t1", t1), ("t2", t2)] + [("sample time", t) for t, _ in samples]
+    for name, t in named:
+        if not math.isfinite(t):
+            raise ValueError(f"{name} {t} is not finite")
     ops = _hermitians(H for _, H in samples)
     pairs = sorted(zip((float(t) for t, _ in samples), ops),
                    key=lambda p: p[0])

@@ -237,7 +237,9 @@ def projector_to_json(P: Projector) -> dict:
 
 
 def projector_from_json(obj) -> Projector:
+    if "rank" in obj and not (type(obj["rank"]) is int and obj["rank"] >= 0):
+        raise ValueError(f"rank {obj['rank']!r} must be a non-negative integer")
     P = Projector(matrix_from_json(obj))
-    if "rank" in obj and int(obj["rank"]) != P.rank:
+    if obj.get("rank", P.rank) != P.rank:
         raise ValueError(f"declared rank {obj['rank']} but trace says {P.rank}")
     return P

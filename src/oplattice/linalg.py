@@ -29,8 +29,8 @@ import orjson
 DEFAULT_TOL = 1e-10
 # identities among products of validated operators or numbers
 PRODUCT_TOL = 1e-9
-# results carried through a solve: eigensolve, SVD, least squares, finite
-# differences; also the eigenvalue cluster width (s = the spread)
+# results carried through a solve: eigensolve, SVD, least squares, linear
+# solves; also the eigenvalue cluster width (s = the spread)
 SOLVER_TOL = 1e-8
 # a fit's residual against the data it was fitted to
 FIT_TOL = 1e-6
@@ -433,42 +433,36 @@ def dumps(obj) -> str:
     return "".join(_pieces(obj))
 
 
-def _pieces(obj) -> list:
-    """The texts dumps joins, in order: a writer can write them one by one
-    and never hold the whole report twice."""
-    out, todo = [], [(obj, "\n")]  # a pending value and its newline + indent
-    while todo:
-        obj, nl = todo.pop()
-        if nl is None:  # text ready to go
-            out.append(obj)
-            continue
-        if isinstance(obj, np.ndarray) and obj.ndim == 2:
-            M, inner = np.ascontiguousarray(as_matrix(obj)), nl + "  "
-            out += (f'{{{inner}"cols": {M.shape[1]},{inner}"data": ',
-                    _data_template(M.size, inner) % tuple(_texts(M)),
-                    f',{inner}"rows": {M.shape[0]}{nl}}}')
-            continue
-        if isinstance(obj, (np.ndarray, np.generic)):
-            obj = obj.tolist()
-        if isinstance(obj, complex):
-            obj = [obj.real, obj.imag]
-        if isinstance(obj, dict):
-            keyed = sorted({str(k): v for k, v in obj.items()}.items())
-            brackets, items = "{}", [(json.dumps(k) + ": ", v)
-                                     for k, v in keyed]
-        elif isinstance(obj, (list, tuple)):
-            brackets, items = "[]", [("", v) for v in obj]
-        else:
-            out.append(json.dumps(obj))
-            continue
-        if not items:
-            out.append(brackets)
-            continue
-        inner = nl + "  "
-        todo.append((nl + brackets[1], None))
-        for k, (key, v) in reversed(list(enumerate(items))):
-            todo += [(v, inner), (("," if k else brackets[0]) + inner + key,
-                                  None)]
+def _pieces(obj, nl="\n", out=None) -> list:
+    """The texts dumps joins, in order, appended to out (nl before each later
+    line): a writer can write them one by one and never hold them twice."""
+    out = [] if out is None else out
+    if isinstance(obj, np.ndarray) and obj.ndim == 2:
+        M, inner = np.ascontiguousarray(as_matrix(obj)), nl + "  "
+        out += (f'{{{inner}"cols": {M.shape[1]},{inner}"data": ',
+                _data_template(M.size, inner) % tuple(_texts(M)),
+                f',{inner}"rows": {M.shape[0]}{nl}}}')
+        return out
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
+    if isinstance(obj, complex):
+        obj = [obj.real, obj.imag]
+    if isinstance(obj, dict):
+        keyed = sorted({str(k): v for k, v in obj.items()}.items())
+        text, items = "{}", [(json.dumps(k) + ": ", v) for k, v in keyed]
+    elif isinstance(obj, (list, tuple)):
+        text, items = "[]", [("", v) for v in obj]
+    else:
+        text, items = json.dumps(obj), []
+    if not items:  # a scalar, or an empty container
+        out.append(text)
+        return out
+    inner, sep = nl + "  ", text[0]
+    for key, v in items:
+        out.append(sep + inner + key)
+        _pieces(v, inner, out)
+        sep = ","
+    out.append(nl + text[1])
     return out
 
 

@@ -43,6 +43,25 @@ def expm_oracle(M):
     return scipy.linalg.expm(M)
 
 
+def generator_by_central_difference(samples, hbar=1.0):
+    """H from samples (t, U_t) of U_t = exp(-i t H / hbar), no eigensolver:
+    the central difference i hbar (U_t - U_{-t}) / (2t) at the smallest
+    sampled +/-t pair that has its half-step pair too, Richardson-
+    extrapolated against it, else at the smallest pair. The truncation
+    error grows like (t ||H|| / hbar)^4 ||H|| with the half step, and like
+    (t ||H|| / hbar)^2 ||H|| without it."""
+    table = {float(t): np.asarray(U, dtype=complex) for t, U in samples}
+    pos = sorted(t for t in table if t > 0 and -t in table)
+
+    def central(t):
+        return 1j * hbar * (table[t] - table[-t]) / (2.0 * t)
+
+    for t in pos:
+        if t / 2.0 in table and -t / 2.0 in table:
+            return (4.0 * central(t / 2.0) - central(t)) / 3.0
+    return central(pos[0])
+
+
 def diag_joint_atoms(diagonals):
     """Exhaustive joint-eigenspace oracle for diagonal operators.
 

@@ -147,7 +147,7 @@ def test_tolerance_failures_exit_3(tmp_path, capsys):
 
 
 _TOLERANCE_FAILURES = {
-    "MaxIterExceeded", "ConvergenceFailure", "InconsistentGroup",
+    "MaxIterExceeded", "ConvergenceFailure", "InconsistentGroup", "BranchCut",
     "NotHermitianResult", "EquivalenceViolation", "NotACocycle",
     "InconsistentAssignments", "WitnessNotFound", "ZeroProbability",
     "TailTooLarge"}

@@ -1,9 +1,11 @@
 """One-parameter groups, conservation checks, time-ordered products,
 symmetry operators, and multiplier bookkeeping."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oplattice.cli
@@ -11,6 +13,7 @@ import oplattice.dynamics
 import oplattice.linalg
 import oplattice.spectral
 from oplattice import (
+    BranchCut,
     DensityState,
     EquivalenceViolation,
     HermitianOperator,
@@ -55,7 +58,8 @@ from oplattice.linalg import (
 )
 from oplattice.spectral import _decompose_stack, _factor_residuals
 
-from oracles import expm_oracle, spin_precession_x
+from oracles import (expm_oracle, generator_by_central_difference,
+                     spin_precession_x)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -108,6 +112,95 @@ def test_generator_recovery_rejects_corrupted_sample():
         generator_from_group(samples.items())
     with pytest.raises(ValueError):
         generator_from_group([(1e-3, evolve_unitary(H, 1e-3).matrix)])
+
+
+@settings(max_examples=40, deadline=None)
+@example(n=32, k=-200, log_phi=-6.0, by_expm=False, hbar=1.0, seed=0)
+@example(n=32, k=200, log_phi=-6.0, by_expm=True, hbar=3.0, seed=1)
+@example(n=32, k=0, log_phi=float(np.log10(3.0)), by_expm=False, hbar=1.0,
+         seed=2)
+@given(n=st.integers(1, 32), k=st.integers(-200, 200),
+       log_phi=st.floats(-6.0, float(np.log10(3.0))), by_expm=st.booleans(),
+       hbar=st.sampled_from([1.0, 0.25, 3.0]), seed=st.integers(0, 2**32 - 1))
+def test_generator_is_the_logarithm_of_exact_samples(n, k, log_phi, by_expm,
+                                                     hbar, seed):
+    """Complex H with ||H||_2 near 2^k and phi = t ||H||_2 / hbar = 10^log_phi,
+    sampled exactly, by eigh or by expm: the pair (+/-t), the set (+/-t,
+    +/-t/2, 0) and, while phi <= 1e-2, (+/-t, +/-1e5 t) are admitted, and H
+    comes back within the docstring's rounding bound."""
+    M = random_hermitian(np.random.default_rng(seed), n)
+    M = M / np.linalg.norm(M, 2) * 2.0 ** k
+    phi = 10.0 ** log_phi
+    t = phi * hbar / np.linalg.norm(M, 2)
+    w, V = np.linalg.eigh(M)
+
+    def sample(s):
+        if by_expm:
+            return s, expm_oracle((-1j * s / hbar) * M)
+        return s, (V * np.exp((-1j * s / hbar) * w)) @ V.conj().T
+
+    sets = [(t, -t), (t, -t, t / 2, -t / 2, 0.0)]
+    if phi <= 1e-2:
+        sets.append((t, -t, 1e5 * t, -1e5 * t))
+    bound = 2.0 ** -48 * n * (hbar / t) / math.cos(phi / 2.0) ** 2
+    for times in sets:
+        got = generator_from_group(map(sample, times), hbar).matrix
+        assert frobenius(got - M) <= bound
+
+
+def test_small_exact_pair_of_sigma_z_is_admitted():
+    U = np.diag(np.exp([-0.03j, 0.03j]))
+    got = generator_from_group([(0.03, U), (-0.03, U.conj())])
+    assert frobenius(got.matrix - SZ) <= 1e-14
+
+
+def test_generator_matches_the_central_difference_at_small_times():
+    rng = np.random.default_rng(47)
+    for n, phi in ((2, 1e-3), (5, 1e-4), (12, 1e-3), (12, 3e-5)):
+        H = random_hermitian(rng, n)
+        H /= operator_norm(H)
+        samples = [(t, evolve_unitary(H, t).matrix)
+                   for t in (phi, phi / 2, -phi / 2, -phi)]
+        got = generator_from_group(samples).matrix
+        assert frobenius(got - generator_by_central_difference(
+            samples)) <= 1e-9
+
+
+def test_generator_refuses_samples_of_no_single_group():
+    rng = np.random.default_rng(53)
+    H, K = random_hermitian(rng, 4), random_hermitian(rng, 4)
+
+    def U(A, t):
+        return evolve_unitary(A, t).matrix
+
+    cases = [
+        # two generators
+        [(0.1, U(H, 0.1)), (-0.1, U(H, -0.1)), (0.05, U(K, 0.05))],
+        # one time relabelled
+        [(0.1, U(H, 0.1)), (-0.1, U(H, -0.1)), (0.4, U(H, 0.5))],
+        # a repeated time with a contradicting matrix, either one first
+        [(0.01, np.eye(4)), (0.01, U(H, 0.01)), (-0.01, U(H, -0.01))],
+        [(0.01, U(H, 0.01)), (0.01, np.eye(4)), (-0.01, U(H, -0.01))],
+    ]
+    for samples in cases:
+        with pytest.raises(InconsistentGroup) as exc:
+            generator_from_group(samples)
+        assert not isinstance(exc.value, BranchCut)
+
+
+def test_generator_refuses_a_sample_on_the_branch_cut():
+    W = np.linalg.qr(np.random.default_rng(59).standard_normal(
+        (3, 6)).view(complex))[0]
+    assert issubclass(BranchCut, InconsistentGroup)
+    for last in (np.pi, np.pi - 1e-9):
+        U = (W * np.exp(1j * np.array([0.2, 1.0, last]))) @ W.conj().T
+        with pytest.raises(BranchCut, match="logarithm is not unique") as exc:
+            generator_from_group([(1.0, U), (-1.0, U.conj().T)])
+        assert exc.value.defect > 1e8
+    # -I exactly: I + U is singular
+    with pytest.raises(BranchCut) as exc:
+        generator_from_group([(1.0, -I2), (-1.0, -I2)])
+    assert exc.value.defect == math.inf
 
 
 def test_heisenberg_picture_precession_matches_closed_form():
@@ -497,6 +590,23 @@ def test_time_ordered_input_gates():
     sparse = [(t, 10.0 * SZ) for t in np.linspace(0.0, 1.0, 5)]
     with pytest.raises(QuadratureTooCoarse):
         dyson_evolve(sparse, 0.0, 1.0, order=8)
+
+
+def test_time_ordered_evolution_refuses_non_finite_times(monkeypatch):
+    """A NaN or infinite t1, t2 or sample time is named before any SVD."""
+    samples, hi = noncommuting_drive()
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("SVD reached")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    late = samples[:-1] + [(np.inf, samples[-1][1])]
+    for run in (dyson_evolve, dyson_series):
+        for name, args in (("t1", (samples, np.nan, hi)),
+                           ("t2", (samples, 0.0, np.inf)),
+                           ("sample time", (late, 0.0, hi))):
+            with pytest.raises(ValueError, match=f"^{name} .* is not finite"):
+                run(*args)
 
 
 def test_symmetry_composition_and_inverse():

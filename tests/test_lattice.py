@@ -278,6 +278,13 @@ def test_json_roundtrip_and_declared_rank_check():
     obj["rank"] = 2
     with pytest.raises(ValueError):
         projector_from_json(obj)
+    # int() reads each of these as 1, the rank of this projector
+    line = json.loads(dumps(projector_to_json(ray([1.0, 0.0]))))
+    assert projector_from_json(line).rank == 1
+    for rank in (True, 1.5, "1", -1):
+        line["rank"] = rank
+        with pytest.raises(ValueError, match="non-negative integer"):
+            projector_from_json(line)
 
 
 def test_orthocomplement_keeps_the_admission_of_its_projector():

@@ -629,6 +629,10 @@ def _refusal_cases():
          2.0 * r2, 1e-10),
         ("InconsistentGroup", lambda: op.generator_from_group(
             [(0.0, SZ), (1.0, I2), (-1.0, I2)]), 2.0, 1e-8),
+        # an eigenvalue -1 + 1e-9i of unit modulus to working precision
+        ("BranchCut", lambda: op.generator_from_group(
+            [(1.0, np.diag([1.0, -1.0 + 1e-9j])),
+             (-1.0, np.diag([1.0, -1.0 - 1e-9j]))]), 1e9, 1e8),
         ("NotHermitianResult", lambda: op.generator_from_group(
             [(1.0, [[1, 1], [0, 1]]), (-1.0, I2)]), np.sqrt(0.5), 1e-8),
         ("NotACocycle", lambda: op.cocycle_check(op.MultiplierTable(
